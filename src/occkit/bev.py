@@ -168,12 +168,13 @@ def warp_bev(
     fu = u - u0
     fv = v - v0
 
+    src = b_hist.astype(np.float64)
+
     def gather(iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
         inside = (iu >= 0) & (iu < nx) & (iv >= 0) & (iv < ny)
         iuc = np.clip(iu, 0, nx - 1)
         ivc = np.clip(iv, 0, ny - 1)
-        vals = b_hist.astype(np.float64)[:, iuc, ivc]
-        return vals * inside[None, :, :]
+        return src[:, iuc, ivc] * inside[None, :, :]
 
     w00 = (1.0 - fu) * (1.0 - fv)
     w01 = (1.0 - fu) * fv

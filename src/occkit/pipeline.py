@@ -1,10 +1,13 @@
 """End-to-end forward pipeline.
 
-Per frame: synthesize image-plane features, produce a depth distribution
-(ground-truth one-hot or a small seeded conv stub), blend the two with the
-scheduled mixup weight, lift features into the half-resolution voxel grid,
-collapse to BEV, and fuse with warped history. On the final frame the fused
-BEV map forks into a semantic path (2D encoder then height lifting) and a
+Only the last scene frame is predicted, so each frame does only the work a
+later step reads. A frame is encoded: synthesize image-plane features,
+produce a depth distribution (ground-truth one-hot or a small seeded conv
+stub), blend the two with the scheduled mixup weight, lift features into the
+half-resolution voxel grid, and collapse to BEV. The history frames that fit
+in the temporal queue are encoded and queued raw, unfused; older frames are
+skipped. Only the last frame is fused with its warped history. The fused BEV
+map forks into a semantic path (2D encoder then height lifting) and a
 geometric path (height lifting then the large-kernel 3D convolution); the
 two volumes are summed, upsampled to full resolution, and classified.
 """
@@ -188,7 +191,12 @@ def run_pipeline(
     reparam_mode: str = "deploy",
     weights: PipelineWeights | None = None,
 ):
-    """Run the forward pass over all scene frames.
+    """Predict the last scene frame.
+
+    The ``queue_len`` frames before it are encoded and queued as raw BEV
+    maps; the queue never holds fused maps, so they need no fusion. Earlier
+    frames would leave the queue before it is read and are skipped. Only the
+    last frame is fused with its warped history and classified.
 
     Returns (logits, report): logits are (18, X, Y, Z) at the full grid
     resolution, the report carries per-stage wall-clock timings (their sum is
@@ -209,7 +217,6 @@ def run_pipeline(
     cams = scene.cameras()
     queue = TemporalQueue(config.queue_len)
     timings: dict = {}
-    lift_sparsity = float("nan")
 
     def staged(stage, fn, *args, **kw):
         t0 = time.perf_counter()
@@ -220,9 +227,8 @@ def run_pipeline(
         timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0)
         return result
 
-    t_start = time.perf_counter()
-    b_t = None
-    for t in range(scene.n_frames):
+    def encode(t):
+        """Depth, lift and height collapse of frame t: (voxels, BEV map)."""
         features = frame_features(config, t)
         gt_oh, valid = staged("depth", _gt_depth, scene.depth[t], config)
         if config.depth_provider == "stub":
@@ -237,16 +243,20 @@ def run_pipeline(
         )
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
         dist.validate(tol=1e-4)
-
         v = staged("lift", lift_splat, features, dist, cams, half)
-        if t == scene.n_frames - 1:
-            lift_sparsity = sparsity_ratio(v)
-        b = staged("height_collapse", collapse_height, v, "mean")
-        b_t = staged(
-            "temporal_fuse",
-            temporal_fuse,
-            queue, b, scene.pose(t), float(t), weights.fusion, half,
-        )
+        return v, staged("height_collapse", collapse_height, v, "mean")
+
+    t_start = time.perf_counter()
+    last = scene.n_frames - 1
+    for t in range(max(0, last - config.queue_len), last):
+        queue.push(encode(t)[1], scene.pose(t), float(t))
+    v, b = encode(last)
+    lift_sparsity = sparsity_ratio(v)
+    b_t = staged(
+        "temporal_fuse",
+        temporal_fuse,
+        queue, b, scene.pose(last), float(last), weights.fusion, half,
+    )
 
     b_s = staged("semantic_encoder", semantic_encoder_2d, b_t, weights.encoder)
     v_s = staged("bvl", bev_to_voxel_lift, b_s, weights.bvl_semantic)

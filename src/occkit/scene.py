@@ -351,8 +351,9 @@ def save_scene(bundle: SceneBundle, out_dir: str) -> None:
 
 
 def load_scene(scene_dir: str) -> SceneBundle:
+    path = os.path.join(scene_dir, "manifest.txt")
     manifest = {}
-    with open(os.path.join(scene_dir, "manifest.txt")) as f:
+    with open(path) as f:
         for line in f:
             line = line.strip()
             if not line:
@@ -360,26 +361,31 @@ def load_scene(scene_dir: str) -> SceneBundle:
             key, _, value = line.partition("=")
             manifest[key.strip()] = value.strip()
 
+    def get(key):
+        if key not in manifest:
+            raise ValueError(f"scene manifest {path} missing key {key!r}")
+        return manifest[key]
+
     def floats(key):
-        return tuple(float(v) for v in manifest[key].split(","))
+        return tuple(float(v) for v in get(key).split(","))
 
     def ints(key):
-        return tuple(int(v) for v in manifest[key].split(","))
+        return tuple(int(v) for v in get(key).split(","))
 
     grid = GridSpec(floats("grid_start"), floats("grid_end"), ints("grid_counts"))
     spec = SceneSpec(
-        seed=int(manifest["seed"]),
+        seed=int(get("seed")),
         grid=grid,
-        n_frames=int(manifest["n_frames"]),
-        n_boxes=int(manifest["n_boxes"]),
-        n_cameras=int(manifest["n_cameras"]),
+        n_frames=int(get("n_frames")),
+        n_boxes=int(get("n_boxes")),
+        n_cameras=int(get("n_cameras")),
         image_size=ints("image_size"),
         feature_size=ints("feature_size"),
-        focal=float(manifest["focal"]),
-        d_max=float(manifest["d_max"]),
-        march_step=float(manifest["march_step"]),
-        speed=float(manifest["speed"]),
-        yaw_rate=float(manifest["yaw_rate"]),
+        focal=float(get("focal")),
+        d_max=float(get("d_max")),
+        march_step=float(get("march_step")),
+        speed=float(get("speed")),
+        yaw_rate=float(get("yaw_rate")),
     )
     occupancy = gsdt.read(os.path.join(scene_dir, "occupancy.gsdt"))
     visible = gsdt.read(os.path.join(scene_dir, "visible.gsdt"))

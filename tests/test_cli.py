@@ -116,6 +116,22 @@ class TestRun:
         assert "alpha" in capsys.readouterr().err
 
 
+    def test_manifest_missing_key_reports_error(self, config_path, scene_dir, capsys):
+        manifest = f"{scene_dir}/manifest.txt"
+        with open(manifest) as f:
+            lines = [ln for ln in f if not ln.startswith("focal")]
+        with open(manifest, "w") as f:
+            f.writelines(lines)
+        rc = main(
+            ["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene manifest")
+        assert "missing key 'focal'" in err
+        assert err.count("\n") == 1
+
+
 class TestEquiv:
     def test_passes_on_tiny_config(self, config_path, capsys):
         assert main(["equiv", "--config", config_path]) == 0

@@ -3,15 +3,23 @@ import dataclasses
 import numpy as np
 import pytest
 
+import occkit.pipeline
+from occkit.bev import TemporalQueue, collapse_height, semantic_encoder_2d, temporal_fuse
+from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
 from occkit.config import PipelineConfig
 from occkit.pipeline import (
     PipelineStageError,
+    _gt_depth,
+    _stub_depth,
     build_weights,
     frame_features,
     run_pipeline,
 )
+from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
-from occkit.view import GridSpec
+from occkit.schedule import mix_depth
+from occkit.tensor import conv3d
+from occkit.view import DepthDistribution, GridSpec, lift_splat
 
 STAGES = (
     "depth",
@@ -47,6 +55,34 @@ def small_config(**overrides):
     )
     kw.update(overrides)
     return PipelineConfig(**kw)
+
+
+def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
+    """Reference forward pass: encode and fuse every scene frame, then run
+    the heads on the last fused map."""
+    half = config.half_grid()
+    cams = scene.cameras()
+    queue = TemporalQueue(config.queue_len)
+    for t in range(scene.n_frames):
+        features = frame_features(config, t)
+        gt_oh, valid = _gt_depth(scene.depth[t], config)
+        pred = _stub_depth(features, weights.stub) if config.depth_provider == "stub" else gt_oh
+        mixed = np.stack(
+            [mix_depth(pred[i], gt_oh[i], alpha, valid[i]) for i in range(len(cams))]
+        )
+        dist = DepthDistribution(mixed, config.d_min, config.d_max)
+        b = collapse_height(lift_splat(features, dist, cams, half), "mean")
+        b_t = temporal_fuse(queue, b, scene.pose(t), float(t), weights.fusion, half)
+    v_s = bev_to_voxel_lift(semantic_encoder_2d(b_t, weights.encoder), weights.bvl_semantic)
+    v_g0 = bev_to_voxel_lift(b_t, weights.bvl_geometric)
+    if reparam_mode == "deploy":
+        v_g = forward_deploy(v_g0, weights.merged)
+    else:
+        v_g = forward_train(v_g0, list(weights.branches))
+    v_gs = fuse_and_upsample(v_g, v_s, weights.upsample)
+    return conv3d(
+        v_gs, weights.head_w.astype(v_gs.dtype), weights.head_b.astype(v_gs.dtype)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +183,51 @@ class TestRunPipeline:
         logits, report = run_pipeline(config, scene, alpha=0.0)
         assert logits.shape == (18, 200, 200, 16)
         assert 0.0 < report.lift_sparsity < 1.0
+
+
+class TestFusionWindow:
+    @pytest.mark.parametrize("reparam_mode", ["deploy", "train"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(queue_len=2, scene_frames=2),
+            dict(queue_len=1, scene_frames=4),
+            dict(queue_len=2, scene_frames=4, depth_provider="stub"),
+        ],
+        ids=["window-covers-scene", "window-shorter", "window-shorter-stub"],
+    )
+    def test_matches_fusing_every_frame(self, overrides, reparam_mode):
+        config = small_config(**overrides)
+        scene = gen_scene(config.scene_spec())
+        weights = build_weights(config)
+        logits, _ = run_pipeline(config, scene, 0.5, reparam_mode, weights)
+        expected = fuse_every_frame(config, scene, 0.5, reparam_mode, weights)
+        assert logits.dtype == expected.dtype
+        assert logits.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "queue_len, n_frames", [(2, 2), (3, 2), (1, 4), (2, 5)]
+    )
+    def test_one_fusion_and_only_window_frames_lifted(
+        self, monkeypatch, queue_len, n_frames
+    ):
+        calls = {"temporal_fuse": 0, "lift_splat": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                occkit.pipeline, name, counted(name, getattr(occkit.pipeline, name))
+            )
+        config = small_config(queue_len=queue_len, scene_frames=n_frames)
+        run_pipeline(config, gen_scene(config.scene_spec()), alpha=0.0)
+        assert calls["temporal_fuse"] == 1
+        assert calls["lift_splat"] == min(n_frames, queue_len + 1)
 
 
 class TestFrameFeatures:
