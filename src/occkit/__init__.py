@@ -3,80 +3,4 @@ occupancy prediction: large-kernel 3D convolution re-parameterization,
 depth-lifted view transformation, temporally fused BEV features, BEV-to-voxel
 height lifting, and a scheduled depth mixup."""
 
-from .bev import (
-    EgoPose,
-    FusionWeights,
-    SemanticEncoderWeights,
-    TemporalQueue,
-    collapse_height,
-    semantic_encoder_2d,
-    temporal_fuse,
-    warp_bev,
-)
-from .bvl import (
-    BVLWeights,
-    UpsampleWeights,
-    bev_to_voxel_lift,
-    fuse_and_upsample,
-    predict_height,
-)
-from .config import ConfigError, PipelineConfig, default_config, parse_config
-from .evaluate import (
-    CLASS_NAMES,
-    EMPTY_CLASS,
-    N_CLASSES,
-    argmax_decode,
-    confusion_matrix,
-    miou,
-    per_class_iou,
-)
-from .pipeline import (
-    PipelineReport,
-    PipelineStageError,
-    PipelineWeights,
-    build_weights,
-    run_pipeline,
-)
-from .reparam import (
-    BatchNormParams,
-    ConvBranchSpec,
-    MergedKernel,
-    default_branch_extents,
-    dilate_to_sparse,
-    forward_deploy,
-    forward_train,
-    fuse_bn,
-    merge_branches,
-    random_branch_set,
-)
-from .scene import BoxObstacle, SceneBundle, SceneSpec, camera_ring, gen_scene
-from .schedule import (
-    MixupSchedule,
-    gt_depth_from_points,
-    iteration_to_x,
-    mix_depth,
-    mixup_alpha,
-)
-from .tensor import (
-    ConvSpec,
-    conv2d,
-    conv3d,
-    conv_transpose3d,
-    rng_named,
-    softmax,
-    uniform_init,
-    upsample2x_transpose2d,
-    upsample2x_transpose3d,
-)
-from .view import (
-    CameraParams,
-    DepthDistribution,
-    GridSpec,
-    PseudoPointCloud,
-    frustum_points,
-    lift_splat,
-    project_points,
-    sparsity_ratio,
-)
-
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConvSpec, conv2d, rng_named, uniform_init, upsample2x_transpose2d
+from .tensor import ConvSpec, cast, conv2d, rng_named, uniform_init, upsample2x_transpose2d
 from .view import GridSpec
 
 
@@ -225,14 +225,6 @@ class FusionWeights:
             uniform_init(rng, (channels,), fan_in=channels * 9, dtype=dtype),
         )
 
-    def astype(self, dtype) -> "FusionWeights":
-        return FusionWeights(
-            self.mix1_w.astype(dtype),
-            self.mix1_b.astype(dtype),
-            self.mix2_w.astype(dtype),
-            self.mix2_b.astype(dtype),
-        )
-
 
 def temporal_fuse(
     queue: TemporalQueue,
@@ -267,9 +259,10 @@ def temporal_fuse(
     for slot, (bev, pose, _ts) in enumerate(queue.entries(), start=1):
         stack[slot * n_ch : (slot + 1) * n_ch] = warp_bev(bev, pose, pose_now, grid)
 
+    w = cast(weights, stack.dtype)
     spec = ConvSpec.same((3, 3))
-    h = conv2d(stack, weights.mix1_w.astype(stack.dtype), weights.mix1_b.astype(stack.dtype), spec)
-    out = conv2d(h, weights.mix2_w.astype(stack.dtype), weights.mix2_b.astype(stack.dtype), spec)
+    h = conv2d(stack, w.mix1_w, w.mix1_b, spec)
+    out = conv2d(h, w.mix2_w, w.mix2_b, spec)
     queue.push(b_current, pose_now, timestamp)
     return out
 
@@ -330,13 +323,6 @@ class SemanticEncoderWeights:
             up1_w, up1_b, up2_w, up2_b, skip_w, skip_b,
         )
 
-    def astype(self, dtype) -> "SemanticEncoderWeights":
-        conv = lambda a: None if a is None else a.astype(dtype)
-        return SemanticEncoderWeights(*(conv(getattr(self, f)) for f in (
-            "down1_w", "down1_b", "down2_w", "down2_b", "mid_w", "mid_b",
-            "up1_w", "up1_b", "up2_w", "up2_b", "skip_w", "skip_b",
-        )))
-
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
@@ -355,7 +341,7 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
         raise ValueError(f"BEV extents must be divisible by 4, got ({nx}, {ny})")
 
     dt = b_t.dtype
-    w = weights.astype(dt)
+    w = cast(weights, dt)
     stride2 = ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1))
     same3 = ConvSpec.same((3, 3))
 

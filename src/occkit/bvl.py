@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConvSpec, conv2d, rng_named, softmax, uniform_init, upsample2x_transpose3d
+from .tensor import (
+    ConvSpec,
+    cast,
+    conv2d,
+    rng_named,
+    softmax,
+    uniform_init,
+    upsample2x_transpose3d,
+)
 
 
 @dataclass(frozen=True)
@@ -56,20 +64,12 @@ class BVLWeights:
             uniform_init(rng, (n_heights,), fan_in=c_in, dtype=dtype),
         )
 
-    def astype(self, dtype) -> "BVLWeights":
-        return BVLWeights(
-            self.context_w.astype(dtype),
-            self.context_b.astype(dtype),
-            self.height_w.astype(dtype),
-            self.height_b.astype(dtype),
-        )
-
 
 def predict_height(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     """Per-cell height distribution: (Z, X, Y), softmax over the height axis."""
     if b.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
-    w = weights.astype(b.dtype)
+    w = cast(weights, b.dtype)
     logits = conv2d(b, w.height_w, w.height_b, ConvSpec.same((1, 1)))
     return softmax(logits, axis=0)
 
@@ -83,9 +83,9 @@ def bev_to_voxel_lift(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     """
     if b.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
-    w = weights.astype(b.dtype)
+    w = cast(weights, b.dtype)
     ctx = conv2d(b, w.context_w, w.context_b, ConvSpec.same((1, 1)))
-    hgt = predict_height(b, weights)
+    hgt = predict_height(b, w)
     return np.einsum("cxy,zxy->cxyz", ctx, hgt)
 
 
@@ -110,9 +110,6 @@ class UpsampleWeights:
             uniform_init(rng, (channels,), fan_in=channels, dtype=dtype),
         )
 
-    def astype(self, dtype) -> "UpsampleWeights":
-        return UpsampleWeights(self.weight.astype(dtype), self.bias.astype(dtype))
-
 
 def fuse_and_upsample(
     v_g: np.ndarray, v_s: np.ndarray, weights: UpsampleWeights
@@ -122,5 +119,5 @@ def fuse_and_upsample(
         raise ValueError(f"volume shapes differ: {v_g.shape} vs {v_s.shape}")
     if v_g.ndim != 4:
         raise ValueError(f"expected 4D voxel tensors, got {v_g.ndim}D")
-    w = weights.astype(v_g.dtype)
+    w = cast(weights, v_g.dtype)
     return upsample2x_transpose3d(v_g + v_s, w.weight, w.bias)

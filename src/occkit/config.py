@@ -21,7 +21,6 @@ _SCHEMA = {
     "temporal": {"queue"},
     "channels": {"base", "refined"},
     "reparam": {"kernel", "branches"},
-    "schedule": {"steepness", "total_iters", "n_alpha"},
     "pipeline": {"seed", "depth_provider"},
     "scene": {
         "seed",
@@ -53,9 +52,6 @@ class PipelineConfig:
     refined_channels: int = 32
     kernel: tuple[int, int, int] = (11, 11, 1)
     branches: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] | None = None
-    steepness: float = 5.0
-    total_iters: int = 1000
-    n_alpha: int = 5
     seed: int = 0
     depth_provider: str = "gt"
     scene_seed: int = 7
@@ -256,12 +252,6 @@ def parse_config(path: str) -> PipelineConfig:
         kwargs["kernel"] = _parse_triple(get("reparam", "kernel"), "[reparam] kernel")
     if get("reparam", "branches") is not None:
         kwargs["branches"] = _parse_branches(get("reparam", "branches"))
-    if get("schedule", "steepness") is not None:
-        kwargs["steepness"] = _float(get("schedule", "steepness"), "[schedule] steepness")
-    if get("schedule", "total_iters") is not None:
-        kwargs["total_iters"] = _int(get("schedule", "total_iters"), "[schedule] total_iters")
-    if get("schedule", "n_alpha") is not None:
-        kwargs["n_alpha"] = _int(get("schedule", "n_alpha"), "[schedule] n_alpha")
     if get("pipeline", "seed") is not None:
         kwargs["seed"] = _int(get("pipeline", "seed"), "[pipeline] seed")
     if get("pipeline", "depth_provider") is not None:

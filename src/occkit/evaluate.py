@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 N_CLASSES = 18
-OTHERS_CLASS = 0
 EMPTY_CLASS = 17
 
 CLASS_NAMES = ["others"] + [f"class_{i}" for i in range(1, 17)] + ["empty"]

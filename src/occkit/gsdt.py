@@ -79,4 +79,8 @@ def write(path: str | Path, arr: np.ndarray) -> None:
 
 
 def read(path: str | Path) -> np.ndarray:
-    return loads(Path(path).read_bytes())
+    """Load a tensor file; a format error names the file."""
+    try:
+        return loads(Path(path).read_bytes())
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None

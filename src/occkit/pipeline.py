@@ -39,7 +39,7 @@ from .reparam import (
 )
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
-from .tensor import ConvSpec, conv2d, conv3d, rng_named, softmax, uniform_init
+from .tensor import ConvSpec, cast, conv2d, conv3d, rng_named, softmax, uniform_init
 from .view import DepthDistribution, GridSpec, lift_splat, sparsity_ratio
 
 
@@ -270,8 +270,8 @@ def run_pipeline(
         "classifier",
         conv3d,
         v_gs,
-        weights.head_w.astype(v_gs.dtype),
-        weights.head_b.astype(v_gs.dtype),
+        cast(weights.head_w, v_gs.dtype),
+        cast(weights.head_b, v_gs.dtype),
     )
 
     total = time.perf_counter() - t_start

@@ -15,12 +15,10 @@ forward preserves spatial extents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import gsdt
-from .tensor import ConvSpec, conv3d, conv_transpose3d, rng_named, uniform_init
+from .tensor import ConvSpec, conv3d, rng_named, uniform_init
 
 
 @dataclass(frozen=True)
@@ -55,14 +53,6 @@ class BatchNormParams:
             beta=np.zeros(channels, dtype=dtype),
         )
 
-    def astype(self, dtype) -> "BatchNormParams":
-        return BatchNormParams(
-            self.mean.astype(dtype),
-            self.std.astype(dtype),
-            self.gamma.astype(dtype),
-            self.beta.astype(dtype),
-        )
-
 
 @dataclass(frozen=True)
 class ConvBranchSpec:
@@ -93,11 +83,6 @@ class ConvBranchSpec:
     def effective(self) -> tuple[int, int, int]:
         return tuple((k - 1) * d + 1 for k, d in zip(self.kernel, self.dilation))
 
-    def astype(self, dtype) -> "ConvBranchSpec":
-        return ConvBranchSpec(
-            self.weight.astype(dtype), self.dilation, self.bn.astype(dtype)
-        )
-
 
 @dataclass(frozen=True)
 class MergedKernel:
@@ -118,18 +103,18 @@ class MergedKernel:
     def extents(self) -> tuple[int, int, int]:
         return tuple(self.weight.shape[2:])
 
-    def astype(self, dtype) -> "MergedKernel":
-        return MergedKernel(self.weight.astype(dtype), self.bias.astype(dtype))
-
-
-_IDENTITY_1x1x1 = np.ones((1, 1, 1))
-
 
 def dilate_to_sparse(weight: np.ndarray, dilation: tuple[int, int, int]) -> np.ndarray:
     """Expand a dilated kernel into its non-dilated sparse equivalent by
-    inserting (r - 1) zeros between taps per axis."""
-    ident = _IDENTITY_1x1x1.astype(weight.dtype)
-    return conv_transpose3d(weight, ident, dilation)
+    inserting (r - 1) zeros between taps on each of the trailing three axes.
+
+    Tap [i, j, k] lands at [i*rx, j*ry, k*rz]; leading axes pass through.
+    """
+    rx, ry, rz = dilation
+    out_sp = tuple((n - 1) * r + 1 for n, r in zip(weight.shape[-3:], dilation))
+    out = np.zeros(weight.shape[:-3] + out_sp, dtype=weight.dtype)
+    out[..., ::rx, ::ry, ::rz] = weight
+    return out
 
 
 def fuse_bn(weight: np.ndarray, bn: BatchNormParams) -> tuple[np.ndarray, np.ndarray]:
@@ -285,90 +270,3 @@ def random_branch_set(
         )
         branches.append(ConvBranchSpec(weight=weight, dilation=tuple(dilation), bn=bn))
     return branches
-
-
-def _fmt_vec(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
-def _parse_vec(text: str, dtype) -> np.ndarray:
-    return np.array([float(v) for v in text.split()], dtype=dtype)
-
-
-def save_branch_set(
-    directory: str | Path,
-    branches: list[ConvBranchSpec],
-    target: tuple[int, int, int] | None = None,
-) -> None:
-    """Write branch weights as GSDT tensors plus a key=value manifest with
-    dilations and batch norm parameters."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"count = {len(branches)}"]
-    if target is not None:
-        lines.append("target = " + " ".join(str(t) for t in target))
-    for i, branch in enumerate(branches):
-        gsdt.write(directory / f"branch{i}.gsdt", branch.weight)
-        lines.append(f"branch{i}.dilation = " + " ".join(map(str, branch.dilation)))
-        lines.append(f"branch{i}.mean = " + _fmt_vec(branch.bn.mean))
-        lines.append(f"branch{i}.std = " + _fmt_vec(branch.bn.std))
-        lines.append(f"branch{i}.gamma = " + _fmt_vec(branch.bn.gamma))
-        lines.append(f"branch{i}.beta = " + _fmt_vec(branch.bn.beta))
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _read_manifest(path: Path) -> dict[str, str]:
-    entries = {}
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
-
-
-def load_branch_set(
-    directory: str | Path,
-) -> tuple[list[ConvBranchSpec], tuple[int, int, int] | None]:
-    directory = Path(directory)
-    entries = _read_manifest(directory / "manifest.txt")
-    count = int(entries["count"])
-    target = None
-    if "target" in entries:
-        target = tuple(int(v) for v in entries["target"].split())
-    branches = []
-    for i in range(count):
-        weight = gsdt.read(directory / f"branch{i}.gsdt")
-        dtype = weight.dtype
-        branches.append(
-            ConvBranchSpec(
-                weight=weight,
-                dilation=tuple(int(v) for v in entries[f"branch{i}.dilation"].split()),
-                bn=BatchNormParams(
-                    mean=_parse_vec(entries[f"branch{i}.mean"], dtype),
-                    std=_parse_vec(entries[f"branch{i}.std"], dtype),
-                    gamma=_parse_vec(entries[f"branch{i}.gamma"], dtype),
-                    beta=_parse_vec(entries[f"branch{i}.beta"], dtype),
-                ),
-            )
-        )
-    return branches, target
-
-
-def save_merged(directory: str | Path, merged: MergedKernel) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    gsdt.write(directory / "weight.gsdt", merged.weight)
-    gsdt.write(directory / "bias.gsdt", merged.bias)
-    (directory / "manifest.txt").write_text(
-        "extents = " + " ".join(map(str, merged.extents)) + "\n"
-    )
-
-
-def load_merged(directory: str | Path) -> MergedKernel:
-    directory = Path(directory)
-    return MergedKernel(
-        weight=gsdt.read(directory / "weight.gsdt"),
-        bias=gsdt.read(directory / "bias.gsdt"),
-    )

@@ -361,31 +361,37 @@ def load_scene(scene_dir: str) -> SceneBundle:
             key, _, value = line.partition("=")
             manifest[key.strip()] = value.strip()
 
-    def get(key):
+    def get(key, convert):
         if key not in manifest:
             raise ValueError(f"scene manifest {path} missing key {key!r}")
-        return manifest[key]
+        try:
+            return convert(manifest[key])
+        except ValueError:
+            raise ValueError(
+                f"scene manifest {path}: key {key!r} has malformed value "
+                f"{manifest[key]!r}"
+            ) from None
 
     def floats(key):
-        return tuple(float(v) for v in get(key).split(","))
+        return get(key, lambda v: tuple(float(x) for x in v.split(",")))
 
     def ints(key):
-        return tuple(int(v) for v in get(key).split(","))
+        return get(key, lambda v: tuple(int(x) for x in v.split(",")))
 
     grid = GridSpec(floats("grid_start"), floats("grid_end"), ints("grid_counts"))
     spec = SceneSpec(
-        seed=int(get("seed")),
+        seed=get("seed", int),
         grid=grid,
-        n_frames=int(get("n_frames")),
-        n_boxes=int(get("n_boxes")),
-        n_cameras=int(get("n_cameras")),
+        n_frames=get("n_frames", int),
+        n_boxes=get("n_boxes", int),
+        n_cameras=get("n_cameras", int),
         image_size=ints("image_size"),
         feature_size=ints("feature_size"),
-        focal=float(get("focal")),
-        d_max=float(get("d_max")),
-        march_step=float(get("march_step")),
-        speed=float(get("speed")),
-        yaw_rate=float(get("yaw_rate")),
+        focal=get("focal", float),
+        d_max=get("d_max", float),
+        march_step=get("march_step", float),
+        speed=get("speed", float),
+        yaw_rate=get("yaw_rate", float),
     )
     occupancy = gsdt.read(os.path.join(scene_dir, "occupancy.gsdt"))
     visible = gsdt.read(os.path.join(scene_dir, "visible.gsdt"))

@@ -1,5 +1,5 @@
-"""Dense tensor primitives: reference convolutions, zero-insertion transpose
-convolution, softmax, and exact 2x transpose-conv upsampling.
+"""Dense tensor primitives: reference convolutions, softmax, exact 2x
+transpose-conv upsampling, and a dtype cast for weight dataclasses.
 
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
@@ -10,7 +10,7 @@ inputs (single-threaded accumulation order, no unordered reductions).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from math import prod, sqrt
 
 import numpy as np
@@ -23,12 +23,6 @@ FLOAT_DTYPES = (F32, F64)
 def _check_float_dtype(arr: np.ndarray, name: str) -> None:
     if arr.dtype not in FLOAT_DTYPES:
         raise ValueError(f"{name} must be float32 or float64, got {arr.dtype}")
-
-
-def assert_finite(arr: np.ndarray, what: str = "tensor") -> None:
-    """Raise if the array contains NaN or Inf."""
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        raise ValueError(f"{what} contains non-finite values")
 
 
 def _as_axes(value, rank: int, name: str) -> tuple[int, ...]:
@@ -208,30 +202,6 @@ def conv2d(
     return _conv_nd(x, weight, bias, spec)
 
 
-def conv_transpose3d(
-    weight: np.ndarray, kernel: np.ndarray, stride: tuple[int, int, int]
-) -> np.ndarray:
-    """Transpose convolution of ``weight`` with a 1x1x1 kernel: pure
-    zero-insertion over the trailing three axes.
-
-    Entry [i, j, k] lands at [i*sx, j*sy, k*sz]; output extent per axis is
-    (n-1)*s + 1. Leading (channel) axes pass through untouched.
-    """
-    if kernel.shape != (1, 1, 1):
-        raise ValueError(f"kernel must have shape (1, 1, 1), got {kernel.shape}")
-    if weight.ndim < 3:
-        raise ValueError("weight needs at least 3 trailing spatial axes")
-    stride = _as_axes(stride, 3, "stride")
-    if any(s < 1 for s in stride):
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    lead = weight.shape[:-3]
-    sp = weight.shape[-3:]
-    out_sp = tuple((n - 1) * s + 1 for n, s in zip(sp, stride))
-    out = np.zeros(lead + out_sp, dtype=weight.dtype)
-    out[..., :: stride[0], :: stride[1], :: stride[2]] = weight * kernel.reshape(())
-    return out
-
-
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """Numerically stable softmax along one axis; output sums to 1 there."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -285,6 +255,20 @@ def upsample2x_transpose2d(
 ) -> np.ndarray:
     """2D analogue of :func:`upsample2x_transpose3d`; weight (C_in, C_out, 2, 2)."""
     return _upsample2x(x, weight, bias, 2)
+
+
+def cast(weights, dtype):
+    """``weights`` with every array in ``dtype``: an array, or a dataclass
+    rebuilt field by field, recursing into nested dataclasses. ``None``,
+    tuples and scalars pass through; arrays already in ``dtype`` are reused,
+    not copied."""
+    if isinstance(weights, np.ndarray):
+        return weights.astype(dtype, copy=False)
+    if is_dataclass(weights):
+        return replace(weights, **{
+            f.name: cast(getattr(weights, f.name), dtype) for f in fields(weights)
+        })
+    return weights
 
 
 def rng_named(seed: int, name: str) -> np.random.Generator:

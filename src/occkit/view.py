@@ -140,49 +140,6 @@ class DepthDistribution:
             raise ValueError("depth probabilities must sum to 1 per pixel")
 
 
-@dataclass(frozen=True)
-class PseudoPointCloud:
-    """Flattened lifting intermediate: one point per (camera, bin, v, u).
-
-    positions are ego-frame xyz, features are the pixel feature scaled by
-    the bin probability, weights are the raw bin probabilities.
-    """
-
-    positions: np.ndarray
-    features: np.ndarray
-
-    def __post_init__(self):
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError("positions must be (P, 3)")
-        if self.features.ndim != 2 or self.features.shape[0] != self.positions.shape[0]:
-            raise ValueError("features must be (P, C) aligned with positions")
-
-    @property
-    def count(self) -> int:
-        return self.positions.shape[0]
-
-    @classmethod
-    def build(
-        cls,
-        features: np.ndarray,
-        depth: "DepthDistribution",
-        cams: list["CameraParams"],
-    ) -> "PseudoPointCloud":
-        """Enumerate every pseudo point in (camera, bin, v, u) order."""
-        centers = depth.bin_centers()
-        pos = []
-        feat = []
-        for i, cam in enumerate(cams):
-            pts = frustum_points(cam, centers)  # (D, H, W, 3)
-            d, h, w = pts.shape[:3]
-            pos.append(pts.reshape(-1, 3))
-            f = features[i].astype(np.float64)  # (C, H, W)
-            p = depth.probs[i].astype(np.float64)  # (D, H, W)
-            scaled = f[None, :, :, :] * p[:, None, :, :]  # (D, C, H, W)
-            feat.append(scaled.transpose(0, 2, 3, 1).reshape(d * h * w, -1))
-        return cls(np.concatenate(pos), np.concatenate(feat))
-
-
 def frustum_points(
     cam: CameraParams,
     depth_bins: np.ndarray,
@@ -213,18 +170,6 @@ def frustum_points(
         pose = np.asarray(ego_pose, dtype=np.float64)
         pts = pts @ pose[:3, :3].T + pose[:3, 3]
     return pts
-
-
-def project_points(cam: CameraParams, points: np.ndarray):
-    """Inverse of :func:`frustum_points` for ego-frame points: returns
-    feature-map (u, v) coordinates and optical-axis depth."""
-    pts_cam = (points - cam.translation) @ cam.rotation
-    pix = pts_cam @ cam.intrinsics.T
-    depth = pix[..., 2]
-    u_img = pix[..., 0] / depth
-    v_img = pix[..., 1] / depth
-    u_f, v_f = cam.image_to_feature(u_img, v_img)
-    return u_f, v_f, depth
 
 
 def lift_splat(

@@ -31,7 +31,7 @@ from occkit.reparam import (
 )
 from occkit.scene import camera_ring, gen_scene
 from occkit.schedule import MixupSchedule, gt_depth_from_points, mix_depth, mixup_alpha
-from occkit.tensor import ConvSpec, conv2d, rng_named, softmax
+from occkit.tensor import ConvSpec, cast, conv2d, rng_named, softmax
 from occkit.view import DepthDistribution, GridSpec, lift_splat, sparsity_ratio
 
 
@@ -208,7 +208,7 @@ def test_04_height_lift_partition_of_unity():
         b = rng.standard_normal((32, 24, 24)).astype(np.float32)
         weights = BVLWeights.seeded(trial, "acc_bvl", 32, 32, 8)
         vol = bev_to_voxel_lift(b, weights)
-        w = weights.astype(b.dtype)
+        w = cast(weights, b.dtype)
         ctx = conv2d(b, w.context_w, w.context_b, ConvSpec.same((1, 1)))
         scale = max(float(np.abs(ctx).max()), 1e-12)
         worst = max(worst, float(np.abs(vol.sum(axis=3) - ctx).max()) / scale)

@@ -8,11 +8,11 @@ from occkit.bvl import (
     fuse_and_upsample,
     predict_height,
 )
-from occkit.tensor import ConvSpec, conv2d, upsample2x_transpose3d
+from occkit.tensor import ConvSpec, cast, conv2d, upsample2x_transpose3d
 
 
 def context_map(b, weights):
-    w = weights.astype(b.dtype)
+    w = cast(weights, b.dtype)
     return conv2d(b, w.context_w, w.context_b, ConvSpec.same((1, 1)))
 
 
@@ -109,9 +109,7 @@ class TestBevToVoxelLift:
     def test_linear_context_scales_output(self):
         # doubling context weights doubles the volume; height softmax unchanged
         rng = np.random.default_rng(5)
-        base = BVLWeights.seeded(11, "lift", c_in=2, c_out=2, n_heights=4).astype(
-            np.float64
-        )
+        base = cast(BVLWeights.seeded(11, "lift", c_in=2, c_out=2, n_heights=4), np.float64)
         doubled = BVLWeights(
             2 * base.context_w, 2 * base.context_b, base.height_w, base.height_b
         )

@@ -116,10 +116,18 @@ class TestRun:
         assert "alpha" in capsys.readouterr().err
 
 
-    def test_manifest_missing_key_reports_error(self, config_path, scene_dir, capsys):
+    @pytest.mark.parametrize(
+        "focal_line,message",
+        [("", "missing key 'focal'"),
+         ("focal = abc\n", "key 'focal' has malformed value 'abc'")],
+        ids=["missing-key", "malformed-value"],
+    )
+    def test_bad_manifest_reports_error(
+        self, config_path, scene_dir, capsys, focal_line, message
+    ):
         manifest = f"{scene_dir}/manifest.txt"
         with open(manifest) as f:
-            lines = [ln for ln in f if not ln.startswith("focal")]
+            lines = [focal_line if ln.startswith("focal") else ln for ln in f]
         with open(manifest, "w") as f:
             f.writelines(lines)
         rc = main(
@@ -128,7 +136,8 @@ class TestRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: scene manifest")
-        assert "missing key 'focal'" in err
+        assert "manifest.txt" in err
+        assert message in err
         assert err.count("\n") == 1
 
 

@@ -69,11 +69,6 @@ refined = 16
 kernel = 7x7x1
 branches = 7x7x1, 3x3x1@2
 
-[schedule]
-steepness = 2.5
-total_iters = 500
-n_alpha = 4
-
 [pipeline]
 seed = 42
 depth_provider = stub
@@ -101,9 +96,6 @@ yaw_rate = 0.01
         assert cfg.refined_channels == 16
         assert cfg.kernel == (7, 7, 1)
         assert cfg.branches == (((7, 7, 1), (1, 1, 1)), ((3, 3, 1), (2, 2, 2)))
-        assert cfg.steepness == 2.5
-        assert cfg.total_iters == 500
-        assert cfg.n_alpha == 4
         assert cfg.seed == 42
         assert cfg.depth_provider == "stub"
         assert cfg.scene_seed == 9
@@ -131,6 +123,9 @@ yaw_rate = 0.01
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config section"):
             parse_config(write_config(tmp_path, "[nonsense]\nfoo = 1\n"))
+        # the mixup schedule is set by `occ schedule` flags, not by the config
+        with pytest.raises(ConfigError, match="unknown config section"):
+            parse_config(write_config(tmp_path, "[schedule]\nsteepness = 2.5\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -87,6 +87,14 @@ def test_rejects_unknown_dtype_code():
         gsdt.loads(bytes(data))
 
 
+def test_read_error_names_file(tmp_path):
+    path = tmp_path / "bad.gsdt"
+    path.write_bytes(b"XSDT" + gsdt.dumps(np.zeros(2, dtype=np.float32))[4:])
+    with pytest.raises(gsdt.FormatError, match="magic") as err:
+        gsdt.read(path)
+    assert str(path) in str(err.value)
+
+
 def test_rejects_truncated():
     data = gsdt.dumps(np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(gsdt.FormatError):

@@ -11,14 +11,10 @@ from occkit.reparam import (
     forward_deploy,
     forward_train,
     fuse_bn,
-    load_branch_set,
-    load_merged,
     merge_branches,
     random_branch_set,
-    save_branch_set,
-    save_merged,
 )
-from occkit.tensor import ConvSpec, conv3d
+from occkit.tensor import ConvSpec, cast, conv3d
 
 
 def merged_kernel_loops(branches, target):
@@ -49,9 +45,37 @@ class TestDilateToSparse:
         w = rng.standard_normal((2, 2, 3, 3, 1)).astype(np.float32)
         np.testing.assert_array_equal(dilate_to_sparse(w, (1, 1, 1)), w)
 
+    def test_unit_dilation_keeps_float64(self):
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal((2, 2, 3, 3, 1))
+        out = dilate_to_sparse(w, (1, 1, 1))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, w)
+
     def test_extents(self):
         w = np.ones((1, 1, 3, 3, 1), dtype=np.float32)
         assert dilate_to_sparse(w, (2, 2, 1)).shape == (1, 1, 5, 5, 1)
+
+    def test_zero_insertion_positions(self):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((1, 1, 3, 3, 1))
+        out = dilate_to_sparse(w, (2, 2, 1))
+        assert out.shape == (1, 1, 5, 5, 1)
+        np.testing.assert_array_equal(out[0, 0, ::2, ::2, 0], w[0, 0, :, :, 0])
+        mask = np.ones((5, 5), dtype=bool)
+        mask[::2, ::2] = False
+        assert (out[0, 0, :, :, 0][mask] == 0).all()
+
+    def test_index_mapping_oracle(self):
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((2, 3, 2))
+        out = dilate_to_sparse(w, (3, 2, 2))
+        want = np.zeros((4, 5, 3))
+        for i in range(2):
+            for j in range(3):
+                for k in range(2):
+                    want[3 * i, 2 * j, 2 * k] = w[i, j, k]
+        np.testing.assert_array_equal(out, want)
 
     def test_conv_agrees_with_dense_dilation(self):
         rng = np.random.default_rng(1)
@@ -128,7 +152,7 @@ class TestMergeBranches:
     def test_matches_index_mapping_oracle(self):
         for seed in range(3):
             branches = [
-                b.astype(np.float64)
+                cast(b, np.float64)
                 for b in random_branch_set(seed, c_in=2, c_out=3, target=(7, 7, 3))
             ]
             merged = merge_branches(branches, (7, 7, 3))
@@ -138,7 +162,7 @@ class TestMergeBranches:
 
     def test_permutation_invariant(self):
         branches = [
-            b.astype(np.float64)
+            cast(b, np.float64)
             for b in random_branch_set(5, c_in=2, c_out=2, target=(9, 9, 1))
         ]
         a = merge_branches(branches, (9, 9, 1))
@@ -191,7 +215,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_f64(self, seed):
         branches = [
-            b.astype(np.float64)
+            cast(b, np.float64)
             for b in random_branch_set(seed, c_in=4, c_out=4, target=(7, 7, 3))
         ]
         merged = merge_branches(branches, (7, 7, 3))
@@ -202,7 +226,7 @@ class TestEquivalence:
 
     def test_full_kernel_config(self):
         branches = [
-            b.astype(np.float64)
+            cast(b, np.float64)
             for b in random_branch_set(9, c_in=3, c_out=3, target=(11, 11, 1))
         ]
         merged = merge_branches(branches, (11, 11, 1))
@@ -242,40 +266,6 @@ class TestDefaultBranchExtents:
                 eff = tuple((k - 1) * r + 1 for k, r in zip(kernel, dilation))
                 assert all(e <= t for e, t in zip(eff, target))
                 assert all((t - e) % 2 == 0 for e, t in zip(eff, target))
-
-
-class TestSerialization:
-    def test_branch_set_round_trip(self, tmp_path):
-        branches = random_branch_set(11, c_in=2, c_out=3, target=(5, 5, 1))
-        save_branch_set(tmp_path, branches, target=(5, 5, 1))
-        loaded, target = load_branch_set(tmp_path)
-        assert target == (5, 5, 1)
-        assert len(loaded) == len(branches)
-        for a, b in zip(branches, loaded):
-            np.testing.assert_array_equal(a.weight, b.weight)
-            assert a.dilation == b.dilation
-            np.testing.assert_array_equal(a.bn.mean, b.bn.mean)
-            np.testing.assert_array_equal(a.bn.std, b.bn.std)
-            np.testing.assert_array_equal(a.bn.gamma, b.bn.gamma)
-            np.testing.assert_array_equal(a.bn.beta, b.bn.beta)
-
-    def test_merged_round_trip(self, tmp_path):
-        branches = random_branch_set(12, c_in=2, c_out=2, target=(5, 5, 1))
-        merged = merge_branches(branches, (5, 5, 1))
-        save_merged(tmp_path, merged)
-        loaded = load_merged(tmp_path)
-        np.testing.assert_array_equal(loaded.weight, merged.weight)
-        np.testing.assert_array_equal(loaded.bias, merged.bias)
-
-    def test_loaded_set_still_equivalent(self, tmp_path):
-        branches = random_branch_set(13, c_in=3, c_out=3, target=(7, 7, 1))
-        save_branch_set(tmp_path, branches)
-        loaded, _ = load_branch_set(tmp_path)
-        merged = merge_branches(loaded, (7, 7, 1))
-        rng = np.random.default_rng(14)
-        x = rng.uniform(-1, 1, (3, 8, 8, 2)).astype(np.float32)
-        diff = np.abs(forward_train(x, loaded) - forward_deploy(x, merged))
-        assert float(diff.max()) <= 1e-4
 
 
 class TestValidation:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
 from occkit.tensor import (
     ConvSpec,
-    assert_finite,
+    cast,
     conv2d,
     conv3d,
-    conv_transpose3d,
     rng_named,
     softmax,
     uniform_init,
@@ -148,7 +148,7 @@ class TestConv3d:
         x = rng.standard_normal((2, 9, 9, 5))
         w = rng.standard_normal((2, 2, 3, 3, 1))
         dense = conv3d(x, w, spec=ConvSpec(kernel=(3, 3, 1), dilation=(2, 2, 1)))
-        sparse = conv_transpose3d(w, np.ones((1, 1, 1)), (2, 2, 1))
+        sparse = dilate_to_sparse(w, (2, 2, 1))
         same = conv3d(x, sparse, spec=ConvSpec(kernel=(5, 5, 1)))
         np.testing.assert_array_equal(dense, same)
 
@@ -157,7 +157,7 @@ class TestConv3d:
         x = rng.standard_normal((2, 9, 9, 5)).astype(np.float32)
         w = rng.standard_normal((2, 2, 3, 3, 1)).astype(np.float32)
         dense = conv3d(x, w, spec=ConvSpec(kernel=(3, 3, 1), dilation=(2, 2, 1)))
-        sparse = conv_transpose3d(w, np.ones((1, 1, 1), dtype=np.float32), (2, 2, 1))
+        sparse = dilate_to_sparse(w, (2, 2, 1))
         same = conv3d(x, sparse, spec=ConvSpec(kernel=(5, 5, 1)))
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(dense - same)) <= 1e-5 * scale
@@ -194,45 +194,6 @@ class TestConv2d:
         np.testing.assert_allclose(
             conv2d(x, w, b, spec), conv2d_loops(x, w, b, spec), atol=1e-12
         )
-
-
-class TestConvTranspose3d:
-    def test_unit_stride_identity(self):
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal((2, 2, 3, 3, 1))
-        np.testing.assert_array_equal(
-            conv_transpose3d(w, np.ones((1, 1, 1)), (1, 1, 1)), w
-        )
-
-    def test_zero_insertion_positions(self):
-        rng = np.random.default_rng(3)
-        w = rng.standard_normal((1, 1, 3, 3, 1))
-        out = conv_transpose3d(w, np.ones((1, 1, 1)), (2, 2, 1))
-        assert out.shape == (1, 1, 5, 5, 1)
-        np.testing.assert_array_equal(out[0, 0, ::2, ::2, 0], w[0, 0, :, :, 0])
-        mask = np.ones((5, 5), dtype=bool)
-        mask[::2, ::2] = False
-        assert (out[0, 0, :, :, 0][mask] == 0).all()
-
-    def test_index_mapping_oracle(self):
-        rng = np.random.default_rng(4)
-        w = rng.standard_normal((2, 3, 2))
-        out = conv_transpose3d(w, np.ones((1, 1, 1)), (3, 2, 2))
-        want = np.zeros((4, 5, 3))
-        for i in range(2):
-            for j in range(3):
-                for k in range(2):
-                    want[3 * i, 2 * j, 2 * k] = w[i, j, k]
-        np.testing.assert_array_equal(out, want)
-
-    def test_scales_by_kernel_value(self):
-        w = np.ones((2, 2, 2))
-        out = conv_transpose3d(w, np.full((1, 1, 1), 2.5), (1, 1, 1))
-        np.testing.assert_array_equal(out, np.full((2, 2, 2), 2.5))
-
-    def test_rejects_larger_kernel(self):
-        with pytest.raises(ValueError, match="1, 1, 1"):
-            conv_transpose3d(np.ones((2, 2, 2)), np.ones((2, 1, 1)), (1, 1, 1))
 
 
 class TestSoftmax:
@@ -337,7 +298,21 @@ class TestRng:
         assert w.dtype == np.float32
         assert np.max(np.abs(w)) <= 0.25
 
-    def test_assert_finite(self):
-        assert_finite(np.ones(3))
-        with pytest.raises(ValueError, match="non-finite"):
-            assert_finite(np.array([1.0, np.nan]))
+
+class TestCast:
+    def test_nested_dataclass(self):
+        rng = np.random.default_rng(0)
+        branch = ConvBranchSpec(
+            rng.standard_normal((2, 1, 3, 3, 1)).astype(np.float32),
+            (2, 2, 1),
+            BatchNormParams.identity(2),
+        )
+
+        def arrays(b):
+            return [b.weight, b.bn.mean, b.bn.std, b.bn.gamma, b.bn.beta]
+
+        wide = cast(branch, np.float64)
+        assert wide.dilation == (2, 2, 1)
+        assert all(a.dtype == np.float64 for a in arrays(wide))
+        same = cast(branch, np.float32)
+        assert all(a is b for a, b in zip(arrays(same), arrays(branch)))

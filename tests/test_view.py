@@ -5,12 +5,22 @@ from occkit.view import (
     CameraParams,
     DepthDistribution,
     GridSpec,
-    PseudoPointCloud,
     frustum_points,
     lift_splat,
-    project_points,
     sparsity_ratio,
 )
+
+
+def project_points(cam, points):
+    """Inverse of :func:`frustum_points` for ego-frame points: returns
+    feature-map (u, v) coordinates and optical-axis depth."""
+    pts_cam = (points - cam.translation) @ cam.rotation
+    pix = pts_cam @ cam.intrinsics.T
+    depth = pix[..., 2]
+    u_img = pix[..., 0] / depth
+    v_img = pix[..., 1] / depth
+    u_f, v_f = cam.image_to_feature(u_img, v_img)
+    return u_f, v_f, depth
 
 
 def random_rotation(rng):
@@ -278,29 +288,6 @@ class TestLiftSplat:
         depth = DepthDistribution(probs, 1.0, 5.0)
         with pytest.raises(ValueError, match="camera count"):
             lift_splat(np.ones((2, 2, 1, 1), dtype=np.float32), depth, [cam], grid)
-
-
-class TestPseudoPointCloud:
-    def test_count_invariant(self):
-        rng = np.random.default_rng(9)
-        cams = [random_camera(rng), random_camera(rng)]
-        features = rng.standard_normal((2, 3, 4, 8)).astype(np.float32)
-        probs = np.full((2, 8, 4, 8), 0.125)
-        cloud = PseudoPointCloud.build(
-            features, DepthDistribution(probs, 0.5, 8.5), cams
-        )
-        assert cloud.count == 2 * 8 * 4 * 8
-        assert cloud.features.shape == (cloud.count, 3)
-
-    def test_positions_match_frustum(self):
-        rng = np.random.default_rng(10)
-        cam = random_camera(rng)
-        features = rng.standard_normal((1, 2, 4, 8)).astype(np.float32)
-        probs = np.full((1, 8, 4, 8), 0.125)
-        depth = DepthDistribution(probs, 0.5, 8.5)
-        cloud = PseudoPointCloud.build(features, depth, [cam])
-        pts = frustum_points(cam, depth.bin_centers()).reshape(-1, 3)
-        np.testing.assert_allclose(cloud.positions, pts, atol=1e-12)
 
 
 class TestSparsityRatio:
