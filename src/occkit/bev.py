@@ -93,21 +93,12 @@ class TemporalQueue:
         """Newest first."""
         return list(reversed(self._items))
 
-    def clear(self) -> None:
-        self._items.clear()
 
-
-def collapse_height(v: np.ndarray, mode: str = "mean") -> np.ndarray:
-    """Reduce a (C, X, Y, Z) voxel tensor over its height axis to (C, X, Y)."""
+def collapse_height(v: np.ndarray) -> np.ndarray:
+    """Average a (C, X, Y, Z) voxel tensor over its height axis to (C, X, Y)."""
     if v.ndim != 4:
         raise ValueError(f"expected 4D voxel tensor, got {v.ndim}D")
-    if mode == "mean":
-        return v.mean(axis=3)
-    if mode == "sum":
-        return v.sum(axis=3)
-    if mode == "max":
-        return v.max(axis=3)
-    raise ValueError(f"unknown height-collapse mode {mode!r}")
+    return v.mean(axis=3)
 
 
 def _planar_relative(pose_hist: EgoPose, pose_now: EgoPose):

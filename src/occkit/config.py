@@ -1,9 +1,9 @@
 """Plain-text pipeline configuration.
 
-Files use ``[section]`` / ``key = value`` syntax with ``#`` comments. Every
-key has a default, so an empty file is a valid desk-scale configuration;
-unknown sections or keys are errors, as are values that break cross-module
-shape constraints.
+Files use ``[section]`` / ``key = value`` syntax with ``#`` comments. Each
+key is one row of ``_KEYS`` and has a default, so an empty file is a valid
+desk-scale configuration; unknown sections or keys are errors, as are values
+that break cross-module shape constraints.
 """
 
 from __future__ import annotations
@@ -14,27 +14,6 @@ from dataclasses import dataclass, replace
 from .reparam import default_branch_extents
 from .scene import SceneSpec
 from .view import GridSpec
-
-_SCHEMA = {
-    "grid": {"start", "end", "counts"},
-    "depth": {"bins", "min", "max"},
-    "temporal": {"queue"},
-    "channels": {"base", "refined"},
-    "reparam": {"kernel", "branches"},
-    "pipeline": {"seed", "depth_provider"},
-    "scene": {
-        "seed",
-        "frames",
-        "boxes",
-        "cameras",
-        "image",
-        "features",
-        "focal",
-        "march_step",
-        "speed",
-        "yaw_rate",
-    },
-}
 
 
 class ConfigError(ValueError):
@@ -66,16 +45,21 @@ class PipelineConfig:
     scene_yaw_rate: float = 0.0
 
     def __post_init__(self):
-        if self.depth_bins < 1:
-            raise ConfigError(f"depth bins must be >= 1, got {self.depth_bins}")
+        for key, value, low in (
+            ("depth bins", self.depth_bins, 1),
+            ("temporal queue", self.queue_len, 1),
+            ("channel widths", min(self.channels, self.refined_channels), 1),
+            ("scene frames", self.scene_frames, 1),
+            ("[pipeline] seed", self.seed, 0),
+            ("[scene] seed", self.scene_seed, 0),
+            ("[reparam] kernel entries", min(self.kernel), 1),
+            ("[scene] image entries", min(self.scene_image), 1),
+            ("[scene] features entries", min(self.scene_features), 1),
+        ):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
         if not self.d_max > self.d_min > 0:
-            raise ConfigError(
-                f"need 0 < depth min < max, got {self.d_min}, {self.d_max}"
-            )
-        if self.queue_len < 1:
-            raise ConfigError(f"temporal queue must be >= 1, got {self.queue_len}")
-        if self.channels < 1 or self.refined_channels < 1:
-            raise ConfigError("channel widths must be >= 1")
+            raise ConfigError(f"need 0 < depth min < max, got {self.d_min}, {self.d_max}")
         nx, ny, nz = self.grid.counts
         # BEV work runs at half resolution and the 2D encoder downsamples
         # twice more, so the horizontal counts must be divisible by 8 and the
@@ -90,8 +74,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"depth_provider must be 'gt' or 'stub', got {self.depth_provider!r}"
             )
-        if self.scene_frames < 1:
-            raise ConfigError(f"scene frames must be >= 1, got {self.scene_frames}")
 
     def half_grid(self) -> GridSpec:
         return self.grid.downsample(2)
@@ -121,43 +103,32 @@ class PipelineConfig:
 def default_config() -> PipelineConfig:
     """Desk-scale defaults: a 38.4m x 38.4m x 3.2m grid of 0.4m voxels,
     two cameras, and a 16-frame temporal window."""
-    return PipelineConfig(
-        grid=GridSpec((-19.2, -19.2, -1.0), (19.2, 19.2, 2.2), (96, 96, 8))
-    )
+    grid = GridSpec((-19.2, -19.2, -1.0), (19.2, 19.2, 2.2), (96, 96, 8))
+    return PipelineConfig(grid=grid)
 
 
-def _floats(value: str, n: int, where: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n:
-        raise ConfigError(f"{where} needs {n} comma-separated values, got {value!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{where} has a non-numeric entry: {value!r}") from None
+def _scalar(kind, noun: str):
+    def parse(value: str, where: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+    return parse
 
 
-def _ints(value: str, n: int, where: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n:
-        raise ConfigError(f"{where} needs {n} comma-separated values, got {value!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{where} has a non-integer entry: {value!r}") from None
+def _vector(kind, n: int, noun: str):
+    def parse(value: str, where: str):
+        parts = [p.strip() for p in value.split(",")]
+        if len(parts) != n:
+            raise ConfigError(f"{where} needs {n} comma-separated values, got {value!r}")
+        try:
+            return tuple(kind(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"{where} has a {noun} entry: {value!r}") from None
+    return parse
 
 
-def _int(value: str, where: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from None
-
-
-def _float(value: str, where: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+_int, _float = _scalar(int, "an integer"), _scalar(float, "a number")
 
 
 def _parse_triple(text: str, where: str) -> tuple[int, int, int]:
@@ -192,6 +163,44 @@ def _parse_branches(value: str):
     return tuple(branches)
 
 
+# Each config key once, as {section: {key: (field, parser(value, where))}};
+# [grid] fields are GridSpec's, all others PipelineConfig's.
+_KEYS = {
+    "grid": {
+        "start": ("start", _vector(float, 3, "non-numeric")),
+        "end": ("end", _vector(float, 3, "non-numeric")),
+        "counts": ("counts", _vector(int, 3, "non-integer")),
+    },
+    "depth": {
+        "bins": ("depth_bins", _int),
+        "min": ("d_min", _float),
+        "max": ("d_max", _float),
+    },
+    "temporal": {"queue": ("queue_len", _int)},
+    "channels": {"base": ("channels", _int), "refined": ("refined_channels", _int)},
+    "reparam": {
+        "kernel": ("kernel", _parse_triple),
+        "branches": ("branches", lambda value, _: _parse_branches(value)),
+    },
+    "pipeline": {
+        "seed": ("seed", _int),
+        "depth_provider": ("depth_provider", lambda value, _: value),
+    },
+    "scene": {
+        "seed": ("scene_seed", _int),
+        "frames": ("scene_frames", _int),
+        "boxes": ("scene_boxes", _int),
+        "cameras": ("scene_cameras", _int),
+        "image": ("scene_image", _vector(int, 2, "non-integer")),
+        "features": ("scene_features", _vector(int, 2, "non-integer")),
+        "focal": ("scene_focal", _float),
+        "march_step": ("scene_march_step", _float),
+        "speed": ("scene_speed", _float),
+        "yaw_rate": ("scene_yaw_rate", _float),
+    },
+}
+
+
 def parse_config(path: str) -> PipelineConfig:
     """Load and validate a configuration file; unknown keys are errors."""
     cp = configparser.ConfigParser(
@@ -207,77 +216,23 @@ def parse_config(path: str) -> PipelineConfig:
         raise ConfigError(f"malformed config file {path}: {e}") from None
 
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, default=None):
-        if cp.has_section(section) and key in cp[section]:
-            return cp[section][key]
-        return default
-
-    base = default_config()
-    grid = base.grid
-    if cp.has_section("grid"):
-        start = grid.start
-        end = grid.end
-        counts = grid.counts
-        if "start" in cp["grid"]:
-            start = _floats(cp["grid"]["start"], 3, "[grid] start")
-        if "end" in cp["grid"]:
-            end = _floats(cp["grid"]["end"], 3, "[grid] end")
-        if "counts" in cp["grid"]:
-            counts = _ints(cp["grid"]["counts"], 3, "[grid] counts")
-        try:
-            grid = GridSpec(start, end, counts)
-        except ValueError as e:
-            raise ConfigError(f"invalid [grid]: {e}") from None
-
-    kwargs = dict(grid=grid)
-    if get("depth", "bins") is not None:
-        kwargs["depth_bins"] = _int(get("depth", "bins"), "[depth] bins")
-    if get("depth", "min") is not None:
-        kwargs["d_min"] = _float(get("depth", "min"), "[depth] min")
-    if get("depth", "max") is not None:
-        kwargs["d_max"] = _float(get("depth", "max"), "[depth] max")
-    if get("temporal", "queue") is not None:
-        kwargs["queue_len"] = _int(get("temporal", "queue"), "[temporal] queue")
-    if get("channels", "base") is not None:
-        kwargs["channels"] = _int(get("channels", "base"), "[channels] base")
-    if get("channels", "refined") is not None:
-        kwargs["refined_channels"] = _int(get("channels", "refined"), "[channels] refined")
-    if get("reparam", "kernel") is not None:
-        kwargs["kernel"] = _parse_triple(get("reparam", "kernel"), "[reparam] kernel")
-    if get("reparam", "branches") is not None:
-        kwargs["branches"] = _parse_branches(get("reparam", "branches"))
-    if get("pipeline", "seed") is not None:
-        kwargs["seed"] = _int(get("pipeline", "seed"), "[pipeline] seed")
-    if get("pipeline", "depth_provider") is not None:
-        kwargs["depth_provider"] = get("pipeline", "depth_provider")
-    if get("scene", "seed") is not None:
-        kwargs["scene_seed"] = _int(get("scene", "seed"), "[scene] seed")
-    if get("scene", "frames") is not None:
-        kwargs["scene_frames"] = _int(get("scene", "frames"), "[scene] frames")
-    if get("scene", "boxes") is not None:
-        kwargs["scene_boxes"] = _int(get("scene", "boxes"), "[scene] boxes")
-    if get("scene", "cameras") is not None:
-        kwargs["scene_cameras"] = _int(get("scene", "cameras"), "[scene] cameras")
-    if get("scene", "image") is not None:
-        kwargs["scene_image"] = _ints(get("scene", "image"), 2, "[scene] image")
-    if get("scene", "features") is not None:
-        kwargs["scene_features"] = _ints(get("scene", "features"), 2, "[scene] features")
-    if get("scene", "focal") is not None:
-        kwargs["scene_focal"] = _float(get("scene", "focal"), "[scene] focal")
-    if get("scene", "march_step") is not None:
-        kwargs["scene_march_step"] = _float(get("scene", "march_step"), "[scene] march_step")
-    if get("scene", "speed") is not None:
-        kwargs["scene_speed"] = _float(get("scene", "speed"), "[scene] speed")
-    if get("scene", "yaw_rate") is not None:
-        kwargs["scene_yaw_rate"] = _float(get("scene", "yaw_rate"), "[scene] yaw_rate")
-
+    grid_fields, fields = {}, {}
+    for section, rows in _KEYS.items():
+        for key, (field, parse) in rows.items():
+            if cp.has_option(section, key):
+                out = grid_fields if section == "grid" else fields
+                out[field] = parse(cp[section][key], f"[{section}] {key}")
     try:
-        return replace(default_config(), **kwargs)
+        grid = replace(default_config().grid, **grid_fields)
+    except ValueError as e:
+        raise ConfigError(f"invalid [grid]: {e}") from None
+    try:
+        return replace(default_config(), grid=grid, **fields)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None

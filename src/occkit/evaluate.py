@@ -64,19 +64,16 @@ def per_class_iou(
     return iou
 
 
-def miou(ious: np.ndarray, include_empty: bool = False) -> float:
+def miou(ious: np.ndarray) -> float:
     """Mean of the defined per-class IoUs.
 
-    The empty class is excluded by default; NaN entries (classes absent from
-    the scene) never count. Returns NaN if nothing is defined.
+    The empty class and NaN entries (classes absent from the scene) never
+    count. Returns NaN if nothing is defined.
     """
     ious = np.asarray(ious, dtype=np.float64)
     if ious.shape != (N_CLASSES,):
         raise ValueError(f"expected {N_CLASSES} per-class IoUs, got {ious.shape}")
-    sel = np.ones(N_CLASSES, dtype=bool)
-    if not include_empty:
-        sel[EMPTY_CLASS] = False
-    chosen = ious[sel]
+    chosen = np.delete(ious, EMPTY_CLASS)
     if np.isnan(chosen).all():
         return float("nan")
     return float(np.nanmean(chosen))

@@ -244,7 +244,7 @@ def run_pipeline(
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
         dist.validate(tol=1e-4)
         v = staged("lift", lift_splat, features, dist, cams, half)
-        return v, staged("height_collapse", collapse_height, v, "mean")
+        return v, staged("height_collapse", collapse_height, v)
 
     t_start = time.perf_counter()
     last = scene.n_frames - 1

@@ -94,12 +94,6 @@ class CameraParams:
         su, sv = w_i / w_f, h_i / h_f
         return (u + 0.5) * su - 0.5, (v + 0.5) * sv - 0.5
 
-    def image_to_feature(self, u_img: np.ndarray, v_img: np.ndarray):
-        h_i, w_i = self.image_size
-        h_f, w_f = self.feature_size
-        su, sv = w_i / w_f, h_i / h_f
-        return (u_img + 0.5) / su - 0.5, (v_img + 0.5) / sv - 0.5
-
 
 @dataclass(frozen=True)
 class DepthDistribution:
@@ -140,16 +134,12 @@ class DepthDistribution:
             raise ValueError("depth probabilities must sum to 1 per pixel")
 
 
-def frustum_points(
-    cam: CameraParams,
-    depth_bins: np.ndarray,
-    ego_pose: np.ndarray | None = None,
-) -> np.ndarray:
+def frustum_points(cam: CameraParams, depth_bins: np.ndarray) -> np.ndarray:
     """Unproject every (depth bin, feature pixel) into 3D.
 
-    Returns (D, H_F, W_F, 3) float64 points in the ego frame, or in the world
-    frame when a 4x4 ego pose is given. Depth is measured along the optical
-    axis, so a pixel at depth d unprojects to K^-1 [u*d, v*d, d].
+    Returns (D, H_F, W_F, 3) float64 points in the ego frame. Depth is
+    measured along the optical axis, so a pixel at depth d unprojects to
+    K^-1 [u*d, v*d, d].
     """
     h_f, w_f = cam.feature_size
     d = np.asarray(depth_bins, dtype=np.float64).reshape(-1)
@@ -165,11 +155,7 @@ def frustum_points(
     rays = pix[None, :, :, :] * d[:, None, None, None]  # (D, H, W, 3)
     k_inv = np.linalg.inv(cam.intrinsics)
     pts_cam = rays @ k_inv.T
-    pts = pts_cam @ cam.rotation.T + cam.translation
-    if ego_pose is not None:
-        pose = np.asarray(ego_pose, dtype=np.float64)
-        pts = pts @ pose[:3, :3].T + pose[:3, 3]
-    return pts
+    return pts_cam @ cam.rotation.T + cam.translation
 
 
 def lift_splat(
@@ -184,7 +170,8 @@ def lift_splat(
     feature scaled by the bin probability and is scatter-added into the voxel
     containing it; points outside the grid are dropped. ``grid`` is the
     pooled (already downsampled) grid. Cell membership uses half-open
-    intervals, so boundary points belong to the lower-index voxel.
+    intervals [lo, hi), so a point on a shared voxel face belongs to the
+    higher-index voxel.
     Accumulation order is fixed, so results are deterministic.
     """
     if features.ndim != 4:

@@ -61,13 +61,7 @@ class TestCollapseHeight:
     def test_matches_axis_reduce(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((3, 5, 6, 4))
-        np.testing.assert_array_equal(collapse_height(v, "mean"), v.mean(axis=3))
-        np.testing.assert_array_equal(collapse_height(v, "sum"), v.sum(axis=3))
-        np.testing.assert_array_equal(collapse_height(v, "max"), v.max(axis=3))
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            collapse_height(np.zeros((1, 2, 2, 2)), "median")
+        np.testing.assert_array_equal(collapse_height(v), v.mean(axis=3))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="4D"):
@@ -161,14 +155,6 @@ class TestTemporalQueue:
             q.push(np.zeros((1, 2, 2)), EgoPose.identity(), 1.0)
         with pytest.raises(ValueError, match="increas"):
             q.push(np.zeros((1, 2, 2)), EgoPose.identity(), 0.5)
-
-    def test_clear(self):
-        q = TemporalQueue(2)
-        q.push(np.zeros((1, 2, 2)), EgoPose.identity(), 0.0)
-        q.clear()
-        assert len(q) == 0
-        q.push(np.zeros((1, 2, 2)), EgoPose.identity(), 0.0)
-        assert len(q) == 1
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="capacity"):

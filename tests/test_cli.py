@@ -67,6 +67,15 @@ class TestGenScene:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_feature_extent_reports_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY_CONFIG.replace("features = 4, 8", "features = 0, 44"))
+        rc = main(["gen-scene", "--config", str(p), "--out", str(tmp_path / "s")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [scene] features")
+        assert err.count("\n") == 1
+
 
 class TestRun:
     def test_run_writes_tensors(self, tmp_path, config_path, scene_dir, capsys):

@@ -1,6 +1,10 @@
+import configparser
+import re
+from pathlib import Path
+
 import pytest
 
-from occkit.config import ConfigError, PipelineConfig, default_config, parse_config
+from occkit.config import _KEYS, ConfigError, PipelineConfig, default_config, parse_config
 from occkit.view import GridSpec
 
 
@@ -100,9 +104,14 @@ yaw_rate = 0.01
         assert cfg.depth_provider == "stub"
         assert cfg.scene_seed == 9
         assert cfg.scene_frames == 4
+        assert cfg.scene_boxes == 5
+        assert cfg.scene_cameras == 1
         assert cfg.scene_image == (64, 128)
         assert cfg.scene_features == (8, 16)
+        assert cfg.scene_focal == 64.0
+        assert cfg.scene_march_step == 0.05
         assert cfg.scene_speed == 0.5
+        assert cfg.scene_yaw_rate == 0.01
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "[temporal]\nqueue = 2\n"))
@@ -139,9 +148,24 @@ yaw_rate = 0.01
         with pytest.raises(ConfigError, match="malformed"):
             parse_config(write_config(tmp_path, "no section header\n"))
 
-    def test_non_numeric_value_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="integer"):
-            parse_config(write_config(tmp_path, "[depth]\nbins = eight\n"))
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[depth]\nbins = eight\n", "integer"),
+            ("[depth]\nmin = half\n", "must be a number"),
+            ("[grid]\nstart = 1.0, two, 3.0\n", "non-numeric entry"),
+            ("[scene]\nimage = 64, wide\n", "non-integer entry"),
+        ],
+        ids=["int-scalar", "float-scalar", "float-vector", "int-vector"],
+    )
+    def test_non_numeric_value_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, text))
+
+    def test_unknown_key_reported_before_bad_value(self, tmp_path):
+        text = "[depth]\nbins = eight\n[scene]\nbinns = 8\n"
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(write_config(tmp_path, text))
 
     def test_bad_triple_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="AxBxC"):
@@ -180,8 +204,46 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channel"):
             PipelineConfig(grid=self.grid(), channels=0)
 
+    @pytest.mark.parametrize(
+        "field,value,key",
+        [
+            ("scene_features", (0, 44), "[scene] features"),
+            ("scene_image", (256, 0), "[scene] image"),
+            ("seed", -1, "[pipeline] seed"),
+            ("scene_seed", -1, "[scene] seed"),
+            ("kernel", (0, 0, 0), "[reparam] kernel"),
+        ],
+    )
+    def test_rejects_out_of_range_value(self, field, value, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            PipelineConfig(grid=self.grid(), **{field: value})
+
+    def test_accepts_smallest_valid_values(self):
+        PipelineConfig(
+            grid=self.grid(), seed=0, scene_seed=0, kernel=(1, 1, 1),
+            scene_image=(1, 1), scene_features=(1, 1),
+        )
+
     def test_config_error_via_parse(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[grid]\ncounts = 30, 32, 4\n")
         with pytest.raises(ConfigError, match="divisible by 8"):
             parse_config(str(p))
+
+
+class TestReadme:
+    """The README's INI block documents every key at its default value."""
+
+    def ini_block(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+    def test_block_parses_to_defaults(self, tmp_path):
+        assert parse_config(write_config(tmp_path, self.ini_block())) == default_config()
+
+    def test_block_lists_every_key(self):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.optionxform = str
+        cp.read_string(self.ini_block())
+        documented = {(s, k) for s in cp.sections() for k in cp[s]}
+        assert documented == {(s, k) for s, rows in _KEYS.items() for k in rows}

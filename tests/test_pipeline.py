@@ -71,7 +71,7 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
             [mix_depth(pred[i], gt_oh[i], alpha, valid[i]) for i in range(len(cams))]
         )
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
-        b = collapse_height(lift_splat(features, dist, cams, half), "mean")
+        b = collapse_height(lift_splat(features, dist, cams, half))
         b_t = temporal_fuse(queue, b, scene.pose(t), float(t), weights.fusion, half)
     v_s = bev_to_voxel_lift(semantic_encoder_2d(b_t, weights.encoder), weights.bvl_semantic)
     v_g0 = bev_to_voxel_lift(b_t, weights.bvl_geometric)

@@ -11,6 +11,14 @@ from occkit.view import (
 )
 
 
+def image_to_feature(cam, u_img, v_img):
+    """Inverse of :meth:`CameraParams.feature_to_image`."""
+    h_i, w_i = cam.image_size
+    h_f, w_f = cam.feature_size
+    su, sv = w_i / w_f, h_i / h_f
+    return (u_img + 0.5) / su - 0.5, (v_img + 0.5) / sv - 0.5
+
+
 def project_points(cam, points):
     """Inverse of :func:`frustum_points` for ego-frame points: returns
     feature-map (u, v) coordinates and optical-axis depth."""
@@ -19,7 +27,7 @@ def project_points(cam, points):
     depth = pix[..., 2]
     u_img = pix[..., 0] / depth
     v_img = pix[..., 1] / depth
-    u_f, v_f = cam.image_to_feature(u_img, v_img)
+    u_f, v_f = image_to_feature(cam, u_img, v_img)
     return u_f, v_f, depth
 
 
@@ -112,7 +120,7 @@ class TestCameraParams:
         u = np.array([0.0, 1.0, 3.0])
         v = np.array([0.0, 2.0, 3.0])
         ui, vi = cam.feature_to_image(u, v)
-        ub, vb = cam.image_to_feature(ui, vi)
+        ub, vb = image_to_feature(cam, ui, vi)
         np.testing.assert_allclose(ub, u, atol=1e-12)
         np.testing.assert_allclose(vb, v, atol=1e-12)
 
@@ -164,14 +172,6 @@ class TestFrustumPoints:
                     want = cam.rotation @ p_cam + cam.translation
                     np.testing.assert_allclose(pts[0, v, u], want, atol=1e-9)
 
-    def test_ego_pose_applied(self):
-        cam = random_camera(np.random.default_rng(4))
-        pose = np.eye(4)
-        pose[:3, 3] = (10.0, -3.0, 1.0)
-        base = frustum_points(cam, np.array([2.0]))
-        moved = frustum_points(cam, np.array([2.0]), ego_pose=pose)
-        np.testing.assert_allclose(moved, base + pose[:3, 3], atol=1e-12)
-
 
 class TestDepthDistribution:
     def test_bin_centers(self):
@@ -214,6 +214,14 @@ class TestLiftSplat:
         np.testing.assert_allclose(out[:, 1, 2, 2], 2.5)
         out[:, 1, 2, 2] = 0
         assert not out.any()
+
+    def test_point_on_voxel_face_goes_to_higher_index(self):
+        cam, _ = self.one_point_setup()
+        grid = GridSpec((0, -0.5, -0.5), (4, 0.5, 0.5), (4, 1, 1))  # 1 m voxels
+        depth = DepthDistribution(np.ones((1, 1, 1, 1)), d_min=1.5, d_max=2.5)
+        assert frustum_points(cam, depth.bin_centers())[0, 0, 0, 0] == 2.0
+        out = lift_splat(np.ones((1, 1, 1, 1)), depth, [cam], grid)
+        np.testing.assert_array_equal(out[0, :, 0, 0], [0.0, 0.0, 1.0, 0.0])
 
     def test_out_of_range_points_dropped(self):
         cam, _ = self.one_point_setup()
