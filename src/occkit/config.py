@@ -45,6 +45,7 @@ class PipelineConfig:
     scene_yaw_rate: float = 0.0
 
     def __post_init__(self):
+        branch_entries = [n for ext, dil in self.branches or () for n in ext + dil]
         for key, value, low in (
             ("depth bins", self.depth_bins, 1),
             ("temporal queue", self.queue_len, 1),
@@ -55,9 +56,18 @@ class PipelineConfig:
             ("[reparam] kernel entries", min(self.kernel), 1),
             ("[scene] image entries", min(self.scene_image), 1),
             ("[scene] features entries", min(self.scene_features), 1),
+            ("[scene] cameras", self.scene_cameras, 1),
+            ("[scene] boxes", self.scene_boxes, 0),
+            ("[reparam] branches entries", min(branch_entries, default=1), 1),
         ):
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+        for key, value in (
+            ("[scene] focal", self.scene_focal),
+            ("[scene] march_step", self.scene_march_step),
+        ):
+            if not value > 0:
+                raise ConfigError(f"{key} must be > 0, got {value}")
         if not self.d_max > self.d_min > 0:
             raise ConfigError(f"need 0 < depth min < max, got {self.d_min}, {self.d_max}")
         nx, ny, nz = self.grid.counts
@@ -141,7 +151,7 @@ def _parse_triple(text: str, where: str) -> tuple[int, int, int]:
         raise ConfigError(f"{where} has a non-integer entry: {text!r}") from None
 
 
-def _parse_branches(value: str):
+def _parse_branches(value: str, where: str):
     """Branch list syntax: ``5x5x1@2x2x1, 3x3x1@3`` (extents@dilation)."""
     if value.strip() == "default":
         return None
@@ -149,15 +159,15 @@ def _parse_branches(value: str):
     for item in value.split(","):
         item = item.strip()
         if not item:
-            raise ConfigError(f"empty branch entry in {value!r}")
+            raise ConfigError(f"{where}: empty branch entry in {value!r}")
         ext_s, sep, dil_s = item.partition("@")
-        ext = _parse_triple(ext_s.strip(), "branch extents")
+        ext = _parse_triple(ext_s.strip(), f"{where}: branch extents")
         if not sep:
             dil = (1, 1, 1)
         elif "x" in dil_s:
-            dil = _parse_triple(dil_s.strip(), "branch dilation")
+            dil = _parse_triple(dil_s.strip(), f"{where}: branch dilation")
         else:
-            d = _int(dil_s.strip(), "branch dilation")
+            d = _int(dil_s.strip(), f"{where}: branch dilation")
             dil = (d, d, d)
         branches.append((ext, dil))
     return tuple(branches)
@@ -180,7 +190,7 @@ _KEYS = {
     "channels": {"base": ("channels", _int), "refined": ("refined_channels", _int)},
     "reparam": {
         "kernel": ("kernel", _parse_triple),
-        "branches": ("branches", lambda value, _: _parse_branches(value)),
+        "branches": ("branches", _parse_branches),
     },
     "pipeline": {
         "seed": ("seed", _int),

@@ -9,7 +9,8 @@ in the temporal queue are encoded and queued raw, unfused; older frames are
 skipped. Only the last frame is fused with its warped history. The fused BEV
 map forks into a semantic path (2D encoder then height lifting) and a
 geometric path (height lifting then the large-kernel 3D convolution); the
-two volumes are summed, upsampled to full resolution, and classified.
+two volumes are summed, upsampled to full resolution, and classified, one
+half-resolution x-slab at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +40,16 @@ from .reparam import (
 )
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
-from .tensor import ConvSpec, cast, conv2d, conv3d, rng_named, softmax, uniform_init
+from .tensor import (
+    ConvSpec,
+    cast,
+    conv2d,
+    conv3d,
+    rng_named,
+    slab_rows,
+    softmax,
+    uniform_init,
+)
 from .view import DepthDistribution, GridSpec, lift_splat, sparsity_ratio
 
 
@@ -198,6 +208,14 @@ def run_pipeline(
     frames would leave the queue before it is read and are skipped. Only the
     last frame is fused with its warped history and classified.
 
+    The tail runs slab by slab along x: for each slab of ``slab_rows``
+    half-resolution rows, ``fuse_and_upsample`` sums and upsamples the two
+    volumes and the 1x1x1 head classifies the result into its rows of the
+    preallocated logits. Both act on each x-slab alone, so the logits are
+    those of the whole-volume tail, and the full-resolution feature volume
+    never exists whole. The "fuse_upsample" and "classifier" timings sum
+    over the slabs.
+
     Returns (logits, report): logits are (18, X, Y, Z) at the full grid
     resolution, the report carries per-stage wall-clock timings (their sum is
     bounded by the total) and the zero fraction of the final frame's lifted
@@ -265,14 +283,16 @@ def run_pipeline(
         v_g = staged("large_kernel_conv", forward_deploy, v_g0, weights.merged)
     else:
         v_g = staged("large_kernel_conv", forward_train, v_g0, list(weights.branches))
-    v_gs = staged("fuse_upsample", fuse_and_upsample, v_g, v_s, weights.upsample)
-    logits = staged(
-        "classifier",
-        conv3d,
-        v_gs,
-        cast(weights.head_w, v_gs.dtype),
-        cast(weights.head_b, v_gs.dtype),
-    )
+    head_w, head_b = cast(weights.head_w, v_g.dtype), cast(weights.head_b, v_g.dtype)
+    nx, ny, nz = v_g.shape[1:]
+    logits = np.empty((head_w.shape[0], 2 * nx, 2 * ny, 2 * nz), dtype=v_g.dtype)
+    rows = slab_rows(nx, ny * nz)
+    for a in range(0, nx, rows):
+        b = min(a + rows, nx)
+        v_gs = staged(
+            "fuse_upsample", fuse_and_upsample, v_g[:, a:b], v_s[:, a:b], weights.upsample
+        )
+        logits[:, 2 * a : 2 * b] = staged("classifier", conv3d, v_gs, head_w, head_b)
 
     total = time.perf_counter() - t_start
     return logits, PipelineReport(timings=timings, total=total, lift_sparsity=lift_sparsity)

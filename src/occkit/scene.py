@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -193,16 +194,32 @@ class SceneBundle:
 def _rasterize(
     boxes, grid: GridSpec, pose: EgoPose
 ) -> np.ndarray:
-    """Class grid in the ego frame; later boxes overwrite earlier ones."""
+    """Class grid in the ego frame; later boxes overwrite earlier ones.
+
+    A voxel is a box's when its centre, in world coordinates, lies in the
+    box. Each box tests only the voxels of its ego-frame bounding box,
+    widened by one voxel per side so that rounding cannot drop a centre.
+    """
     cx = grid.centers(0)
     cy = grid.centers(1)
     cz = grid.centers(2)
     pts = np.stack(np.meshgrid(cx, cy, cz, indexing="ij"), axis=-1)
     world = pts @ pose.rotation.T + pose.translation
     out = np.full(grid.counts, EMPTY_CLASS, dtype=np.uint8)
+    to_ego = pose.inverse()
+    start = np.array(grid.start)
+    vsize = np.array(grid.voxel_size)
+    counts = np.array(grid.counts)
     for b in boxes:
-        inside = ((world >= b.lo) & (world < b.hi)).all(axis=-1)
-        out[inside] = b.cls
+        corners = np.array(list(product(*zip(b.lo, b.hi))))
+        ego = corners @ to_ego.rotation.T + to_ego.translation
+        lo = np.floor((ego.min(axis=0) - start) / vsize).astype(np.int64) - 1
+        hi = np.floor((ego.max(axis=0) - start) / vsize).astype(np.int64) + 2
+        region = tuple(
+            slice(l, h) for l, h in zip(np.clip(lo, 0, counts), np.clip(hi, 0, counts))
+        )
+        inside = ((world[region] >= b.lo) & (world[region] < b.hi)).all(axis=-1)
+        out[region][inside] = b.cls
     return out
 
 

@@ -5,13 +5,20 @@ All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
 for high-precision oracle runs. Every operation is deterministic for fixed
 inputs (single-threaded accumulation order, no unordered reductions).
+
+Convolutions run in slabs of output rows along the first spatial axis, about
+``SLAB_COLUMNS`` output columns each, so that the working buffers of the
+per-tap GEMMs stay in cache. Each output element still sums its taps in the
+same order. Every slab but the last spans a multiple of 64 columns (see
+``slab_rows``), which keeps the logits byte-identical to running each GEMM
+over the whole output at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, is_dataclass, replace
-from math import prod, sqrt
+from math import gcd, prod, sqrt
 
 import numpy as np
 
@@ -107,6 +114,21 @@ class ConvSpec:
         return out
 
 
+# Output columns per slab: at 32 channels a conv slab's patch, GEMM product
+# and accumulator then fit in L2 together (about 400 KB in float32).
+SLAB_COLUMNS = 1024
+
+
+def slab_rows(n_rows: int, row: int) -> int:
+    """Rows per slab when ``n_rows`` rows of ``row`` columns each are worked
+    through a few at a time: about ``SLAB_COLUMNS`` columns, never fewer than
+    one step, where a step is ``64 // gcd(row, 64)`` rows. Every slab but the
+    last then spans a multiple of 64 columns, so a GEMM over the slab runs
+    each column through the same OpenBLAS kernel as a GEMM over all rows."""
+    step = 64 // gcd(row, 64)
+    return min(n_rows, max(1, SLAB_COLUMNS // (row * step)) * step)
+
+
 def _conv_nd(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, spec: ConvSpec
 ) -> np.ndarray:
@@ -115,6 +137,15 @@ def _conv_nd(
     x: (C_in, *spatial); weight: (C_out, C_in, *kernel). No kernel flip,
     zero padding. Accumulates one GEMM per kernel tap so arbitrary dilation
     and stride reduce to shifted slices of the padded input.
+
+    The output is worked through in slabs of ``slab_rows`` rows of its first
+    spatial axis. For each slab every tap is copied into a patch, multiplied
+    and added to the slab's accumulator, then the bias is added and the slab
+    is written out; the three slab-sized buffers are allocated once. Slab
+    boundaries fall on multiples of 64 columns, so OpenBLAS runs each column
+    through the kernel it would use for the whole output, and the result is
+    byte-identical. A strided conv runs as one slab, since tiling it changed
+    low bits.
     """
     rank = spec.rank
     if x.ndim != rank + 1:
@@ -141,33 +172,53 @@ def _conv_nd(
 
     spatial = tuple(x.shape[1:])
     out_sp = spec.output_extents(spatial)
-    n_out = prod(out_sp)
+    n_rows, row = out_sp[0], prod(out_sp[1:])
+    rows = slab_rows(n_rows, row) if all(s == 1 for s in spec.stride) else n_rows
 
     pad = [(0, 0)] + [(p, p) for p in spec.padding]
     xp = np.pad(x, pad) if any(spec.padding) else x
 
     w2 = np.ascontiguousarray(weight.reshape(c_out, c_in, -1))
-    acc = np.zeros((c_out, n_out), dtype=x.dtype)
-    patch = np.empty((c_in, n_out), dtype=x.dtype)
-    tmp = np.empty((c_out, n_out), dtype=x.dtype)
-    patch_nd = patch.reshape((c_in,) + out_sp)
-
-    for tap_idx, tap in enumerate(np.ndindex(*spec.kernel)):
-        sl = tuple(
-            slice(
-                tap[a] * spec.dilation[a],
-                tap[a] * spec.dilation[a] + spec.stride[a] * (out_sp[a] - 1) + 1,
-                spec.stride[a],
-            )
-            for a in range(rank)
+    out = np.empty((c_out, n_rows * row), dtype=x.dtype)
+    patch_buf = np.empty(c_in * rows * row, dtype=x.dtype)
+    tmp_buf = np.empty(c_out * rows * row, dtype=x.dtype)
+    acc_buf = np.empty(c_out * rows * row, dtype=x.dtype)
+    s0 = spec.stride[0]
+    # Per tap: the first padded input row it reads, and its slices of the
+    # other axes.
+    taps = [
+        (
+            tap[0] * spec.dilation[0],
+            tuple(
+                slice(
+                    tap[a] * spec.dilation[a],
+                    tap[a] * spec.dilation[a] + spec.stride[a] * (out_sp[a] - 1) + 1,
+                    spec.stride[a],
+                )
+                for a in range(1, rank)
+            ),
         )
-        np.copyto(patch_nd, xp[(slice(None),) + sl])
-        np.matmul(w2[:, :, tap_idx], patch, out=tmp)
-        acc += tmp
+        for tap in np.ndindex(*spec.kernel)
+    ]
 
-    if bias is not None:
-        acc += bias[:, None]
-    return acc.reshape((c_out,) + out_sp)
+    for r0 in range(0, n_rows, rows):
+        n = min(rows, n_rows - r0)
+        cols = n * row
+        patch = patch_buf[: c_in * cols].reshape(c_in, cols)
+        patch_nd = patch.reshape((c_in, n) + out_sp[1:])
+        tmp = tmp_buf[: c_out * cols].reshape(c_out, cols)
+        acc = acc_buf[: c_out * cols].reshape(c_out, cols)
+        acc.fill(0)
+        for tap_idx, (first, inner) in enumerate(taps):
+            start = first + s0 * r0
+            rows_sl = slice(start, start + s0 * (n - 1) + 1, s0)
+            np.copyto(patch_nd, xp[(slice(None), rows_sl) + inner])
+            np.matmul(w2[:, :, tap_idx], patch, out=tmp)
+            acc += tmp
+        if bias is not None:
+            acc += bias[:, None]
+        out[:, r0 * row : r0 * row + cols] = acc
+    return out.reshape((c_out,) + out_sp)
 
 
 def conv3d(

@@ -11,7 +11,11 @@ other checks finish in seconds.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -394,3 +398,38 @@ def test_09_run_determinism_and_mode_agreement(tmp_path):
         f"merged vs branch-set max diff {mode_diff:.2e} <= 1e-4"
     )
     assert _verdict(9, "deterministic end-to-end run", ok, detail), detail
+
+
+# Check 9's commands in a fresh interpreter: OpenBLAS reads its thread count
+# once, when it loads.
+_GATE_CHILD = """
+import sys
+from occkit.cli import main
+cfg, work = sys.argv[1:]
+rc = main(["gen-scene", "--config", cfg, "--out", work + "/scene"])
+for mode in ("deploy", "train"):
+    rc = rc or main([
+        "run", "--config", cfg, "--scene", work + "/scene", "--alpha", "0.5",
+        "--mode", mode, "--out", work + "/" + mode,
+    ])
+sys.exit(rc)
+"""
+
+
+def test_gate_run_independent_of_blas_threads(tmp_path):
+    """Check 9's runs give byte-identical logits with one and two BLAS threads."""
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text(GATE_CONFIG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        child = subprocess.run(
+            [sys.executable, "-c", _GATE_CHILD, str(cfg), str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+    for mode in ("deploy", "train"):
+        one = (tmp_path / "1" / mode / "logits.gsdt").read_bytes()
+        two = (tmp_path / "2" / mode / "logits.gsdt").read_bytes()
+        assert one == two, f"{mode} logits differ between 1 and 2 BLAS threads"

@@ -77,6 +77,31 @@ class TestGenScene:
         assert err.count("\n") == 1
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "old,new,command,key",
+        [
+            ("branches = 3x3x1, 1x1x1", "branches = 3x3x1, 0x0x0", "equiv", "[reparam] branches"),
+            ("branches = 3x3x1, 1x1x1", "branches = 3x3x1@0", "equiv", "[reparam] branches"),
+            ("branches = 3x3x1, 1x1x1", "branches = 3x3", "equiv", "[reparam] branches"),
+            ("focal = 8.0", "focal = 0", "gen-scene", "[scene] focal"),
+            ("focal = 8.0", "focal = 8.0\nmarch_step = 0", "gen-scene", "[scene] march_step"),
+            ("cameras = 1", "cameras = 0", "gen-scene", "[scene] cameras"),
+        ],
+        ids=["branch-extent", "branch-dilation", "branch-syntax", "focal", "march-step", "cameras"],
+    )
+    def test_out_of_range_value_names_key(self, tmp_path, capsys, old, new, command, key):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY_CONFIG.replace(old, new))
+        args = [command, "--config", str(p)]
+        if command == "gen-scene":
+            args += ["--out", str(tmp_path / "s")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert err.count("\n") == 1
+
+
 class TestRun:
     def test_run_writes_tensors(self, tmp_path, config_path, scene_dir, capsys):
         out = str(tmp_path / "run1")

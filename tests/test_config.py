@@ -171,6 +171,16 @@ yaw_rate = 0.01
         with pytest.raises(ConfigError, match="AxBxC"):
             parse_config(write_config(tmp_path, "[reparam]\nkernel = 7x7\n"))
 
+    @pytest.mark.parametrize(
+        "branches",
+        ["3x3", "3x3x1, ", "3x3x1@2x2", "3x3x1@two", "3xAx1"],
+        ids=["extents", "empty-entry", "dilation-triple", "dilation-scalar", "non-integer"],
+    )
+    def test_branch_syntax_error_names_key(self, tmp_path, branches):
+        text = f"[reparam]\nbranches = {branches}\n"
+        with pytest.raises(ConfigError, match=r"^\[reparam\] branches: "):
+            parse_config(write_config(tmp_path, text))
+
     def test_bad_grid_tuple_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="comma-separated"):
             parse_config(write_config(tmp_path, "[grid]\nstart = 1.0, 2.0\n"))
@@ -212,6 +222,19 @@ class TestValidation:
             ("seed", -1, "[pipeline] seed"),
             ("scene_seed", -1, "[scene] seed"),
             ("kernel", (0, 0, 0), "[reparam] kernel"),
+            pytest.param("scene_cameras", 0, "[scene] cameras", id="cameras"),
+            pytest.param("scene_boxes", -1, "[scene] boxes", id="boxes"),
+            pytest.param("scene_focal", 0.0, "[scene] focal", id="focal"),
+            pytest.param("scene_focal", float("nan"), "[scene] focal", id="focal-nan"),
+            pytest.param("scene_march_step", 0.0, "[scene] march_step", id="march-step"),
+            pytest.param(
+                "branches", (((3, 3, 1), (1, 1, 1)), ((0, 0, 0), (1, 1, 1))),
+                "[reparam] branches", id="branch-extent",
+            ),
+            pytest.param(
+                "branches", (((3, 3, 1), (0, 0, 0)),), "[reparam] branches",
+                id="branch-dilation",
+            ),
         ],
     )
     def test_rejects_out_of_range_value(self, field, value, key):
@@ -221,7 +244,8 @@ class TestValidation:
     def test_accepts_smallest_valid_values(self):
         PipelineConfig(
             grid=self.grid(), seed=0, scene_seed=0, kernel=(1, 1, 1),
-            scene_image=(1, 1), scene_features=(1, 1),
+            scene_image=(1, 1), scene_features=(1, 1), scene_cameras=1,
+            scene_boxes=0, branches=(((1, 1, 1), (1, 1, 1)),),
         )
 
     def test_config_error_via_parse(self, tmp_path):

@@ -18,7 +18,7 @@ from occkit.pipeline import (
 from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import mix_depth
-from occkit.tensor import conv3d
+from occkit.tensor import conv3d, slab_rows
 from occkit.view import DepthDistribution, GridSpec, lift_splat
 
 STAGES = (
@@ -228,6 +228,40 @@ class TestFusionWindow:
         run_pipeline(config, gen_scene(config.scene_spec()), alpha=0.0)
         assert calls["temporal_fuse"] == 1
         assert calls["lift_splat"] == min(n_frames, queue_len + 1)
+
+
+class TestSlabbedTail:
+    """run_pipeline upsamples and classifies the summed volume one half-res
+    x-slab at a time; ``fuse_every_frame`` runs that tail on the whole
+    volume, ``conv3d(fuse_and_upsample(v_g, v_s), head)``."""
+
+    @pytest.mark.parametrize("reparam_mode", ["deploy", "train"])
+    @pytest.mark.parametrize(
+        "counts, several",
+        [((32, 32, 4), False), ((32, 32, 24), True)],
+        ids=["one-slab", "short-last-slab"],
+    )
+    def test_matches_unslabbed_tail(self, monkeypatch, counts, several, reparam_mode):
+        slabs = []
+
+        def counted(v_g, v_s, weights):
+            slabs.append(v_g.shape[1])
+            return fuse_and_upsample(v_g, v_s, weights)
+
+        monkeypatch.setattr(occkit.pipeline, "fuse_and_upsample", counted)
+        config = small_config(grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), counts))
+        scene = gen_scene(config.scene_spec())
+        weights = build_weights(config)
+        logits, report = run_pipeline(config, scene, 0.5, reparam_mode, weights)
+        expected = fuse_every_frame(config, scene, 0.5, reparam_mode, weights)
+        assert logits.dtype == expected.dtype
+        assert logits.tobytes() == expected.tobytes()
+
+        nx, ny, nz = config.half_grid().counts
+        rows = slab_rows(nx, ny * nz)
+        assert slabs == [rows] * (nx // rows) + ([nx % rows] if nx % rows else [])
+        assert (len(slabs) > 1 and slabs[-1] < rows) == several
+        assert {"fuse_upsample", "classifier"} <= report.timings.keys()
 
 
 class TestFrameFeatures:

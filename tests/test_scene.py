@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from occkit.bev import EgoPose
 from occkit.evaluate import EMPTY_CLASS
 from occkit.scene import (
     BoxObstacle,
     SceneSpec,
+    _rasterize,
     camera_ring,
     gen_scene,
     load_scene,
@@ -208,6 +212,70 @@ class TestSingleBoxScene:
         assert (sub == FULL_HEIGHT_BOX.cls).all()
         total_box = (occ == FULL_HEIGHT_BOX.cls).sum()
         assert total_box == sub.size
+
+
+def rasterize_full_grid(boxes, grid, pose):
+    """The rasterizer before box clipping: every box against every voxel
+    centre of the grid."""
+    pts = np.stack(
+        np.meshgrid(grid.centers(0), grid.centers(1), grid.centers(2), indexing="ij"),
+        axis=-1,
+    )
+    world = pts @ pose.rotation.T + pose.translation
+    out = np.full(grid.counts, EMPTY_CLASS, dtype=np.uint8)
+    for b in boxes:
+        out[((world >= b.lo) & (world < b.hi)).all(axis=-1)] = b.cls
+    return out
+
+
+# 0.5 m voxels, centres at odd multiples of 0.25 m
+SMALL_GRID = GridSpec((-4.0, -3.0, -1.0), (4.0, 3.0, 1.0), (16, 12, 4))
+
+# centres reach past the grid, so boxes straddle it or miss it entirely
+boxes_strategy = st.lists(
+    st.builds(
+        BoxObstacle,
+        center=st.tuples(st.floats(-7, 7), st.floats(-6, 6), st.floats(-2.5, 2.5)),
+        size=st.tuples(st.floats(0.05, 5), st.floats(0.05, 5), st.floats(0.05, 3)),
+        cls=st.integers(1, EMPTY_CLASS - 1),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestRasterizeClipping:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        boxes=boxes_strategy,
+        yaw=st.floats(-np.pi, np.pi),
+        shift=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-0.5, 0.5)),
+    )
+    def test_matches_full_grid(self, boxes, yaw, shift):
+        pose = EgoPose.from_yaw(yaw, shift)
+        np.testing.assert_array_equal(
+            _rasterize(boxes, SMALL_GRID, pose),
+            rasterize_full_grid(boxes, SMALL_GRID, pose),
+        )
+
+    @pytest.mark.parametrize("yaw", [0.0, np.pi / 2, np.pi, 0.3])
+    @pytest.mark.parametrize(
+        "box",
+        [
+            BoxObstacle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 3),  # faces on voxel centres
+            BoxObstacle((3.75, -2.75, 0.75), (0.5, 0.5, 0.5), 4),  # one corner voxel
+            BoxObstacle((4.5, 0.0, 0.0), (2.0, 2.0, 1.0), 5),  # straddles +x face
+            BoxObstacle((0.0, 8.0, 0.0), (1.0, 1.0, 1.0), 6),  # off the grid
+        ],
+        ids=["faces-on-centres", "corner", "straddles", "outside"],
+    )
+    def test_edge_boxes_match_full_grid(self, box, yaw):
+        for shift in [(0.0, 0.0, 0.0), (0.25, -0.25, 0.0), (1.0, 0.5, 0.25)]:
+            pose = EgoPose.from_yaw(yaw, shift)
+            np.testing.assert_array_equal(
+                _rasterize([box], SMALL_GRID, pose),
+                rasterize_full_grid([box], SMALL_GRID, pose),
+            )
 
 
 class TestDeterminism:

@@ -1,13 +1,19 @@
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
 from occkit.tensor import (
     ConvSpec,
+    _conv_nd,
     cast,
     conv2d,
     conv3d,
     rng_named,
+    slab_rows,
     softmax,
     uniform_init,
     upsample2x_transpose2d,
@@ -69,6 +75,39 @@ def conv2d_loops(x, weight, bias, spec):
                 if bias is not None:
                     out[o, i, j] += bias[o]
     return out
+
+
+def conv_nd_untiled(x, weight, bias, spec):
+    """The conv loop before slab tiling: one copy, GEMM and accumulate per
+    tap over the whole output at once. The tiled ``_conv_nd`` runs the same
+    taps in the same order on each output element, so it must match this
+    byte for byte."""
+    rank = spec.rank
+    c_out, c_in = weight.shape[:2]
+    out_sp = spec.output_extents(tuple(x.shape[1:]))
+    n_out = prod(out_sp)
+    pad = [(0, 0)] + [(p, p) for p in spec.padding]
+    xp = np.pad(x, pad) if any(spec.padding) else x
+    w2 = np.ascontiguousarray(weight.reshape(c_out, c_in, -1))
+    acc = np.zeros((c_out, n_out), dtype=x.dtype)
+    patch = np.empty((c_in, n_out), dtype=x.dtype)
+    tmp = np.empty((c_out, n_out), dtype=x.dtype)
+    patch_nd = patch.reshape((c_in,) + out_sp)
+    for tap_idx, tap in enumerate(np.ndindex(*spec.kernel)):
+        sl = tuple(
+            slice(
+                tap[a] * spec.dilation[a],
+                tap[a] * spec.dilation[a] + spec.stride[a] * (out_sp[a] - 1) + 1,
+                spec.stride[a],
+            )
+            for a in range(rank)
+        )
+        np.copyto(patch_nd, xp[(slice(None),) + sl])
+        np.matmul(w2[:, :, tap_idx], patch, out=tmp)
+        acc += tmp
+    if bias is not None:
+        acc += bias[:, None]
+    return acc.reshape((c_out,) + out_sp)
 
 
 class TestConvSpec:
@@ -179,6 +218,115 @@ class TestConv3d:
             conv3d(x, w)
         with pytest.raises(ValueError, match="dtype"):
             conv3d(x, np.zeros((3, 2, 1, 1, 1), dtype=np.float64))
+
+
+# Every conv call of a desk run (default config), a wide run (perfbench's
+# 200x200x16 grid, stub depth) and acceptance check 9's run, in deploy and
+# train mode: input shape, weight shape, bias, dilation, stride, padding.
+PIPELINE_CONVS = [
+    # desk
+    ((32, 10, 96, 8), (18, 32, 1, 1, 1), True, 1, 1, 0),
+    ((32, 6, 96, 8), (18, 32, 1, 1, 1), True, 1, 1, 0),
+    ((32, 12, 12), (32, 32, 3, 3), True, 1, 1, 1),
+    ((32, 24, 24), (32, 32, 3, 3), True, 1, 2, 1),
+    ((32, 48, 48), (32, 32, 1, 1), True, 1, 1, 0),
+    ((32, 48, 48), (32, 32, 3, 3), True, 1, 1, 1),
+    ((32, 48, 48), (32, 32, 3, 3), True, 1, 2, 1),
+    ((32, 48, 48), (4, 32, 1, 1), True, 1, 1, 0),
+    ((32, 54, 54, 4), (32, 32, 3, 3, 1), False, (3, 3, 1), 1, 0),
+    ((32, 56, 56, 4), (32, 32, 5, 5, 1), False, (2, 2, 1), 1, 0),
+    ((32, 58, 58, 4), (32, 32, 11, 11, 1), False, 1, 1, 0),
+    ((32, 58, 58, 4), (32, 32, 11, 11, 1), True, 1, 1, 0),
+    ((512, 48, 48), (32, 512, 3, 3), True, 1, 1, 1),
+    # wide
+    ((128, 100, 100), (32, 128, 3, 3), True, 1, 1, 1),
+    ((32, 100, 100), (32, 32, 1, 1), True, 1, 1, 0),
+    ((32, 100, 100), (32, 32, 3, 3), True, 1, 1, 1),
+    ((32, 100, 100), (32, 32, 3, 3), True, 1, 2, 1),
+    ((32, 100, 100), (8, 32, 1, 1), True, 1, 1, 0),
+    ((32, 106, 106, 8), (32, 32, 3, 3, 1), False, (3, 3, 1), 1, 0),
+    ((32, 108, 108, 8), (32, 32, 5, 5, 1), False, (2, 2, 1), 1, 0),
+    ((32, 110, 110, 8), (32, 32, 11, 11, 1), False, 1, 1, 0),
+    ((32, 110, 110, 8), (32, 32, 11, 11, 1), True, 1, 1, 0),
+    ((32, 16, 44), (16, 32, 1, 1), True, 1, 1, 0),
+    ((32, 16, 44), (32, 32, 3, 3), True, 1, 1, 1),
+    ((32, 25, 25), (32, 32, 3, 3), True, 1, 1, 1),
+    ((32, 4, 200, 16), (18, 32, 1, 1, 1), True, 1, 1, 0),
+    ((32, 50, 50), (32, 32, 3, 3), True, 1, 2, 1),
+    # acceptance check 9
+    ((32, 24, 24), (8, 32, 3, 3), True, 1, 1, 1),
+    ((8, 12, 12), (8, 8, 3, 3), True, 1, 2, 1),
+    ((8, 24, 24), (2, 8, 1, 1), True, 1, 1, 0),
+    ((8, 24, 24), (8, 8, 1, 1), True, 1, 1, 0),
+    ((8, 24, 24), (8, 8, 3, 3), True, 1, 1, 1),
+    ((8, 24, 24), (8, 8, 3, 3), True, 1, 2, 1),
+    ((8, 30, 30, 2), (8, 8, 3, 3, 1), False, (3, 3, 1), 1, 0),
+    ((8, 32, 32, 2), (8, 8, 5, 5, 1), False, (2, 2, 1), 1, 0),
+    ((8, 34, 34, 2), (8, 8, 11, 11, 1), False, 1, 1, 0),
+    ((8, 34, 34, 2), (8, 8, 11, 11, 1), True, 1, 1, 0),
+    ((8, 40, 48, 4), (18, 8, 1, 1, 1), True, 1, 1, 0),
+    ((8, 6, 6), (8, 8, 3, 3), True, 1, 1, 1),
+    ((8, 8, 48, 4), (18, 8, 1, 1, 1), True, 1, 1, 0),
+]
+
+# Convs whose output rows slab_rows splits into several slabs, the last one
+# short: (x, weight, bias, dilation, stride, padding, dtype). The strided
+# ones must still run as one slab.
+EDGE_CONVS = {
+    "3d-short-last-slab": ((4, 37, 16, 4), (3, 4, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float32),
+    "3d-stride-2": ((4, 120, 20, 4), (3, 4, 3, 3, 3), True, 1, 2, 1, np.float32),
+    "3d-dilated": ((4, 40, 12, 4), (3, 4, 3, 3, 1), True, (2, 2, 1), 1, (2, 2, 0), np.float32),
+    "2d-short-last-slab": ((3, 70, 33), (2, 3, 3, 3), True, 1, 1, 1, np.float32),
+    "2d-stride-2": ((3, 200, 33), (2, 3, 3, 3), True, 1, 2, 1, np.float32),
+    "3d-float64": ((3, 50, 24, 2), (2, 3, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float64),
+    "2d-float64-no-bias": ((3, 70, 33), (2, 3, 3, 3), False, 1, 1, 1, np.float64),
+}
+
+
+def _tiled_and_untiled(x_shape, w_shape, bias, dilation, stride, padding, dtype):
+    rng = np.random.default_rng(len(x_shape) * 1000 + x_shape[1])
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
+    spec = ConvSpec(
+        kernel=w_shape[2:], dilation=dilation, stride=stride, padding=padding
+    )
+    return _conv_nd(x, w, b, spec), conv_nd_untiled(x, w, b, spec)
+
+
+class TestSlabTiling:
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,bias,dilation,stride,padding",
+        PIPELINE_CONVS,
+        ids=[
+            "x".join(map(str, x)) + "-w" + "x".join(map(str, w))
+            + ("-bias" if b else "") + ("-stride2" if s == 2 else "")
+            for x, w, b, _, s, _ in PIPELINE_CONVS
+        ],
+    )
+    def test_pipeline_convs_match_untiled(
+        self, x_shape, w_shape, bias, dilation, stride, padding
+    ):
+        got, want = _tiled_and_untiled(
+            x_shape, w_shape, bias, dilation, stride, padding, np.float32
+        )
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", list(EDGE_CONVS.values()), ids=list(EDGE_CONVS))
+    def test_edge_convs_match_untiled(self, case):
+        got, want = _tiled_and_untiled(*case)
+        out_rows, row = got.shape[1], prod(got.shape[2:])
+        assert slab_rows(out_rows, row) < out_rows
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_rows=st.integers(1, 400), row=st.integers(1, 5000))
+    def test_slabs_span_multiples_of_64_columns(self, n_rows, row):
+        rows = slab_rows(n_rows, row)
+        assert 1 <= rows <= n_rows
+        assert rows == n_rows or rows * row % 64 == 0
 
 
 class TestConv2d:
