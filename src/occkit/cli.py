@@ -114,8 +114,7 @@ def _cmd_bench(args) -> int:
     config = parse_config(args.config)
     runs = args.runs
     if runs < 1:
-        print("--runs must be >= 1", file=sys.stderr)
-        return 1
+        raise ValueError(f"--runs must be >= 1, got {runs}")
     channels = config.refined_channels
     branches = random_branch_set(
         config.seed, channels, channels, config.kernel,
@@ -166,11 +165,9 @@ def _cmd_eval(args) -> int:
     gt = gsdt.read(args.gt)
     mask = gsdt.read(args.mask)
     if pred.shape != gt.shape or mask.shape != gt.shape:
-        print(
-            f"shape mismatch: pred {pred.shape}, gt {gt.shape}, mask {mask.shape}",
-            file=sys.stderr,
+        raise ValueError(
+            f"shape mismatch: pred {pred.shape}, gt {gt.shape}, mask {mask.shape}"
         )
-        return 1
     ious = per_class_iou(pred, gt, mask.astype(bool))
     print(f"{'class':<12} {'IoU':>8}")
     for name, iou in zip(CLASS_NAMES, ious):

@@ -284,9 +284,9 @@ def run_pipeline(
     else:
         v_g = staged("large_kernel_conv", forward_train, v_g0, list(weights.branches))
     head_w, head_b = cast(weights.head_w, v_g.dtype), cast(weights.head_b, v_g.dtype)
-    nx, ny, nz = v_g.shape[1:]
+    c, nx, ny, nz = v_g.shape
     logits = np.empty((head_w.shape[0], 2 * nx, 2 * ny, 2 * nz), dtype=v_g.dtype)
-    rows = slab_rows(nx, ny * nz)
+    rows = slab_rows(nx, ny * nz, c * c)
     for a in range(0, nx, rows):
         b = min(a + rows, nx)
         v_gs = staged(

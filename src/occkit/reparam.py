@@ -194,10 +194,13 @@ def _same_conv3d(
 
 
 def apply_bn(y: np.ndarray, bn: BatchNormParams) -> np.ndarray:
-    """Inference-mode batch norm over channel-first voxel features."""
+    """Inference-mode batch norm over channel-first voxel features, applied
+    to ``y`` in place; returns ``y``."""
     scale = (bn.gamma / bn.std).reshape(-1, 1, 1, 1)
     shift = (bn.beta - bn.mean * bn.gamma / bn.std).reshape(-1, 1, 1, 1)
-    return y * scale + shift
+    y *= scale
+    y += shift
+    return y
 
 
 def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
@@ -207,7 +210,7 @@ def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
     out = None
     for branch in branches:
         y = apply_bn(_same_conv3d(x, branch.weight, branch.dilation), branch.bn)
-        out = y if out is None else out + y
+        out = y if out is None else np.add(out, y, out=out)
     return out
 
 

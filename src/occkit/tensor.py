@@ -6,10 +6,11 @@ layout. Float tensors are float32 by default; float64 is supported everywhere
 for high-precision oracle runs. Every operation is deterministic for fixed
 inputs (single-threaded accumulation order, no unordered reductions).
 
-Convolutions run in slabs of output rows along the first spatial axis, about
-``SLAB_COLUMNS`` output columns each, so that the working buffers of the
-per-tap GEMMs stay in cache. Each output element still sums its taps in the
-same order. Every slab but the last spans a multiple of 64 columns (see
+Convolutions run in slabs of output rows along the first spatial axis, sized
+so that each per-tap GEMM stays at or under ``SMALL_GEMM_MACS``
+multiply-adds, where OpenBLAS runs its faster small-matrix kernel, and the
+working buffers stay in cache. Each output element still sums its taps in
+the same order. Every slab but the last spans a multiple of 16 columns (see
 ``slab_rows``), which keeps the logits byte-identical to running each GEMM
 over the whole output at once.
 """
@@ -114,19 +115,26 @@ class ConvSpec:
         return out
 
 
-# Output columns per slab: at 32 channels a conv slab's patch, GEMM product
-# and accumulator then fit in L2 together (about 400 KB in float32).
-SLAB_COLUMNS = 1024
+# Multiply-adds at or under which OpenBLAS runs a GEMM through its
+# small-matrix kernel (its cutoff is 100^3). A 32x32 @ 32xN sgemm runs at
+# about 70 GFLOP/s up to N = 976 and at about 50 from N = 1024 up.
+SMALL_GEMM_MACS = 1_000_000
 
 
-def slab_rows(n_rows: int, row: int) -> int:
-    """Rows per slab when ``n_rows`` rows of ``row`` columns each are worked
-    through a few at a time: about ``SLAB_COLUMNS`` columns, never fewer than
-    one step, where a step is ``64 // gcd(row, 64)`` rows. Every slab but the
-    last then spans a multiple of 64 columns, so a GEMM over the slab runs
-    each column through the same OpenBLAS kernel as a GEMM over all rows."""
-    step = 64 // gcd(row, 64)
-    return min(n_rows, max(1, SLAB_COLUMNS // (row * step)) * step)
+def slab_rows(n_rows: int, row: int, macs: int) -> int:
+    """Rows per slab when ``n_rows`` rows of ``row`` columns each go through
+    GEMMs of ``macs`` multiply-adds per column: the most rows whose GEMM
+    stays within ``SMALL_GEMM_MACS``, but never fewer than one step, where a
+    step is ``16 // gcd(row, 16)`` rows. Every slab then spans a multiple of
+    16 columns, and a GEMM over a slab gives each column the bytes a GEMM
+    over all rows gives it. All rows are one slab when they fit under the
+    cutoff, or when they span no multiple of 16 columns: OpenBLAS's small
+    and regular kernels round the columns past the last multiple of 16
+    differently."""
+    if n_rows * row % 16 or n_rows * row * macs <= SMALL_GEMM_MACS:
+        return n_rows
+    step = 16 // gcd(row, 16)
+    return min(n_rows, max(1, SMALL_GEMM_MACS // (macs * row * step)) * step)
 
 
 def _conv_nd(
@@ -139,13 +147,18 @@ def _conv_nd(
     and stride reduce to shifted slices of the padded input.
 
     The output is worked through in slabs of ``slab_rows`` rows of its first
-    spatial axis. For each slab every tap is copied into a patch, multiplied
-    and added to the slab's accumulator, then the bias is added and the slab
-    is written out; the three slab-sized buffers are allocated once. Slab
-    boundaries fall on multiples of 64 columns, so OpenBLAS runs each column
-    through the kernel it would use for the whole output, and the result is
-    byte-identical. A strided conv runs as one slab, since tiling it changed
-    low bits.
+    spatial axis, sized so that each tap's GEMM stays under OpenBLAS's
+    small-matrix cutoff. For each slab every tap's input is multiplied and
+    added to the slab's accumulator, then the bias is added and the slab is
+    written out; the slab-sized buffers are allocated once. A tap is read in
+    place when its slab already is a (C_in, columns) matrix with unit inner
+    stride, as in every one-row slab of a kz=1 conv over unpadded z, and is
+    copied into a patch otherwise. A pointwise conv is flattened to one axis
+    first, so its slabs are cut by columns rather than by rows. Slab
+    boundaries fall on multiples of 16 columns, which keeps the result
+    byte-identical to one GEMM per tap over the whole output. A strided
+    conv, or one with more than 256 input channels, runs as one slab, since
+    tiling either changed low bits.
     """
     rank = spec.rank
     if x.ndim != rank + 1:
@@ -170,20 +183,24 @@ def _conv_nd(
         if bias.dtype != x.dtype:
             raise ValueError(f"bias dtype {bias.dtype} != input dtype {x.dtype}")
 
-    spatial = tuple(x.shape[1:])
-    out_sp = spec.output_extents(spatial)
+    out_shape = (c_out,) + spec.output_extents(tuple(x.shape[1:]))
+    if spec.kernel == spec.stride == (1,) * rank and not any(spec.padding):
+        x, weight = x.reshape(c_in, -1), weight.reshape(c_out, c_in, 1)
+        spec, rank = ConvSpec(kernel=(1,)), 1
+    out_sp = spec.output_extents(tuple(x.shape[1:]))
     n_rows, row = out_sp[0], prod(out_sp[1:])
-    rows = slab_rows(n_rows, row) if all(s == 1 for s in spec.stride) else n_rows
+    s0 = spec.stride[0]
+    if all(s == 1 for s in spec.stride) and c_in <= 256:
+        rows = slab_rows(n_rows, row, c_out * c_in)
+    else:
+        rows = n_rows
 
     pad = [(0, 0)] + [(p, p) for p in spec.padding]
     xp = np.pad(x, pad) if any(spec.padding) else x
 
-    w2 = np.ascontiguousarray(weight.reshape(c_out, c_in, -1))
+    # (taps, C_out, C_in): each tap's weight is one contiguous matrix.
+    w_taps = np.ascontiguousarray(np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0))
     out = np.empty((c_out, n_rows * row), dtype=x.dtype)
-    patch_buf = np.empty(c_in * rows * row, dtype=x.dtype)
-    tmp_buf = np.empty(c_out * rows * row, dtype=x.dtype)
-    acc_buf = np.empty(c_out * rows * row, dtype=x.dtype)
-    s0 = spec.stride[0]
     # Per tap: the first padded input row it reads, and its slices of the
     # other axes.
     taps = [
@@ -200,25 +217,37 @@ def _conv_nd(
         )
         for tap in np.ndindex(*spec.kernel)
     ]
+    # Every tap's slab has the same strides, so one channel of one tap tells
+    # whether all of them can be read in place.
+    first, inner = taps[0]
+    first_slab = (0, slice(first, first + s0 * (rows - 1) + 1, s0)) + inner
+    in_place = xp[first_slab].flags.c_contiguous
+    patch_buf = None if in_place else np.empty(c_in * rows * row, dtype=x.dtype)
+    tmp_buf = np.empty(c_out * rows * row, dtype=x.dtype)
+    acc_buf = np.empty(c_out * rows * row, dtype=x.dtype)
 
     for r0 in range(0, n_rows, rows):
         n = min(rows, n_rows - r0)
         cols = n * row
-        patch = patch_buf[: c_in * cols].reshape(c_in, cols)
-        patch_nd = patch.reshape((c_in, n) + out_sp[1:])
+        if not in_place:
+            patch = patch_buf[: c_in * cols].reshape(c_in, cols)
+            patch_nd = patch.reshape((c_in, n) + out_sp[1:])
         tmp = tmp_buf[: c_out * cols].reshape(c_out, cols)
         acc = acc_buf[: c_out * cols].reshape(c_out, cols)
         acc.fill(0)
         for tap_idx, (first, inner) in enumerate(taps):
             start = first + s0 * r0
-            rows_sl = slice(start, start + s0 * (n - 1) + 1, s0)
-            np.copyto(patch_nd, xp[(slice(None), rows_sl) + inner])
-            np.matmul(w2[:, :, tap_idx], patch, out=tmp)
+            src = xp[(slice(None), slice(start, start + s0 * (n - 1) + 1, s0)) + inner]
+            if in_place:
+                patch = src.reshape(c_in, cols)
+            else:
+                np.copyto(patch_nd, src)
+            np.matmul(w_taps[tap_idx], patch, out=tmp)
             acc += tmp
         if bias is not None:
             acc += bias[:, None]
         out[:, r0 * row : r0 * row + cols] = acc
-    return out.reshape((c_out,) + out_sp)
+    return out.reshape(out_shape)
 
 
 def conv3d(
@@ -275,22 +304,21 @@ def _upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, rank
         raise ValueError(f"weight dtype {weight.dtype} != input dtype {x.dtype}")
     c_out = weight.shape[1]
     # Stride equals kernel, so output blocks never overlap: each input cell
-    # expands into an independent 2^rank block. Contract over C_in with a
-    # single GEMM, then interleave the per-cell blocks.
+    # expands into an independent 2^rank block. Offset (a, b[, c]) of every
+    # block is one GEMM over C_in, written straight into its strided view of
+    # the output.
     sp = x.shape[1:]
-    w2 = weight.reshape(weight.shape[0], -1)  # (C_in, C_out * 2^rank)
-    y = np.matmul(w2.T, x.reshape(x.shape[0], -1))  # (C_out*2^rank, prod(sp))
-    if rank == 3:
-        y = y.reshape((c_out, 2, 2, 2) + sp)
-        y = y.transpose(0, 4, 1, 5, 2, 6, 3)
-    else:
-        y = y.reshape((c_out, 2, 2) + sp)
-        y = y.transpose(0, 3, 1, 4, 2)
-    out_sp = tuple(2 * n for n in sp)
-    y = np.ascontiguousarray(y).reshape((c_out,) + out_sp)
-    if bias is not None:
-        y += bias.reshape((c_out,) + (1,) * rank)
-    return y.astype(x.dtype, copy=False)
+    x2 = x.reshape(x.shape[0], -1)
+    w_blocks = np.ascontiguousarray(np.moveaxis(weight, 1, -1))  # (C_in, 2.., C_out)
+    out = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=x.dtype)
+    for block in np.ndindex(*(2,) * rank):
+        y = np.matmul(w_blocks[(slice(None),) + block].T, x2).reshape((c_out,) + sp)
+        dst = out[(slice(None),) + tuple(slice(o, None, 2) for o in block)]
+        if bias is None:
+            dst[...] = y
+        else:
+            np.add(y, bias.reshape((c_out,) + (1,) * rank), out=dst)
+    return out
 
 
 def upsample2x_transpose3d(

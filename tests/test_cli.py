@@ -194,6 +194,7 @@ class TestBench:
 
     def test_rejects_zero_runs(self, config_path, capsys):
         assert main(["bench", "--config", config_path, "--runs", "0"]) == 1
+        assert capsys.readouterr().err == "error: --runs must be >= 1, got 0\n"
 
 
 class TestEval:
@@ -222,7 +223,9 @@ class TestEval:
              "--gt", str(tmp_path / "gt.gsdt"), "--mask", str(tmp_path / "mask.gsdt")]
         )
         assert rc == 1
-        assert "mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: shape mismatch: pred (4, 5), gt (4, 4)")
+        assert err.count("\n") == 1
 
 
 class TestSchedule:

@@ -237,11 +237,13 @@ class TestSlabbedTail:
 
     @pytest.mark.parametrize("reparam_mode", ["deploy", "train"])
     @pytest.mark.parametrize(
-        "counts, several",
-        [((32, 32, 4), False), ((32, 32, 24), True)],
+        "counts, channels, several",
+        [((32, 32, 4), 4, False), ((32, 32, 24), 32, True)],
         ids=["one-slab", "short-last-slab"],
     )
-    def test_matches_unslabbed_tail(self, monkeypatch, counts, several, reparam_mode):
+    def test_matches_unslabbed_tail(
+        self, monkeypatch, counts, channels, several, reparam_mode
+    ):
         slabs = []
 
         def counted(v_g, v_s, weights):
@@ -249,7 +251,10 @@ class TestSlabbedTail:
             return fuse_and_upsample(v_g, v_s, weights)
 
         monkeypatch.setattr(occkit.pipeline, "fuse_and_upsample", counted)
-        config = small_config(grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), counts))
+        config = small_config(
+            grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), counts),
+            refined_channels=channels,
+        )
         scene = gen_scene(config.scene_spec())
         weights = build_weights(config)
         logits, report = run_pipeline(config, scene, 0.5, reparam_mode, weights)
@@ -258,7 +263,7 @@ class TestSlabbedTail:
         assert logits.tobytes() == expected.tobytes()
 
         nx, ny, nz = config.half_grid().counts
-        rows = slab_rows(nx, ny * nz)
+        rows = slab_rows(nx, ny * nz, channels * channels)
         assert slabs == [rows] * (nx // rows) + ([nx % rows] if nx % rows else [])
         assert (len(slabs) > 1 and slabs[-1] < rows) == several
         assert {"fuse_upsample", "classifier"} <= report.timings.keys()

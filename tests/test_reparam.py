@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.reparam import (
     BatchNormParams,
@@ -245,6 +247,49 @@ class TestEquivalence:
             13,
             4,
         )
+
+
+@st.composite
+def branch_layouts(draw):
+    """A target kernel and one to three branch (kernel, dilation) layouts
+    that fit inside it, centred, on every axis."""
+    target = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    fits = [
+        [
+            (k, d)
+            for d in (1, 2, 3)
+            for k in range(1, t + 1)
+            if (k - 1) * d + 1 <= t and (t - (k - 1) * d - 1) % 2 == 0
+        ]
+        for t in target
+    ]
+    layouts = []
+    for _ in range(draw(st.integers(1, 3))):
+        kernel, dilation = zip(*(draw(st.sampled_from(f)) for f in fits))
+        layouts.append((kernel, dilation))
+    return target, layouts
+
+
+class TestMergeEquivalenceProperty:
+    """forward_train over any branch set equals forward_deploy over its
+    merged kernel, for random kernels, dilations and parities."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        case=branch_layouts(),
+        extents=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_train_equals_deploy(self, dtype, tol, case, extents, seed):
+        target, layouts = case
+        branches = random_branch_set(seed, 3, 3, target, extents=layouts, dtype=dtype)
+        merged = merge_branches(branches, target)
+        x = np.random.default_rng(seed).uniform(-1, 1, (3,) + extents).astype(dtype)
+        train, deploy = forward_train(x, branches), forward_deploy(x, merged)
+        assert train.shape == deploy.shape == (3,) + extents
+        assert train.dtype == deploy.dtype == dtype
+        assert float(np.max(np.abs(train - deploy))) <= tol
 
 
 class TestDefaultBranchExtents:

@@ -1,4 +1,8 @@
-from math import prod
+import os
+import subprocess
+import sys
+from math import gcd, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
 from occkit.tensor import (
+    SMALL_GEMM_MACS,
     ConvSpec,
     _conv_nd,
     cast,
@@ -108,6 +113,24 @@ def conv_nd_untiled(x, weight, bias, spec):
     if bias is not None:
         acc += bias[:, None]
     return acc.reshape((c_out,) + out_sp)
+
+
+def upsample2x_interleaved(x, weight, bias, rank):
+    """The upsample before per-block GEMMs: one GEMM for all 2^rank block
+    offsets, then a transposing copy that interleaves them. The block
+    GEMMs of ``_upsample2x`` must match it byte for byte."""
+    c_out = weight.shape[1]
+    sp = x.shape[1:]
+    w2 = weight.reshape(weight.shape[0], -1)
+    y = np.matmul(w2.T, x.reshape(x.shape[0], -1))
+    if rank == 3:
+        y = y.reshape((c_out, 2, 2, 2) + sp).transpose(0, 4, 1, 5, 2, 6, 3)
+    else:
+        y = y.reshape((c_out, 2, 2) + sp).transpose(0, 3, 1, 4, 2)
+    y = np.ascontiguousarray(y).reshape((c_out,) + tuple(2 * n for n in sp))
+    if bias is not None:
+        y += bias.reshape((c_out,) + (1,) * rank)
+    return y
 
 
 class TestConvSpec:
@@ -269,21 +292,26 @@ PIPELINE_CONVS = [
     ((8, 8, 48, 4), (18, 8, 1, 1, 1), True, 1, 1, 0),
 ]
 
-# Convs whose output rows slab_rows splits into several slabs, the last one
-# short: (x, weight, bias, dilation, stride, padding, dtype). The strided
-# ones must still run as one slab.
+# Convs whose output slab_rows splits into several slabs, most with the
+# last one short: (x, weight, bias, dilation, stride, padding, dtype). The
+# strided ones and the one with more than 256 input channels must still run
+# as one slab. The one-row ones read every tap in place.
 EDGE_CONVS = {
-    "3d-short-last-slab": ((4, 37, 16, 4), (3, 4, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float32),
-    "3d-stride-2": ((4, 120, 20, 4), (3, 4, 3, 3, 3), True, 1, 2, 1, np.float32),
-    "3d-dilated": ((4, 40, 12, 4), (3, 4, 3, 3, 1), True, (2, 2, 1), 1, (2, 2, 0), np.float32),
-    "2d-short-last-slab": ((3, 70, 33), (2, 3, 3, 3), True, 1, 1, 1, np.float32),
-    "2d-stride-2": ((3, 200, 33), (2, 3, 3, 3), True, 1, 2, 1, np.float32),
-    "3d-float64": ((3, 50, 24, 2), (2, 3, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float64),
-    "2d-float64-no-bias": ((3, 70, 33), (2, 3, 3, 3), False, 1, 1, 1, np.float64),
+    "3d-short-last-slab": ((32, 37, 16, 4), (32, 32, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float32),
+    "3d-stride-2": ((32, 120, 20, 4), (32, 32, 3, 3, 3), True, 1, 2, 1, np.float32),
+    "3d-dilated": ((32, 41, 12, 4), (32, 32, 3, 3, 1), True, (2, 2, 1), 1, (2, 2, 0), np.float32),
+    "3d-one-row-in-place": ((32, 22, 102, 8), (32, 32, 3, 3, 1), True, 1, 1, 0, np.float32),
+    "3d-dilated-one-row-in-place": ((32, 24, 104, 8), (32, 32, 3, 3, 1), False, (2, 2, 1), 1, 0, np.float32),
+    "2d-short-last-slab": ((32, 80, 34), (32, 32, 3, 3), True, 1, 1, 1, np.float32),
+    "2d-stride-2": ((32, 200, 32), (32, 32, 3, 3), True, 1, 2, 1, np.float32),
+    "2d-300-input-channels": ((300, 100, 40), (32, 300, 3, 3), True, 1, 1, 1, np.float32),
+    "3d-float64": ((32, 50, 24, 2), (32, 32, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float64),
+    "3d-float64-one-row-in-place": ((32, 22, 102, 8), (32, 32, 3, 3, 1), True, 1, 1, 0, np.float64),
+    "2d-float64-no-bias": ((32, 80, 34), (32, 32, 3, 3), False, 1, 1, 1, np.float64),
 }
 
 
-def _tiled_and_untiled(x_shape, w_shape, bias, dilation, stride, padding, dtype):
+def _conv_case(x_shape, w_shape, bias, dilation, stride, padding, dtype):
     rng = np.random.default_rng(len(x_shape) * 1000 + x_shape[1])
     x = rng.standard_normal(x_shape).astype(dtype)
     w = rng.standard_normal(w_shape).astype(dtype)
@@ -291,7 +319,34 @@ def _tiled_and_untiled(x_shape, w_shape, bias, dilation, stride, padding, dtype)
     spec = ConvSpec(
         kernel=w_shape[2:], dilation=dilation, stride=stride, padding=padding
     )
+    return x, w, b, spec
+
+
+def _tiled_and_untiled(*case):
+    x, w, b, spec = _conv_case(*case)
     return _conv_nd(x, w, b, spec), conv_nd_untiled(x, w, b, spec)
+
+
+def _gemms(monkeypatch, x, w, b, spec):
+    """``_conv_nd``'s output, and for each GEMM it ran, its output columns
+    and whether its right operand was read in place from ``x``."""
+    gemms = []
+    matmul = np.matmul
+
+    def spy(a, patch, out=None):
+        gemms.append((patch.shape[1], np.may_share_memory(patch, x)))
+        return matmul(a, patch, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    try:
+        return _conv_nd(x, w, b, spec), gemms
+    finally:
+        monkeypatch.undo()
+
+
+def _slabs(n_rows, row, rows):
+    """Columns of each slab when ``n_rows`` rows go ``rows`` at a time."""
+    return [min(rows, n_rows - r0) * row for r0 in range(0, n_rows, rows)]
 
 
 class TestSlabTiling:
@@ -314,19 +369,83 @@ class TestSlabTiling:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", list(EDGE_CONVS.values()), ids=list(EDGE_CONVS))
-    def test_edge_convs_match_untiled(self, case):
-        got, want = _tiled_and_untiled(*case)
+    def test_edge_convs_match_untiled(self, monkeypatch, case):
+        x, w, b, spec = _conv_case(*case)
+        got, gemms = _gemms(monkeypatch, x, w, b, spec)
+        want = conv_nd_untiled(x, w, b, spec)
         out_rows, row = got.shape[1], prod(got.shape[2:])
-        assert slab_rows(out_rows, row) < out_rows
+        macs = w.shape[0] * w.shape[1]
+        assert slab_rows(out_rows, row, macs) < out_rows
+        one_slab = spec.stride != (1,) * spec.rank or w.shape[1] > 256
+        rows = out_rows if one_slab else slab_rows(out_rows, row, macs)
+        taps = prod(spec.kernel)
+        assert [c for c, _ in gemms] == [
+            c for c in _slabs(out_rows, row, rows) for _ in range(taps)
+        ]
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    def test_columns_off_16_run_as_one_slab(self, monkeypatch):
+        """OpenBLAS's small-matrix and regular kernels round the columns
+        past the last multiple of 16 differently, so a conv whose output
+        columns are not a multiple of 16 is not split, even over the
+        cutoff."""
+        x, w, b, spec = _conv_case((32, 70, 33), (32, 32, 3, 3), True, 1, 1, 1, np.float32)
+        assert 70 * 33 % 16 and 70 * 33 * 32 * 32 > SMALL_GEMM_MACS
+        assert slab_rows(70, 33, 32 * 32) == 70
+        got, gemms = _gemms(monkeypatch, x, w, b, spec)
+        assert [c for c, _ in gemms] == [70 * 33] * 9
+        assert got.tobytes() == conv_nd_untiled(x, w, b, spec).tobytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        [EDGE_CONVS[k] for k in EDGE_CONVS if k.endswith("in-place")],
+        ids=[k for k in EDGE_CONVS if k.endswith("in-place")],
+    )
+    def test_one_row_slabs_read_taps_in_place(self, monkeypatch, case):
+        x, w, b, spec = _conv_case(*case)
+        got, gemms = _gemms(monkeypatch, x, w, b, spec)
+        assert gemms and all(in_place for _, in_place in gemms)
+        assert got.tobytes() == conv_nd_untiled(x, w, b, spec).tobytes()
+
+    def test_padded_taps_are_copied(self, monkeypatch):
+        x, w, b, spec = _conv_case(*EDGE_CONVS["3d-short-last-slab"])
+        _, gemms = _gemms(monkeypatch, x, w, b, spec)
+        assert not any(in_place for _, in_place in gemms)
+
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,chunk",
+        [
+            ((32, 4, 200, 16), (18, 32, 1, 1, 1), 1728),
+            ((32, 100, 100), (32, 32, 1, 1), 976),
+        ],
+        ids=["head-3d", "1x1-2d"],
+    )
+    def test_pointwise_convs_run_as_one_axis(
+        self, monkeypatch, x_shape, w_shape, chunk
+    ):
+        x, w, b, spec = _conv_case(x_shape, w_shape, True, 1, 1, 0, np.float32)
+        got, gemms = _gemms(monkeypatch, x, w, b, spec)
+        assert [c for c, _ in gemms] == _slabs(prod(x_shape[1:]), 1, chunk)
+        assert all(in_place for _, in_place in gemms)
+        assert got.tobytes() == conv_nd_untiled(x, w, b, spec).tobytes()
+
     @settings(max_examples=50, deadline=None)
-    @given(n_rows=st.integers(1, 400), row=st.integers(1, 5000))
-    def test_slabs_span_multiples_of_64_columns(self, n_rows, row):
-        rows = slab_rows(n_rows, row)
+    @given(
+        n_rows=st.integers(1, 400),
+        row=st.integers(1, 5000),
+        macs=st.integers(1, 300_000),
+    )
+    def test_slabs_span_multiples_of_16_columns_under_the_cutoff(
+        self, n_rows, row, macs
+    ):
+        rows = slab_rows(n_rows, row, macs)
+        step = 16 // gcd(row, 16)
         assert 1 <= rows <= n_rows
-        assert rows == n_rows or rows * row % 64 == 0
+        if rows < n_rows:
+            assert rows * row % 16 == 0 and n_rows * row % 16 == 0
+            assert rows * row * macs <= SMALL_GEMM_MACS or rows == step
+            assert (rows + step) * row * macs > SMALL_GEMM_MACS
 
 
 class TestConv2d:
@@ -368,6 +487,22 @@ class TestSoftmax:
     def test_large_logits_stable(self):
         y = softmax(np.array([1000.0, 1000.0]), axis=0)
         np.testing.assert_allclose(y, [0.5, 0.5])
+
+
+# Upsample inputs of a desk, wide and check-9 run: the tail's x-slabs and
+# the 2D encoder's two upsamples.
+UPSAMPLE_INPUTS = {
+    "desk-tail-slab": (32, 5, 48, 4),
+    "desk-tail-last-slab": (32, 3, 48, 4),
+    "wide-tail-slab": (32, 1, 100, 8),
+    "check9-tail": (8, 24, 24, 2),
+    "desk-encoder-up1": (32, 12, 12),
+    "desk-encoder-up2": (32, 24, 24),
+    "wide-encoder-up1": (32, 25, 25),
+    "wide-encoder-up2": (32, 50, 50),
+    "check9-encoder-up1": (8, 6, 6),
+    "check9-encoder-up2": (8, 12, 12),
+}
 
 
 class TestUpsample2x:
@@ -423,6 +558,54 @@ class TestUpsample2x:
         x = np.zeros((1, 4, 4, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="extents"):
             upsample2x_transpose3d(x, np.zeros((1, 1, 3, 3, 3), dtype=np.float32))
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize(
+        "shape", list(UPSAMPLE_INPUTS.values()), ids=list(UPSAMPLE_INPUTS)
+    )
+    def test_matches_interleaving_oracle(self, shape, bias):
+        rank = len(shape) - 1
+        rng = np.random.default_rng(prod(shape))
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((shape[0], shape[0]) + (2,) * rank).astype(np.float32)
+        b = rng.standard_normal(shape[0]).astype(np.float32) if bias else None
+        up = upsample2x_transpose3d if rank == 3 else upsample2x_transpose2d
+        got = up(x, w, b)
+        want = upsample2x_interleaved(x, w, b, rank)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+# One wide-run branch conv in a fresh interpreter: OpenBLAS reads its
+# thread count once, when it loads.
+_THREAD_CHILD = """
+import hashlib
+import numpy as np
+from occkit.tensor import ConvSpec, conv3d
+rng = np.random.default_rng(7)
+x = rng.standard_normal((32, 110, 110, 8)).astype(np.float32)
+w = rng.standard_normal((32, 32, 11, 11, 1)).astype(np.float32)
+y = conv3d(x, w, spec=ConvSpec(kernel=(11, 11, 1)))
+print(y.shape, hashlib.sha256(y.tobytes()).hexdigest())
+"""
+
+
+def test_wide_branch_conv_independent_of_blas_threads():
+    """The 11x11x1 branch conv of a wide run, whose one-row slabs read taps
+    in place, gives the same bytes with one and two BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        child = subprocess.run(
+            [sys.executable, "-c", _THREAD_CHILD],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        outs.append(child.stdout)
+    assert outs[0].startswith("(32, 100, 100, 8) ")
+    assert outs[0] == outs[1]
 
 
 class TestRng:
