@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConvSpec, cast, conv2d, rng_named, uniform_init, upsample2x_transpose2d
+from .tensor import ConvSpec, conv2d, rng_named, uniform_init, upsample2x
 from .view import GridSpec
 
 
@@ -29,6 +29,8 @@ class EgoPose:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ValueError("pose rotation and translation must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6:
             raise ValueError("rotation is not orthonormal")
         object.__setattr__(self, "rotation", r)
@@ -206,14 +208,14 @@ class FusionWeights:
         return self.mix1_w.shape[1] // self.mix2_w.shape[0]
 
     @classmethod
-    def seeded(cls, seed: int, channels: int, frames: int, dtype=np.float32):
+    def seeded(cls, seed: int, channels: int, frames: int):
         c_in = channels * frames
         rng = rng_named(seed, "temporal_fusion")
         return cls(
-            uniform_init(rng, (channels, c_in, 3, 3), fan_in=c_in * 9, dtype=dtype),
-            uniform_init(rng, (channels,), fan_in=c_in * 9, dtype=dtype),
-            uniform_init(rng, (channels, channels, 3, 3), fan_in=channels * 9, dtype=dtype),
-            uniform_init(rng, (channels,), fan_in=channels * 9, dtype=dtype),
+            uniform_init(rng, (channels, c_in, 3, 3), fan_in=c_in * 9),
+            uniform_init(rng, (channels,), fan_in=c_in * 9),
+            uniform_init(rng, (channels, channels, 3, 3), fan_in=channels * 9),
+            uniform_init(rng, (channels,), fan_in=channels * 9),
         )
 
 
@@ -250,10 +252,9 @@ def temporal_fuse(
     for slot, (bev, pose, _ts) in enumerate(queue.entries(), start=1):
         stack[slot * n_ch : (slot + 1) * n_ch] = warp_bev(bev, pose, pose_now, grid)
 
-    w = cast(weights, stack.dtype)
     spec = ConvSpec.same((3, 3))
-    h = conv2d(stack, w.mix1_w, w.mix1_b, spec)
-    out = conv2d(h, w.mix2_w, w.mix2_b, spec)
+    h = conv2d(stack, weights.mix1_w, weights.mix1_b, spec)
+    out = conv2d(h, weights.mix2_w, weights.mix2_b, spec)
     queue.push(b_current, pose_now, timestamp)
     return out
 
@@ -289,20 +290,20 @@ class SemanticEncoderWeights:
         return self.up2_w.shape[1]
 
     @classmethod
-    def seeded(cls, seed: int, channels: int, out_channels: int, dtype=np.float32):
+    def seeded(cls, seed: int, channels: int, out_channels: int):
         rng = rng_named(seed, "semantic_encoder_2d")
         c, co = channels, out_channels
 
         def conv_w(c_out, c_in, k):
-            return uniform_init(rng, (c_out, c_in, k, k), fan_in=c_in * k * k, dtype=dtype)
+            return uniform_init(rng, (c_out, c_in, k, k), fan_in=c_in * k * k)
 
         def bias(c_out, c_in, k):
-            return uniform_init(rng, (c_out,), fan_in=c_in * k * k, dtype=dtype)
+            return uniform_init(rng, (c_out,), fan_in=c_in * k * k)
 
-        up1_w = uniform_init(rng, (c, c, 2, 2), fan_in=c, dtype=dtype)
-        up1_b = uniform_init(rng, (c,), fan_in=c, dtype=dtype)
-        up2_w = uniform_init(rng, (c, co, 2, 2), fan_in=c, dtype=dtype)
-        up2_b = uniform_init(rng, (co,), fan_in=c, dtype=dtype)
+        up1_w = uniform_init(rng, (c, c, 2, 2), fan_in=c)
+        up1_b = uniform_init(rng, (c,), fan_in=c)
+        up2_w = uniform_init(rng, (c, co, 2, 2), fan_in=c)
+        up2_b = uniform_init(rng, (co,), fan_in=c)
         skip_w = skip_b = None
         if co != c:
             skip_w = conv_w(co, c, 1)
@@ -331,18 +332,17 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
     if nx % 4 or ny % 4:
         raise ValueError(f"BEV extents must be divisible by 4, got ({nx}, {ny})")
 
-    dt = b_t.dtype
-    w = cast(weights, dt)
+    w = weights
     stride2 = ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1))
     same3 = ConvSpec.same((3, 3))
 
     d1 = _relu(conv2d(b_t, w.down1_w, w.down1_b, stride2))  # (C, X/2, Y/2)
     d2 = _relu(conv2d(d1, w.down2_w, w.down2_b, stride2))  # (C, X/4, Y/4)
     m = _relu(conv2d(d2, w.mid_w, w.mid_b, same3) + d2)
-    u1 = _relu(upsample2x_transpose2d(m, w.up1_w, w.up1_b) + d1)  # (C, X/2, Y/2)
-    u0 = upsample2x_transpose2d(u1, w.up2_w, w.up2_b)  # (C', X, Y)
+    u1 = _relu(upsample2x(m, w.up1_w, w.up1_b) + d1)  # (C, X/2, Y/2)
+    u0 = upsample2x(u1, w.up2_w, w.up2_b)  # (C', X, Y)
     if w.skip_w is not None:
         u0 = u0 + conv2d(b_t, w.skip_w, w.skip_b, ConvSpec.same((1, 1)))
-    elif weights.out_channels == weights.in_channels:
+    elif w.out_channels == w.in_channels:
         u0 = u0 + b_t
     return u0

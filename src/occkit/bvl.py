@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    ConvSpec,
-    cast,
-    conv2d,
-    rng_named,
-    softmax,
-    uniform_init,
-    upsample2x_transpose3d,
-)
+from .tensor import ConvSpec, conv2d, rng_named, softmax, uniform_init, upsample2x
 
 
 @dataclass(frozen=True)
@@ -54,14 +46,13 @@ class BVLWeights:
         return self.height_w.shape[0]
 
     @classmethod
-    def seeded(cls, seed: int, name: str, c_in: int, c_out: int, n_heights: int,
-               dtype=np.float32):
+    def seeded(cls, seed: int, name: str, c_in: int, c_out: int, n_heights: int):
         rng = rng_named(seed, name)
         return cls(
-            uniform_init(rng, (c_out, c_in, 1, 1), fan_in=c_in, dtype=dtype),
-            uniform_init(rng, (c_out,), fan_in=c_in, dtype=dtype),
-            uniform_init(rng, (n_heights, c_in, 1, 1), fan_in=c_in, dtype=dtype),
-            uniform_init(rng, (n_heights,), fan_in=c_in, dtype=dtype),
+            uniform_init(rng, (c_out, c_in, 1, 1), fan_in=c_in),
+            uniform_init(rng, (c_out,), fan_in=c_in),
+            uniform_init(rng, (n_heights, c_in, 1, 1), fan_in=c_in),
+            uniform_init(rng, (n_heights,), fan_in=c_in),
         )
 
 
@@ -69,8 +60,7 @@ def predict_height(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     """Per-cell height distribution: (Z, X, Y), softmax over the height axis."""
     if b.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
-    w = cast(weights, b.dtype)
-    logits = conv2d(b, w.height_w, w.height_b, ConvSpec.same((1, 1)))
+    logits = conv2d(b, weights.height_w, weights.height_b, ConvSpec.same((1, 1)))
     return softmax(logits, axis=0)
 
 
@@ -83,9 +73,8 @@ def bev_to_voxel_lift(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     """
     if b.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
-    w = cast(weights, b.dtype)
-    ctx = conv2d(b, w.context_w, w.context_b, ConvSpec.same((1, 1)))
-    hgt = predict_height(b, w)
+    ctx = conv2d(b, weights.context_w, weights.context_b, ConvSpec.same((1, 1)))
+    hgt = predict_height(b, weights)
     return np.einsum("cxy,zxy->cxyz", ctx, hgt)
 
 
@@ -103,11 +92,11 @@ class UpsampleWeights:
             raise ValueError("upsample bias must match output channels")
 
     @classmethod
-    def seeded(cls, seed: int, channels: int, dtype=np.float32):
+    def seeded(cls, seed: int, channels: int):
         rng = rng_named(seed, "voxel_upsample")
         return cls(
-            uniform_init(rng, (channels, channels, 2, 2, 2), fan_in=channels, dtype=dtype),
-            uniform_init(rng, (channels,), fan_in=channels, dtype=dtype),
+            uniform_init(rng, (channels, channels, 2, 2, 2), fan_in=channels),
+            uniform_init(rng, (channels,), fan_in=channels),
         )
 
 
@@ -119,5 +108,4 @@ def fuse_and_upsample(
         raise ValueError(f"volume shapes differ: {v_g.shape} vs {v_s.shape}")
     if v_g.ndim != 4:
         raise ValueError(f"expected 4D voxel tensors, got {v_g.ndim}D")
-    w = cast(weights, v_g.dtype)
-    return upsample2x_transpose3d(v_g + v_s, w.weight, w.bias)
+    return upsample2x(v_g + v_s, weights.weight, weights.bias)

@@ -9,6 +9,7 @@ that break cross-module shape constraints.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from .reparam import default_branch_extents
@@ -117,12 +118,19 @@ def default_config() -> PipelineConfig:
     return PipelineConfig(grid=grid)
 
 
+def _finite(kind, values) -> bool:
+    return kind is not float or all(math.isfinite(v) for v in values)
+
+
 def _scalar(kind, noun: str):
     def parse(value: str, where: str):
         try:
-            return kind(value)
+            out = kind(value)
         except ValueError:
             raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+        if not _finite(kind, [out]):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+        return out
     return parse
 
 
@@ -132,9 +140,12 @@ def _vector(kind, n: int, noun: str):
         if len(parts) != n:
             raise ConfigError(f"{where} needs {n} comma-separated values, got {value!r}")
         try:
-            return tuple(kind(p) for p in parts)
+            out = tuple(kind(p) for p in parts)
         except ValueError:
             raise ConfigError(f"{where} has a {noun} entry: {value!r}") from None
+        if not _finite(kind, out):
+            raise ConfigError(f"{where} has a non-finite entry: {value!r}")
+        return out
     return parse
 
 

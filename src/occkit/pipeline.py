@@ -40,17 +40,8 @@ from .reparam import (
 )
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
-from .tensor import (
-    ConvSpec,
-    cast,
-    conv2d,
-    conv3d,
-    rng_named,
-    slab_rows,
-    softmax,
-    uniform_init,
-)
-from .view import DepthDistribution, GridSpec, lift_splat, sparsity_ratio
+from .tensor import ConvSpec, conv2d, conv3d, rng_named, slab_rows, softmax, uniform_init
+from .view import DepthDistribution, lift_splat, sparsity_ratio
 
 
 class PipelineStageError(RuntimeError):
@@ -71,13 +62,13 @@ class StubDepthWeights:
     conv2_b: np.ndarray
 
     @classmethod
-    def seeded(cls, seed: int, channels: int, n_bins: int, dtype=np.float32):
+    def seeded(cls, seed: int, channels: int, n_bins: int):
         rng = rng_named(seed, "stub_depth_head")
         return cls(
-            uniform_init(rng, (channels, channels, 3, 3), fan_in=channels * 9, dtype=dtype),
-            uniform_init(rng, (channels,), fan_in=channels * 9, dtype=dtype),
-            uniform_init(rng, (n_bins, channels, 1, 1), fan_in=channels, dtype=dtype),
-            uniform_init(rng, (n_bins,), fan_in=channels, dtype=dtype),
+            uniform_init(rng, (channels, channels, 3, 3), fan_in=channels * 9),
+            uniform_init(rng, (channels,), fan_in=channels * 9),
+            uniform_init(rng, (n_bins, channels, 1, 1), fan_in=channels),
+            uniform_init(rng, (n_bins,), fan_in=channels),
         )
 
 
@@ -135,15 +126,14 @@ class PipelineReport:
     lift_sparsity: float
 
 
-def frame_features(
-    config: PipelineConfig, frame: int, dtype=np.float32
-) -> np.ndarray:
-    """Seeded stand-in for the image backbone: per-camera noise features."""
+def frame_features(config: PipelineConfig, frame: int) -> np.ndarray:
+    """Seeded stand-in for the image backbone: per-camera float32 noise
+    features."""
     h_f, w_f = config.scene_features
-    out = np.empty((config.scene_cameras, config.channels, h_f, w_f), dtype=dtype)
+    out = np.empty((config.scene_cameras, config.channels, h_f, w_f), dtype=np.float32)
     for ci in range(config.scene_cameras):
         rng = rng_named(config.seed, f"features/frame{frame:03d}/cam{ci}")
-        out[ci] = rng.standard_normal((config.channels, h_f, w_f)).astype(dtype)
+        out[ci] = rng.standard_normal((config.channels, h_f, w_f))
     return out
 
 
@@ -160,18 +150,12 @@ def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
 
 
 def _gt_depth(scene_depth: np.ndarray, config: PipelineConfig):
-    """Per-camera one-hot depth plus validity from scene depth samples."""
-    one_hots = []
-    valids = []
-    for cam_depth in scene_depth:
-        oh, valid = gt_depth_from_points(
-            np.where(cam_depth < 0, np.nan, cam_depth.astype(np.float64)),
-            config.d_min,
-            config.d_max,
-            config.depth_bins,
-        )
-        one_hots.append(oh)
-        valids.append(valid)
+    """Per-camera one-hot depth plus validity from scene depth samples; the
+    scene's -1 (no hit) is a nonpositive depth, so it counts as missing."""
+    one_hots, valids = zip(*(
+        gt_depth_from_points(cam_depth, config.d_min, config.d_max, config.depth_bins)
+        for cam_depth in scene_depth
+    ))
     return np.stack(one_hots), np.stack(valids)
 
 
@@ -260,7 +244,7 @@ def run_pipeline(
             ]
         )
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
-        dist.validate(tol=1e-4)
+        dist.validate()
         v = staged("lift", lift_splat, features, dist, cams, half)
         return v, staged("height_collapse", collapse_height, v)
 
@@ -283,16 +267,17 @@ def run_pipeline(
         v_g = staged("large_kernel_conv", forward_deploy, v_g0, weights.merged)
     else:
         v_g = staged("large_kernel_conv", forward_train, v_g0, list(weights.branches))
-    head_w, head_b = cast(weights.head_w, v_g.dtype), cast(weights.head_b, v_g.dtype)
     c, nx, ny, nz = v_g.shape
-    logits = np.empty((head_w.shape[0], 2 * nx, 2 * ny, 2 * nz), dtype=v_g.dtype)
+    logits = np.empty((N_CLASSES, 2 * nx, 2 * ny, 2 * nz), dtype=v_g.dtype)
     rows = slab_rows(nx, ny * nz, c * c)
     for a in range(0, nx, rows):
         b = min(a + rows, nx)
         v_gs = staged(
             "fuse_upsample", fuse_and_upsample, v_g[:, a:b], v_s[:, a:b], weights.upsample
         )
-        logits[:, 2 * a : 2 * b] = staged("classifier", conv3d, v_gs, head_w, head_b)
+        logits[:, 2 * a : 2 * b] = staged(
+            "classifier", conv3d, v_gs, weights.head_w, weights.head_b
+        )
 
     total = time.perf_counter() - t_start
     return logits, PipelineReport(timings=timings, total=total, lift_sparsity=lift_sparsity)

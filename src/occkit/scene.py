@@ -52,10 +52,9 @@ def camera_ring(
     image_size: tuple[int, int],
     feature_size: tuple[int, int],
     focal: float,
-    radius: float = 0.3,
-    height: float = 1.5,
 ) -> list[CameraParams]:
-    """Evenly spaced horizontal cameras: camera i yaws 2*pi*i/n from ego +x.
+    """Evenly spaced horizontal cameras: camera i yaws 2*pi*i/n from ego +x
+    and sits 0.3 m out from the ego origin along its axis, 1.5 m up.
 
     Camera frames are optical (x right, y down, z forward); camera 0 looks
     straight ahead.
@@ -78,7 +77,7 @@ def camera_ring(
         c, s = np.cos(yaw), np.sin(yaw)
         rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         rot = rz @ base
-        t = np.array([radius * c, radius * s, height])
+        t = np.array([0.3 * c, 0.3 * s, 1.5])
         cams.append(
             CameraParams(k, rot, t, image_size=image_size, feature_size=feature_size)
         )
@@ -207,30 +206,16 @@ def _rasterize(
     world = pts @ pose.rotation.T + pose.translation
     out = np.full(grid.counts, EMPTY_CLASS, dtype=np.uint8)
     to_ego = pose.inverse()
-    start = np.array(grid.start)
-    vsize = np.array(grid.voxel_size)
     counts = np.array(grid.counts)
     for b in boxes:
         corners = np.array(list(product(*zip(b.lo, b.hi))))
         ego = corners @ to_ego.rotation.T + to_ego.translation
-        lo = np.floor((ego.min(axis=0) - start) / vsize).astype(np.int64) - 1
-        hi = np.floor((ego.max(axis=0) - start) / vsize).astype(np.int64) + 2
-        region = tuple(
-            slice(l, h) for l, h in zip(np.clip(lo, 0, counts), np.clip(hi, 0, counts))
-        )
+        (lo, hi), _ = grid.voxel_index(np.stack([ego.min(axis=0), ego.max(axis=0)]))
+        lo, hi = np.clip(lo - 1, 0, counts), np.clip(hi + 2, 0, counts)
+        region = tuple(slice(l, h) for l, h in zip(lo, hi))
         inside = ((world[region] >= b.lo) & (world[region] < b.hi)).all(axis=-1)
         out[region][inside] = b.cls
     return out
-
-
-def _occupied_at(points: np.ndarray, occ: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Whether each ego-frame point lies in a non-empty voxel."""
-    idx = np.floor((points - np.array(grid.start)) / np.array(grid.voxel_size))
-    idx = idx.astype(np.int64)
-    inside = ((idx >= 0) & (idx < np.array(grid.counts))).all(axis=-1)
-    idx_c = np.clip(idx, 0, np.array(grid.counts) - 1)
-    hit = occ[idx_c[..., 0], idx_c[..., 1], idx_c[..., 2]] != EMPTY_CLASS
-    return hit & inside
 
 
 def _march_frame(
@@ -253,27 +238,26 @@ def _march_frame(
     origins = []
     dirs = []
     for cam in cams:
-        h_f, w_f = cam.feature_size
-        v_idx, u_idx = np.meshgrid(
-            np.arange(h_f, dtype=np.float64),
-            np.arange(w_f, dtype=np.float64),
-            indexing="ij",
-        )
-        u_img, v_img = cam.feature_to_image(u_idx, v_idx)
-        pix = np.stack([u_img, v_img, np.ones_like(u_img)], axis=-1).reshape(-1, 3)
+        pix = cam.pixels().reshape(-1, 3)
         ray = pix @ np.linalg.inv(cam.intrinsics).T  # z component is exactly 1
         dirs.append(ray @ cam.rotation.T)
         origins.append(np.broadcast_to(cam.translation, ray.shape))
     origins = np.concatenate(origins)  # (R, 3)
     dirs = np.concatenate(dirs)
 
+    def lookup(points):
+        """Index arrays of the in-grid points' voxels, and which points lie
+        in an occupied voxel."""
+        idx, inside = grid.voxel_index(points)
+        ijk = tuple(idx[inside].T)
+        hit = np.zeros(len(points), dtype=bool)
+        hit[inside] = occ[ijk] != EMPTY_CLASS
+        return ijk, hit
+
     n_rays = origins.shape[0]
     hit_d = np.full(n_rays, -1.0)
     active = np.ones(n_rays, dtype=bool)
     visible = np.zeros(grid.counts, dtype=bool)
-    counts = np.array(grid.counts)
-    start = np.array(grid.start)
-    vsize = np.array(grid.voxel_size)
 
     n_steps = int(np.ceil(d_max / step))
     for k in range(n_steps):
@@ -282,15 +266,8 @@ def _march_frame(
         d = (k + 0.5) * step
         if d > d_max:
             break
-        pts = origins[active] + d * dirs[active]
-        idx = np.floor((pts - start) / vsize).astype(np.int64)
-        inside = ((idx >= 0) & (idx < counts)).all(axis=-1)
-        idx_c = np.clip(idx, 0, counts - 1)
-        visible[idx_c[inside, 0], idx_c[inside, 1], idx_c[inside, 2]] = True
-        occ_hit = np.zeros(len(pts), dtype=bool)
-        occ_hit[inside] = (
-            occ[idx_c[inside, 0], idx_c[inside, 1], idx_c[inside, 2]] != EMPTY_CLASS
-        )
+        ijk, occ_hit = lookup(origins[active] + d * dirs[active])
+        visible[ijk] = True
         if occ_hit.any():
             ray_ids = np.nonzero(active)[0][occ_hit]
             hit_d[ray_ids] = d
@@ -305,7 +282,7 @@ def _march_frame(
         r = dirs[hit_ids]
         for _ in range(30):
             mid = 0.5 * (lo + hi)
-            occ_mid = _occupied_at(o + mid[:, None] * r, occ, grid)
+            occ_mid = lookup(o + mid[:, None] * r)[1]
             hi = np.where(occ_mid, mid, hi)
             lo = np.where(occ_mid, lo, mid)
         hit_d[hit_ids] = 0.5 * (lo + hi)
@@ -340,6 +317,41 @@ def gen_scene(spec: SceneSpec) -> SceneBundle:
     return SceneBundle(spec.grid, occupancy, visible, depth, pose_mats, spec)
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+# Each manifest key once, in file order, as (key, field, parser); the grid_
+# keys hold GridSpec fields, all others SceneSpec's.
+_MANIFEST = (
+    ("seed", "seed", int),
+    ("grid_start", "start", _floats),
+    ("grid_end", "end", _floats),
+    ("grid_counts", "counts", _ints),
+    ("n_frames", "n_frames", int),
+    ("n_boxes", "n_boxes", int),
+    ("n_cameras", "n_cameras", int),
+    ("image_size", "image_size", _ints),
+    ("feature_size", "feature_size", _ints),
+    ("focal", "focal", float),
+    ("d_max", "d_max", float),
+    ("march_step", "march_step", float),
+    ("speed", "speed", float),
+    ("yaw_rate", "yaw_rate", float),
+)
+
+
+def _manifest_text(value) -> str:
+    """Floats as ``repr``, which reads back exactly; tuples comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(_manifest_text(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def save_scene(bundle: SceneBundle, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     gsdt.write(os.path.join(out_dir, "occupancy.gsdt"), bundle.occupancy)
@@ -347,24 +359,10 @@ def save_scene(bundle: SceneBundle, out_dir: str) -> None:
     gsdt.write(os.path.join(out_dir, "depth.gsdt"), bundle.depth)
     gsdt.write(os.path.join(out_dir, "poses.gsdt"), bundle.poses)
     s = bundle.spec
-    lines = [
-        f"seed = {s.seed}",
-        f"grid_start = {s.grid.start[0]!r},{s.grid.start[1]!r},{s.grid.start[2]!r}",
-        f"grid_end = {s.grid.end[0]!r},{s.grid.end[1]!r},{s.grid.end[2]!r}",
-        f"grid_counts = {s.grid.counts[0]},{s.grid.counts[1]},{s.grid.counts[2]}",
-        f"n_frames = {s.n_frames}",
-        f"n_boxes = {s.n_boxes}",
-        f"n_cameras = {s.n_cameras}",
-        f"image_size = {s.image_size[0]},{s.image_size[1]}",
-        f"feature_size = {s.feature_size[0]},{s.feature_size[1]}",
-        f"focal = {s.focal!r}",
-        f"d_max = {s.d_max!r}",
-        f"march_step = {s.march_step!r}",
-        f"speed = {s.speed!r}",
-        f"yaw_rate = {s.yaw_rate!r}",
-    ]
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+        for key, field, _ in _MANIFEST:
+            value = getattr(s.grid if key.startswith("grid_") else s, field)
+            f.write(f"{key} = {_manifest_text(value)}\n")
 
 
 def load_scene(scene_dir: str) -> SceneBundle:
@@ -378,38 +376,20 @@ def load_scene(scene_dir: str) -> SceneBundle:
             key, _, value = line.partition("=")
             manifest[key.strip()] = value.strip()
 
-    def get(key, convert):
+    grid_fields, fields = {}, {}
+    for key, field, parse in _MANIFEST:
         if key not in manifest:
             raise ValueError(f"scene manifest {path} missing key {key!r}")
         try:
-            return convert(manifest[key])
+            value = parse(manifest[key])
         except ValueError:
             raise ValueError(
                 f"scene manifest {path}: key {key!r} has malformed value "
                 f"{manifest[key]!r}"
             ) from None
-
-    def floats(key):
-        return get(key, lambda v: tuple(float(x) for x in v.split(",")))
-
-    def ints(key):
-        return get(key, lambda v: tuple(int(x) for x in v.split(",")))
-
-    grid = GridSpec(floats("grid_start"), floats("grid_end"), ints("grid_counts"))
-    spec = SceneSpec(
-        seed=get("seed", int),
-        grid=grid,
-        n_frames=get("n_frames", int),
-        n_boxes=get("n_boxes", int),
-        n_cameras=get("n_cameras", int),
-        image_size=ints("image_size"),
-        feature_size=ints("feature_size"),
-        focal=get("focal", float),
-        d_max=get("d_max", float),
-        march_step=get("march_step", float),
-        speed=get("speed", float),
-        yaw_rate=get("yaw_rate", float),
-    )
+        (grid_fields if key.startswith("grid_") else fields)[field] = value
+    grid = GridSpec(**grid_fields)
+    spec = SceneSpec(grid=grid, **fields)
     occupancy = gsdt.read(os.path.join(scene_dir, "occupancy.gsdt"))
     visible = gsdt.read(os.path.join(scene_dir, "visible.gsdt"))
     depth = gsdt.read(os.path.join(scene_dir, "depth.gsdt"))

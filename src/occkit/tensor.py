@@ -1,10 +1,13 @@
 """Dense tensor primitives: reference convolutions, softmax, exact 2x
-transpose-conv upsampling, and a dtype cast for weight dataclasses.
+transpose-conv upsampling (``upsample2x``, 2D or 3D by the input's rank), and
+a dtype cast for weight dataclasses.
 
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
-for high-precision oracle runs. Every operation is deterministic for fixed
-inputs (single-threaded accumulation order, no unordered reductions).
+for high-precision oracle runs. Weights must already be in the input's dtype:
+no operation casts them, and a mismatch is an error. ``cast`` converts a whole
+weight dataclass once, for a float64 run. Every operation is deterministic for
+fixed inputs (single-threaded accumulation order, no unordered reductions).
 
 Convolutions run in slabs of output rows along the first spatial axis, sized
 so that each per-tap GEMM stays at or under ``SMALL_GEMM_MACS``
@@ -84,22 +87,14 @@ class ConvSpec:
         return tuple((k - 1) * d + 1 for k, d in zip(self.kernel, self.dilation))
 
     @classmethod
-    def same(cls, kernel, dilation=1) -> "ConvSpec":
-        """Stride-1 spec with centered padding so output extents equal input.
-
-        Requires odd effective extents; even ones have no center.
+    def same(cls, kernel) -> "ConvSpec":
+        """Stride-1, undilated spec with centered padding so output extents
+        equal input. Requires odd extents; even ones have no center.
         """
         kernel = tuple(int(k) for k in kernel)
-        spec = cls(kernel=kernel, dilation=_as_axes(dilation, len(kernel), "dilation"))
-        eff = spec.effective
-        if any(e % 2 == 0 for e in eff):
-            raise ValueError(f"centered padding needs odd effective extents, got {eff}")
-        return cls(
-            kernel=kernel,
-            dilation=spec.dilation,
-            stride=(1,) * len(kernel),
-            padding=tuple((e - 1) // 2 for e in eff),
-        )
+        if any(k % 2 == 0 for k in kernel):
+            raise ValueError(f"centered padding needs odd effective extents, got {kernel}")
+        return cls(kernel=kernel, padding=tuple((k - 1) // 2 for k in kernel))
 
     def output_extents(self, spatial: tuple[int, ...]) -> tuple[int, ...]:
         eff = self.effective
@@ -289,9 +284,13 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, rank: int):
-    if x.ndim != rank + 1:
-        raise ValueError(f"input must have rank {rank + 1}, got {x.ndim}")
+def upsample2x(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
+) -> np.ndarray:
+    """Stride-2, kernel-2 transpose convolution: doubles every spatial extent
+    of (C_in, *spatial) exactly. weight layout (C_in, C_out, 2, ..., 2), one
+    2 per spatial axis of ``x``."""
+    rank = x.ndim - 1
     if weight.ndim != rank + 2:
         raise ValueError(f"weight must have rank {rank + 2}, got {weight.ndim}")
     if weight.shape[0] != x.shape[0]:
@@ -319,21 +318,6 @@ def _upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, rank
         else:
             np.add(y, bias.reshape((c_out,) + (1,) * rank), out=dst)
     return out
-
-
-def upsample2x_transpose3d(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
-    """Stride-2, kernel-2 transpose 3D convolution: doubles every spatial
-    extent exactly. weight layout (C_in, C_out, 2, 2, 2)."""
-    return _upsample2x(x, weight, bias, 3)
-
-
-def upsample2x_transpose2d(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
-    """2D analogue of :func:`upsample2x_transpose3d`; weight (C_in, C_out, 2, 2)."""
-    return _upsample2x(x, weight, bias, 2)
 
 
 def cast(weights, dtype):

@@ -56,6 +56,15 @@ class GridSpec:
         idx = np.arange(self.counts[axis], dtype=np.float64)
         return self.start[axis] + (idx + 0.5) * size
 
+    def voxel_index(self, points: np.ndarray):
+        """Voxel of each metric point (..., 3): ``(idx, inside)``, the int64
+        (..., 3) index and whether it lies in the grid. Cells are half-open
+        [lo, hi), so a point on a shared face belongs to the higher-index
+        voxel; ``idx`` is unclipped outside the grid."""
+        idx = np.floor((points - np.array(self.start)) / np.array(self.voxel_size))
+        idx = idx.astype(np.int64)
+        return idx, ((idx >= 0) & (idx < np.array(self.counts))).all(axis=-1)
+
 
 @dataclass(frozen=True)
 class CameraParams:
@@ -74,6 +83,8 @@ class CameraParams:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if k.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("intrinsics and rotation must be 3x3")
+        if not all(np.isfinite(a).all() for a in (k, r, t)):
+            raise ValueError("camera intrinsics, rotation and translation must be finite")
         if abs(np.linalg.det(k)) < 1e-12:
             raise ValueError("intrinsics matrix is singular")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6:
@@ -93,6 +104,18 @@ class CameraParams:
         h_f, w_f = self.feature_size
         su, sv = w_i / w_f, h_i / h_f
         return (u + 0.5) * su - 0.5, (v + 0.5) * sv - 0.5
+
+    def pixels(self) -> np.ndarray:
+        """(H_F, W_F, 3) float64 homogeneous image coordinates [u, v, 1] of
+        every feature pixel; K^-1 maps them onto rays of unit optical depth."""
+        h_f, w_f = self.feature_size
+        v_idx, u_idx = np.meshgrid(
+            np.arange(h_f, dtype=np.float64),
+            np.arange(w_f, dtype=np.float64),
+            indexing="ij",
+        )
+        u_img, v_img = self.feature_to_image(u_idx, v_idx)
+        return np.stack([u_img, v_img, np.ones_like(u_img)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -126,11 +149,13 @@ class DepthDistribution:
         idx = np.arange(self.n_bins, dtype=np.float64)
         return self.d_min + (idx + 0.5) * self.bin_width
 
-    def validate(self, tol: float = 1e-5) -> None:
+    def validate(self) -> None:
+        """Nonnegative probabilities summing to 1 per pixel, to within 1e-4
+        (float32 sums over the bins)."""
         if (self.probs < 0).any():
             raise ValueError("depth probabilities must be nonnegative")
         sums = self.probs.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > tol:
+        if np.max(np.abs(sums - 1.0)) > 1e-4:
             raise ValueError("depth probabilities must sum to 1 per pixel")
 
 
@@ -141,18 +166,9 @@ def frustum_points(cam: CameraParams, depth_bins: np.ndarray) -> np.ndarray:
     measured along the optical axis, so a pixel at depth d unprojects to
     K^-1 [u*d, v*d, d].
     """
-    h_f, w_f = cam.feature_size
     d = np.asarray(depth_bins, dtype=np.float64).reshape(-1)
-    v_idx, u_idx = np.meshgrid(
-        np.arange(h_f, dtype=np.float64),
-        np.arange(w_f, dtype=np.float64),
-        indexing="ij",
-    )
-    u_img, v_img = cam.feature_to_image(u_idx, v_idx)
     # rays in homogeneous pixel coords, scaled by depth
-    ones = np.ones_like(u_img)
-    pix = np.stack([u_img, v_img, ones], axis=-1)  # (H, W, 3)
-    rays = pix[None, :, :, :] * d[:, None, None, None]  # (D, H, W, 3)
+    rays = cam.pixels()[None, :, :, :] * d[:, None, None, None]  # (D, H, W, 3)
     k_inv = np.linalg.inv(cam.intrinsics)
     pts_cam = rays @ k_inv.T
     return pts_cam @ cam.rotation.T + cam.translation
@@ -168,10 +184,8 @@ def lift_splat(
 
     features: (N_c, C, H_F, W_F). Every pseudo point carries its pixel's
     feature scaled by the bin probability and is scatter-added into the voxel
-    containing it; points outside the grid are dropped. ``grid`` is the
-    pooled (already downsampled) grid. Cell membership uses half-open
-    intervals [lo, hi), so a point on a shared voxel face belongs to the
-    higher-index voxel.
+    containing it (``GridSpec.voxel_index``); points outside the grid are
+    dropped. ``grid`` is the pooled (already downsampled) grid.
     Accumulation order is fixed, so results are deterministic.
     """
     if features.ndim != 4:
@@ -189,15 +203,12 @@ def lift_splat(
     n_c, n_ch = features.shape[:2]
     counts = grid.counts
     n_vox = counts[0] * counts[1] * counts[2]
-    start = np.array(grid.start)
-    vsize = np.array(grid.voxel_size)
     centers = depth.bin_centers()
 
     out = np.zeros((n_ch, n_vox), dtype=np.float64)
     for i in range(n_c):
         pts = frustum_points(cams[i], centers)  # (D, H, W, 3)
-        idx = np.floor((pts - start) / vsize).astype(np.int64)
-        ok = ((idx >= 0) & (idx < np.array(counts))).all(axis=-1)
+        idx, ok = grid.voxel_index(pts)
         flat = (
             idx[..., 0] * (counts[1] * counts[2])
             + idx[..., 1] * counts[2]

@@ -1,5 +1,6 @@
 """The traced benchmark finds the functions it wraps by module and attribute
-name; every one of them must still exist."""
+name; every one of them must still exist, and every conv it traces must land
+in a named layer."""
 
 import importlib
 import importlib.util
@@ -7,16 +8,79 @@ from pathlib import Path
 
 import pytest
 
+import occkit.pipeline
+from occkit.config import parse_config
+from occkit.scene import gen_scene
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
+# A tiny run that reaches every conv layer, the stub depth head included.
+STUB_CONFIG = """
+[grid]
+start = -8.0, -8.0, -1.0
+end = 8.0, 8.0, 1.0
+counts = 32, 32, 4
 
-def _targets():
+[depth]
+bins = 4
+max = 12.0
+
+[temporal]
+queue = 2
+
+[channels]
+base = 4
+refined = 4
+
+[reparam]
+kernel = 3x3x1
+branches = 3x3x1, 1x1x1
+
+[pipeline]
+depth_provider = stub
+
+[scene]
+frames = 3
+boxes = 2
+cameras = 1
+image = 8, 16
+features = 4, 8
+focal = 8.0
+"""
+
+
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, attr) for module, attr, *_ in spans.TARGETS]
+    return spans
+
+
+def _targets():
+    return [(module, attr) for module, attr, *_ in _spans().TARGETS]
 
 
 @pytest.mark.parametrize("module,attr", _targets(), ids=lambda v: v)
 def test_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("mode", ["deploy", "train"])
+def test_every_conv_span_lands_in_a_layer(tmp_path, mode):
+    """A conv moved into an untraced caller would count as
+    ``tensor.conv.other`` and silently leave its layer's metrics."""
+    spans = _spans()
+    path = tmp_path / "stub.cfg"
+    path.write_text(STUB_CONFIG)
+    config = parse_config(str(path))
+    scene = gen_scene(config.scene_spec())
+    tracer = spans.Tracer()
+    with tracer.active("call"):
+        occkit.pipeline.run_pipeline(config, scene, 0.5, mode)
+    callers = [tracer.spans[s["parent"]]["name"]
+               for s in tracer.spans if s["name"] == "tensor.conv"]
+    assert set(callers) <= set(spans.CONV_CALLERS), set(callers)
+    layers = {spans.CONV_CALLERS[c] for c in callers}
+    assert layers == {"fusion", "encoder", "bvl", "large_kernel", "head", "stub"}
+    (totals,) = tracer.root_totals()
+    assert "tensor.conv.other.calls" not in totals

@@ -13,7 +13,7 @@ from occkit.bev import (
     temporal_fuse,
     warp_bev,
 )
-from occkit.tensor import ConvSpec, conv2d
+from occkit.tensor import ConvSpec, cast, conv2d
 from occkit.view import GridSpec
 
 EXACT_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -24,6 +24,19 @@ def bev_grid(n=32, half=16.0):
 
 
 class TestEgoPose:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EgoPose(np.eye(3), np.array([0.0, bad, 0.0]))
+        rot = np.eye(3)
+        rot[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EgoPose(rot, np.zeros(3))
+        m = np.eye(4)
+        m[0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EgoPose.from_matrix(m)
+
     def test_from_yaw_matrix(self):
         p = EgoPose.from_yaw(0.3, (1.0, 2.0, 0.5))
         m = p.matrix()
@@ -302,7 +315,7 @@ class TestSemanticEncoder:
             up2_b=np.zeros(5),
             skip_b=np.zeros(5),
         )
-        out = semantic_encoder_2d(np.zeros((3, 16, 16)), zeroed)
+        out = semantic_encoder_2d(np.zeros((3, 16, 16)), cast(zeroed, np.float64))
         assert not out.any()
 
     def test_residual_identity(self):

@@ -8,7 +8,7 @@ from occkit.bvl import (
     fuse_and_upsample,
     predict_height,
 )
-from occkit.tensor import ConvSpec, cast, conv2d, upsample2x_transpose3d
+from occkit.tensor import ConvSpec, cast, conv2d, upsample2x
 
 
 def context_map(b, weights):
@@ -93,7 +93,7 @@ class TestBevToVoxelLift:
 
     def test_matches_outer_product_loops(self):
         rng = np.random.default_rng(4)
-        w = BVLWeights.seeded(9, "lift", c_in=2, c_out=3, n_heights=4)
+        w = cast(BVLWeights.seeded(9, "lift", c_in=2, c_out=3, n_heights=4), np.float64)
         b = rng.standard_normal((2, 3, 4))
         out = bev_to_voxel_lift(b, w)
         ctx = context_map(b, w)
@@ -142,7 +142,7 @@ class TestFuseAndUpsample:
         w = UpsampleWeights.seeded(2, channels=3)
         v_g = rng.standard_normal((3, 6, 6, 4)).astype(np.float32)
         out = fuse_and_upsample(v_g, np.zeros_like(v_g), w)
-        want = upsample2x_transpose3d(v_g, w.weight, w.bias)
+        want = upsample2x(v_g, w.weight, w.bias)
         np.testing.assert_array_equal(out, want)
 
     def test_commutative(self):

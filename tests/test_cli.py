@@ -102,6 +102,56 @@ class TestConfigErrors:
         assert err.count("\n") == 1
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "old,new,command,key",
+        [
+            ("start = -8.0, -8.0, -1.0", "start = nan, -8.0, -1.0", "gen-scene",
+             "[grid] start"),
+            ("max = 12.0", "max = inf", "run", "[depth] max"),
+            ("speed = 0.5", "speed = nan", "gen-scene", "[scene] speed"),
+            ("speed = 0.5", "speed = 0.5\nyaw_rate = nan", "run", "[scene] yaw_rate"),
+            ("speed = 0.5", "speed = 0.5\nmarch_step = inf", "gen-scene",
+             "[scene] march_step"),
+        ],
+        ids=["grid-start", "depth-max", "speed", "yaw-rate", "march-step"],
+    )
+    def test_config_value_names_key(self, tmp_path, capsys, old, new, command, key):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY_CONFIG.replace(old, new))
+        args = [command, "--config", str(p)]
+        if command == "gen-scene":
+            args += ["--out", str(tmp_path / "s")]
+        else:
+            args += ["--scene", str(tmp_path / "s"), "--alpha", "0.5"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert err.count("\n") == 1
+
+    def test_manifest_focal(self, config_path, scene_dir, capsys):
+        manifest = f"{scene_dir}/manifest.txt"
+        with open(manifest) as f:
+            text = f.read().replace("focal = 8.0", "focal = nan")
+        with open(manifest, "w") as f:
+            f.write(text)
+        self.assert_run_fails(config_path, scene_dir, capsys)
+
+    def test_pose_file(self, config_path, scene_dir, capsys):
+        poses = gsdt.read(f"{scene_dir}/poses.gsdt")
+        poses[-1, 0, 3] = np.nan
+        gsdt.write(f"{scene_dir}/poses.gsdt", poses)
+        self.assert_run_fails(config_path, scene_dir, capsys)
+
+    @staticmethod
+    def assert_run_fails(config_path, scene_dir, capsys):
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert err.count("\n") == 1
+
+
 class TestRun:
     def test_run_writes_tensors(self, tmp_path, config_path, scene_dir, capsys):
         out = str(tmp_path / "run1")

@@ -162,6 +162,24 @@ yaw_rate = 0.01
         with pytest.raises(ConfigError, match=message):
             parse_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[grid]\nstart = nan, -19.2, -1.0\n", r"^\[grid\] start has a non-finite entry"),
+            ("[grid]\nend = 19.2, inf, 2.2\n", r"^\[grid\] end has a non-finite entry"),
+            ("[depth]\nmax = inf\n", r"^\[depth\] max must be finite"),
+            ("[scene]\nspeed = nan\n", r"^\[scene\] speed must be finite"),
+            ("[scene]\nyaw_rate = nan\n", r"^\[scene\] yaw_rate must be finite"),
+            ("[scene]\nmarch_step = inf\n", r"^\[scene\] march_step must be finite"),
+            ("[scene]\nfocal = -inf\n", r"^\[scene\] focal must be finite"),
+        ],
+        ids=["grid-start", "grid-end", "depth-max", "speed", "yaw-rate", "march-step",
+             "focal"],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, text))
+
     def test_unknown_key_reported_before_bad_value(self, tmp_path):
         text = "[depth]\nbins = eight\n[scene]\nbinns = 8\n"
         with pytest.raises(ConfigError, match="unknown key"):

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occkit.bev import EgoPose
+from occkit.config import default_config
 from occkit.evaluate import EMPTY_CLASS
 from occkit.scene import (
     BoxObstacle,
+    SceneBundle,
     SceneSpec,
     _rasterize,
     camera_ring,
@@ -355,3 +359,57 @@ class TestSaveLoad:
         (out / "manifest.txt").write_text(manifest.replace("n_frames = 1", "n_frames = 3"))
         with pytest.raises(ValueError, match="manifest"):
             load_scene(str(out))
+
+
+def manifest_fstrings(s: SceneSpec) -> str:
+    """The manifest writer before the key table, kept as the oracle."""
+    lines = [
+        f"seed = {s.seed}",
+        f"grid_start = {s.grid.start[0]!r},{s.grid.start[1]!r},{s.grid.start[2]!r}",
+        f"grid_end = {s.grid.end[0]!r},{s.grid.end[1]!r},{s.grid.end[2]!r}",
+        f"grid_counts = {s.grid.counts[0]},{s.grid.counts[1]},{s.grid.counts[2]}",
+        f"n_frames = {s.n_frames}",
+        f"n_boxes = {s.n_boxes}",
+        f"n_cameras = {s.n_cameras}",
+        f"image_size = {s.image_size[0]},{s.image_size[1]}",
+        f"feature_size = {s.feature_size[0]},{s.feature_size[1]}",
+        f"focal = {s.focal!r}",
+        f"d_max = {s.d_max!r}",
+        f"march_step = {s.march_step!r}",
+        f"speed = {s.speed!r}",
+        f"yaw_rate = {s.yaw_rate!r}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+DESK = default_config()
+MANIFEST_SPECS = {
+    "desk": DESK.scene_spec(),
+    # perfbench's wide workload
+    "wide": replace(
+        DESK, grid=GridSpec((-40, -40, -1), (40, 40, 2.2), (200, 200, 16)),
+        queue_len=3, depth_provider="stub", scene_frames=8, scene_boxes=24,
+    ).scene_spec(),
+    # acceptance check 9's gate config
+    "check9": replace(
+        DESK, grid=GridSpec((-9.6, -9.6, -1.0), (9.6, 9.6, 1.0), (48, 48, 4)),
+        depth_bins=8, queue_len=3, channels=8, refined_channels=8, scene_frames=4,
+        scene_boxes=4, scene_image=(64, 176), scene_features=(8, 22),
+        scene_focal=88.0, scene_speed=0.5,
+    ).scene_spec(),
+    "odd-floats": replace(
+        DESK.scene_spec(), focal=352.0000001, speed=0.1 + 0.2, yaw_rate=-0.05,
+        march_step=1e-3,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", MANIFEST_SPECS.values(), ids=MANIFEST_SPECS)
+def test_manifest_matches_fstring_writer(tmp_path, spec):
+    """The key-table writer's manifest is byte-equal to the f-string one."""
+    empty = np.zeros((1, 1, 1, 1), dtype=np.uint8)
+    bundle = SceneBundle(
+        spec.grid, empty, empty, np.zeros((1, 1, 1, 1), np.float32), np.eye(4)[None], spec
+    )
+    save_scene(bundle, str(tmp_path))
+    assert (tmp_path / "manifest.txt").read_bytes() == manifest_fstrings(spec).encode()

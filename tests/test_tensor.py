@@ -21,8 +21,7 @@ from occkit.tensor import (
     slab_rows,
     softmax,
     uniform_init,
-    upsample2x_transpose2d,
-    upsample2x_transpose3d,
+    upsample2x,
 )
 
 
@@ -118,7 +117,7 @@ def conv_nd_untiled(x, weight, bias, spec):
 def upsample2x_interleaved(x, weight, bias, rank):
     """The upsample before per-block GEMMs: one GEMM for all 2^rank block
     offsets, then a transposing copy that interleaves them. The block
-    GEMMs of ``_upsample2x`` must match it byte for byte."""
+    GEMMs of ``upsample2x`` must match it byte for byte."""
     c_out = weight.shape[1]
     sp = x.shape[1:]
     w2 = weight.reshape(weight.shape[0], -1)
@@ -509,13 +508,13 @@ class TestUpsample2x:
     def test_extents_double(self):
         x = np.zeros((1, 100, 100, 8), dtype=np.float32)
         w = np.zeros((1, 1, 2, 2, 2), dtype=np.float32)
-        assert upsample2x_transpose3d(x, w).shape == (1, 200, 200, 16)
+        assert upsample2x(x, w).shape == (1, 200, 200, 16)
 
     def test_constant_input_all_ones_kernel(self):
         x = np.full((1, 3, 3, 3), 4.0)
         w = np.ones((1, 1, 2, 2, 2))
         np.testing.assert_array_equal(
-            upsample2x_transpose3d(x, w), np.full((1, 6, 6, 6), 4.0)
+            upsample2x(x, w), np.full((1, 6, 6, 6), 4.0)
         )
 
     def test_block_expansion_oracle_3d(self):
@@ -536,7 +535,7 @@ class TestUpsample2x:
                                             x[i, xx, yy, zz] * w[i, o, a, bb, c]
                                         )
         want += b[:, None, None, None]
-        np.testing.assert_allclose(upsample2x_transpose3d(x, w, b), want, atol=1e-12)
+        np.testing.assert_allclose(upsample2x(x, w, b), want, atol=1e-12)
 
     def test_block_expansion_oracle_2d(self):
         rng = np.random.default_rng(11)
@@ -552,12 +551,12 @@ class TestUpsample2x:
                                 want[o, 2 * xx + a, 2 * yy + bb] += (
                                     x[i, xx, yy] * w[i, o, a, bb]
                                 )
-        np.testing.assert_allclose(upsample2x_transpose2d(x, w), want, atol=1e-12)
+        np.testing.assert_allclose(upsample2x(x, w), want, atol=1e-12)
 
     def test_rejects_wrong_kernel(self):
         x = np.zeros((1, 4, 4, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="extents"):
-            upsample2x_transpose3d(x, np.zeros((1, 1, 3, 3, 3), dtype=np.float32))
+            upsample2x(x, np.zeros((1, 1, 3, 3, 3), dtype=np.float32))
 
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
     @pytest.mark.parametrize(
@@ -569,8 +568,7 @@ class TestUpsample2x:
         x = rng.standard_normal(shape).astype(np.float32)
         w = rng.standard_normal((shape[0], shape[0]) + (2,) * rank).astype(np.float32)
         b = rng.standard_normal(shape[0]).astype(np.float32) if bias else None
-        up = upsample2x_transpose3d if rank == 3 else upsample2x_transpose2d
-        got = up(x, w, b)
+        got = upsample2x(x, w, b)
         want = upsample2x_interleaved(x, w, b, rank)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.view import (
     CameraParams,
@@ -104,6 +106,41 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="exceed"):
             GridSpec((0, 0, 0), (1, -1, 1), (2, 2, 2))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        start=st.tuples(*[st.floats(-50, 50)] * 3),
+        size=st.tuples(*[st.floats(0.05, 4.0)] * 3),
+        counts=st.tuples(*[st.integers(1, 12)] * 3),
+        faces=st.lists(st.tuples(*[st.integers(-3, 15)] * 3), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_voxel_index_matches_inline_oracle(self, start, size, counts, faces, seed):
+        """Points on voxel faces, outside the grid and at negative
+        coordinates index exactly as the inline expression that
+        ``voxel_index`` replaced at each call site."""
+        end = tuple(s + c * v for s, c, v in zip(start, counts, size))
+        grid = GridSpec(start, end, counts)
+        vsize = np.array(grid.voxel_size)
+        on_faces = np.array(grid.start) + np.array(faces, dtype=np.float64) * vsize
+        rng = np.random.default_rng(seed)
+        scattered = rng.uniform(
+            np.array(grid.start) - 2 * vsize - 60, np.array(grid.end) + 2 * vsize, (2, 5, 3)
+        )
+        for pts in (on_faces, scattered):
+            idx = np.floor((pts - np.array(grid.start)) / vsize).astype(np.int64)
+            inside = ((idx >= 0) & (idx < np.array(grid.counts))).all(axis=-1)
+            got_idx, got_inside = grid.voxel_index(pts)
+            assert got_idx.dtype == np.int64 and got_idx.shape == pts.shape
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(got_inside, inside)
+
+    def test_voxel_index_faces_go_to_higher_index(self):
+        g = GridSpec((-2.0, -2.0, -1.0), (2.0, 2.0, 1.0), (8, 8, 4))  # 0.5 m voxels
+        i = np.array([[-1, 0, 0], [0, 0, 0], [3, 7, 3], [8, 4, 2], [4, 4, 4]])
+        idx, inside = g.voxel_index(np.array(g.start) + 0.5 * i)
+        np.testing.assert_array_equal(idx, i)
+        np.testing.assert_array_equal(inside, [False, True, True, False, False])
+
 
 class TestCameraParams:
     def test_rejects_singular_intrinsics(self):
@@ -114,6 +151,25 @@ class TestCameraParams:
     def test_rejects_non_orthonormal_rotation(self):
         with pytest.raises(ValueError, match="orthonormal"):
             CameraParams(np.eye(3), 2 * np.eye(3), np.zeros(3), (4, 4), (2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("part", ["intrinsics", "rotation", "translation"])
+    def test_rejects_non_finite(self, part, bad):
+        arrays = {"intrinsics": np.eye(3), "rotation": np.eye(3), "translation": np.zeros(3)}
+        arrays[part] = arrays[part].copy()
+        arrays[part].flat[0 if part == "translation" else 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CameraParams(**arrays, image_size=(4, 4), feature_size=(2, 2))
+
+    def test_pixels_are_homogeneous_feature_to_image(self):
+        cam = random_camera(np.random.default_rng(1))
+        pix = cam.pixels()
+        assert pix.shape == (4, 8, 3) and pix.dtype == np.float64
+        v, u = np.meshgrid(np.arange(4.0), np.arange(8.0), indexing="ij")
+        u_img, v_img = cam.feature_to_image(u, v)
+        np.testing.assert_array_equal(pix[..., 0], u_img)
+        np.testing.assert_array_equal(pix[..., 1], v_img)
+        np.testing.assert_array_equal(pix[..., 2], 1.0)
 
     def test_feature_image_round_trip(self):
         cam = random_camera(np.random.default_rng(0))
