@@ -161,25 +161,26 @@ def warp_bev(
     fu = u - u0
     fv = v - v0
 
-    src = b_hist.astype(np.float64)
-
-    def gather(iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    # Each corner gathers through one flat index into the (C, X*Y) map; a
+    # corner off the map reads a clipped cell with weight 0, which is exact
+    # because every bilinear weight is >= +0.
+    src = b_hist.astype(np.float64).reshape(b_hist.shape[0], nx * ny)
+    out = None
+    for iu, iv, w in (
+        (u0, v0, (1.0 - fu) * (1.0 - fv)),
+        (u0, v0 + 1, (1.0 - fu) * fv),
+        (u0 + 1, v0, fu * (1.0 - fv)),
+        (u0 + 1, v0 + 1, fu * fv),
+    ):
         inside = (iu >= 0) & (iu < nx) & (iv >= 0) & (iv < ny)
-        iuc = np.clip(iu, 0, nx - 1)
-        ivc = np.clip(iv, 0, ny - 1)
-        return src[:, iuc, ivc] * inside[None, :, :]
-
-    w00 = (1.0 - fu) * (1.0 - fv)
-    w01 = (1.0 - fu) * fv
-    w10 = fu * (1.0 - fv)
-    w11 = fu * fv
-    out = (
-        gather(u0, v0) * w00
-        + gather(u0, v0 + 1) * w01
-        + gather(u0 + 1, v0) * w10
-        + gather(u0 + 1, v0 + 1) * w11
-    )
-    return out.astype(b_hist.dtype, copy=False)
+        flat = np.clip(iu, 0, nx - 1) * ny + np.clip(iv, 0, ny - 1)
+        tap = src.take(flat.ravel(), axis=1)
+        tap *= (inside * w).ravel()
+        if out is None:
+            out = tap
+        else:
+            out += tap
+    return out.reshape(b_hist.shape).astype(b_hist.dtype, copy=False)
 
 
 @dataclass(frozen=True)

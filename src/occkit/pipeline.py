@@ -4,13 +4,13 @@ Only the last scene frame is predicted, so each frame does only the work a
 later step reads. A frame is encoded: synthesize image-plane features,
 produce a depth distribution (ground-truth one-hot or a small seeded conv
 stub), blend the two with the scheduled mixup weight, lift features into the
-half-resolution voxel grid, and collapse to BEV. The history frames that fit
-in the temporal queue are encoded and queued raw, unfused; older frames are
-skipped. Only the last frame is fused with its warped history. The fused BEV
-map forks into a semantic path (2D encoder then height lifting) and a
-geometric path (height lifting then the large-kernel 3D convolution); the
-two volumes are summed, upsampled to full resolution, and classified, one
-half-resolution x-slab at a time.
+half-resolution voxel grid through the run's one lift plan, and collapse to
+BEV. The history frames that fit in the temporal queue are encoded and
+queued raw, unfused; older frames are skipped. Only the last frame is fused
+with its warped history. The fused BEV map forks into a semantic path (2D
+encoder then height lifting) and a geometric path (height lifting then the
+large-kernel 3D convolution); the two volumes are summed, upsampled to full
+resolution, and classified, one half-resolution x-slab at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .reparam import (
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
 from .tensor import ConvSpec, conv2d, conv3d, rng_named, slab_rows, softmax, uniform_init
-from .view import DepthDistribution, lift_splat, sparsity_ratio
+from .view import DepthDistribution, LiftPlan, bin_centers, lift_splat, sparsity_ratio
 
 
 class PipelineStageError(RuntimeError):
@@ -190,7 +190,9 @@ def run_pipeline(
     The ``queue_len`` frames before it are encoded and queued as raw BEV
     maps; the queue never holds fused maps, so they need no fusion. Earlier
     frames would leave the queue before it is read and are skipped. Only the
-    last frame is fused with its warped history and classified.
+    last frame is fused with its warped history and classified. The lift
+    geometry does not change between frames, so one ``LiftPlan`` is built
+    per call, timed under "lift", and every frame's lift reads it.
 
     The tail runs slab by slab along x: for each slab of ``slab_rows``
     half-resolution rows, ``fuse_and_upsample`` sums and upsamples the two
@@ -245,10 +247,12 @@ def run_pipeline(
         )
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
         dist.validate()
-        v = staged("lift", lift_splat, features, dist, cams, half)
+        v = staged("lift", lift_splat, features, dist, plan)
         return v, staged("height_collapse", collapse_height, v)
 
     t_start = time.perf_counter()
+    centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
+    plan = staged("lift", LiftPlan.build, cams, centers, half)
     last = scene.n_frames - 1
     for t in range(max(0, last - config.queue_len), last):
         queue.push(encode(t)[1], scene.pose(t), float(t))

@@ -387,13 +387,19 @@ def load_scene(scene_dir: str) -> SceneBundle:
                 f"scene manifest {path}: key {key!r} has malformed value "
                 f"{manifest[key]!r}"
             ) from None
+        if not np.isfinite(value).all():
+            raise ValueError(
+                f"scene manifest {path}: key {key!r} must be finite, got "
+                f"{manifest[key]!r}"
+            )
         (grid_fields if key.startswith("grid_") else fields)[field] = value
     grid = GridSpec(**grid_fields)
     spec = SceneSpec(grid=grid, **fields)
     occupancy = gsdt.read(os.path.join(scene_dir, "occupancy.gsdt"))
     visible = gsdt.read(os.path.join(scene_dir, "visible.gsdt"))
     depth = gsdt.read(os.path.join(scene_dir, "depth.gsdt"))
-    poses = gsdt.read(os.path.join(scene_dir, "poses.gsdt"))
+    poses_path = os.path.join(scene_dir, "poses.gsdt")
+    poses = gsdt.read(poses_path)
     expected = (spec.n_frames,) + grid.counts
     if occupancy.shape != expected or visible.shape != expected:
         raise ValueError(
@@ -403,4 +409,7 @@ def load_scene(scene_dir: str) -> SceneBundle:
         raise ValueError(f"scene depth shape {depth.shape} does not match manifest")
     if poses.shape != (spec.n_frames, 4, 4):
         raise ValueError(f"scene poses shape {poses.shape} does not match manifest")
+    bad = np.flatnonzero(~np.isfinite(poses).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"scene poses {poses_path}: frame {bad[0]} must be finite")
     return SceneBundle(grid, occupancy, visible, depth, poses, spec)

@@ -141,13 +141,8 @@ class DepthDistribution:
     def n_bins(self) -> int:
         return self.probs.shape[1]
 
-    @property
-    def bin_width(self) -> float:
-        return (self.d_max - self.d_min) / self.n_bins
-
     def bin_centers(self) -> np.ndarray:
-        idx = np.arange(self.n_bins, dtype=np.float64)
-        return self.d_min + (idx + 0.5) * self.bin_width
+        return bin_centers(self.d_min, self.d_max, self.n_bins)
 
     def validate(self) -> None:
         """Nonnegative probabilities summing to 1 per pixel, to within 1e-4
@@ -157,6 +152,12 @@ class DepthDistribution:
         sums = self.probs.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > 1e-4:
             raise ValueError("depth probabilities must sum to 1 per pixel")
+
+
+def bin_centers(d_min: float, d_max: float, n_bins: int) -> np.ndarray:
+    """Metric centers of ``n_bins`` uniform depth bins over [d_min, d_max)."""
+    idx = np.arange(n_bins, dtype=np.float64)
+    return d_min + (idx + 0.5) * ((d_max - d_min) / n_bins)
 
 
 def frustum_points(cam: CameraParams, depth_bins: np.ndarray) -> np.ndarray:
@@ -174,53 +175,92 @@ def frustum_points(cam: CameraParams, depth_bins: np.ndarray) -> np.ndarray:
     return pts_cam @ cam.rotation.T + cam.translation
 
 
+@dataclass(frozen=True)
+class LiftPlan:
+    """The frame-invariant half of a lift: which pseudo points land in the
+    grid, and where. The rig and the depth bins do not move between frames,
+    so one plan serves every frame of a run.
+
+    Per camera, ``inside`` is the (D, H_F, W_F) in-grid mask of its frustum
+    points, and ``pixel`` and ``voxel`` hold each kept point's flat feature
+    pixel and flat voxel index, in C order of (bin, row, col). ``centers``,
+    ``feature_size`` and ``grid`` are what the plan was built for.
+    """
+
+    grid: GridSpec
+    centers: np.ndarray
+    feature_size: tuple[int, int]
+    inside: tuple[np.ndarray, ...]
+    pixel: tuple[np.ndarray, ...]
+    voxel: tuple[np.ndarray, ...]
+
+    @property
+    def n_cameras(self) -> int:
+        return len(self.inside)
+
+    @classmethod
+    def build(
+        cls, cams: list[CameraParams], centers: np.ndarray, grid: GridSpec
+    ) -> "LiftPlan":
+        sizes = {cam.feature_size for cam in cams}
+        if len(sizes) != 1:
+            raise ValueError(f"cameras must share one feature extent, got {sizes}")
+        (feature_size,) = sizes
+        centers = np.array(centers, dtype=np.float64).reshape(-1)
+        inside, pixel, voxel = [], [], []
+        for cam in cams:
+            idx, ok = grid.voxel_index(frustum_points(cam, centers))
+            inside.append(ok)
+            pixel.append(np.flatnonzero(ok) % (feature_size[0] * feature_size[1]))
+            voxel.append(np.ravel_multi_index(tuple(idx[ok].T), grid.counts))
+        return cls(grid, centers, feature_size, tuple(inside), tuple(pixel), tuple(voxel))
+
+
 def lift_splat(
-    features: np.ndarray,
-    depth: DepthDistribution,
-    cams: list[CameraParams],
-    grid: GridSpec,
+    features: np.ndarray, depth: DepthDistribution, plan: LiftPlan
 ) -> np.ndarray:
     """Lift image features into a voxel grid.
 
     features: (N_c, C, H_F, W_F). Every pseudo point carries its pixel's
     feature scaled by the bin probability and is scatter-added into the voxel
-    containing it (``GridSpec.voxel_index``); points outside the grid are
-    dropped. ``grid`` is the pooled (already downsampled) grid.
-    Accumulation order is fixed, so results are deterministic.
+    containing it; points outside the grid are dropped. Both come from
+    ``plan`` (``LiftPlan.build``), whose grid is the pooled (already
+    downsampled) one. Each voxel sums its points from +0.0, camera by camera
+    and in C order within a camera, so results are deterministic.
     """
     if features.ndim != 4:
         raise ValueError(f"features must be 4D (cam, C, v, u), got {features.ndim}D")
-    if len(cams) != features.shape[0] or len(cams) != depth.probs.shape[0]:
+    if plan.n_cameras != features.shape[0] or plan.n_cameras != depth.probs.shape[0]:
         raise ValueError(
-            f"camera count mismatch: {len(cams)} rigs, {features.shape[0]} feature "
-            f"maps, {depth.probs.shape[0]} depth maps"
+            f"camera count mismatch: {plan.n_cameras} planned, {features.shape[0]} "
+            f"feature maps, {depth.probs.shape[0]} depth maps"
         )
-    if features.shape[2:] != depth.probs.shape[2:]:
+    if features.shape[2:] != plan.feature_size or depth.probs.shape[2:] != plan.feature_size:
         raise ValueError(
-            f"feature extents {features.shape[2:]} != depth extents "
-            f"{depth.probs.shape[2:]}"
+            f"feature extents {features.shape[2:]} and depth extents "
+            f"{depth.probs.shape[2:]} must equal the planned {plan.feature_size}"
         )
-    n_c, n_ch = features.shape[:2]
-    counts = grid.counts
-    n_vox = counts[0] * counts[1] * counts[2]
-    centers = depth.bin_centers()
-
-    out = np.zeros((n_ch, n_vox), dtype=np.float64)
-    for i in range(n_c):
-        pts = frustum_points(cams[i], centers)  # (D, H, W, 3)
-        idx, ok = grid.voxel_index(pts)
-        flat = (
-            idx[..., 0] * (counts[1] * counts[2])
-            + idx[..., 1] * counts[2]
-            + idx[..., 2]
-        )[ok]
-        prob = depth.probs[i].astype(np.float64)[ok]  # (n_pts,)
-        feat = features[i].astype(np.float64)  # (C, H, W)
-        # per-point feature = pixel feature * bin probability
-        for c in range(n_ch):
-            weights = prob * np.broadcast_to(feat[c], ok.shape)[ok]
-            out[c] += np.bincount(flat, weights=weights, minlength=n_vox)
-    return out.reshape((n_ch,) + counts).astype(features.dtype, copy=False)
+    if not np.array_equal(depth.bin_centers(), plan.centers):
+        raise ValueError(
+            f"depth bin centers {depth.bin_centers()} differ from the planned "
+            f"{plan.centers}"
+        )
+    n_ch = features.shape[1]
+    n_vox = int(np.prod(plan.grid.counts))
+    # per camera, every kept point's C per-channel weights: feature * prob
+    weights = [
+        features[i].reshape(n_ch, -1).astype(np.float64).take(pixel, axis=1)
+        * depth.probs[i][inside].astype(np.float64)
+        for i, (inside, pixel) in enumerate(zip(plan.inside, plan.pixel))
+    ]
+    # one channel at a time, so the float64 sum stays one small row
+    out = np.empty((n_ch, n_vox), dtype=features.dtype)
+    for c in range(n_ch):
+        acc = np.zeros(n_vox)
+        for voxel, w in zip(plan.voxel, weights):
+            acc += np.bincount(voxel, weights=w[c], minlength=n_vox)
+        out[c] = acc
+    return out.reshape((n_ch,) + plan.grid.counts)
 
 
 def sparsity_ratio(v: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from occkit.reparam import (
 from occkit.scene import camera_ring, gen_scene
 from occkit.schedule import MixupSchedule, gt_depth_from_points, mix_depth, mixup_alpha
 from occkit.tensor import ConvSpec, cast, conv2d, rng_named, softmax
-from occkit.view import DepthDistribution, GridSpec, lift_splat, sparsity_ratio
+from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat, sparsity_ratio
 
 
 def _verdict(idx, label, ok, detail):
@@ -186,7 +186,7 @@ def test_03_lift_matches_enumeration_oracle():
     worst_mass = 0.0
     for trial in range(10):
         feats, depth, cams = _lift_instance(trial)
-        got = lift_splat(feats, depth, cams, grid)
+        got = lift_splat(feats, depth, LiftPlan.build(cams, depth.bin_centers(), grid))
         want, mass = _lift_enumerated(feats, depth, cams, grid)
         scale = max(float(np.abs(want).max()), 1e-12)
         worst_rel = max(worst_rel, float(np.abs(got - want).max()) / scale)
@@ -326,7 +326,9 @@ def test_08_default_scene_lift_sparsity():
         for ci in range(cfg.scene_cameras)
     ]
     depth = DepthDistribution(np.stack(per_cam), cfg.d_min, cfg.d_max)
-    lifted = lift_splat(feats, depth, scene.cameras(), cfg.half_grid())
+    lifted = lift_splat(
+        feats, depth, LiftPlan.build(scene.cameras(), depth.bin_centers(), cfg.half_grid())
+    )
     ratio = sparsity_ratio(lifted)
     ok = ratio > 0.35
     detail = f"zero fraction {ratio:.3f} > 0.35"

@@ -84,3 +84,25 @@ def test_every_conv_span_lands_in_a_layer(tmp_path, mode):
     assert layers == {"fusion", "encoder", "bvl", "large_kernel", "head", "stub"}
     (totals,) = tracer.root_totals()
     assert "tensor.conv.other.calls" not in totals
+
+
+def test_lift_spans_keep_their_counts(tmp_path):
+    """perfbench counts a lift's pseudo points from its second argument, the
+    depth distribution: every encoded frame is one ``view.lift_splat`` span
+    of ``n_cams * bins * H * W`` points."""
+    spans = _spans()
+    path = tmp_path / "stub.cfg"
+    path.write_text(STUB_CONFIG)
+    config = parse_config(str(path))
+    scene = gen_scene(config.scene_spec())
+    tracer = spans.Tracer()
+    with tracer.active("call"):
+        occkit.pipeline.run_pipeline(config, scene, 0.5, "deploy")
+    lifts = min(config.scene_frames, config.queue_len + 1)
+    per_call = config.scene_cameras * config.depth_bins * config.scene_features[0] \
+        * config.scene_features[1]
+    points = [s["counts"]["points"] for s in tracer.spans if s["name"] == "view.lift_splat"]
+    assert points == [per_call] * lifts
+    (totals,) = tracer.root_totals()
+    assert totals["view.lift_splat.calls"] == lifts
+    assert totals["view.lift_splat.points"] == lifts * per_call

@@ -2,17 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.bev import (
     EgoPose,
     FusionWeights,
     SemanticEncoderWeights,
     TemporalQueue,
+    _planar_relative,
     collapse_height,
     semantic_encoder_2d,
     temporal_fuse,
     warp_bev,
 )
+from occkit.config import default_config
 from occkit.tensor import ConvSpec, cast, conv2d
 from occkit.view import GridSpec
 
@@ -21,6 +25,49 @@ EXACT_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 def bev_grid(n=32, half=16.0):
     return GridSpec((-half, -half, 0.0), (half, half, 1.0), (n, n, 1))
+
+
+def quarter_turn(k):
+    """Exact rotation by k * 90 degrees about z."""
+    c, s = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k % 4]
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def warp_four_gathers(b_hist, pose_hist, pose_now, grid):
+    """The warp before flat indices: four clipped 2D gathers, each masked
+    off the map, weighted and summed in one expression."""
+    nx, ny = grid.counts[0], grid.counts[1]
+    c, s, tx, ty = _planar_relative(pose_hist, pose_now)
+    vx, vy = grid.voxel_size[0], grid.voxel_size[1]
+    xs, ys = grid.start[0], grid.start[1]
+    a11 = c
+    a12 = -s * (vy / vx)
+    a21 = s * (vx / vy)
+    a22 = c
+    b_i = 0.5 * (a11 + a12) - 0.5 + ((c - 1.0) * xs - s * ys + tx) / vx
+    b_j = 0.5 * (a21 + a22) - 0.5 + (s * xs + (c - 1.0) * ys + ty) / vy
+    ii, jj = np.meshgrid(
+        np.arange(nx, dtype=np.float64), np.arange(ny, dtype=np.float64), indexing="ij"
+    )
+    u = a11 * ii + a12 * jj + b_i
+    v = a21 * ii + a22 * jj + b_j
+    u0 = np.floor(u).astype(np.int64)
+    v0 = np.floor(v).astype(np.int64)
+    fu = u - u0
+    fv = v - v0
+    src = b_hist.astype(np.float64)
+
+    def gather(iu, iv):
+        inside = (iu >= 0) & (iu < nx) & (iv >= 0) & (iv < ny)
+        return src[:, np.clip(iu, 0, nx - 1), np.clip(iv, 0, ny - 1)] * inside[None]
+
+    out = (
+        gather(u0, v0) * ((1.0 - fu) * (1.0 - fv))
+        + gather(u0, v0 + 1) * ((1.0 - fu) * fv)
+        + gather(u0 + 1, v0) * (fu * (1.0 - fv))
+        + gather(u0 + 1, v0 + 1) * (fu * fv)
+    )
+    return out.astype(b_hist.dtype, copy=False)
 
 
 class TestEgoPose:
@@ -150,6 +197,137 @@ class TestWarpBev:
     def test_rejects_extent_mismatch(self):
         with pytest.raises(ValueError, match="extents"):
             warp_bev(np.zeros((1, 8, 8)), EgoPose.identity(), EgoPose.identity(), bev_grid())
+
+
+# The half grids and BEV widths of a desk run, a wide run (perfbench's
+# 200x200x16 grid) and acceptance check 9's run, with each run's scene poses.
+WARP_RUNS = {
+    "desk": (32, default_config().grid, {}),
+    "wide": (32, GridSpec((-40, -40, -1), (40, 40, 2.2), (200, 200, 16)),
+             dict(scene_frames=8, scene_boxes=24)),
+    "check9": (8, GridSpec((-9.6, -9.6, -1), (9.6, 9.6, 1), (48, 48, 4)),
+               dict(scene_frames=4, scene_boxes=4, scene_speed=0.5)),
+}
+
+
+def shifted(b, dx, dy):
+    """``b`` read ``dx``, ``dy`` cells ahead, zero-filled off the map."""
+    nx, ny = b.shape[1:]
+    i, j = np.meshgrid(np.arange(nx) + dx, np.arange(ny) + dy, indexing="ij")
+    on_map = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+    out = np.zeros_like(b)
+    out[:, on_map] = b[:, i[on_map], j[on_map]]
+    return out
+
+
+def plus_zero(a):
+    """``a + 0.0``: turns -0.0 into +0.0 and leaves every other value alone.
+    A sample off the map reads a clipped cell times a +0 weight, so it is
+    -0.0 where that cell is negative."""
+    return a + a.dtype.type(0.0)
+
+
+@st.composite
+def warp_cases(draw):
+    """Random maps, grids (cells need not be square) and pose pairs: exact
+    quarter turns or any yaw, and whole-cell or arbitrary translations that
+    reach past the map, so samples land on cell faces and fall off the map."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    lo = rng.uniform(-10.0, 0.0, 2)
+    size = rng.uniform(0.2, 2.0, 2)
+    grid = GridSpec((lo[0], lo[1], 0.0), (lo[0] + nx * size[0], lo[1] + ny * size[1], 1.0),
+                    (nx, ny, 1))
+    vx, vy = grid.voxel_size[:2]
+
+    def pose():
+        if draw(st.booleans()):
+            rot = quarter_turn(draw(st.integers(0, 3)))
+        else:
+            rot = EgoPose.from_yaw(draw(st.floats(-np.pi, np.pi))).rotation
+        if draw(st.booleans()):
+            t = (rng.integers(-nx - 2, nx + 3) * vx, rng.integers(-ny - 2, ny + 3) * vy, 0.0)
+        else:
+            t = (*rng.uniform(-1.5, 1.5, 2) * (nx * vx, ny * vy), 0.0)
+        return EgoPose(rot, np.array(t))
+
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    b = rng.standard_normal((draw(st.integers(1, 3)), nx, ny)).astype(dtype)
+    b[rng.random(b.shape) < 0.2] = 0.0
+    return b, pose(), pose(), grid
+
+
+class TestWarpFlatGather:
+    """warp_bev gathers through flat indices with each off-map mask folded
+    into its weight; ``warp_four_gathers`` is the old form and the oracle."""
+
+    @pytest.mark.parametrize("name", list(WARP_RUNS))
+    def test_matches_four_gathers_at_run_shapes(self, name):
+        channels, grid, scene = WARP_RUNS[name]
+        config = dataclasses.replace(default_config(), grid=grid, **scene)
+        half = config.half_grid()
+        poses = config.scene_spec().poses()
+        poses.append(EgoPose.from_yaw(0.35, (1.7, -2.3, 0.0)))
+        rng = np.random.default_rng(13)
+        b = rng.standard_normal((channels,) + half.counts[:2]).astype(np.float32)
+        for pose_hist in poses:
+            got = warp_bev(b, pose_hist, poses[-2], half)
+            want = warp_four_gathers(b, pose_hist, poses[-2], half)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=warp_cases())
+    def test_matches_four_gathers(self, case):
+        b, pose_hist, pose_now, grid = case
+        got = warp_bev(b, pose_hist, pose_now, grid)
+        want = warp_four_gathers(b, pose_hist, pose_now, grid)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestExactWarps:
+    """Aligned warps move whole cells: the result is the zero-filled shifted
+    or rot90 copy, byte for byte (after ``plus_zero``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nx=st.integers(1, 12),
+        ny=st.integers(1, 12),
+        vx=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        vy=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        start=st.tuples(st.integers(-12, 4), st.integers(-12, 4)),
+        shift=st.tuples(st.integers(-14, 14), st.integers(-14, 14)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_whole_cell_shift(self, nx, ny, vx, vy, start, shift, dtype, seed):
+        x0, y0 = start[0] * vx, start[1] * vy
+        grid = GridSpec((x0, y0, 0.0), (x0 + nx * vx, y0 + ny * vy, 1.0), (nx, ny, 1))
+        b = np.random.default_rng(seed).standard_normal((2, nx, ny)).astype(dtype)
+        pose_now = EgoPose(np.eye(3), np.array([shift[0] * vx, shift[1] * vy, 0.0]))
+        out = warp_bev(b, EgoPose.identity(), pose_now, grid)
+        assert out.dtype == b.dtype
+        assert plus_zero(out).tobytes() == shifted(b, *shift).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        v=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        turns=st.integers(0, 3),
+        base=st.integers(0, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quarter_turns_on_square_grids(self, n, v, turns, base, dtype, seed):
+        half = n * v / 2
+        grid = GridSpec((-half, -half, 0.0), (half, half, 1.0), (n, n, 1))
+        b = np.random.default_rng(seed).standard_normal((2, n, n)).astype(dtype)
+        pose_hist = EgoPose(quarter_turn(base), np.zeros(3))
+        pose_now = EgoPose(quarter_turn(base + turns), np.zeros(3))
+        out = warp_bev(b, pose_hist, pose_now, grid)
+        want = np.rot90(b, -turns, axes=(1, 2))
+        assert plus_zero(out).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestTemporalQueue:

@@ -135,13 +135,18 @@ class TestNonFinite:
             text = f.read().replace("focal = 8.0", "focal = nan")
         with open(manifest, "w") as f:
             f.write(text)
-        self.assert_run_fails(config_path, scene_dir, capsys)
+        err = self.assert_run_fails(config_path, scene_dir, capsys)
+        assert err.endswith(
+            f"scene manifest {manifest}: key 'focal' must be finite, got 'nan'\n"
+        )
 
     def test_pose_file(self, config_path, scene_dir, capsys):
-        poses = gsdt.read(f"{scene_dir}/poses.gsdt")
+        path = f"{scene_dir}/poses.gsdt"
+        poses = gsdt.read(path)
         poses[-1, 0, 3] = np.nan
-        gsdt.write(f"{scene_dir}/poses.gsdt", poses)
-        self.assert_run_fails(config_path, scene_dir, capsys)
+        gsdt.write(path, poses)
+        err = self.assert_run_fails(config_path, scene_dir, capsys)
+        assert path in err and f"frame {len(poses) - 1} " in err
 
     @staticmethod
     def assert_run_fails(config_path, scene_dir, capsys):
@@ -150,6 +155,7 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be finite" in err
         assert err.count("\n") == 1
+        return err
 
 
 class TestRun:
@@ -241,6 +247,8 @@ class TestBench:
         assert "merged" in out
         assert "speedup" in out
         assert "full pipeline" in out
+        rows = [line.split()[0] for line in out.splitlines()[1:]]
+        assert rows.index("lift_plan") + 1 == rows.index("lift_splat")
 
     def test_rejects_zero_runs(self, config_path, capsys):
         assert main(["bench", "--config", config_path, "--runs", "0"]) == 1

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import occkit.pipeline
+import occkit.view
 from occkit.bev import TemporalQueue, collapse_height, semantic_encoder_2d, temporal_fuse
 from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
-from occkit.config import PipelineConfig
+from occkit.config import PipelineConfig, default_config
 from occkit.pipeline import (
     PipelineStageError,
     _gt_depth,
@@ -19,7 +20,7 @@ from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import mix_depth
 from occkit.tensor import conv3d, slab_rows
-from occkit.view import DepthDistribution, GridSpec, lift_splat
+from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat
 
 STAGES = (
     "depth",
@@ -71,7 +72,8 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
             [mix_depth(pred[i], gt_oh[i], alpha, valid[i]) for i in range(len(cams))]
         )
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
-        b = collapse_height(lift_splat(features, dist, cams, half))
+        plan = LiftPlan.build(cams, dist.bin_centers(), half)
+        b = collapse_height(lift_splat(features, dist, plan))
         b_t = temporal_fuse(queue, b, scene.pose(t), float(t), weights.fusion, half)
     v_s = bev_to_voxel_lift(semantic_encoder_2d(b_t, weights.encoder), weights.bvl_semantic)
     v_g0 = bev_to_voxel_lift(b_t, weights.bvl_geometric)
@@ -228,6 +230,28 @@ class TestFusionWindow:
         run_pipeline(config, gen_scene(config.scene_spec()), alpha=0.0)
         assert calls["temporal_fuse"] == 1
         assert calls["lift_splat"] == min(n_frames, queue_len + 1)
+
+    @pytest.mark.parametrize("desk", [False, True], ids=["small", "desk"])
+    def test_unprojects_each_camera_once_per_call(self, monkeypatch, desk):
+        """One lift plan per run_pipeline call: a desk call unprojects its
+        2 cameras once, not once per encoded frame (16 frames, 32 calls),
+        and a second call builds its own plan."""
+        config = default_config() if desk else small_config(scene_cameras=2, scene_frames=3)
+        scene = gen_scene(config.scene_spec())
+        weights = build_weights(config)
+        calls = []
+        original = occkit.view.frustum_points
+
+        def counted(cam, centers):
+            calls.append(cam)
+            return original(cam, centers)
+
+        monkeypatch.setattr(occkit.view, "frustum_points", counted)
+        first, _ = run_pipeline(config, scene, 0.5, "deploy", weights)
+        assert len(calls) == config.scene_cameras == 2
+        second, _ = run_pipeline(config, scene, 0.5, "deploy", weights)
+        assert len(calls) == 2 * config.scene_cameras
+        assert first.tobytes() == second.tobytes()
 
 
 class TestSlabbedTail:

@@ -1,12 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import occkit.view
+from occkit.config import default_config
+from occkit.pipeline import StubDepthWeights, _stub_depth, frame_features
+from occkit.schedule import gt_depth_from_points
 from occkit.view import (
     CameraParams,
     DepthDistribution,
     GridSpec,
+    LiftPlan,
+    bin_centers,
     frustum_points,
     lift_splat,
     sparsity_ratio,
@@ -82,6 +90,35 @@ def lift_loops(features, depth, cams, grid):
                             depth.probs[i, b, v, u] * features[i, :, v, u]
                         )
     return out
+
+
+def lift(features, depth, cams, grid):
+    """One lift through a plan built for it alone."""
+    return lift_splat(features, depth, LiftPlan.build(cams, depth.bin_centers(), grid))
+
+
+def lift_masked(features, depth, cams, grid):
+    """The lift before plans: per camera, unproject and look up every point,
+    then for each channel gather through the in-grid mask and bincount."""
+    n_c, n_ch = features.shape[:2]
+    counts = grid.counts
+    n_vox = counts[0] * counts[1] * counts[2]
+    centers = depth.bin_centers()
+    out = np.zeros((n_ch, n_vox), dtype=np.float64)
+    for i in range(n_c):
+        pts = frustum_points(cams[i], centers)
+        idx, ok = grid.voxel_index(pts)
+        flat = (
+            idx[..., 0] * (counts[1] * counts[2])
+            + idx[..., 1] * counts[2]
+            + idx[..., 2]
+        )[ok]
+        prob = depth.probs[i].astype(np.float64)[ok]
+        feat = features[i].astype(np.float64)
+        for c in range(n_ch):
+            weights = prob * np.broadcast_to(feat[c], ok.shape)[ok]
+            out[c] += np.bincount(flat, weights=weights, minlength=n_vox)
+    return out.reshape((n_ch,) + counts).astype(features.dtype, copy=False)
 
 
 class TestGridSpec:
@@ -233,7 +270,7 @@ class TestDepthDistribution:
     def test_bin_centers(self):
         d = DepthDistribution(np.full((1, 4, 1, 1), 0.25), d_min=1.0, d_max=5.0)
         np.testing.assert_allclose(d.bin_centers(), [1.5, 2.5, 3.5, 4.5])
-        assert d.bin_width == pytest.approx(1.0)
+        assert d.bin_centers().tobytes() == bin_centers(1.0, 5.0, 4).tobytes()
 
     def test_validate_rejects_negative(self):
         probs = np.full((1, 2, 1, 1), 0.5)
@@ -265,7 +302,7 @@ class TestLiftSplat:
         probs[0, 2, 0, 0] = 1.0  # bin center 3.5
         depth = DepthDistribution(probs, d_min=1.0, d_max=5.0)
         features = np.full((1, 3, 1, 1), 2.5, dtype=np.float32)
-        out = lift_splat(features, depth, [cam], grid)
+        out = lift(features, depth, [cam], grid)
         assert out.shape == (3, 4, 4, 4)
         np.testing.assert_allclose(out[:, 1, 2, 2], 2.5)
         out[:, 1, 2, 2] = 0
@@ -276,7 +313,7 @@ class TestLiftSplat:
         grid = GridSpec((0, -0.5, -0.5), (4, 0.5, 0.5), (4, 1, 1))  # 1 m voxels
         depth = DepthDistribution(np.ones((1, 1, 1, 1)), d_min=1.5, d_max=2.5)
         assert frustum_points(cam, depth.bin_centers())[0, 0, 0, 0] == 2.0
-        out = lift_splat(np.ones((1, 1, 1, 1)), depth, [cam], grid)
+        out = lift(np.ones((1, 1, 1, 1)), depth, [cam], grid)
         np.testing.assert_array_equal(out[0, :, 0, 0], [0.0, 0.0, 1.0, 0.0])
 
     def test_out_of_range_points_dropped(self):
@@ -284,7 +321,7 @@ class TestLiftSplat:
         grid = GridSpec((100, 100, 100), (108, 108, 108), (4, 4, 4))
         probs = np.full((1, 4, 1, 1), 0.25)
         depth = DepthDistribution(probs, d_min=1.0, d_max=5.0)
-        out = lift_splat(np.ones((1, 2, 1, 1), dtype=np.float32), depth, [cam], grid)
+        out = lift(np.ones((1, 2, 1, 1), dtype=np.float32), depth, [cam], grid)
         assert not out.any()
 
     def test_matches_enumeration_oracle(self):
@@ -296,7 +333,7 @@ class TestLiftSplat:
             logits = rng.standard_normal((2, 8, 4, 8))
             probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
             depth = DepthDistribution(probs, d_min=0.5, d_max=8.5)
-            got = lift_splat(features, depth, cams, grid)
+            got = lift(features, depth, cams, grid)
             want = lift_loops(features, depth, cams, grid)
             scale = max(np.abs(want).max(), 1e-9)
             assert np.abs(got - want).max() <= 1e-4 * scale
@@ -308,7 +345,7 @@ class TestLiftSplat:
         features = rng.uniform(0.5, 2.0, (1, 2, 4, 8)).astype(np.float64)
         probs = np.full((1, 8, 4, 8), 0.125)
         depth = DepthDistribution(probs, d_min=0.5, d_max=8.5)
-        out = lift_splat(features, depth, cams, grid)
+        out = lift(features, depth, cams, grid)
 
         pts = frustum_points(cams[0], depth.bin_centers())
         idx = np.floor((pts - np.array(grid.start)) / np.array(grid.voxel_size))
@@ -324,10 +361,10 @@ class TestLiftSplat:
         cam_a, cam_b = random_camera(rng), random_camera(rng)
         features = rng.uniform(0.1, 1.0, (2, 2, 4, 8)).astype(np.float64)
         probs = np.full((2, 8, 4, 8), 0.125)
-        one = lift_splat(
+        one = lift(
             features[:1], DepthDistribution(probs[:1], 0.5, 8.5), [cam_a], grid
         )
-        both = lift_splat(
+        both = lift(
             features, DepthDistribution(probs, 0.5, 8.5), [cam_a, cam_b], grid
         )
         assert both.sum() >= one.sum() - 1e-12
@@ -340,8 +377,8 @@ class TestLiftSplat:
         f2 = rng.standard_normal((1, 2, 4, 8))
         probs = np.full((1, 8, 4, 8), 0.125)
         depth = DepthDistribution(probs, 0.5, 8.5)
-        lhs = lift_splat(2.0 * f1 + 3.0 * f2, depth, cams, grid)
-        rhs = 2.0 * lift_splat(f1, depth, cams, grid) + 3.0 * lift_splat(
+        lhs = lift(2.0 * f1 + 3.0 * f2, depth, cams, grid)
+        rhs = 2.0 * lift(f1, depth, cams, grid) + 3.0 * lift(
             f2, depth, cams, grid
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -351,7 +388,194 @@ class TestLiftSplat:
         probs = np.full((2, 4, 1, 1), 0.25)
         depth = DepthDistribution(probs, 1.0, 5.0)
         with pytest.raises(ValueError, match="camera count"):
-            lift_splat(np.ones((2, 2, 1, 1), dtype=np.float32), depth, [cam], grid)
+            lift(np.ones((2, 2, 1, 1), dtype=np.float32), depth, [cam], grid)
+
+
+# The lift inputs of a desk run (default config), a wide run (perfbench's
+# 200x200x16 grid) and acceptance check 9's run.
+RUN_CONFIGS = {
+    "desk": {},
+    "wide": dict(grid=GridSpec((-40, -40, -1), (40, 40, 2.2), (200, 200, 16))),
+    "check9": dict(
+        grid=GridSpec((-9.6, -9.6, -1), (9.6, 9.6, 1), (48, 48, 4)),
+        depth_bins=8,
+        channels=8,
+        refined_channels=8,
+        scene_image=(64, 176),
+        scene_features=(8, 22),
+        scene_focal=88.0,
+    ),
+}
+
+
+def run_lift_inputs(name, depth_provider):
+    """(features, depth, cams, half grid) of one frame of a run's lift:
+    one-hot depth from random hits (30% missing), or the stub depth head."""
+    config = dataclasses.replace(default_config(), **RUN_CONFIGS[name])
+    cams = config.scene_spec().cameras()
+    features = frame_features(config, config.scene_frames - 1)
+    if depth_provider == "stub":
+        stub = StubDepthWeights.seeded(config.seed, config.channels, config.depth_bins)
+        probs = _stub_depth(features, stub)
+    else:
+        rng = np.random.default_rng(0)
+        hits = rng.uniform(0.0, config.d_max + 5.0, (len(cams),) + config.scene_features)
+        hits[rng.random(hits.shape) < 0.3] = -1.0
+        probs = np.stack([
+            gt_depth_from_points(d, config.d_min, config.d_max, config.depth_bins)[0]
+            for d in hits
+        ])
+    depth = DepthDistribution(probs, config.d_min, config.d_max)
+    return features, depth, cams, config.half_grid()
+
+
+@st.composite
+def lift_cases(draw):
+    """Random rigs, grids and inputs. With ``on_faces`` every frustum point
+    has integer (or half-integer) coordinates on a grid of 0.5, 1 or 2 m
+    voxels at an integer start, so many points lie on voxel faces: unit
+    intrinsics, one image pixel per feature pixel, whole-metre bin centres,
+    signed-permutation rotations and integer translations. Otherwise the
+    cameras are random. Either way the grid covers only part of the
+    frustums, so some points fall outside it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cams, n_ch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    n_bins = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        cams = [
+            CameraParams(
+                np.eye(3),
+                np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], (3, 1)),
+                rng.integers(-3, 4, 3).astype(np.float64),
+                (h, w),
+                (h, w),
+            )
+            for _ in range(n_cams)
+        ]
+        d_min, d_max = 0.5, 0.5 + n_bins
+        size = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        start = rng.integers(-8, 1, 3).astype(np.float64)
+        counts = rng.integers(1, 12, 3)
+        grid = GridSpec(start, start + counts * size, counts)
+    else:
+        cams = [random_camera(rng, (2 * h, 2 * w), (h, w)) for _ in range(n_cams)]
+        d_min = rng.uniform(0.2, 2.0)
+        d_max = d_min + rng.uniform(1.0, 12.0)
+        lo = rng.uniform(-8.0, 0.0, 3)
+        grid = GridSpec(lo, lo + rng.uniform(0.5, 12.0, 3), rng.integers(1, 9, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    probs = rng.dirichlet(np.ones(n_bins), (n_cams, h, w)).transpose(0, 3, 1, 2)
+    probs[rng.random(probs.shape) < 0.3] = 0.0
+    frames = [
+        (
+            rng.standard_normal((n_cams, n_ch, h, w)).astype(dtype),
+            DepthDistribution(rng.permutation(probs, axis=1), d_min, d_max),
+        )
+        for _ in range(2)
+    ]
+    return frames, cams, grid
+
+
+class TestLiftPlan:
+    @pytest.mark.parametrize("depth_provider", ["gt", "stub"])
+    @pytest.mark.parametrize("name", list(RUN_CONFIGS))
+    def test_matches_masked_lift_at_run_shapes(self, name, depth_provider):
+        features, depth, cams, grid = run_lift_inputs(name, depth_provider)
+        got = lift(features, depth, cams, grid)
+        want = lift_masked(features, depth, cams, grid)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=lift_cases())
+    def test_one_plan_matches_masked_lift_every_frame(self, case):
+        frames, cams, grid = case
+        plan = LiftPlan.build(cams, frames[0][1].bin_centers(), grid)
+        for features, depth in frames:
+            got = lift_splat(features, depth, plan)
+            want = lift_masked(features, depth, cams, grid)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_cameras_sum_one_after_another(self):
+        """Two coinciding cameras put many points into each voxel of a coarse
+        grid, so the order of the sum shows in the low bits: each camera's
+        points are summed alone and the camera sums added in turn."""
+        rng = np.random.default_rng(14)
+        cam = random_camera(rng)
+        grid = GridSpec((-10, -10, -10), (10, 10, 10), (2, 2, 2))
+        features = rng.standard_normal((2, 3, 4, 8))
+        depth = DepthDistribution(rng.dirichlet(np.ones(8), (2, 4, 8)).transpose(0, 3, 1, 2),
+                                  0.5, 8.5)
+        got = lift(features, depth, [cam, cam], grid)
+        assert got.tobytes() == lift_masked(features, depth, [cam, cam], grid).tobytes()
+
+    def test_records_what_it_was_built_for(self):
+        rng = np.random.default_rng(9)
+        cams = [random_camera(rng), random_camera(rng)]
+        grid = GridSpec((-6, -6, -3), (6, 6, 3), (6, 6, 3))
+        centers = bin_centers(0.5, 8.5, 8)
+        plan = LiftPlan.build(cams, centers, grid)
+        assert plan.n_cameras == 2 and plan.feature_size == (4, 8)
+        assert plan.grid == grid
+        assert plan.centers.tobytes() == centers.tobytes()
+        depth = DepthDistribution(np.full((2, 8, 4, 8), 0.125), 0.5, 8.5)
+        assert depth.bin_centers().tobytes() == centers.tobytes()
+        for cam, inside, pixel, voxel in zip(cams, plan.inside, plan.pixel, plan.voxel):
+            idx, ok = grid.voxel_index(frustum_points(cam, centers))
+            assert inside.tobytes() == ok.tobytes()
+            assert pixel.shape == voxel.shape == (ok.sum(),)
+            np.testing.assert_array_equal(np.unravel_index(voxel, grid.counts), idx[ok].T)
+
+    @pytest.mark.parametrize(
+        "features_shape, probs_shape, d_max, match",
+        [
+            ((2, 3, 4, 8), (1, 8, 4, 8), 8.5, "camera count"),
+            ((1, 3, 4, 8), (2, 8, 4, 8), 8.5, "camera count"),
+            ((1, 3, 4, 7), (1, 8, 4, 8), 8.5, "extents"),
+            ((1, 3, 4, 8), (1, 8, 3, 8), 8.5, "extents"),
+            ((1, 3, 4, 8), (1, 8, 4, 8), 9.5, "bin centers"),
+            ((1, 3, 4, 8), (1, 4, 4, 8), 8.5, "bin centers"),
+            ((3, 4, 8), (1, 8, 4, 8), 8.5, "4D"),
+        ],
+        ids=["features-cams", "depth-cams", "features-extents", "depth-extents",
+             "bin-range", "bin-count", "features-rank"],
+    )
+    def test_rejects_inputs_it_was_not_built_for(
+        self, features_shape, probs_shape, d_max, match
+    ):
+        cam = random_camera(np.random.default_rng(10))
+        grid = GridSpec((-6, -6, -3), (6, 6, 3), (6, 6, 3))
+        plan = LiftPlan.build([cam], bin_centers(0.5, 8.5, 8), grid)
+        probs = np.full(probs_shape, 1.0 / probs_shape[1])
+        with pytest.raises(ValueError, match=match):
+            lift_splat(np.ones(features_shape), DepthDistribution(probs, 0.5, d_max), plan)
+
+    def test_rejects_mixed_feature_extents(self):
+        rng = np.random.default_rng(11)
+        cams = [random_camera(rng), random_camera(rng, feature_size=(2, 4))]
+        grid = GridSpec((-6, -6, -3), (6, 6, 3), (6, 6, 3))
+        with pytest.raises(ValueError, match="feature extent"):
+            LiftPlan.build(cams, bin_centers(0.5, 8.5, 8), grid)
+
+    def test_unprojects_each_camera_once(self, monkeypatch):
+        calls = []
+        original = occkit.view.frustum_points
+
+        def counted(cam, centers):
+            calls.append(cam)
+            return original(cam, centers)
+
+        monkeypatch.setattr(occkit.view, "frustum_points", counted)
+        rng = np.random.default_rng(12)
+        cams = [random_camera(rng), random_camera(rng)]
+        grid = GridSpec((-6, -6, -3), (6, 6, 3), (6, 6, 3))
+        plan = LiftPlan.build(cams, bin_centers(0.5, 8.5, 8), grid)
+        depth = DepthDistribution(np.full((2, 8, 4, 8), 0.125), 0.5, 8.5)
+        for _ in range(3):
+            lift_splat(np.ones((2, 3, 4, 8)), depth, plan)
+        assert calls == cams
 
 
 class TestSparsityRatio:
