@@ -156,7 +156,10 @@ def _cmd_bench(args) -> int:
     )
     print(f"  {'lift_splat':<14} {lift_med:12.4f} {lift_min:12.4f}")
 
+    t0 = time.perf_counter()
     scene = gen_scene(config.scene_spec())
+    scene_s = time.perf_counter() - t0
+    print(f"  {'gen_scene':<14} {scene_s:12.4f} {scene_s:12.4f}")
     t0 = time.perf_counter()
     _, report = run_pipeline(config, scene, alpha=0.0)
     pipeline_s = time.perf_counter() - t0

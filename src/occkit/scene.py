@@ -142,7 +142,15 @@ class SceneSpec:
             size_z = rng.uniform(0.8, min(2.4, z_span))
             margin = np.array([size_xy[0], size_xy[1], size_z]) * 0.5
             # keep a clear bubble around the ego so cameras never start
-            # inside an obstacle
+            # inside an obstacle; the centre range's farthest corner says
+            # whether any centre clears it
+            reach = np.maximum(np.abs(lo[:2] + margin[:2]), np.abs(hi[:2] - margin[:2]))
+            if np.hypot(*reach) <= 3.0:
+                raise ValueError(
+                    f"grid {self.grid.start}..{self.grid.end} has no room for a "
+                    f"{size_xy[0]:.2f} x {size_xy[1]:.2f} m box outside the 3 m "
+                    f"bubble around the ego"
+                )
             while True:
                 cx = rng.uniform(lo[0] + margin[0], hi[0] - margin[0])
                 cy = rng.uniform(lo[1] + margin[1], hi[1] - margin[1])
@@ -228,50 +236,68 @@ def _march_frame(
     """Depth and visibility for one frame.
 
     Every feature pixel casts one ray, parametrized by optical-axis depth so
-    samples sit at d = (k + 0.5) * step. The first sample inside an occupied
-    voxel brackets the surface; bisection then narrows the crossing to
-    ~1e-7 * step. Depth error against the true first crossing is bounded by
-    one step (a grazing ray can skip a sliver thinner than the step).
-    Visibility marks every voxel a sample lands in up to and including the
-    hit voxel.
+    samples sit at d = (k + 0.5) * step, up to d_max: the samples of a march
+    that steps every ray to d_max. A slab test clips each ray to the grid
+    box widened by one step of travel on every side, and the ray keeps only
+    its samples inside that. A dropped sample lies over a step outside the
+    grid, far beyond the rounding of its coordinates, so it could neither
+    mark a voxel visible nor hit one; this holds as well along direction
+    components of 0 or within rounding of 0. Each camera's kept samples are
+    then looked up in one pass, in (ray, k) order.
+
+    A ray's first sample inside an occupied voxel brackets the surface;
+    bisection then narrows the crossing to ~1e-7 * step. Depth error against
+    the true first crossing is bounded by one step (a grazing ray can skip a
+    sliver thinner than the step). Visibility marks every voxel a sample
+    lands in up to and including the hit voxel.
     """
-    origins = []
-    dirs = []
+    occupied = occ.reshape(-1) != EMPTY_CLASS
+    visible = np.zeros(occ.size, dtype=bool)
+
+    def lookup(x, y, z):
+        """Flat voxel index, in-grid mask and occupied mask of points."""
+        flat, inside = grid.flat_index(x, y, z)
+        return flat, inside, inside & occupied.take(flat, mode="clip")
+
+    # the march's samples: k < ceil(d_max / step) and d <= d_max
+    ks = np.arange(int(np.ceil(d_max / step)))
+    n_steps = int(np.count_nonzero((ks + 0.5) * step <= d_max))
+    start, end = np.array(grid.start), np.array(grid.end)
+    origins, dirs, hit_d = [], [], []
     for cam in cams:
         pix = cam.pixels().reshape(-1, 3)
         ray = pix @ np.linalg.inv(cam.intrinsics).T  # z component is exactly 1
-        dirs.append(ray @ cam.rotation.T)
-        origins.append(np.broadcast_to(cam.translation, ray.shape))
+        r = ray @ cam.rotation.T
+        o = cam.translation
+        origins.append(np.broadcast_to(o, r.shape))
+        dirs.append(r)
+
+        pad = step * np.linalg.norm(r, axis=1, keepdims=True)  # one step of travel
+        with np.errstate(all="ignore"):  # 0 components give inf, or nan fmin/fmax skip
+            t1, t2 = (start - pad - o) / r, (end + pad - o) / r
+            near, far = np.fmin(t1, t2).max(axis=1), np.fmax(t1, t2).min(axis=1)
+            k_lo = np.clip(np.ceil(near / step - 0.5), 0, n_steps).astype(np.int64)
+            k_hi = np.clip(np.floor(far / step - 0.5) + 1, 0, n_steps).astype(np.int64)
+        n = np.maximum(k_hi - k_lo, 0)
+
+        # every kept sample of the camera, in (ray, k) order
+        first = np.cumsum(n) - n
+        ray_of = np.repeat(np.arange(len(n)), n)
+        k = np.arange(n.sum()) + np.repeat(k_lo - first, n)
+        d = (k + 0.5) * step
+        flat, inside, hit = lookup(*(o[a] + d * r[ray_of, a] for a in range(3)))
+
+        hits = np.flatnonzero(hit)
+        hits = hits[np.diff(ray_of[hits], prepend=-1) != 0]  # each ray's first
+        last = first + n - 1
+        last[ray_of[hits]] = hits
+        visible[flat[inside & (np.arange(k.size) <= last[ray_of])]] = True
+        cam_d = np.full(len(n), -1.0)
+        cam_d[ray_of[hits]] = d[hits]
+        hit_d.append(cam_d)
     origins = np.concatenate(origins)  # (R, 3)
     dirs = np.concatenate(dirs)
-
-    def lookup(points):
-        """Index arrays of the in-grid points' voxels, and which points lie
-        in an occupied voxel."""
-        idx, inside = grid.voxel_index(points)
-        ijk = tuple(idx[inside].T)
-        hit = np.zeros(len(points), dtype=bool)
-        hit[inside] = occ[ijk] != EMPTY_CLASS
-        return ijk, hit
-
-    n_rays = origins.shape[0]
-    hit_d = np.full(n_rays, -1.0)
-    active = np.ones(n_rays, dtype=bool)
-    visible = np.zeros(grid.counts, dtype=bool)
-
-    n_steps = int(np.ceil(d_max / step))
-    for k in range(n_steps):
-        if not active.any():
-            break
-        d = (k + 0.5) * step
-        if d > d_max:
-            break
-        ijk, occ_hit = lookup(origins[active] + d * dirs[active])
-        visible[ijk] = True
-        if occ_hit.any():
-            ray_ids = np.nonzero(active)[0][occ_hit]
-            hit_d[ray_ids] = d
-            active[ray_ids] = False
+    hit_d = np.concatenate(hit_d)
 
     # bisect [d_hit - step, d_hit] down to the free/occupied crossing
     hit_ids = np.nonzero(hit_d > 0)[0]
@@ -282,14 +308,14 @@ def _march_frame(
         r = dirs[hit_ids]
         for _ in range(30):
             mid = 0.5 * (lo + hi)
-            occ_mid = lookup(o + mid[:, None] * r)[1]
+            occ_mid = lookup(*(o + mid[:, None] * r).T)[2]
             hi = np.where(occ_mid, mid, hi)
             lo = np.where(occ_mid, lo, mid)
         hit_d[hit_ids] = 0.5 * (lo + hi)
 
     h_f, w_f = cams[0].feature_size
     depth = hit_d.reshape(len(cams), h_f, w_f).astype(np.float32)
-    return depth, visible
+    return depth, visible.reshape(grid.counts)
 
 
 def gen_scene(spec: SceneSpec) -> SceneBundle:

@@ -56,14 +56,31 @@ class GridSpec:
         idx = np.arange(self.counts[axis], dtype=np.float64)
         return self.start[axis] + (idx + 0.5) * size
 
+    def _axis_index(self, coords: np.ndarray, axis: int) -> np.ndarray:
+        """Unclipped int64 voxel index of metric coordinates along one axis.
+        Cells are half-open [lo, hi), so a coordinate on a shared face
+        belongs to the higher-index voxel."""
+        coords = np.asarray(coords, dtype=np.float64)
+        size = self.voxel_size[axis]
+        return np.floor((coords - self.start[axis]) / size).astype(np.int64)
+
     def voxel_index(self, points: np.ndarray):
         """Voxel of each metric point (..., 3): ``(idx, inside)``, the int64
-        (..., 3) index and whether it lies in the grid. Cells are half-open
-        [lo, hi), so a point on a shared face belongs to the higher-index
-        voxel; ``idx`` is unclipped outside the grid."""
-        idx = np.floor((points - np.array(self.start)) / np.array(self.voxel_size))
-        idx = idx.astype(np.int64)
+        (..., 3) index and whether it lies in the grid; ``idx`` is unclipped
+        outside the grid."""
+        idx = np.stack([self._axis_index(points[..., a], a) for a in range(3)], axis=-1)
         return idx, ((idx >= 0) & (idx < np.array(self.counts))).all(axis=-1)
+
+    def flat_index(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        """C-order flat voxel index of each point given per axis:
+        ``(flat, inside)``, by the same rule as ``voxel_index``. ``flat`` is
+        meaningful only where ``inside``."""
+        flat, inside = 0, True
+        for a, (coords, n) in enumerate(zip((x, y, z), self.counts)):
+            i = self._axis_index(coords, a)
+            inside = inside & (i >= 0) & (i < n)
+            flat = flat * n + i
+        return flat, inside
 
 
 @dataclass(frozen=True)
@@ -209,10 +226,11 @@ class LiftPlan:
         centers = np.array(centers, dtype=np.float64).reshape(-1)
         inside, pixel, voxel = [], [], []
         for cam in cams:
-            idx, ok = grid.voxel_index(frustum_points(cam, centers))
+            pts = frustum_points(cam, centers)
+            flat, ok = grid.flat_index(pts[..., 0], pts[..., 1], pts[..., 2])
             inside.append(ok)
             pixel.append(np.flatnonzero(ok) % (feature_size[0] * feature_size[1]))
-            voxel.append(np.ravel_multi_index(tuple(idx[ok].T), grid.counts))
+            voxel.append(flat[ok])
         return cls(grid, centers, feature_size, tuple(inside), tuple(pixel), tuple(voxel))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.bvl import (
     BVLWeights,
@@ -67,6 +69,39 @@ class TestBevToVoxelLift:
         want = context_map(b, w) / 8.0
         for z in range(8):
             np.testing.assert_allclose(out[:, :, :, z], want, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        c_in=st.integers(1, 8),
+        c_out=st.integers(1, 8),
+        n_heights=st.integers(1, 16),
+        extent=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        scale=st.floats(0.01, 10.0),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_height_sum_reproduces_context(
+        self, c_in, c_out, n_heights, extent, scale, dtype, seed
+    ):
+        """Partition of unity: the lifted volume's height-sum is the context
+        conv to within 1e-5 of its largest value, for weights from near-flat
+        to sharply peaked height logits."""
+        rng = np.random.default_rng(seed)
+        w = cast(
+            BVLWeights(
+                scale * rng.standard_normal((c_out, c_in, 1, 1)),
+                scale * rng.standard_normal(c_out),
+                scale * rng.standard_normal((n_heights, c_in, 1, 1)),
+                scale * rng.standard_normal(n_heights),
+            ),
+            dtype,
+        )
+        b = rng.standard_normal((c_in,) + extent).astype(dtype)
+        vol = bev_to_voxel_lift(b, w)
+        ctx = context_map(b, w)
+        assert vol.shape == (c_out,) + extent + (n_heights,) and vol.dtype == dtype
+        peak = max(float(np.abs(ctx).max()), 1e-12)
+        assert float(np.abs(vol.sum(axis=3) - ctx).max()) <= 1e-5 * peak
 
     def test_saturated_one_hot_height(self):
         # huge bias on one height slot concentrates all mass there

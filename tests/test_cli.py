@@ -249,6 +249,7 @@ class TestBench:
         assert "full pipeline" in out
         rows = [line.split()[0] for line in out.splitlines()[1:]]
         assert rows.index("lift_plan") + 1 == rows.index("lift_splat")
+        assert rows.index("gen_scene") + 1 == rows.index("full")
 
     def test_rejects_zero_runs(self, config_path, capsys):
         assert main(["bench", "--config", config_path, "--runs", "0"]) == 1

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occkit.bev import EgoPose
@@ -12,13 +12,14 @@ from occkit.scene import (
     BoxObstacle,
     SceneBundle,
     SceneSpec,
+    _march_frame,
     _rasterize,
     camera_ring,
     gen_scene,
     load_scene,
     save_scene,
 )
-from occkit.view import GridSpec
+from occkit.view import CameraParams, GridSpec
 
 # exact binary grid: 0.5 m voxels, so aligned box faces voxelize losslessly
 ALIGNED_GRID = GridSpec((-16.0, -16.0, -1.0), (16.0, 16.0, 3.0), (64, 64, 8))
@@ -104,6 +105,12 @@ class TestSceneSpec:
             assert (b.hi <= np.array(ALIGNED_GRID.end) + 1e-9).all()
             assert np.hypot(b.center[0], b.center[1]) > 3.0
             assert 1 <= b.cls < EMPTY_CLASS
+
+    def test_no_room_outside_the_ego_bubble_rejected(self):
+        # every box centre lies within 2.64 m of the ego
+        grid = GridSpec((-2.5, -2.0, -1.0), (2.5, 2.0, 1.0), (10, 8, 4))
+        with pytest.raises(ValueError, match="no room"):
+            SceneSpec(seed=0, grid=grid, n_frames=1, n_boxes=1).resolve_boxes()
 
     def test_explicit_box_outside_grid_rejected(self):
         bad = BoxObstacle((30.0, 0.0, 0.0), (2.0, 2.0, 1.0), cls=1)
@@ -413,3 +420,257 @@ def test_manifest_matches_fstring_writer(tmp_path, spec):
     )
     save_scene(bundle, str(tmp_path))
     assert (tmp_path / "manifest.txt").read_bytes() == manifest_fstrings(spec).encode()
+
+
+def march_stepwise(occ, grid, cams, d_max, step):
+    """The renderer before ray clipping, kept as the oracle for
+    ``_march_frame``: every ray that has not hit yet advances one step at a
+    time until the last one reaches d_max."""
+    origins = []
+    dirs = []
+    for cam in cams:
+        pix = cam.pixels().reshape(-1, 3)
+        ray = pix @ np.linalg.inv(cam.intrinsics).T
+        dirs.append(ray @ cam.rotation.T)
+        origins.append(np.broadcast_to(cam.translation, ray.shape))
+    origins = np.concatenate(origins)
+    dirs = np.concatenate(dirs)
+
+    def lookup(points):
+        idx, inside = grid.voxel_index(points)
+        ijk = tuple(idx[inside].T)
+        hit = np.zeros(len(points), dtype=bool)
+        hit[inside] = occ[ijk] != EMPTY_CLASS
+        return ijk, hit
+
+    n_rays = origins.shape[0]
+    hit_d = np.full(n_rays, -1.0)
+    active = np.ones(n_rays, dtype=bool)
+    visible = np.zeros(grid.counts, dtype=bool)
+    for k in range(int(np.ceil(d_max / step))):
+        if not active.any():
+            break
+        d = (k + 0.5) * step
+        if d > d_max:
+            break
+        ijk, occ_hit = lookup(origins[active] + d * dirs[active])
+        visible[ijk] = True
+        if occ_hit.any():
+            ray_ids = np.nonzero(active)[0][occ_hit]
+            hit_d[ray_ids] = d
+            active[ray_ids] = False
+
+    hit_ids = np.nonzero(hit_d > 0)[0]
+    if hit_ids.size:
+        lo = np.maximum(hit_d[hit_ids] - step, 1e-9)
+        hi = hit_d[hit_ids].copy()
+        o = origins[hit_ids]
+        r = dirs[hit_ids]
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            occ_mid = lookup(o + mid[:, None] * r)[1]
+            hi = np.where(occ_mid, mid, hi)
+            lo = np.where(occ_mid, lo, mid)
+        hit_d[hit_ids] = 0.5 * (lo + hi)
+    h_f, w_f = cams[0].feature_size
+    return hit_d.reshape(len(cams), h_f, w_f).astype(np.float32), visible
+
+
+def assert_march_matches_stepwise(occ, grid, cams, d_max, step):
+    depth, visible = _march_frame(occ, grid, cams, d_max, step)
+    want_depth, want_visible = march_stepwise(occ, grid, cams, d_max, step)
+    assert depth.tobytes() == want_depth.tobytes()
+    assert visible.dtype == bool and visible.shape == grid.counts
+    assert visible.tobytes() == want_visible.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 13])
+@pytest.mark.parametrize("name", ["desk", "wide", "check9"])
+def test_march_matches_stepwise_on_workload_scenes(name, seed):
+    """The clipped march renders the desk, wide and check-9 scenes' first and
+    last frames byte for byte as the step loop does."""
+    spec = replace(MANIFEST_SPECS[name], seed=seed)
+    boxes = spec.resolve_boxes()
+    poses = spec.poses()
+    for t in (0, spec.n_frames - 1):
+        occ = _rasterize(boxes, spec.grid, poses[t])
+        assert_march_matches_stepwise(
+            occ, spec.grid, spec.cameras(), spec.d_max, spec.march_step
+        )
+
+
+# camera-to-ego rotations whose entries are exactly 0 and 1, so a ray through
+# a centre pixel has direction components of exactly 0
+EXACT_ROTATIONS = {
+    "forward": np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
+    "left": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]),
+    "down": np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]),
+}
+
+
+def tilted(yaw, pitch):
+    cy, sy, cp, sp = np.cos(yaw), np.sin(yaw), np.cos(pitch), np.sin(pitch)
+    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    return rz @ ry @ EXACT_ROTATIONS["forward"]
+
+
+def rig_camera(rotation, origin, extent):
+    """A pinhole camera whose image is its feature map; with an odd extent
+    and a power-of-two focal length its centre pixel's ray is exact."""
+    k = np.array([[4.0, 0.0, extent / 2 - 0.5], [0.0, 4.0, extent / 2 - 0.5], [0, 0, 1]])
+    return CameraParams(k, rotation, origin, (extent, extent), (extent, extent))
+
+
+def face_boxes(grid, spans, cls=3):
+    """Occupancy of boxes given as voxel index spans, so a span that starts at
+    0 or ends at the count puts the box's face on the grid's."""
+    occ = np.full(grid.counts, EMPTY_CLASS, dtype=np.uint8)
+    for span in spans:
+        occ[tuple(slice(lo, hi) for lo, hi in span)] = cls
+    return occ
+
+
+def spans_strategy(counts):
+    def span(n):
+        return st.integers(0, n - 1).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, n))
+        )
+
+    return st.lists(st.tuples(*[span(n) for n in counts]), min_size=1, max_size=4)
+
+
+@st.composite
+def march_cases(draw):
+    vsize = draw(st.tuples(*[st.sampled_from([0.25, 0.4, 0.5, 0.7])] * 3))
+    counts = draw(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)))
+    start = draw(st.tuples(st.floats(-3, 0), st.floats(-3, 0), st.floats(-1.5, 0)))
+    grid = GridSpec(start, [s + v * c for s, v, c in zip(start, vsize, counts)], counts)
+    occ = face_boxes(grid, draw(spans_strategy(counts)))
+    extent = draw(st.sampled_from([3, 4, 5]))
+    cams = []
+    for _ in range(draw(st.integers(1, 2))):
+        # reaches well past the grid, so origins sit outside it too
+        origin = draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-2, 3)))
+        # tilted cameras look roughly at the grid's middle, so that most hit
+        to_mid = (np.array(grid.start) + np.array(grid.end)) / 2 - origin
+        yaw = np.arctan2(to_mid[1], to_mid[0]) + draw(st.floats(-0.5, 0.5))
+        rotation = draw(
+            st.one_of(
+                st.sampled_from(list(EXACT_ROTATIONS.values())),
+                st.floats(-0.8, 0.8).map(lambda pitch, yaw=yaw: tilted(yaw, pitch)),
+            )
+        )
+        cams.append(rig_camera(rotation, origin, extent))
+    # steps longer than the widest voxel, and d_max off the step grid
+    step = draw(st.floats(0.05, 1.5))
+    d_max = draw(st.floats(0.3, 12.0))
+    return occ, grid, cams, d_max, step
+
+
+# one rig with every edge case at once: exact zero direction components, an
+# origin outside the grid, rays that miss it, d_max = 7.3 off the 0.7 step
+# grid, a step longer than the 0.5 m voxels, and boxes on the grid's faces
+EDGE_GRID = GridSpec((0.0, -1.0, 0.0), (3.0, 1.0, 1.0), (6, 4, 2))
+EDGE_CASE = (
+    face_boxes(EDGE_GRID, [((5, 6), (0, 4), (0, 2)), ((2, 3), (0, 1), (1, 2))]),
+    EDGE_GRID,
+    [
+        rig_camera(EXACT_ROTATIONS["forward"], (-1.0, 0.0, 0.5), 5),
+        rig_camera(EXACT_ROTATIONS["down"], (1.5, 0.0, 2.0), 5),
+    ],
+    7.3,
+    0.7,
+)
+
+
+class TestClippedMarch:
+    def test_edge_rig_matches_stepwise(self):
+        occ, grid, cams, d_max, step = EDGE_CASE
+        dirs = np.concatenate(
+            [cam.pixels().reshape(-1, 3) @ np.linalg.inv(cam.intrinsics).T @ cam.rotation.T
+             for cam in cams]
+        )
+        assert (dirs == 0).any() and step > max(grid.voxel_size)
+        _, inside = grid.voxel_index(np.array([cam.translation for cam in cams]))
+        assert not inside.any()
+        depth, visible = _march_frame(occ, grid, cams, d_max, step)
+        assert (depth == -1).any() and (depth > 0).any() and visible.any()
+        assert_march_matches_stepwise(occ, grid, cams, d_max, step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=march_cases())
+    def test_matches_stepwise(self, case):
+        assert_march_matches_stepwise(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        step=st.floats(0.05, 1.5),
+        k=st.integers(0, 20),
+        o=st.floats(-3, 0),
+        n=st.integers(1, 5),
+        vsize=st.floats(0.1, 0.7),
+        entry=st.booleans(),
+        wall=st.booleans(),
+    )
+    @example(step=0.6, k=0, o=-1.0, n=4, vsize=0.3, entry=True, wall=True)
+    def test_sample_on_a_grid_face(self, step, k, o, n, vsize, entry, wall):
+        """The centre ray runs along +x and puts sample k exactly on the
+        grid's entry or exit face. The slab depth and the sample's voxel
+        index round independently there (at the example, the entry depth is
+        0.5000000000000001 steps and sample 0 lies in voxel 0), and the step
+        of margin keeps such a sample."""
+        face = o + (k + 0.5) * step
+        lo, hi = (face, face + n * vsize) if entry else (face - n * vsize, face)
+        grid = GridSpec((lo, -1.0, -1.0), (hi, 1.0, 1.0), (n, 1, 1))
+        occ = np.full(grid.counts, EMPTY_CLASS, dtype=np.uint8)
+        if wall:
+            occ[-1] = 3
+        cam = rig_camera(EXACT_ROTATIONS["forward"], (o, 0.0, 0.0), 3)
+        assert_march_matches_stepwise(occ, grid, [cam], 12.0, step)
+
+    def test_direction_component_within_rounding_of_0(self):
+        """A camera pitched by 1.4e-45 rad, with its origin on the grid's
+        floor face: its rays' z components are that small, so no step moves
+        a sample's z coordinate off the face. The slab depths on z are
+        +-inf, and only a box widened by a step's travel keeps the samples
+        that the step loop finds in the grid."""
+        grid = GridSpec((0.0, -1.0, -1.0), (0.75, -0.75, -0.75), (3, 1, 1))
+        occ = face_boxes(grid, [((0, 1), (0, 1), (0, 1))])
+        origin = np.array([0.0, 0.0, -1.0])
+        rotation = tilted(np.arctan2(-0.875, 0.375), 1.401298464324817e-45)
+        assert_march_matches_stepwise(
+            occ, grid, [rig_camera(rotation, origin, 3)], 2.0, 0.75
+        )
+
+    def test_marks_nothing_past_a_hit(self):
+        """A full-height wall hides every voxel behind it."""
+        bundle = gen_scene(one_box_spec())
+        assert not bundle.visible[0, 48:].any()
+
+
+scene_specs = st.builds(
+    SceneSpec,
+    seed=st.integers(0, 2**16),
+    grid=st.sampled_from(
+        [ALIGNED_GRID, GridSpec((-8, -8, -1), (8, 8, 1), (32, 32, 4)),
+         GridSpec((-6.4, -4.8, -1.0), (6.4, 4.8, 2.2), (32, 24, 8))]
+    ),
+    n_frames=st.integers(1, 3),
+    n_boxes=st.integers(0, 4),
+    n_cameras=st.integers(1, 3),
+    image_size=st.just((8, 12)),
+    feature_size=st.sampled_from([(2, 3), (4, 6), (8, 12)]),
+    focal=st.just(8.0),
+    d_max=st.floats(0.5, 12.0),
+    speed=st.floats(0.0, 0.5),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=scene_specs)
+def test_gen_scene_byte_deterministic(spec):
+    """Equal specs give byte-equal bundles."""
+    a, b = gen_scene(spec), gen_scene(spec)
+    for name in ("occupancy", "visible", "depth", "poses"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

@@ -171,6 +171,36 @@ class TestGridSpec:
             np.testing.assert_array_equal(got_idx, idx)
             np.testing.assert_array_equal(got_inside, inside)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        start=st.tuples(*[st.floats(-50, 50)] * 3),
+        size=st.tuples(*[st.floats(0.05, 4.0)] * 3),
+        counts=st.tuples(*[st.integers(1, 12)] * 3),
+        faces=st.lists(st.tuples(*[st.integers(-3, 15)] * 3), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_flat_index_is_raveled_voxel_index(self, start, size, counts, faces, seed):
+        """On voxel faces, on the grid's end face and outside the grid, the
+        flat lookup has ``voxel_index``'s in-grid mask and, where inside,
+        its C-order raveled index."""
+        end = tuple(s + c * v for s, c, v in zip(start, counts, size))
+        grid = GridSpec(start, end, counts)
+        vsize = np.array(grid.voxel_size)
+        on_faces = np.array(grid.start) + np.array(faces, dtype=np.float64) * vsize
+        rng = np.random.default_rng(seed)
+        on_end = np.where(rng.random(on_faces.shape) < 0.5, np.array(grid.end), on_faces)
+        scattered = rng.uniform(
+            np.array(grid.start) - 2 * vsize - 60, np.array(grid.end) + 2 * vsize, (2, 5, 3)
+        )
+        for pts in (on_faces, on_end, scattered):
+            flat, inside = grid.flat_index(*np.moveaxis(pts, -1, 0))
+            idx, want = grid.voxel_index(pts)
+            assert inside.tobytes() == want.tobytes()
+            assert flat.dtype == np.int64 and flat.shape == pts.shape[:-1]
+            np.testing.assert_array_equal(
+                flat[inside], np.ravel_multi_index(tuple(idx[inside].T), grid.counts)
+            )
+
     def test_voxel_index_faces_go_to_higher_index(self):
         g = GridSpec((-2.0, -2.0, -1.0), (2.0, 2.0, 1.0), (8, 8, 4))  # 0.5 m voxels
         i = np.array([[-1, 0, 0], [0, 0, 0], [3, 7, 3], [8, 4, 2], [4, 4, 4]])
