@@ -8,7 +8,7 @@ stacked history is mixed back to the working channel width by two linear
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,38 +63,6 @@ class EgoPose:
         rt = self.rotation.T
         return EgoPose(rt, -rt @ self.translation)
 
-    def compose(self, other: "EgoPose") -> "EgoPose":
-        """self after other: (self o other)(x) = self(other(x))."""
-        return EgoPose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-
-class TemporalQueue:
-    """Fixed-capacity FIFO of (bev, pose, timestamp); oldest entries fall off."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, bev: np.ndarray, pose: EgoPose, timestamp: float) -> None:
-        if self._items and timestamp <= self._items[-1][2]:
-            raise ValueError(
-                f"timestamps must be strictly increasing: {timestamp} after "
-                f"{self._items[-1][2]}"
-            )
-        self._items.append((bev, pose, float(timestamp)))
-
-    def entries(self):
-        """Newest first."""
-        return list(reversed(self._items))
-
 
 def collapse_height(v: np.ndarray) -> np.ndarray:
     """Average a (C, X, Y, Z) voxel tensor over its height axis to (C, X, Y)."""
@@ -107,15 +75,16 @@ def _planar_relative(pose_hist: EgoPose, pose_now: EgoPose):
     """Current-ego -> history-ego transform restricted to the ground plane.
 
     Returns (c, s, tx, ty) with [c, -s; s, c] the planar rotation. The pair
-    is read straight off the relative matrix and renormalized, so exact
-    axis-aligned rotations stay exact.
+    is read straight off the relative rotation R_hist^T R_now and
+    renormalized, so exact axis-aligned rotations stay exact.
     """
-    m = pose_hist.inverse().compose(pose_now).matrix()
-    c, s = m[0, 0], m[1, 0]
+    rt = pose_hist.rotation.T
+    c, s = (rt @ pose_now.rotation)[:2, 0]
+    tx, ty = (rt @ pose_now.translation + -rt @ pose_hist.translation)[:2]
     norm = np.hypot(c, s)
     if norm < 1e-12:
         raise ValueError("degenerate planar rotation")
-    return c / norm, s / norm, m[0, 3], m[1, 3]
+    return c / norm, s / norm, tx, ty
 
 
 def warp_bev(
@@ -221,20 +190,19 @@ class FusionWeights:
 
 
 def temporal_fuse(
-    queue: TemporalQueue,
     b_current: np.ndarray,
+    history: Sequence[tuple[np.ndarray, EgoPose]],
     pose_now: EgoPose,
-    timestamp: float,
     weights: FusionWeights,
     grid: GridSpec,
 ) -> np.ndarray:
-    """Fuse the current BEV map with warped history and push it to the queue.
+    """Fuse the current BEV map with its history warped into the current frame.
 
-    The stack is [current, newest, ..., oldest] with missing history slots
-    zero-filled, giving a fixed (frames * C)-channel input; the mixing convs
-    are linear (no activation). Returns the fused (C, X, Y) map. The raw
-    current map (not the fused output) enters the queue, stamped with its
-    pose for later warping.
+    ``history`` is a sequence of raw (bev, pose) pairs, newest first, of at
+    most ``weights.n_frames - 1`` entries. The stack is [current, newest,
+    ..., oldest] with missing history slots zero-filled, giving a fixed
+    (frames * C)-channel input; the mixing convs are linear (no activation).
+    Returns the fused (C, X, Y) map and changes none of its arguments.
     """
     n_ch = weights.n_channels
     frames = weights.n_frames
@@ -242,22 +210,20 @@ def temporal_fuse(
         raise ValueError(
             f"current BEV must be ({n_ch}, X, Y), got {b_current.shape}"
         )
-    if queue.capacity != frames - 1:
+    if len(history) > frames - 1:
         raise ValueError(
-            f"queue capacity {queue.capacity} does not match fusion window "
+            f"{len(history)} history maps do not fit the fusion window of "
             f"{frames} (current + {frames - 1} history)"
         )
 
     stack = np.zeros((frames * n_ch,) + b_current.shape[1:], dtype=b_current.dtype)
     stack[:n_ch] = b_current
-    for slot, (bev, pose, _ts) in enumerate(queue.entries(), start=1):
+    for slot, (bev, pose) in enumerate(history, start=1):
         stack[slot * n_ch : (slot + 1) * n_ch] = warp_bev(bev, pose, pose_now, grid)
 
     spec = ConvSpec.same((3, 3))
     h = conv2d(stack, weights.mix1_w, weights.mix1_b, spec)
-    out = conv2d(h, weights.mix2_w, weights.mix2_b, spec)
-    queue.push(b_current, pose_now, timestamp)
-    return out
+    return conv2d(h, weights.mix2_w, weights.mix2_b, spec)
 
 
 @dataclass(frozen=True)

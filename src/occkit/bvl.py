@@ -33,18 +33,6 @@ class BVLWeights:
         if self.context_w.shape[1] != self.height_w.shape[1]:
             raise ValueError("context and height convs must share input channels")
 
-    @property
-    def in_channels(self) -> int:
-        return self.context_w.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.context_w.shape[0]
-
-    @property
-    def n_heights(self) -> int:
-        return self.height_w.shape[0]
-
     @classmethod
     def seeded(cls, seed: int, name: str, c_in: int, c_out: int, n_heights: int):
         rng = rng_named(seed, name)

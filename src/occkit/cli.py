@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gsdt
 from .config import ConfigError, parse_config
-from .evaluate import CLASS_NAMES, argmax_decode, miou, per_class_iou
+from .evaluate import CLASS_NAMES, EMPTY_CLASS, argmax_decode, miou, per_class_iou
 from .pipeline import run_pipeline
 from .reparam import forward_deploy, forward_train, merge_branches, random_branch_set
 from .scene import gen_scene, load_scene, save_scene
@@ -36,11 +36,11 @@ def _cmd_gen_scene(args) -> int:
     config = parse_config(args.config)
     bundle = gen_scene(config.scene_spec())
     save_scene(bundle, args.out)
-    occupied = (bundle.occupancy[0] != 17).mean()
+    occupied = (bundle.occupancy[0] != EMPTY_CLASS).mean()
     print(f"scene written to {args.out}")
     print(
         f"  frames={bundle.n_frames} cameras={bundle.spec.n_cameras} "
-        f"grid={bundle.grid.counts} boxes={len(bundle.spec.resolve_boxes())}"
+        f"grid={bundle.grid.counts} boxes={bundle.spec.n_boxes}"
     )
     print(f"  frame-0 occupied fraction: {occupied:.4f}")
     return 0

@@ -5,12 +5,13 @@ later step reads. A frame is encoded: synthesize image-plane features,
 produce a depth distribution (ground-truth one-hot or a small seeded conv
 stub), blend the two with the scheduled mixup weight, lift features into the
 half-resolution voxel grid through the run's one lift plan, and collapse to
-BEV. The history frames that fit in the temporal queue are encoded and
-queued raw, unfused; older frames are skipped. Only the last frame is fused
-with its warped history. The fused BEV map forks into a semantic path (2D
-encoder then height lifting) and a geometric path (height lifting then the
-large-kernel 3D convolution); the two volumes are summed, upsampled to full
-resolution, and classified, one half-resolution x-slab at a time.
+BEV. The ``queue_len`` frames before the last are encoded raw, unfused, and
+become the fusion's history of (BEV map, pose) pairs; older frames are
+skipped. Only the last frame is fused with its warped history. The fused
+BEV map forks into a semantic path (2D encoder then height lifting) and a
+geometric path (height lifting then the large-kernel 3D convolution); the
+two volumes are summed, upsampled to full resolution, and classified, one
+half-resolution x-slab at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .bev import (
     FusionWeights,
     SemanticEncoderWeights,
-    TemporalQueue,
     collapse_height,
     semantic_encoder_2d,
     temporal_fuse,
@@ -170,9 +170,7 @@ def _check_scene(config: PipelineConfig, scene: SceneBundle) -> None:
             f"scene has {scene.spec.n_cameras} cameras, config expects "
             f"{config.scene_cameras}"
         )
-    if scene.grid.counts != config.grid.counts or not np.allclose(
-        scene.grid.start + scene.grid.end, config.grid.start + config.grid.end
-    ):
+    if scene.grid != config.grid:
         raise ValueError(
             f"scene grid {scene.grid} does not match config grid {config.grid}"
         )
@@ -187,12 +185,15 @@ def run_pipeline(
 ):
     """Predict the last scene frame.
 
-    The ``queue_len`` frames before it are encoded and queued as raw BEV
-    maps; the queue never holds fused maps, so they need no fusion. Earlier
-    frames would leave the queue before it is read and are skipped. Only the
-    last frame is fused with its warped history and classified. The lift
-    geometry does not change between frames, so one ``LiftPlan`` is built
-    per call, timed under "lift", and every frame's lift reads it.
+    The ``queue_len`` frames before it are encoded, oldest first, and passed
+    to ``temporal_fuse`` as raw (BEV map, pose) pairs, newest first; the
+    history never holds fused maps, so they need no fusion. Earlier frames
+    fall outside the fusion window and are skipped. Only the last frame is
+    fused with its warped history and classified. Weights whose fusion
+    window is not ``queue_len + 1`` frames are rejected before any stage
+    runs. The lift geometry does not change between frames, so one
+    ``LiftPlan`` is built per call, timed under "lift", and every frame's
+    lift reads it.
 
     The tail runs slab by slab along x: for each slab of ``slab_rows``
     half-resolution rows, ``fuse_and_upsample`` sums and upsamples the two
@@ -216,10 +217,14 @@ def run_pipeline(
     _check_scene(config, scene)
     if weights is None:
         weights = build_weights(config)
+    if weights.fusion.n_frames != config.queue_len + 1:
+        raise ValueError(
+            f"fusion weights span {weights.fusion.n_frames} frames, config "
+            f"queue {config.queue_len} needs {config.queue_len + 1}"
+        )
 
     half = config.half_grid()
     cams = scene.cameras()
-    queue = TemporalQueue(config.queue_len)
     timings: dict = {}
 
     def staged(stage, fn, *args, **kw):
@@ -254,14 +259,15 @@ def run_pipeline(
     centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
     plan = staged("lift", LiftPlan.build, cams, centers, half)
     last = scene.n_frames - 1
-    for t in range(max(0, last - config.queue_len), last):
-        queue.push(encode(t)[1], scene.pose(t), float(t))
+    history = [
+        (encode(t)[1], scene.pose(t)) for t in range(max(0, last - config.queue_len), last)
+    ][::-1]
     v, b = encode(last)
     lift_sparsity = sparsity_ratio(v)
     b_t = staged(
         "temporal_fuse",
         temporal_fuse,
-        queue, b, scene.pose(last), float(last), weights.fusion, half,
+        b, history, scene.pose(last), weights.fusion, half,
     )
 
     b_s = staged("semantic_encoder", semantic_encoder_2d, b_t, weights.encoder)

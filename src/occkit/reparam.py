@@ -44,15 +44,6 @@ class BatchNormParams:
         if not (self.std > 0).all():
             raise ValueError("std must be strictly positive for every channel")
 
-    @classmethod
-    def identity(cls, channels: int, dtype=np.float32) -> "BatchNormParams":
-        return cls(
-            mean=np.zeros(channels, dtype=dtype),
-            std=np.ones(channels, dtype=dtype),
-            gamma=np.ones(channels, dtype=dtype),
-            beta=np.zeros(channels, dtype=dtype),
-        )
-
 
 @dataclass(frozen=True)
 class ConvBranchSpec:
@@ -98,10 +89,6 @@ class MergedKernel:
             raise ValueError(
                 f"bias shape {self.bias.shape} != ({self.weight.shape[0]},)"
             )
-
-    @property
-    def extents(self) -> tuple[int, int, int]:
-        return tuple(self.weight.shape[2:])
 
 
 def dilate_to_sparse(weight: np.ndarray, dilation: tuple[int, int, int]) -> np.ndarray:

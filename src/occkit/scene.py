@@ -438,4 +438,17 @@ def load_scene(scene_dir: str) -> SceneBundle:
     bad = np.flatnonzero(~np.isfinite(poses).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"scene poses {poses_path}: frame {bad[0]} must be finite")
+    # The fusion warps in the ground plane only: a pose must turn about z.
+    rot = poses[:, :3, :3]
+    e_z = np.array([0.0, 0.0, 1.0])
+    about_z = (
+        (np.abs(rot[:, 2, :] - e_z).max(axis=1) <= 1e-6)
+        & (np.abs(rot[:, :, 2] - e_z).max(axis=1) <= 1e-6)
+        & (np.linalg.det(rot) > 0)
+    )
+    bad = np.flatnonzero(~about_z)
+    if bad.size:
+        raise ValueError(
+            f"scene poses {poses_path}: frame {bad[0]} must be a rotation about z"
+        )
     return SceneBundle(grid, occupancy, visible, depth, poses, spec)

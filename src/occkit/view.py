@@ -151,10 +151,6 @@ class DepthDistribution:
             raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
 
     @property
-    def n_cameras(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def n_bins(self) -> int:
         return self.probs.shape[1]
 

@@ -106,3 +106,20 @@ def test_lift_spans_keep_their_counts(tmp_path):
     (totals,) = tracer.root_totals()
     assert totals["view.lift_splat.calls"] == lifts
     assert totals["view.lift_splat.points"] == lifts * per_call
+
+
+def test_fusion_span_is_used_once(tmp_path):
+    """perfbench marks a fusion used when a later traced call takes its
+    output: one call fuses once, and the heads read that map."""
+    spans = _spans()
+    path = tmp_path / "stub.cfg"
+    path.write_text(STUB_CONFIG)
+    config = parse_config(str(path))
+    scene = gen_scene(config.scene_spec())
+    tracer = spans.Tracer()
+    with tracer.active("call"):
+        occkit.pipeline.run_pipeline(config, scene, 0.5, "deploy")
+    fusions = [s["counts"] for s in tracer.spans if s["name"] == "bev.temporal_fuse"]
+    assert fusions == [{"used": 1}]
+    (totals,) = tracer.root_totals()
+    assert spans._derived(totals)["bev.temporal_fuse.used_frac"] == 1.0

@@ -9,7 +9,6 @@ from occkit.bev import (
     EgoPose,
     FusionWeights,
     SemanticEncoderWeights,
-    TemporalQueue,
     _planar_relative,
     collapse_height,
     semantic_encoder_2d,
@@ -31,6 +30,20 @@ def quarter_turn(k):
     """Exact rotation by k * 90 degrees about z."""
     c, s = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k % 4]
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def relative_by_compose(pose_hist, pose_now):
+    """The relative pose before ``_planar_relative`` multiplied rotations
+    directly: invert the history pose, compose it with the current pose as
+    an ``EgoPose`` and read (c, s, tx, ty) off its 4x4 matrix."""
+    inv = pose_hist.inverse()
+    m = EgoPose(
+        inv.rotation @ pose_now.rotation,
+        inv.rotation @ pose_now.translation + inv.translation,
+    ).matrix()
+    c, s = m[0, 0], m[1, 0]
+    norm = np.hypot(c, s)
+    return c / norm, s / norm, m[0, 3], m[1, 3]
 
 
 def warp_four_gathers(b_hist, pose_hist, pose_now, grid):
@@ -94,8 +107,8 @@ class TestEgoPose:
 
     def test_inverse_composes_to_identity(self):
         p = EgoPose.from_yaw(0.7, (3.0, -1.0, 0.2))
-        m = p.inverse().compose(p).matrix()
-        np.testing.assert_allclose(m, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(p.inverse().matrix() @ p.matrix(), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(p.matrix() @ p.inverse().matrix(), np.eye(4), atol=1e-12)
 
     def test_matrix_round_trip(self):
         p = EgoPose.from_yaw(-1.2, (0.5, 0.25, 0.0))
@@ -106,6 +119,29 @@ class TestEgoPose:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
             EgoPose(np.eye(3) * 1.5, np.zeros(3))
+
+
+class TestPlanarRelative:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        yaws=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+        quarter=st.tuples(st.none() | st.integers(0, 3), st.none() | st.integers(0, 3)),
+        t_hist=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+        t_now=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    )
+    def test_matches_compose_bytes(self, yaws, quarter, t_hist, t_now):
+        """Same bytes as the inverse-compose-matrix path, for any yaws
+        (exact quarter turns included) and translations."""
+        def pose(yaw, k, t):
+            rot = EgoPose.from_yaw(yaw).rotation if k is None else quarter_turn(k)
+            return EgoPose(rot, np.array(t))
+
+        pose_hist = pose(yaws[0], quarter[0], t_hist)
+        pose_now = pose(yaws[1], quarter[1], t_now)
+        got = np.array(_planar_relative(pose_hist, pose_now))
+        want = np.array(relative_by_compose(pose_hist, pose_now))
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCollapseHeight:
@@ -330,28 +366,6 @@ class TestExactWarps:
         assert plus_zero(out).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-class TestTemporalQueue:
-    def test_eviction_order(self):
-        q = TemporalQueue(2)
-        for t in range(3):
-            q.push(np.full((1, 2, 2), float(t)), EgoPose.identity(), float(t))
-        assert len(q) == 2
-        vals = [bev[0, 0, 0] for bev, _, _ in q.entries()]
-        assert vals == [2.0, 1.0]
-
-    def test_timestamps_strictly_increasing(self):
-        q = TemporalQueue(3)
-        q.push(np.zeros((1, 2, 2)), EgoPose.identity(), 1.0)
-        with pytest.raises(ValueError, match="increas"):
-            q.push(np.zeros((1, 2, 2)), EgoPose.identity(), 1.0)
-        with pytest.raises(ValueError, match="increas"):
-            q.push(np.zeros((1, 2, 2)), EgoPose.identity(), 0.5)
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            TemporalQueue(0)
-
-
 def averaging_weights(channels, frames):
     """Center-tap kernels: mix1 averages the frame blocks, mix2 is identity."""
     w1 = np.zeros((channels, frames * channels, 3, 3))
@@ -360,6 +374,16 @@ def averaging_weights(channels, frames):
         w2[c, c, 1, 1] = 1.0
         for f in range(frames):
             w1[c, f * channels + c, 1, 1] = 1.0 / frames
+    return FusionWeights(w1, np.zeros(channels), w2, np.zeros(channels))
+
+
+def slot_reader(channels, frames, slot):
+    """Center-tap kernels: mix1 copies stack slot ``slot``, mix2 is identity."""
+    w1 = np.zeros((channels, frames * channels, 3, 3))
+    w2 = np.zeros((channels, channels, 3, 3))
+    for c in range(channels):
+        w1[c, slot * channels + c, 1, 1] = 1.0
+        w2[c, c, 1, 1] = 1.0
     return FusionWeights(w1, np.zeros(channels), w2, np.zeros(channels))
 
 
@@ -376,9 +400,7 @@ class TestTemporalFuse:
 
         grid = bev_grid(n=8)
         b = rng.standard_normal((channels, 8, 8))
-        out = temporal_fuse(
-            TemporalQueue(frames - 1), b, EgoPose.identity(), 0.0, weights, grid
-        )
+        out = temporal_fuse(b, [], EgoPose.identity(), weights, grid)
         same3 = ConvSpec.same((3, 3))
         want = conv2d(conv2d(b, w1[:, :channels], b1, same3), w2, b2, same3)
         np.testing.assert_allclose(out, want, atol=1e-12)
@@ -389,50 +411,81 @@ class TestTemporalFuse:
         weights = averaging_weights(channels, frames)
         grid = bev_grid(n=8)
         b = rng.standard_normal((channels, 8, 8))
-
-        q = TemporalQueue(frames - 1)
-        for t in range(frames - 1):
-            q.push(b, EgoPose.identity(), float(t))
-        out = temporal_fuse(q, b, EgoPose.identity(), float(frames), weights, grid)
+        history = [(b, EgoPose.identity())] * (frames - 1)
+        out = temporal_fuse(b, history, EgoPose.identity(), weights, grid)
         np.testing.assert_allclose(out, b, atol=1e-12)
+
+    def test_history_slots_newest_first(self):
+        """Two history maps land in slots 1 and 2, newest first; the
+        window's last slot is zero-filled."""
+        rng = np.random.default_rng(11)
+        channels, frames = 2, 4
+        grid = bev_grid(n=8)
+        b, newest, older = rng.standard_normal((3, channels, 8, 8))
+        history = [(newest, EgoPose.identity()), (older, EgoPose.identity())]
+        slots = [
+            temporal_fuse(b, history, EgoPose.identity(), slot_reader(channels, frames, k), grid)
+            for k in range(frames)
+        ]
+        np.testing.assert_array_equal(slots[0], b)
+        np.testing.assert_array_equal(slots[1], newest)
+        np.testing.assert_array_equal(slots[2], older)
+        assert not slots[3].any()
+
+    def test_changes_no_argument(self):
+        """The call leaves the current map, the history and the poses as
+        they were, and a second call returns the same bytes."""
+        rng = np.random.default_rng(9)
+        weights = FusionWeights.seeded(2, 2, 4)
+        grid = bev_grid(n=8)
+        b = rng.standard_normal((2, 8, 8)).astype(np.float32)
+        history = [
+            (rng.standard_normal((2, 8, 8)).astype(np.float32),
+             EgoPose.from_yaw(0.1 * k, (0.5 * k, -0.25 * k, 0.0)))
+            for k in range(3)
+        ]
+        pose_now = EgoPose.from_yaw(0.4, (1.5, 0.5, 0.0))
+        entries = list(history)
+
+        def snapshot():
+            arrays = [b, pose_now.rotation, pose_now.translation]
+            for bev, pose in history:
+                arrays += [bev, pose.rotation, pose.translation]
+            return [a.tobytes() for a in arrays]
+
+        before = snapshot()
+        first = temporal_fuse(b, history, pose_now, weights, grid)
+        second = temporal_fuse(b, history, pose_now, weights, grid)
+        assert snapshot() == before
+        assert len(history) == len(entries)
+        assert all(a is e for a, e in zip(history, entries))
+        assert first.tobytes() == second.tobytes()
 
     def test_shape_fixed_at_any_fill_level(self):
         channels, frames = 2, 4
         weights = FusionWeights.seeded(0, channels, frames)
         grid = bev_grid(n=8)
-        q = TemporalQueue(frames - 1)
         rng = np.random.default_rng(8)
-        for t in range(6):
+        history = []
+        for _ in range(frames):
             b = rng.standard_normal((channels, 8, 8)).astype(np.float32)
-            out = temporal_fuse(q, b, EgoPose.identity(), float(t), weights, grid)
+            out = temporal_fuse(b, history, EgoPose.identity(), weights, grid)
             assert out.shape == (channels, 8, 8)
+            history.insert(0, (b, EgoPose.identity()))
 
     def test_sixteen_frame_window(self):
         weights = FusionWeights.seeded(1, 2, 16)
         assert weights.n_frames == 16
         grid = bev_grid(n=8)
-        q = TemporalQueue(15)
-        out = temporal_fuse(
-            q, np.ones((2, 8, 8), dtype=np.float32), EgoPose.identity(), 0.0, weights, grid
-        )
-        assert out.shape == (2, 8, 8)
-        assert len(q) == 1
-
-    def test_pushes_raw_current(self):
-        rng = np.random.default_rng(9)
-        weights = FusionWeights.seeded(2, 2, 4)
-        grid = bev_grid(n=8)
-        q = TemporalQueue(3)
-        b = rng.standard_normal((2, 8, 8)).astype(np.float32)
-        temporal_fuse(q, b, EgoPose.identity(), 0.0, weights, grid)
-        stored, _, ts = q.entries()[0]
-        np.testing.assert_array_equal(stored, b)
-        assert ts == 0.0
+        b = np.ones((2, 8, 8), dtype=np.float32)
+        for fill in (0, 15):
+            history = [(b, EgoPose.identity())] * fill
+            out = temporal_fuse(b, history, EgoPose.identity(), weights, grid)
+            assert out.shape == (2, 8, 8)
 
     def test_moving_ego_aligns_history(self):
         # history holds a one-cell-ahead impulse; after the ego advances one
         # cell the warped slot sees it at the current cell
-        channels, frames = 1, 2
         w1 = np.zeros((1, 2, 3, 3))
         w1[0, 1, 1, 1] = 1.0  # read only the (warped) history slot
         w2 = np.zeros((1, 1, 3, 3))
@@ -442,34 +495,29 @@ class TestTemporalFuse:
         grid = bev_grid()
         hist = np.zeros((1, 32, 32))
         hist[0, 20, 16] = 5.0
-        q = TemporalQueue(1)
-        q.push(hist, EgoPose.identity(), 0.0)
         pose_now = EgoPose.from_yaw(0.0, (1.0, 0.0, 0.0))
-        out = temporal_fuse(q, np.zeros((1, 32, 32)), pose_now, 1.0, weights, grid)
+        out = temporal_fuse(
+            np.zeros((1, 32, 32)), [(hist, EgoPose.identity())], pose_now, weights, grid
+        )
         assert out[0, 19, 16] == 5.0
         out[0, 19, 16] = 0.0
         assert not out.any()
 
-    def test_rejects_capacity_mismatch(self):
+    def test_rejects_history_longer_than_window(self):
         weights = FusionWeights.seeded(3, 2, 4)
-        with pytest.raises(ValueError, match="capacity"):
+        b = np.zeros((2, 8, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="4 history maps .* window of 4"):
             temporal_fuse(
-                TemporalQueue(5),
-                np.zeros((2, 8, 8), dtype=np.float32),
-                EgoPose.identity(),
-                0.0,
-                weights,
-                bev_grid(n=8),
+                b, [(b, EgoPose.identity())] * 4, EgoPose.identity(), weights, bev_grid(n=8)
             )
 
     def test_rejects_channel_mismatch(self):
         weights = FusionWeights.seeded(4, 2, 4)
         with pytest.raises(ValueError, match="BEV"):
             temporal_fuse(
-                TemporalQueue(3),
                 np.zeros((3, 8, 8), dtype=np.float32),
+                [],
                 EgoPose.identity(),
-                0.0,
                 weights,
                 bev_grid(n=8),
             )

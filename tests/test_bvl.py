@@ -21,9 +21,8 @@ def context_map(b, weights):
 class TestBVLWeights:
     def test_seeded_shapes(self):
         w = BVLWeights.seeded(0, "lift", c_in=4, c_out=6, n_heights=8)
-        assert w.in_channels == 4
-        assert w.out_channels == 6
-        assert w.n_heights == 8
+        assert w.context_w.shape == (6, 4, 1, 1)
+        assert w.height_w.shape == (8, 4, 1, 1)
 
     def test_rejects_non_pointwise(self):
         with pytest.raises(ValueError, match="1x1"):

@@ -158,6 +158,27 @@ class TestNonFinite:
         return err
 
 
+class TestPoseRotation:
+    @pytest.mark.parametrize(
+        "rotation",
+        [
+            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+        ids=["pitched", "mirrored"],
+    )
+    def test_rejects_rotation_not_about_z(self, config_path, scene_dir, capsys, rotation):
+        """Finite, orthonormal rotations that the planar warp cannot follow."""
+        path = f"{scene_dir}/poses.gsdt"
+        poses = gsdt.read(path)
+        poses[0, :3, :3] = rotation
+        gsdt.write(path, poses)
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: scene poses {path}: frame 0 must be a rotation about z\n"
+
+
 class TestRun:
     def test_run_writes_tensors(self, tmp_path, config_path, scene_dir, capsys):
         out = str(tmp_path / "run1")

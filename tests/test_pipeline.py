@@ -1,11 +1,12 @@
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
 
 import occkit.pipeline
 import occkit.view
-from occkit.bev import TemporalQueue, collapse_height, semantic_encoder_2d, temporal_fuse
+from occkit.bev import collapse_height, semantic_encoder_2d, temporal_fuse
 from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
 from occkit.config import PipelineConfig, default_config
 from occkit.pipeline import (
@@ -59,11 +60,12 @@ def small_config(**overrides):
 
 
 def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
-    """Reference forward pass: encode and fuse every scene frame, then run
-    the heads on the last fused map."""
+    """Reference forward pass: encode and fuse every scene frame, keeping the
+    last ``queue_len`` raw maps newest first, then run the heads on the last
+    fused map."""
     half = config.half_grid()
     cams = scene.cameras()
-    queue = TemporalQueue(config.queue_len)
+    history = deque(maxlen=config.queue_len)
     for t in range(scene.n_frames):
         features = frame_features(config, t)
         gt_oh, valid = _gt_depth(scene.depth[t], config)
@@ -74,7 +76,8 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
         plan = LiftPlan.build(cams, dist.bin_centers(), half)
         b = collapse_height(lift_splat(features, dist, plan))
-        b_t = temporal_fuse(queue, b, scene.pose(t), float(t), weights.fusion, half)
+        b_t = temporal_fuse(b, history, scene.pose(t), weights.fusion, half)
+        history.appendleft((b, scene.pose(t)))
     v_s = bev_to_voxel_lift(semantic_encoder_2d(b_t, weights.encoder), weights.bvl_semantic)
     v_g0 = bev_to_voxel_lift(b_t, weights.bvl_geometric)
     if reparam_mode == "deploy":
@@ -160,12 +163,28 @@ class TestRunPipeline:
 
     def test_rejects_mismatched_scene(self, small_setup):
         config, _ = small_setup
-        other = small_config(
-            grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), (16, 16, 4))
-        )
-        scene = gen_scene(other.scene_spec())
-        with pytest.raises(ValueError, match="grid"):
-            run_pipeline(config, scene, alpha=0.0)
+        wide = GridSpec((-19.2, -19.2, -1.0), (19.2, 19.2, 1.0), (32, 32, 4))
+        # other voxel counts, and a start 1e-4 m off on x, which numpy's
+        # default relative tolerance would take for the same grid at 19.2 m
+        for config_grid, scene_grid in (
+            (config.grid, GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), (16, 16, 4))),
+            (wide, dataclasses.replace(wide, start=(-19.2001, -19.2, -1.0))),
+        ):
+            scene = gen_scene(small_config(grid=scene_grid).scene_spec())
+            with pytest.raises(ValueError, match="grid"):
+                run_pipeline(small_config(grid=config_grid), scene, alpha=0.0)
+
+    def test_rejects_weights_for_other_window(self, monkeypatch, small_setup):
+        """Weights built for another ``queue_len`` fail before any stage."""
+        config, scene = small_setup
+        weights = build_weights(small_config(queue_len=config.queue_len + 1))
+
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(occkit.pipeline, "frame_features", no_stage)
+        with pytest.raises(ValueError, match="fusion weights span 4 frames, config queue 2"):
+            run_pipeline(config, scene, alpha=0.0, weights=weights)
 
     def test_rejects_bad_alpha_and_mode(self, small_setup):
         config, scene = small_setup
@@ -323,9 +342,8 @@ class TestBuildWeights:
         weights = build_weights(config)
         assert weights.fusion.n_channels == 4
         assert weights.encoder.out_channels == 6
-        assert weights.bvl_geometric.in_channels == 4
-        assert weights.bvl_geometric.out_channels == 6
-        assert weights.bvl_semantic.in_channels == 6
+        assert weights.bvl_geometric.context_w.shape[:2] == (6, 4)
+        assert weights.bvl_semantic.context_w.shape[:2] == (6, 6)
         assert weights.head_w.shape == (18, 6, 1, 1, 1)
 
     def test_seed_changes_weights(self):

@@ -19,6 +19,17 @@ from occkit.reparam import (
 from occkit.tensor import ConvSpec, cast, conv3d
 
 
+def identity_bn(channels, dtype=np.float32):
+    """Batch norm that passes its input through: zero mean, unit std and
+    gamma, zero beta."""
+    return BatchNormParams(
+        mean=np.zeros(channels, dtype=dtype),
+        std=np.ones(channels, dtype=dtype),
+        gamma=np.ones(channels, dtype=dtype),
+        beta=np.zeros(channels, dtype=dtype),
+    )
+
+
 def merged_kernel_loops(branches, target):
     """Index-mapping oracle: place every fused tap at its centered offset."""
     c_out, c_in = branches[0].weight.shape[:2]
@@ -93,7 +104,7 @@ class TestFuseBn:
     def test_identity_norm(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((3, 2, 3, 3, 1)).astype(np.float32)
-        fw, fb = fuse_bn(w, BatchNormParams.identity(3))
+        fw, fb = fuse_bn(w, identity_bn(3))
         np.testing.assert_array_equal(fw, w)
         np.testing.assert_array_equal(fb, np.zeros(3, dtype=np.float32))
 
@@ -139,7 +150,7 @@ class TestMergeBranches:
     def test_singleton_identity_merge(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal((2, 2, 5, 5, 1)).astype(np.float32)
-        branch = ConvBranchSpec(w, (1, 1, 1), BatchNormParams.identity(2))
+        branch = ConvBranchSpec(w, (1, 1, 1), identity_bn(2))
         merged = merge_branches([branch], (5, 5, 1))
         np.testing.assert_array_equal(merged.weight, w)
         np.testing.assert_array_equal(merged.bias, np.zeros(2, dtype=np.float32))
@@ -149,7 +160,7 @@ class TestMergeBranches:
         assert [b.kernel for b in branches] == [(11, 11, 1), (5, 5, 1), (3, 3, 1)]
         assert [b.effective for b in branches] == [(11, 11, 1), (9, 9, 1), (7, 7, 1)]
         merged = merge_branches(branches, (11, 11, 1))
-        assert merged.extents == (11, 11, 1)
+        assert merged.weight.shape[2:] == (11, 11, 1)
 
     def test_matches_index_mapping_oracle(self):
         for seed in range(3):
@@ -175,29 +186,29 @@ class TestMergeBranches:
     def test_linear_in_branch_weight(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal((2, 2, 3, 3, 1))
-        bn = BatchNormParams.identity(2, dtype=np.float64)
+        bn = identity_bn(2, dtype=np.float64)
         one = merge_branches([ConvBranchSpec(w, (1, 1, 1), bn)], (5, 5, 1))
         two = merge_branches([ConvBranchSpec(2.0 * w, (1, 1, 1), bn)], (5, 5, 1))
         np.testing.assert_allclose(two.weight, 2.0 * one.weight, atol=1e-12)
 
     def test_rejects_oversized_branch(self):
         w = np.zeros((1, 1, 7, 7, 1), dtype=np.float32)
-        branch = ConvBranchSpec(w, (1, 1, 1), BatchNormParams.identity(1))
+        branch = ConvBranchSpec(w, (1, 1, 1), identity_bn(1))
         with pytest.raises(ValueError, match="exceeds target"):
             merge_branches([branch], (5, 5, 1))
 
     def test_rejects_parity_mismatch(self):
         w = np.zeros((1, 1, 2, 3, 1), dtype=np.float32)
-        branch = ConvBranchSpec(w, (1, 1, 1), BatchNormParams.identity(1))
+        branch = ConvBranchSpec(w, (1, 1, 1), identity_bn(1))
         with pytest.raises(ValueError, match="parity"):
             merge_branches([branch], (5, 5, 1))
 
     def test_even_extents_matching_parity_allowed(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((1, 1, 2, 2, 2))
-        branch = ConvBranchSpec(w, (1, 1, 1), BatchNormParams.identity(1, np.float64))
+        branch = ConvBranchSpec(w, (1, 1, 1), identity_bn(1, np.float64))
         merged = merge_branches([branch], (4, 4, 2))
-        assert merged.extents == (4, 4, 2)
+        assert merged.weight.shape[2:] == (4, 4, 2)
         x = rng.standard_normal((1, 6, 6, 4))
         np.testing.assert_allclose(
             forward_train(x, [branch]), forward_deploy(x, merged), atol=1e-12
@@ -317,12 +328,12 @@ class TestValidation:
     def test_branch_rejects_bad_dilation(self):
         w = np.zeros((1, 1, 3, 3, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="dilation"):
-            ConvBranchSpec(w, (0, 1, 1), BatchNormParams.identity(1))
+            ConvBranchSpec(w, (0, 1, 1), identity_bn(1))
 
     def test_branch_rejects_channel_mismatch(self):
         w = np.zeros((2, 1, 3, 3, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="channels"):
-            ConvBranchSpec(w, (1, 1, 1), BatchNormParams.identity(3))
+            ConvBranchSpec(w, (1, 1, 1), identity_bn(3))
 
     def test_merged_rejects_bias_shape(self):
         with pytest.raises(ValueError, match="bias"):

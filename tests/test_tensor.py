@@ -634,7 +634,7 @@ class TestCast:
         branch = ConvBranchSpec(
             rng.standard_normal((2, 1, 3, 3, 1)).astype(np.float32),
             (2, 2, 1),
-            BatchNormParams.identity(2),
+            BatchNormParams(*(np.full(2, v, np.float32) for v in (0.0, 1.0, 1.0, 0.0))),
         )
 
         def arrays(b):

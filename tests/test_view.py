@@ -385,6 +385,51 @@ class TestLiftSplat:
             want = per_point[in_range].sum()
             assert out[c].sum() == pytest.approx(want, rel=1e-4)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        yaws=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=3),
+        shift=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+        focal=st.floats(2.0, 20.0),
+        feature_size=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+        n_bins=st.integers(1, 6),
+        counts=st.tuples(*[st.integers(1, 10)] * 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mass_conserved_when_grid_holds_every_point(
+        self, yaws, shift, focal, feature_size, n_bins, counts, dtype, seed
+    ):
+        """Each bin's probabilities sum to 1, so when the grid holds every
+        frustum point a channel's lifted mass is its feature sum over all
+        camera pixels."""
+        rng = np.random.default_rng(seed)
+        h, w = feature_size
+        image_size = (2 * h, 2 * w)
+        k = np.array([[focal, 0.0, w - 0.5], [0.0, focal, h - 0.5], [0.0, 0.0, 1.0]])
+        base = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        cams = []
+        for yaw in yaws:
+            c, s = np.cos(yaw), np.sin(yaw)
+            rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            t = np.array(shift) + rng.uniform(-1.0, 1.0, 3)
+            cams.append(CameraParams(k, rz @ base, t, image_size, feature_size))
+        d_min = rng.uniform(0.2, 2.0)
+        d_max = d_min + rng.uniform(1.0, 12.0)
+        pts = np.concatenate([
+            frustum_points(cam, bin_centers(d_min, d_max, n_bins)).reshape(-1, 3)
+            for cam in cams
+        ])
+        grid = GridSpec(pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0, counts)
+        n_c = len(cams)
+        features = rng.uniform(0.1, 1.0, (n_c, 3, h, w)).astype(dtype)
+        probs = rng.dirichlet(np.ones(n_bins), (n_c, h, w)).transpose(0, 3, 1, 2)
+        depth = DepthDistribution(probs.astype(dtype), d_min, d_max)
+        plan = LiftPlan.build(cams, depth.bin_centers(), grid)
+        assert all(inside.all() for inside in plan.inside)
+        got = lift_splat(features, depth, plan).astype(np.float64).sum(axis=(1, 2, 3))
+        want = features.astype(np.float64).sum(axis=(0, 2, 3))
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=0)
+
     def test_adding_camera_never_reduces_mass(self):
         rng = np.random.default_rng(7)
         grid = GridSpec((-6, -6, -3), (6, 6, 3), (6, 6, 3))
