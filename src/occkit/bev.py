@@ -19,7 +19,12 @@ from .view import GridSpec
 
 @dataclass(frozen=True)
 class EgoPose:
-    """Rigid ego-to-world transform: x_world = R @ x_ego + t."""
+    """Rigid ego-to-world transform: x_world = R @ x_ego + t.
+
+    The fusion warps in the ground plane only, so R must be a proper
+    rotation about z: its third row and column are (0, 0, 1) and its
+    determinant is positive.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -33,6 +38,10 @@ class EgoPose:
             raise ValueError("pose rotation and translation must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6:
             raise ValueError("rotation is not orthonormal")
+        e_z = np.array([0.0, 0.0, 1.0])
+        if (np.abs(r[2] - e_z).max() > 1e-6 or np.abs(r[:, 2] - e_z).max() > 1e-6
+                or not np.linalg.det(r) > 0):
+            raise ValueError("rotation is not a proper rotation about z")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
@@ -76,14 +85,13 @@ def _planar_relative(pose_hist: EgoPose, pose_now: EgoPose):
 
     Returns (c, s, tx, ty) with [c, -s; s, c] the planar rotation. The pair
     is read straight off the relative rotation R_hist^T R_now and
-    renormalized, so exact axis-aligned rotations stay exact.
+    renormalized, so exact axis-aligned rotations stay exact. Both poses
+    turn about z, so the pair's norm is 1 to within ``EgoPose``'s 1e-6.
     """
     rt = pose_hist.rotation.T
     c, s = (rt @ pose_now.rotation)[:2, 0]
     tx, ty = (rt @ pose_now.translation + -rt @ pose_hist.translation)[:2]
     norm = np.hypot(c, s)
-    if norm < 1e-12:
-        raise ValueError("degenerate planar rotation")
     return c / norm, s / norm, tx, ty
 
 
@@ -248,14 +256,6 @@ class SemanticEncoderWeights:
     skip_w: np.ndarray | None = None
     skip_b: np.ndarray | None = None
 
-    @property
-    def in_channels(self) -> int:
-        return self.down1_w.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.up2_w.shape[1]
-
     @classmethod
     def seeded(cls, seed: int, channels: int, out_channels: int):
         rng = rng_named(seed, "semantic_encoder_2d")
@@ -291,7 +291,9 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
     """Refine a fused BEV map at multiple scales.
 
     b_t is (C, X, Y) with X and Y divisible by 4. Output is (C', X, Y) with
-    no activation on the final layer.
+    no activation on the final layer. The residual adds b_t's 1x1 projection
+    when the weights carry one and b_t itself otherwise, so weights without
+    a projection must keep the width.
     """
     if b_t.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b_t.ndim}D")
@@ -302,14 +304,14 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
     w = weights
     stride2 = ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1))
     same3 = ConvSpec.same((3, 3))
+    same1 = ConvSpec.same((1, 1))
 
     d1 = _relu(conv2d(b_t, w.down1_w, w.down1_b, stride2))  # (C, X/2, Y/2)
     d2 = _relu(conv2d(d1, w.down2_w, w.down2_b, stride2))  # (C, X/4, Y/4)
     m = _relu(conv2d(d2, w.mid_w, w.mid_b, same3) + d2)
     u1 = _relu(upsample2x(m, w.up1_w, w.up1_b) + d1)  # (C, X/2, Y/2)
     u0 = upsample2x(u1, w.up2_w, w.up2_b)  # (C', X, Y)
-    if w.skip_w is not None:
-        u0 = u0 + conv2d(b_t, w.skip_w, w.skip_b, ConvSpec.same((1, 1)))
-    elif w.out_channels == w.in_channels:
-        u0 = u0 + b_t
-    return u0
+    skip = b_t if w.skip_w is None else conv2d(b_t, w.skip_w, w.skip_b, same1)
+    if skip.shape != u0.shape:
+        raise ValueError(f"residual {skip.shape} does not match decoder output {u0.shape}")
+    return u0 + skip

@@ -2,16 +2,17 @@
 
 Only the last scene frame is predicted, so each frame does only the work a
 later step reads. A frame is encoded: synthesize image-plane features,
-produce a depth distribution (ground-truth one-hot or a small seeded conv
-stub), blend the two with the scheduled mixup weight, lift features into the
-half-resolution voxel grid through the run's one lift plan, and collapse to
-BEV. The ``queue_len`` frames before the last are encoded raw, unfused, and
-become the fusion's history of (BEV map, pose) pairs; older frames are
-skipped. Only the last frame is fused with its warped history. The fused
-BEV map forks into a semantic path (2D encoder then height lifting) and a
-geometric path (height lifting then the large-kernel 3D convolution); the
-two volumes are summed, upsampled to full resolution, and classified, one
-half-resolution x-slab at a time.
+bin the whole camera rig's ground-truth depth into one-hot distributions,
+produce the predicted ones (that same one-hot or a small seeded conv stub),
+blend the rig's two stacks in one call with the scheduled mixup weight, lift
+features into the half-resolution voxel grid through the run's one lift
+plan, and collapse to BEV. The ``queue_len`` frames before the last are
+encoded raw, unfused, and become the fusion's history of (BEV map, pose)
+pairs; older frames are skipped. Only the last frame is fused with its
+warped history. The fused BEV map forks into a semantic path (2D encoder
+then height lifting) and a geometric path (height lifting then the
+large-kernel 3D convolution); the two volumes are summed, upsampled to full
+resolution, and classified, one half-resolution x-slab at a time.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def build_weights(config: PipelineConfig) -> PipelineWeights:
     seed = config.seed
     c = config.channels
     cr = config.refined_channels
-    nz_half = config.grid.counts[2] // 2
+    nz_half = config.half_grid().counts[2]
     branches = tuple(
         random_branch_set(
             seed, c_in=cr, c_out=cr, target=config.kernel,
@@ -147,16 +148,6 @@ def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
         logits = conv2d(h, stub.conv2_w, stub.conv2_b, same1)
         out.append(softmax(logits, axis=0))
     return np.stack(out)
-
-
-def _gt_depth(scene_depth: np.ndarray, config: PipelineConfig):
-    """Per-camera one-hot depth plus validity from scene depth samples; the
-    scene's -1 (no hit) is a nonpositive depth, so it counts as missing."""
-    one_hots, valids = zip(*(
-        gt_depth_from_points(cam_depth, config.d_min, config.d_max, config.depth_bins)
-        for cam_depth in scene_depth
-    ))
-    return np.stack(one_hots), np.stack(valids)
 
 
 def _check_scene(config: PipelineConfig, scene: SceneBundle) -> None:
@@ -224,7 +215,6 @@ def run_pipeline(
         )
 
     half = config.half_grid()
-    cams = scene.cameras()
     timings: dict = {}
 
     def staged(stage, fn, *args, **kw):
@@ -237,19 +227,23 @@ def run_pipeline(
         return result
 
     def encode(t):
-        """Depth, lift and height collapse of frame t: (voxels, BEV map)."""
+        """Depth, lift and height collapse of frame t: (voxels, BEV map).
+
+        The depth stage works on the frame's whole camera rig at once: one
+        ground-truth binning of its (N_c, H, W) depths, in which the scene's
+        -1 (no hit) counts as missing, and one blend of the rig's
+        (N_c, D, H, W) stacks.
+        """
         features = frame_features(config, t)
-        gt_oh, valid = staged("depth", _gt_depth, scene.depth[t], config)
+        gt_oh, valid = staged(
+            "depth", gt_depth_from_points,
+            scene.depth[t], config.d_min, config.d_max, config.depth_bins,
+        )
         if config.depth_provider == "stub":
             pred = staged("depth", _stub_depth, features, weights.stub)
         else:
             pred = gt_oh
-        mixed = np.stack(
-            [
-                staged("depth", mix_depth, pred[i], gt_oh[i], alpha, valid[i])
-                for i in range(len(cams))
-            ]
-        )
+        mixed = staged("depth", mix_depth, pred, gt_oh, alpha, valid)
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
         dist.validate()
         v = staged("lift", lift_splat, features, dist, plan)
@@ -257,7 +251,7 @@ def run_pipeline(
 
     t_start = time.perf_counter()
     centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
-    plan = staged("lift", LiftPlan.build, cams, centers, half)
+    plan = staged("lift", LiftPlan.build, scene.cameras(), centers, half)
     last = scene.n_frames - 1
     history = [
         (encode(t)[1], scene.pose(t)) for t in range(max(0, last - config.queue_len), last)

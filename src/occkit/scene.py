@@ -435,20 +435,13 @@ def load_scene(scene_dir: str) -> SceneBundle:
         raise ValueError(f"scene depth shape {depth.shape} does not match manifest")
     if poses.shape != (spec.n_frames, 4, 4):
         raise ValueError(f"scene poses shape {poses.shape} does not match manifest")
-    bad = np.flatnonzero(~np.isfinite(poses).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError(f"scene poses {poses_path}: frame {bad[0]} must be finite")
-    # The fusion warps in the ground plane only: a pose must turn about z.
-    rot = poses[:, :3, :3]
-    e_z = np.array([0.0, 0.0, 1.0])
-    about_z = (
-        (np.abs(rot[:, 2, :] - e_z).max(axis=1) <= 1e-6)
-        & (np.abs(rot[:, :, 2] - e_z).max(axis=1) <= 1e-6)
-        & (np.linalg.det(rot) > 0)
-    )
-    bad = np.flatnonzero(~about_z)
-    if bad.size:
-        raise ValueError(
-            f"scene poses {poses_path}: frame {bad[0]} must be a rotation about z"
-        )
+    for t, m in enumerate(poses):
+        if not np.isfinite(m).all():
+            raise ValueError(f"scene poses {poses_path}: frame {t} must be finite")
+        try:
+            EgoPose.from_matrix(m)
+        except ValueError:
+            raise ValueError(
+                f"scene poses {poses_path}: frame {t} must be a rotation about z"
+            ) from None
     return SceneBundle(grid, occupancy, visible, depth, poses, spec)

@@ -5,6 +5,9 @@ the network's prediction and a ground-truth one-hot distribution. The blend
 weight follows a sigmoid over normalized training progress: early iterations
 lean on ground truth, late iterations on the prediction, with a smooth
 handoff in between.
+
+Both the ground-truth binning and the blend act pixel by pixel, so each
+takes a whole camera rig as one array: a frame makes one call of each.
 """
 
 from __future__ import annotations
@@ -63,62 +66,50 @@ def mix_depth(
 ) -> np.ndarray:
     """Blend predicted and ground-truth depth distributions.
 
-    pred and gt are (D, H, W) per-pixel distributions. Where valid_mask is
-    False there is no trustworthy ground truth, so the prediction passes
-    through unblended.
+    pred and gt are (..., D, H, W) per-pixel distributions, such as a whole
+    camera rig's (N_c, D, H, W) stack; the blend is per pixel, so no camera
+    mixes with another. valid_mask is (..., H, W): where it is False there
+    is no trustworthy ground truth, so the prediction passes through
+    unblended.
     """
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape}, gt {gt.shape}")
-    if pred.ndim != 3:
-        raise ValueError(f"expected 3D (bin, v, u) distributions, got {pred.ndim}D")
+    if pred.ndim < 3:
+        raise ValueError(f"expected (..., bin, v, u) distributions, got {pred.ndim}D")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     mixed = alpha * pred + (1.0 - alpha) * gt.astype(pred.dtype)
     if valid_mask is not None:
-        if valid_mask.shape != pred.shape[1:]:
-            raise ValueError(
-                f"valid_mask shape {valid_mask.shape} != pixel extents {pred.shape[1:]}"
-            )
-        mixed = np.where(valid_mask[None, :, :], mixed, pred)
+        pixels = pred.shape[:-3] + pred.shape[-2:]
+        if valid_mask.shape != pixels:
+            raise ValueError(f"valid_mask shape {valid_mask.shape} != pixel extents {pixels}")
+        mixed = np.where(valid_mask[..., None, :, :], mixed, pred)
     return mixed.astype(pred.dtype, copy=False)
 
 
-def gt_depth_from_points(
-    depth_samples: np.ndarray,
-    d_min: float,
-    d_max: float,
-    n_bins: int,
-):
-    """Build a one-hot depth distribution from measured per-pixel depths.
+def gt_depth_from_points(depth: np.ndarray, d_min: float, d_max: float, n_bins: int):
+    """Build one-hot depth distributions from measured per-pixel depths.
 
-    depth_samples is (H, W) or (S, H, W) metric depth along the optical axis;
-    NaN and nonpositive entries are missing. The nearest valid sample per
-    pixel wins, then snaps to its uniform bin over [d_min, d_max). Pixels
-    with no sample in range get a uniform distribution and a False validity
-    flag.
+    depth is (..., H, W) metric depth along the optical axis, such as a
+    frame's (N_c, H, W) camera rig; each pixel snaps to its uniform bin over
+    [d_min, d_max). NaN, nonpositive and out-of-range depths are missing:
+    those pixels get a uniform distribution and a False validity flag.
 
-    Returns (one_hot (n_bins, H, W) float32, valid (H, W) bool).
+    Returns (one_hot (..., n_bins, H, W) float32, valid (..., H, W) bool).
     """
     if not d_max > d_min > 0:
         raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    d = np.asarray(depth_samples, dtype=np.float64)
-    if d.ndim == 2:
-        d = d[None]
-    if d.ndim != 3:
-        raise ValueError(f"depth_samples must be 2D or 3D, got {d.ndim}D")
+    d = np.asarray(depth, dtype=np.float64)
+    if d.ndim < 2:
+        raise ValueError(f"depth must be (..., H, W), got {d.ndim}D")
 
-    usable = np.isfinite(d) & (d > 0)
-    nearest = np.where(usable, d, np.inf).min(axis=0)
+    # NaN fails both comparisons, and d_min > 0 excludes nonpositive depths
+    valid = (d >= d_min) & (d < d_max)
     width = (d_max - d_min) / n_bins
-    in_range = np.isfinite(nearest) & (nearest >= d_min) & (nearest < d_max)
-    offsets = np.where(in_range, nearest - d_min, 0.0)
+    offsets = np.where(valid, d - d_min, 0.0)
     bin_idx = np.clip(np.floor(offsets / width).astype(np.int64), 0, n_bins - 1)
-
-    h, w = nearest.shape
-    one_hot = np.full((n_bins, h, w), 1.0 / n_bins, dtype=np.float32)
-    vv, uu = np.nonzero(in_range)
-    one_hot[:, vv, uu] = 0.0
-    one_hot[bin_idx[vv, uu], vv, uu] = 1.0
-    return one_hot, in_range
+    hot = bin_idx[..., None, :, :] == np.arange(n_bins)[:, None, None]
+    one_hot = np.where(valid[..., None, :, :], hot, 1.0 / n_bins).astype(np.float32)
+    return one_hot, valid

@@ -321,11 +321,8 @@ def test_08_default_scene_lift_sparsity():
     scene = gen_scene(cfg.scene_spec())
     frame = cfg.scene_frames - 1
     feats = frame_features(cfg, frame)
-    per_cam = [
-        gt_depth_from_points(scene.depth[frame, ci], cfg.d_min, cfg.d_max, cfg.depth_bins)[0]
-        for ci in range(cfg.scene_cameras)
-    ]
-    depth = DepthDistribution(np.stack(per_cam), cfg.d_min, cfg.d_max)
+    one_hot, _ = gt_depth_from_points(scene.depth[frame], cfg.d_min, cfg.d_max, cfg.depth_bins)
+    depth = DepthDistribution(one_hot, cfg.d_min, cfg.d_max)
     lifted = lift_splat(
         feats, depth, LiftPlan.build(scene.cameras(), depth.bin_centers(), cfg.half_grid())
     )

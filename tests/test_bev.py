@@ -120,6 +120,24 @@ class TestEgoPose:
         with pytest.raises(ValueError, match="orthonormal"):
             EgoPose(np.eye(3) * 1.5, np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "rotation",
+        [
+            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+        ids=["pitched", "mirrored"],
+    )
+    def test_rejects_rotation_not_about_z(self, rotation):
+        """Orthonormal, finite rotations that the planar warp cannot follow:
+        a pitch moves z, and a mirror about x has determinant -1."""
+        with pytest.raises(ValueError, match="proper rotation about z"):
+            EgoPose(np.array(rotation), np.zeros(3))
+        m = np.eye(4)
+        m[:3, :3] = rotation
+        with pytest.raises(ValueError, match="proper rotation about z"):
+            EgoPose.from_matrix(m)
+
 
 class TestPlanarRelative:
     @settings(max_examples=60, deadline=None)
@@ -555,6 +573,16 @@ class TestSemanticEncoder:
         rng = np.random.default_rng(10)
         b = rng.standard_normal((c, 12, 12))
         np.testing.assert_array_equal(semantic_encoder_2d(b, weights), b)
+
+    @pytest.mark.parametrize("c_in, c_out", [(3, 5), (1, 4)])
+    def test_rejects_width_change_without_projection(self, c_in, c_out):
+        """With no 1x1 projection the residual is the input itself, so the
+        widths must agree; a width of 1 must not broadcast."""
+        weights = dataclasses.replace(
+            SemanticEncoderWeights.seeded(5, c_in, c_out), skip_w=None, skip_b=None
+        )
+        with pytest.raises(ValueError, match="residual"):
+            semantic_encoder_2d(np.ones((c_in, 8, 8), dtype=np.float32), weights)
 
     def test_seeded_skip_only_when_widths_differ(self):
         assert SemanticEncoderWeights.seeded(2, 4, 4).skip_w is None

@@ -148,6 +148,15 @@ class TestNonFinite:
         err = self.assert_run_fails(config_path, scene_dir, capsys)
         assert path in err and f"frame {len(poses) - 1} " in err
 
+    def test_pose_bottom_row(self, config_path, scene_dir, capsys):
+        # the bottom row is no part of the pose, but still must be finite
+        path = f"{scene_dir}/poses.gsdt"
+        poses = gsdt.read(path)
+        poses[1, 3, 0] = np.inf
+        gsdt.write(path, poses)
+        err = self.assert_run_fails(config_path, scene_dir, capsys)
+        assert err == f"error: scene poses {path}: frame 1 must be finite\n"
+
     @staticmethod
     def assert_run_fails(config_path, scene_dir, capsys):
         rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])

@@ -11,7 +11,6 @@ from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
 from occkit.config import PipelineConfig, default_config
 from occkit.pipeline import (
     PipelineStageError,
-    _gt_depth,
     _stub_depth,
     build_weights,
     frame_features,
@@ -19,7 +18,7 @@ from occkit.pipeline import (
 )
 from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
-from occkit.schedule import mix_depth
+from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv3d, slab_rows
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat
 
@@ -68,11 +67,11 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
     history = deque(maxlen=config.queue_len)
     for t in range(scene.n_frames):
         features = frame_features(config, t)
-        gt_oh, valid = _gt_depth(scene.depth[t], config)
-        pred = _stub_depth(features, weights.stub) if config.depth_provider == "stub" else gt_oh
-        mixed = np.stack(
-            [mix_depth(pred[i], gt_oh[i], alpha, valid[i]) for i in range(len(cams))]
+        gt_oh, valid = gt_depth_from_points(
+            scene.depth[t], config.d_min, config.d_max, config.depth_bins
         )
+        pred = _stub_depth(features, weights.stub) if config.depth_provider == "stub" else gt_oh
+        mixed = mix_depth(pred, gt_oh, alpha, valid)
         dist = DepthDistribution(mixed, config.d_min, config.d_max)
         plan = LiftPlan.build(cams, dist.bin_centers(), half)
         b = collapse_height(lift_splat(features, dist, plan))
@@ -250,6 +249,33 @@ class TestFusionWindow:
         assert calls["temporal_fuse"] == 1
         assert calls["lift_splat"] == min(n_frames, queue_len + 1)
 
+    @pytest.mark.parametrize("depth_provider", ["gt", "stub"])
+    @pytest.mark.parametrize("n_cameras", [1, 2, 3])
+    def test_one_depth_pass_per_frame(self, monkeypatch, n_cameras, depth_provider):
+        """Each encoded frame bins and blends its whole camera rig in one
+        call each, whatever the camera count."""
+        shapes = {"gt_depth_from_points": [], "mix_depth": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                shapes[name].append(args[0].shape)
+                return fn(*args, **kw)
+
+            return wrapper
+
+        for name in shapes:
+            monkeypatch.setattr(
+                occkit.pipeline, name, counted(name, getattr(occkit.pipeline, name))
+            )
+        config = small_config(
+            scene_cameras=n_cameras, scene_frames=4, depth_provider=depth_provider
+        )
+        run_pipeline(config, gen_scene(config.scene_spec()), alpha=0.5)
+        frames = config.queue_len + 1
+        h, w = config.scene_features
+        assert shapes["gt_depth_from_points"] == [(n_cameras, h, w)] * frames
+        assert shapes["mix_depth"] == [(n_cameras, config.depth_bins, h, w)] * frames
+
     @pytest.mark.parametrize("desk", [False, True], ids=["small", "desk"])
     def test_unprojects_each_camera_once_per_call(self, monkeypatch, desk):
         """One lift plan per run_pipeline call: a desk call unprojects its
@@ -341,7 +367,7 @@ class TestBuildWeights:
         config = small_config(channels=4, refined_channels=6)
         weights = build_weights(config)
         assert weights.fusion.n_channels == 4
-        assert weights.encoder.out_channels == 6
+        assert weights.encoder.up2_w.shape[1] == 6
         assert weights.bvl_geometric.context_w.shape[:2] == (6, 4)
         assert weights.bvl_semantic.context_w.shape[:2] == (6, 6)
         assert weights.head_w.shape == (18, 6, 1, 1, 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.schedule import (
     MixupSchedule,
@@ -62,10 +64,103 @@ class TestMixupSchedule:
             MixupSchedule(half_range=-1.0)
 
 
-def random_distribution(rng, shape):
+def random_distribution(rng, shape, axis=0):
     logits = rng.standard_normal(shape)
     e = np.exp(logits)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def gt_depth_per_camera(depth_samples, d_min, d_max, n_bins):
+    """The binning before it took a whole rig, called once per camera: an
+    (H, W) map becomes one sample, and the nearest valid sample wins."""
+    d = np.asarray(depth_samples, dtype=np.float64)
+    if d.ndim == 2:
+        d = d[None]
+    usable = np.isfinite(d) & (d > 0)
+    nearest = np.where(usable, d, np.inf).min(axis=0)
+    width = (d_max - d_min) / n_bins
+    in_range = np.isfinite(nearest) & (nearest >= d_min) & (nearest < d_max)
+    offsets = np.where(in_range, nearest - d_min, 0.0)
+    bin_idx = np.clip(np.floor(offsets / width).astype(np.int64), 0, n_bins - 1)
+    h, w = nearest.shape
+    one_hot = np.full((n_bins, h, w), 1.0 / n_bins, dtype=np.float32)
+    vv, uu = np.nonzero(in_range)
+    one_hot[:, vv, uu] = 0.0
+    one_hot[bin_idx[vv, uu], vv, uu] = 1.0
+    return one_hot, in_range
+
+
+def mix_depth_per_camera(pred, gt, alpha, valid_mask=None):
+    """The blend before it took a whole rig: one camera's (D, H, W) stack."""
+    mixed = alpha * pred + (1.0 - alpha) * gt.astype(pred.dtype)
+    if valid_mask is not None:
+        mixed = np.where(valid_mask[None, :, :], mixed, pred)
+    return mixed.astype(pred.dtype, copy=False)
+
+
+@st.composite
+def depth_rigs(draw):
+    """(N_c, H, W) depth rigs with NaN, -1, 0, inf, depths of exactly d_min
+    and d_max, bin edges, and values just inside the range's ends."""
+    n_cams, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    n_bins = draw(st.integers(1, 16))
+    d_min, d_max = draw(st.sampled_from([(0.5, 12.0), (1.0, 5.0), (1.0, 25.0), (0.1, 0.3)]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.uniform(-0.2 * d_max, 1.2 * d_max, (n_cams, h, w))
+    width = (d_max - d_min) / n_bins
+    edges = np.array([
+        np.nan, -1.0, 0.0, np.inf, d_min, d_max, np.nextafter(d_max, 0.0),
+        np.nextafter(d_min, 0.0), d_min + width * rng.integers(0, n_bins),
+    ])
+    pick = rng.random(d.shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    d[pick] = rng.choice(edges, int(pick.sum()))
+    return d.astype(dtype), d_min, d_max, n_bins, rng
+
+
+ALPHAS = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestRigDepthMatchesPerCamera:
+    """The rig-level binning and blend give the bytes of the per-camera
+    calls they replace, stacked over cameras."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rig=depth_rigs())
+    def test_binning_bytes(self, rig):
+        d, d_min, d_max, n_bins, _ = rig
+        one_hot, valid = gt_depth_from_points(d, d_min, d_max, n_bins)
+        per_cam = [gt_depth_per_camera(cam, d_min, d_max, n_bins) for cam in d]
+        want_oh = np.stack([oh for oh, _ in per_cam])
+        want_valid = np.stack([v for _, v in per_cam])
+        assert one_hot.dtype == np.float32 and valid.dtype == bool
+        assert one_hot.shape == want_oh.shape and valid.shape == want_valid.shape
+        assert one_hot.tobytes() == want_oh.tobytes()
+        assert valid.tobytes() == want_valid.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rig=depth_rigs(),
+        alpha=ALPHAS,
+        pred_dtype=st.sampled_from([np.float32, np.float64]),
+        mask_kind=st.sampled_from(["binned", "random", "none"]),
+    )
+    def test_blend_bytes(self, rig, alpha, pred_dtype, mask_kind):
+        d, d_min, d_max, n_bins, rng = rig
+        gt, valid = gt_depth_from_points(d, d_min, d_max, n_bins)
+        pred = random_distribution(rng, gt.shape, axis=1).astype(pred_dtype)
+        if mask_kind == "random":
+            valid = rng.random(valid.shape) < 0.5
+            valid.flat[0] = True
+            valid.flat[-1] = valid.size == 1
+        mask = None if mask_kind == "none" else valid
+        mixed = mix_depth(pred, gt, alpha, mask)
+        want = np.stack([
+            mix_depth_per_camera(pred[i], gt[i], alpha, None if mask is None else mask[i])
+            for i in range(len(pred))
+        ])
+        assert mixed.dtype == want.dtype == pred.dtype
+        assert mixed.tobytes() == want.tobytes()
 
 
 class TestMixDepth:
@@ -101,6 +196,18 @@ class TestMixDepth:
         mixed[:, 1, 2] = pred[:, 1, 2]
         np.testing.assert_array_equal(mixed, pred.astype(mixed.dtype))
 
+    def test_rig_mask_is_per_camera(self):
+        # a pixel trusted in one camera passes the other camera's prediction
+        rng = np.random.default_rng(6)
+        pred = random_distribution(rng, (2, 8, 3, 4), axis=1)
+        gt = random_distribution(rng, (2, 8, 3, 4), axis=1)
+        valid = np.zeros((2, 3, 4), dtype=bool)
+        valid[1, 1, 2] = True
+        mixed = mix_depth(pred, gt, 0.0, valid_mask=valid)
+        np.testing.assert_array_equal(mixed[1, :, 1, 2], gt[1, :, 1, 2])
+        mixed[1, :, 1, 2] = pred[1, :, 1, 2]
+        np.testing.assert_array_equal(mixed, pred)
+
     def test_preserves_dtype(self):
         pred = np.full((4, 2, 2), 0.25, dtype=np.float32)
         gt = np.full((4, 2, 2), 0.25, dtype=np.float64)
@@ -119,6 +226,11 @@ class TestMixDepth:
         pred = np.full((4, 2, 2), 0.25)
         with pytest.raises(ValueError, match="valid_mask"):
             mix_depth(pred, pred, 0.5, valid_mask=np.ones((3, 3), dtype=bool))
+        # a rig's mask needs its camera axis: one (H, W) mask would be
+        # broadcast over every camera
+        rig = np.full((2, 4, 2, 2), 0.25)
+        with pytest.raises(ValueError, match="valid_mask"):
+            mix_depth(rig, rig, 0.5, valid_mask=np.ones((2, 2), dtype=bool))
 
 
 class TestGtDepthFromPoints:
@@ -131,17 +243,17 @@ class TestGtDepthFromPoints:
         assert one_hot[3, 0, 1] == 1.0
         np.testing.assert_allclose(one_hot.sum(axis=0), 1.0)
 
-    def test_nearest_sample_wins(self):
-        d = np.stack([np.array([[4.2]]), np.array([[1.6]]), np.array([[3.0]])])
-        one_hot, valid = gt_depth_from_points(d, 1.0, 5.0, 8)
-        assert valid[0, 0]
-        assert one_hot[1, 0, 0] == 1.0  # 1.6 lands in [1.5, 2.0)
-
     def test_nonpositive_and_nan_ignored(self):
-        d = np.stack([np.array([[np.nan]]), np.array([[-2.0]]), np.array([[2.1]])])
+        # three cameras: NaN, -2 and 0 are missing, 2.1 lands in [2.0, 2.5)
+        d = np.array([[[np.nan, 2.1]], [[-2.0, 0.0]], [[2.1, np.nan]]])
         one_hot, valid = gt_depth_from_points(d, 1.0, 5.0, 8)
-        assert valid[0, 0]
-        assert one_hot[2, 0, 0] == 1.0
+        assert one_hot.shape == (3, 8, 1, 2)
+        np.testing.assert_array_equal(valid, [[[False, True]], [[False, False]], [[True, False]]])
+        for cam, u in ((0, 1), (2, 0)):
+            assert one_hot[cam, 2, 0, u] == 1.0
+            assert one_hot[cam, :, 0, u].sum() == 1.0
+        for cam, u in ((0, 0), (1, 0), (1, 1), (2, 1)):
+            np.testing.assert_array_equal(one_hot[cam, :, 0, u], 0.125)
 
     def test_out_of_range_gets_uniform(self):
         d = np.array([[0.5, 5.0, np.nan]])
@@ -150,31 +262,14 @@ class TestGtDepthFromPoints:
         np.testing.assert_allclose(one_hot, 0.125)
 
     def test_range_is_half_open(self):
-        d = np.array([[1.0, 4.999]])
+        # two cameras: d_min and just below d_max are in range; d_max and
+        # just below d_min are not
+        d = np.array([[[1.0, 4.999]], [[5.0, 0.999]]])
         one_hot, valid = gt_depth_from_points(d, 1.0, 5.0, 8)
-        assert valid.all()
-        assert one_hot[0, 0, 0] == 1.0
-        assert one_hot[7, 0, 1] == 1.0
-
-    def test_min_depth_matches_loop_oracle(self):
-        rng = np.random.default_rng(4)
-        d = rng.uniform(0.5, 6.0, (4, 3, 5))
-        d[rng.random((4, 3, 5)) < 0.3] = np.nan
-        one_hot, valid = gt_depth_from_points(d, 1.0, 5.0, 16)
-        width = 4.0 / 16
-        for v in range(3):
-            for u in range(5):
-                col = d[:, v, u]
-                col = col[np.isfinite(col) & (col > 0)]
-                nearest = col.min() if col.size else np.inf
-                if 1.0 <= nearest < 5.0:
-                    assert valid[v, u]
-                    want = int((nearest - 1.0) / width)
-                    assert one_hot[want, v, u] == 1.0
-                    assert one_hot[:, v, u].sum() == 1.0
-                else:
-                    assert not valid[v, u]
-                    np.testing.assert_allclose(one_hot[:, v, u], 1.0 / 16)
+        np.testing.assert_array_equal(valid, [[[True, True]], [[False, False]]])
+        assert one_hot[0, 0, 0, 0] == 1.0
+        assert one_hot[0, 7, 0, 1] == 1.0
+        np.testing.assert_array_equal(one_hot[1], 0.125)
 
     def test_single_2d_frame_accepted(self):
         one_hot, valid = gt_depth_from_points(np.full((2, 2), 3.0), 1.0, 5.0, 4)
@@ -191,5 +286,5 @@ class TestGtDepthFromPoints:
             gt_depth_from_points(np.ones((2, 2)), 1.0, 5.0, 0)
 
     def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError, match="2D or 3D"):
+        with pytest.raises(ValueError, match=r"\(\.\.\., H, W\), got 1D"):
             gt_depth_from_points(np.ones(4), 1.0, 5.0, 4)

@@ -496,10 +496,7 @@ def run_lift_inputs(name, depth_provider):
         rng = np.random.default_rng(0)
         hits = rng.uniform(0.0, config.d_max + 5.0, (len(cams),) + config.scene_features)
         hits[rng.random(hits.shape) < 0.3] = -1.0
-        probs = np.stack([
-            gt_depth_from_points(d, config.d_min, config.d_max, config.depth_bins)[0]
-            for d in hits
-        ])
+        probs = gt_depth_from_points(hits, config.d_min, config.d_max, config.depth_bins)[0]
     depth = DepthDistribution(probs, config.d_min, config.d_max)
     return features, depth, cams, config.half_grid()
 
