@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConvSpec, conv2d, rng_named, uniform_init, upsample2x
+from .tensor import FLOAT_DTYPES, ConvSpec, conv2d, rng_named, uniform_init, upsample2x
 from .view import GridSpec
 
 
@@ -74,10 +74,31 @@ class EgoPose:
 
 
 def collapse_height(v: np.ndarray) -> np.ndarray:
-    """Average a (C, X, Y, Z) voxel tensor over its height axis to (C, X, Y)."""
+    """Average a (C, X, Y, Z) voxel tensor over its height axis to (C, X, Y).
+
+    The bytes are those of ``v.mean(axis=3)``, whose contiguous reduction
+    sums each column from +0.0: in order below 8 heights, and at exactly 8
+    as the tree ``((v0+v1)+(v2+v3)) + ((v4+v5)+(v6+v7))`` added to +0.0.
+    For a C-contiguous float32 or float64 ``v`` with Z = 2 or 4 the same
+    sums are whole-slice adds into a zeroed accumulator, and with Z = 8 the
+    same tree of slices plus 0.0; either is then divided by Z. Any other
+    height count, dtype or layout calls ``mean`` itself.
+    """
     if v.ndim != 4:
         raise ValueError(f"expected 4D voxel tensor, got {v.ndim}D")
-    return v.mean(axis=3)
+    z = v.shape[3]
+    if z not in (2, 4, 8) or v.dtype not in FLOAT_DTYPES or not v.flags.c_contiguous:
+        return v.mean(axis=3)
+    s = [v[..., k] for k in range(z)]
+    if z == 8:
+        acc = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+        acc += 0.0
+    else:
+        acc = np.zeros(v.shape[:3], dtype=v.dtype)
+        for sl in s:
+            acc += sl
+    acc /= z
+    return acc
 
 
 def _planar_relative(pose_hist: EgoPose, pose_now: EgoPose):

@@ -15,7 +15,11 @@ multiply-adds, where OpenBLAS runs its faster small-matrix kernel, and the
 working buffers stay in cache. Each output element still sums its taps in
 the same order. Every slab but the last spans a multiple of 16 columns (see
 ``slab_rows``), which keeps the logits byte-identical to running each GEMM
-over the whole output at once.
+over the whole output at once. A conv starts each slab's accumulator with
+its first tap's GEMM and adds the bias (or 0.0) on the way into the output,
+and ``upsample2x`` adds its bias to each contiguous block GEMM before one
+strided copy per block: the bytes of a zero-filled accumulator or a strided
+add, in fewer passes.
 """
 
 from __future__ import annotations
@@ -34,6 +38,15 @@ FLOAT_DTYPES = (F32, F64)
 def _check_float_dtype(arr: np.ndarray, name: str) -> None:
     if arr.dtype not in FLOAT_DTYPES:
         raise ValueError(f"{name} must be float32 or float64, got {arr.dtype}")
+
+
+def _check_bias(bias: np.ndarray | None, c_out: int, dtype: np.dtype) -> None:
+    if bias is None:
+        return
+    if bias.shape != (c_out,):
+        raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
+    if bias.dtype != dtype:
+        raise ValueError(f"bias dtype {bias.dtype} != input dtype {dtype}")
 
 
 def _as_axes(value, rank: int, name: str) -> tuple[int, ...]:
@@ -143,13 +156,16 @@ def _conv_nd(
 
     The output is worked through in slabs of ``slab_rows`` rows of its first
     spatial axis, sized so that each tap's GEMM stays under OpenBLAS's
-    small-matrix cutoff. For each slab every tap's input is multiplied and
-    added to the slab's accumulator, then the bias is added and the slab is
-    written out; the slab-sized buffers are allocated once. A tap is read in
-    place when its slab already is a (C_in, columns) matrix with unit inner
-    stride, as in every one-row slab of a kz=1 conv over unpadded z, and is
-    copied into a patch otherwise. A pointwise conv is flattened to one axis
-    first, so its slabs are cut by columns rather than by rows. Slab
+    small-matrix cutoff. For each slab the first tap's GEMM writes the
+    slab's accumulator, every later tap's is added to it, and one add of
+    the bias (or of 0.0) writes the slab out; the slab-sized buffers are
+    allocated once. That is the bytes of a zero-filled accumulator with the
+    bias added last, -0.0 products included, in fewer passes: a single-tap
+    conv (every 1x1 conv) makes one GEMM and one add per slab. A tap is
+    read in place when its slab already is a (C_in, columns) matrix with
+    unit inner stride, as in every one-row slab of a kz=1 conv over
+    unpadded z, and is copied into a patch otherwise. A pointwise conv is
+    flattened to one axis first, so its slabs are cut by columns. Slab
     boundaries fall on multiples of 16 columns, which keeps the result
     byte-identical to one GEMM per tap over the whole output. A strided
     conv, or one with more than 256 input channels, runs as one slab, since
@@ -172,11 +188,7 @@ def _conv_nd(
         raise ValueError(
             f"weight extents {weight.shape[2:]} != spec kernel {spec.kernel}"
         )
-    if bias is not None:
-        if bias.shape != (c_out,):
-            raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
-        if bias.dtype != x.dtype:
-            raise ValueError(f"bias dtype {bias.dtype} != input dtype {x.dtype}")
+    _check_bias(bias, c_out, x.dtype)
 
     out_shape = (c_out,) + spec.output_extents(tuple(x.shape[1:]))
     if spec.kernel == spec.stride == (1,) * rank and not any(spec.padding):
@@ -220,6 +232,11 @@ def _conv_nd(
     patch_buf = None if in_place else np.empty(c_in * rows * row, dtype=x.dtype)
     tmp_buf = np.empty(c_out * rows * row, dtype=x.dtype)
     acc_buf = np.empty(c_out * rows * row, dtype=x.dtype)
+    # The first tap's GEMM starts the accumulator in place of a zero fill.
+    # Its sums then differ from +0.0-started ones only by being -0.0 where
+    # those are +0.0, and adding b + 0.0 (or 0.0 without a bias) turns each
+    # such -0.0 into +0.0, as adding b to a +0.0-started sum does.
+    shift = 0.0 if bias is None else (bias + 0.0)[:, None]
 
     for r0 in range(0, n_rows, rows):
         n = min(rows, n_rows - r0)
@@ -229,7 +246,6 @@ def _conv_nd(
             patch_nd = patch.reshape((c_in, n) + out_sp[1:])
         tmp = tmp_buf[: c_out * cols].reshape(c_out, cols)
         acc = acc_buf[: c_out * cols].reshape(c_out, cols)
-        acc.fill(0)
         for tap_idx, (first, inner) in enumerate(taps):
             start = first + s0 * r0
             src = xp[(slice(None), slice(start, start + s0 * (n - 1) + 1, s0)) + inner]
@@ -237,11 +253,12 @@ def _conv_nd(
                 patch = src.reshape(c_in, cols)
             else:
                 np.copyto(patch_nd, src)
-            np.matmul(w_taps[tap_idx], patch, out=tmp)
-            acc += tmp
-        if bias is not None:
-            acc += bias[:, None]
-        out[:, r0 * row : r0 * row + cols] = acc
+            if tap_idx == 0:
+                np.matmul(w_taps[0], patch, out=acc)
+            else:
+                np.matmul(w_taps[tap_idx], patch, out=tmp)
+                acc += tmp
+        np.add(acc, shift, out=out[:, r0 * row : r0 * row + cols])
     return out.reshape(out_shape)
 
 
@@ -289,7 +306,14 @@ def upsample2x(
 ) -> np.ndarray:
     """Stride-2, kernel-2 transpose convolution: doubles every spatial extent
     of (C_in, *spatial) exactly. weight layout (C_in, C_out, 2, ..., 2), one
-    2 per spatial axis of ``x``."""
+    2 per spatial axis of ``x``; bias (C_out,), in the input's dtype.
+
+    Stride equals kernel, so output blocks never overlap: each input cell
+    expands into an independent 2^rank block. Each block offset is one GEMM
+    over C_in into a contiguous buffer, the bias is added there in place,
+    and one strided copy writes the buffer into that offset's view of the
+    output.
+    """
     rank = x.ndim - 1
     if weight.ndim != rank + 2:
         raise ValueError(f"weight must have rank {rank + 2}, got {weight.ndim}")
@@ -302,21 +326,19 @@ def upsample2x(
     if weight.dtype != x.dtype:
         raise ValueError(f"weight dtype {weight.dtype} != input dtype {x.dtype}")
     c_out = weight.shape[1]
-    # Stride equals kernel, so output blocks never overlap: each input cell
-    # expands into an independent 2^rank block. Offset (a, b[, c]) of every
-    # block is one GEMM over C_in, written straight into its strided view of
-    # the output.
+    _check_bias(bias, c_out, x.dtype)
     sp = x.shape[1:]
     x2 = x.reshape(x.shape[0], -1)
     w_blocks = np.ascontiguousarray(np.moveaxis(weight, 1, -1))  # (C_in, 2.., C_out)
     out = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=x.dtype)
+    y = np.empty((c_out, x2.shape[1]), dtype=x.dtype)
     for block in np.ndindex(*(2,) * rank):
-        y = np.matmul(w_blocks[(slice(None),) + block].T, x2).reshape((c_out,) + sp)
-        dst = out[(slice(None),) + tuple(slice(o, None, 2) for o in block)]
-        if bias is None:
-            dst[...] = y
-        else:
-            np.add(y, bias.reshape((c_out,) + (1,) * rank), out=dst)
+        np.matmul(w_blocks[(slice(None),) + block].T, x2, out=y)
+        if bias is not None:
+            y += bias[:, None]
+        out[(slice(None),) + tuple(slice(o, None, 2) for o in block)] = y.reshape(
+            (c_out,) + sp
+        )
     return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from occkit.bev import (
     EgoPose,
@@ -180,6 +181,61 @@ class TestCollapseHeight:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="4D"):
             collapse_height(np.zeros((2, 2, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), z=st.integers(1, 16), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_bytes_match_live_mean(self, data, z, dtype):
+        """Byte for byte the installed numpy's ``mean(axis=3)``: signed zeros,
+        and mixed-sign values far apart in magnitude whose sums round
+        differently in another order."""
+        width = 32 if dtype == np.float32 else 64
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 1e30, -1e30, 3.0, -3.0]),
+            st.floats(-1e7, 1e7, width=width),
+        )
+        shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)),
+                 data.draw(st.integers(1, 4)), z)
+        v = data.draw(hnp.arrays(dtype, shape, elements=values))
+        got = collapse_height(v)
+        want = v.mean(axis=3)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("z", [2, 4, 8, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_summation_order_matches_mean(self, z, dtype):
+        """Values spread over 16 decades round differently in any other
+        summation order, so the bytes pin ``mean``'s order."""
+        rng = np.random.default_rng(z)
+        shape = (3, 17, 19, z)
+        v = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)).astype(dtype)
+        assert collapse_height(v).tobytes() == v.mean(axis=3).tobytes()
+
+    @pytest.mark.parametrize("z", [2, 4, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_columns(self, z, dtype):
+        """An all -0.0 column averages to +0.0, as ``mean`` sums from +0.0."""
+        v = np.full((2, 3, 3, z), -0.0, dtype=dtype)
+        v[1] = 0.0
+        assert collapse_height(v).tobytes() == v.mean(axis=3).tobytes()
+        assert not np.signbit(collapse_height(v)).any()
+
+    def test_other_layouts_and_dtypes_call_mean(self):
+        """A height axis that is not innermost in memory is summed in order
+        by ``mean`` even at Z = 8, and an integer tensor averages in float64;
+        both go through ``mean`` itself."""
+        rng = np.random.default_rng(3)
+        base = (rng.standard_normal((8, 3, 5, 6)) * 1e7).astype(np.float32)
+        cases = [
+            base.transpose(1, 2, 3, 0),
+            rng.integers(-5, 5, size=(2, 3, 3, 4)),
+            np.asfortranarray(base.transpose(1, 2, 3, 0)),
+        ]
+        for v in cases:
+            got = collapse_height(v)
+            want = v.mean(axis=3)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestWarpBev:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -8,7 +9,7 @@ import occkit.pipeline
 import occkit.view
 from occkit.bev import collapse_height, semantic_encoder_2d, temporal_fuse
 from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
-from occkit.config import PipelineConfig, default_config
+from occkit.config import PipelineConfig, default_config, parse_config
 from occkit.pipeline import (
     PipelineStageError,
     _stub_depth,
@@ -21,6 +22,7 @@ from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv3d, slab_rows
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat
+from test_acceptance import GATE_CONFIG
 
 STAGES = (
     "depth",
@@ -336,6 +338,66 @@ class TestSlabbedTail:
         assert slabs == [rows] * (nx // rows) + ([nx % rows] if nx % rows else [])
         assert (len(slabs) > 1 and slabs[-1] < rows) == several
         assert {"fuse_upsample", "classifier"} <= report.timings.keys()
+
+
+def _wide_config(_):
+    """perfbench's ``wide_train`` config at scene seed 7: an 80 m grid whose
+    half grid is 32x100x100x8, stub depth, queue 3, 8 frames, 24 boxes."""
+    return dataclasses.replace(
+        default_config(),
+        grid=GridSpec((-40.0, -40.0, -1.0), (40.0, 40.0, 2.2), (200, 200, 16)),
+        queue_len=3,
+        depth_provider="stub",
+        scene_frames=8,
+        scene_boxes=24,
+    )
+
+
+def _check9_config(tmp_dir):
+    path = tmp_dir / "gate.cfg"
+    path.write_text(GATE_CONFIG)
+    return parse_config(str(path))
+
+
+REFERENCE_CONFIGS = {
+    "desk": lambda _: default_config(),
+    "wide": _wide_config,
+    "check9": _check9_config,
+}
+
+# sha256 of the float32 logits bytes, scene seed 7, alpha 0.5. Every speed
+# change must keep these; a change that moves them on purpose says so.
+REFERENCE_LOGITS = [
+    ("desk", "deploy", "653246e4ea556bea5fdd4f59f35d040adbae3f9a862a12bf997e50d0724dd3de"),
+    ("wide", "train", "62eca2fdc44d78b72d61a617bded8f1408d265d62c1bff62c7e7885eeb184720"),
+    ("wide", "deploy", "0b92813efe18558daf36761c64db0f8478508b2a7f999f2f71db6a21ab78470d"),
+    ("check9", "deploy", "b2dd1613911d5cf468986e7755dc211593cde16dc1d6ab4ec1ce5e1ce8a60d85"),
+    ("check9", "train", "b537c01d62612d670e6f3b2465fed8f193651d079804b2f757fadb09ee45d754"),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """(config, scene, weights) per reference config, each built once."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            config = REFERENCE_CONFIGS[name](tmp_path_factory.mktemp(name))
+            built[name] = config, gen_scene(config.scene_spec()), build_weights(config)
+        return built[name]
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "name, mode, sha256", REFERENCE_LOGITS, ids=[f"{n}-{m}" for n, m, _ in REFERENCE_LOGITS]
+)
+def test_reference_logits_hashes(reference_run, name, mode, sha256):
+    config, scene, weights = reference_run(name)
+    logits, _ = run_pipeline(config, scene, 0.5, mode, weights)
+    assert logits.dtype == np.float32
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == sha256
 
 
 class TestFrameFeatures:

@@ -132,6 +132,27 @@ def upsample2x_interleaved(x, weight, bias, rank):
     return y
 
 
+def upsample2x_strided_add(x, weight, bias):
+    """The upsample before its contiguous bias adds: each block offset's
+    GEMM plus the bias is written by one ``np.add`` straight into its
+    stride-2 view of the output. ``upsample2x`` must match it byte for
+    byte."""
+    rank = x.ndim - 1
+    c_out = weight.shape[1]
+    sp = x.shape[1:]
+    x2 = x.reshape(x.shape[0], -1)
+    w_blocks = np.ascontiguousarray(np.moveaxis(weight, 1, -1))
+    out = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=x.dtype)
+    for block in np.ndindex(*(2,) * rank):
+        y = np.matmul(w_blocks[(slice(None),) + block].T, x2).reshape((c_out,) + sp)
+        dst = out[(slice(None),) + tuple(slice(o, None, 2) for o in block)]
+        if bias is None:
+            dst[...] = y
+        else:
+            np.add(y, bias.reshape((c_out,) + (1,) * rank), out=dst)
+    return out
+
+
 class TestConvSpec:
     def test_defaults(self):
         spec = ConvSpec(kernel=(3, 3, 1))
@@ -447,6 +468,89 @@ class TestSlabTiling:
             assert (rows + step) * row * macs > SMALL_GEMM_MACS
 
 
+# Every single-tap conv of a desk, wide and check-9 run (input, weight), as
+# recorded from their run_pipeline calls: the head on each tail slab, the
+# BVL context and height convs and the stub depth head. The encoder's 1x1
+# skip runs only when the refined width differs from the base width, which
+# none of the three configs sets, so it is taken at desk's map with 16
+# refined channels.
+SINGLE_TAP_CONVS = {
+    "desk-head-slab": ((32, 10, 96, 8), (18, 32, 1, 1, 1)),
+    "desk-head-last-slab": ((32, 6, 96, 8), (18, 32, 1, 1, 1)),
+    "desk-bvl-context": ((32, 48, 48), (32, 32, 1, 1)),
+    "desk-bvl-height": ((32, 48, 48), (4, 32, 1, 1)),
+    "desk-encoder-skip": ((32, 48, 48), (16, 32, 1, 1)),
+    "wide-head-slab": ((32, 2, 200, 16), (18, 32, 1, 1, 1)),
+    "wide-bvl-context": ((32, 100, 100), (32, 32, 1, 1)),
+    "wide-bvl-height": ((32, 100, 100), (8, 32, 1, 1)),
+    "wide-stub": ((32, 16, 44), (16, 32, 1, 1)),
+    "check9-head": ((8, 48, 48, 4), (18, 8, 1, 1, 1)),
+    "check9-bvl-context": ((8, 24, 24), (8, 8, 1, 1)),
+    "check9-bvl-height": ((8, 24, 24), (2, 8, 1, 1)),
+}
+
+
+def _signed_zero_matmul(monkeypatch):
+    """Make ``np.matmul`` return -0.0 for every zero it computes, as a BLAS
+    whose accumulators start at -0.0 could; the installed one gives +0.0."""
+    matmul = np.matmul
+
+    def negative_zeros(a, b, out=None):
+        y = matmul(a, b, out=out)
+        np.copysign(y, -1.0, out=y, where=y == 0)
+        return y
+
+    monkeypatch.setattr(np, "matmul", negative_zeros)
+
+
+class TestAccumulatorStart:
+    """``_conv_nd`` starts each slab's accumulator with the first tap's GEMM
+    and adds the bias (or 0.0) on the way into the output, so a one-tap conv
+    is one GEMM and one add. ``conv_nd_untiled``, which zero-fills its
+    accumulator, adds every tap's product and then the bias, is its byte
+    oracle."""
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize(
+        "case", list(SINGLE_TAP_CONVS.values()), ids=list(SINGLE_TAP_CONVS)
+    )
+    def test_pipeline_shapes_match_accumulator(self, case, bias):
+        x_shape, w_shape = case
+        x, w, b, spec = _conv_case(x_shape, w_shape, bias, 1, 1, 0, np.float32)
+        got = _conv_nd(x, w, b, spec)
+        want = conv_nd_untiled(x, w, b, spec)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("signed_gemm", [False, True], ids=["blas", "neg-zero-blas"])
+    @pytest.mark.parametrize("bias", ["none", "signed-zeros"])
+    @pytest.mark.parametrize(
+        "kernel, stride, padding",
+        [((1, 1), 1, 0), ((1, 1), 1, (1, 0)), ((3, 3), 1, 1), ((3, 1), 2, 1)],
+        ids=["1x1", "1x1-padded", "3x3", "3x1-stride-2"],
+    )
+    def test_zero_columns_and_signed_zero_bias(
+        self, monkeypatch, kernel, stride, padding, dtype, signed_gemm, bias
+    ):
+        """All-zero input columns under negative weights, and a bias that
+        holds -0.0 and +0.0: every output byte, sign bits included, is the
+        zero-filled accumulator's, also when the GEMM itself returns -0.0."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, 6, 16)).astype(dtype)
+        x[:, :, 3:9] = 0.0
+        w = -np.abs(rng.standard_normal((6, 8) + kernel)).astype(dtype)
+        b = None if bias == "none" else np.array([-0.0, 0.0, -0.0, 1.5, -0.0, -2.0], dtype)
+        if signed_gemm:
+            _signed_zero_matmul(monkeypatch)
+        spec = ConvSpec(kernel=kernel, stride=stride, padding=padding)
+        got = _conv_nd(x, w, b, spec)
+        want = conv_nd_untiled(x, w, b, spec)
+        assert (got == 0).any()
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+
+
 class TestConv2d:
     @pytest.mark.parametrize(
         "stride,padding", [((1, 1), (0, 0)), ((1, 1), (1, 1)), ((2, 2), (1, 1))]
@@ -558,11 +662,31 @@ class TestUpsample2x:
         with pytest.raises(ValueError, match="extents"):
             upsample2x(x, np.zeros((1, 1, 3, 3, 3), dtype=np.float32))
 
+    def test_rejects_bias_of_other_dtype(self):
+        x = np.zeros((2, 4, 4), dtype=np.float32)
+        w = np.zeros((2, 3, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="bias dtype float64 != input dtype float32"):
+            upsample2x(x, w, np.zeros(3))
+
+    def test_rejects_column_bias(self):
+        x = np.zeros((2, 4, 4), dtype=np.float32)
+        w = np.zeros((2, 3, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"bias must have shape \(3,\), got \(3, 1\)"):
+            upsample2x(x, w, np.zeros((3, 1), dtype=np.float32))
+
+    def test_rejects_bias_of_other_length(self):
+        x = np.zeros((2, 4, 4, 4), dtype=np.float32)
+        w = np.zeros((2, 3, 2, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"bias must have shape \(3,\), got \(4,\)"):
+            upsample2x(x, w, np.zeros(4, dtype=np.float32))
+
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
     @pytest.mark.parametrize(
         "shape", list(UPSAMPLE_INPUTS.values()), ids=list(UPSAMPLE_INPUTS)
     )
     def test_matches_interleaving_oracle(self, shape, bias):
+        """Bytes of both older forms: the one-GEMM interleaving upsample and
+        the per-block strided add."""
         rank = len(shape) - 1
         rng = np.random.default_rng(prod(shape))
         x = rng.standard_normal(shape).astype(np.float32)
@@ -572,6 +696,22 @@ class TestUpsample2x:
         want = upsample2x_interleaved(x, w, b, rank)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == upsample2x_strided_add(x, w, b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("signed_gemm", [False, True], ids=["blas", "neg-zero-blas"])
+    def test_signed_zero_bias_matches_strided_add(self, monkeypatch, dtype, signed_gemm):
+        """Zero input cells under negative weights plus a bias of -0.0 and
+        +0.0 entries: the in-place add gives the strided add's sign bits."""
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((4, 3, 5, 2)).astype(dtype)
+        x[:, 1] = 0.0
+        w = -np.abs(rng.standard_normal((4, 4, 2, 2, 2))).astype(dtype)
+        b = np.array([-0.0, 0.0, -0.0, 0.25], dtype)
+        if signed_gemm:
+            _signed_zero_matmul(monkeypatch)
+        got = upsample2x(x, w, b)
+        assert got.tobytes() == upsample2x_strided_add(x, w, b).tobytes()
 
 
 # One wide-run branch conv in a fresh interpreter: OpenBLAS reads its
