@@ -46,10 +46,6 @@ class EgoPose:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls) -> "EgoPose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_yaw(cls, yaw: float, translation=(0.0, 0.0, 0.0)) -> "EgoPose":
         c, s = np.cos(yaw), np.sin(yaw)
         r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -250,9 +246,8 @@ def temporal_fuse(
     for slot, (bev, pose) in enumerate(history, start=1):
         stack[slot * n_ch : (slot + 1) * n_ch] = warp_bev(bev, pose, pose_now, grid)
 
-    spec = ConvSpec.same((3, 3))
-    h = conv2d(stack, weights.mix1_w, weights.mix1_b, spec)
-    return conv2d(h, weights.mix2_w, weights.mix2_b, spec)
+    h = conv2d(stack, weights.mix1_w, weights.mix1_b)
+    return conv2d(h, weights.mix2_w, weights.mix2_b)
 
 
 @dataclass(frozen=True)
@@ -323,16 +318,14 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
         raise ValueError(f"BEV extents must be divisible by 4, got ({nx}, {ny})")
 
     w = weights
-    stride2 = ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1))
-    same3 = ConvSpec.same((3, 3))
-    same1 = ConvSpec.same((1, 1))
+    stride2 = ConvSpec((3, 3), stride=2)
 
     d1 = _relu(conv2d(b_t, w.down1_w, w.down1_b, stride2))  # (C, X/2, Y/2)
     d2 = _relu(conv2d(d1, w.down2_w, w.down2_b, stride2))  # (C, X/4, Y/4)
-    m = _relu(conv2d(d2, w.mid_w, w.mid_b, same3) + d2)
+    m = _relu(conv2d(d2, w.mid_w, w.mid_b) + d2)
     u1 = _relu(upsample2x(m, w.up1_w, w.up1_b) + d1)  # (C, X/2, Y/2)
     u0 = upsample2x(u1, w.up2_w, w.up2_b)  # (C', X, Y)
-    skip = b_t if w.skip_w is None else conv2d(b_t, w.skip_w, w.skip_b, same1)
+    skip = b_t if w.skip_w is None else conv2d(b_t, w.skip_w, w.skip_b)
     if skip.shape != u0.shape:
         raise ValueError(f"residual {skip.shape} does not match decoder output {u0.shape}")
     return u0 + skip

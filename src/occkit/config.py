@@ -12,7 +12,7 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .reparam import default_branch_extents
+from .reparam import check_fit, default_branch_extents
 from .scene import SceneSpec
 from .view import GridSpec
 
@@ -63,6 +63,13 @@ class PipelineConfig:
         ):
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
+        # Each branch must merge into the kernel: reparam's fit-and-parity rule.
+        for ext, dil in self.branch_extents():
+            try:
+                check_fit(tuple((k - 1) * d + 1 for k, d in zip(ext, dil)), self.kernel)
+            except ValueError as e:
+                which = " (default)" if self.branches is None else ""
+                raise ConfigError(f"[reparam] branches{which}: {e}") from None
         for key, value in (
             ("[scene] focal", self.scene_focal),
             ("[scene] march_step", self.scene_march_step),

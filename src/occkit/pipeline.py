@@ -41,7 +41,7 @@ from .reparam import (
 )
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
-from .tensor import ConvSpec, conv2d, conv3d, rng_named, slab_rows, softmax, uniform_init
+from .tensor import conv2d, conv3d, rng_named, slab_rows, softmax, uniform_init
 from .view import DepthDistribution, LiftPlan, bin_centers, lift_splat, sparsity_ratio
 
 
@@ -141,11 +141,9 @@ def frame_features(config: PipelineConfig, frame: int) -> np.ndarray:
 def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
     """(N_c, C, H, W) features -> (N_c, D, H, W) depth distributions."""
     out = []
-    same3 = ConvSpec.same((3, 3))
-    same1 = ConvSpec.same((1, 1))
     for f in features:
-        h = np.maximum(conv2d(f, stub.conv1_w, stub.conv1_b, same3), 0)
-        logits = conv2d(h, stub.conv2_w, stub.conv2_b, same1)
+        h = np.maximum(conv2d(f, stub.conv1_w, stub.conv1_b), 0)
+        logits = conv2d(h, stub.conv2_w, stub.conv2_b)
         out.append(softmax(logits, axis=0))
     return np.stack(out)
 

@@ -8,8 +8,12 @@ scale and shift, and the sparse kernels are zero-padded to the target extents
 and summed. ``forward_train`` and ``forward_deploy`` agree elementwise up to
 floating-point rounding.
 
-All branches and the merged kernel use centered "same" padding, so every
-forward preserves spatial extents.
+Every branch conv and the merged conv pad by the conv's one centred rule
+(see ``tensor``): (e-1)//2 zeros low and e//2 high for an effective extent
+e, the extra zero of an even extent on the high side. The two forms then
+read the same voxels only if each branch fits inside the kernel with the
+kernel's parity on every axis, as ``check_fit`` requires. Every forward
+preserves spatial extents.
 """
 
 from __future__ import annotations
@@ -113,7 +117,9 @@ def fuse_bn(weight: np.ndarray, bn: BatchNormParams) -> tuple[np.ndarray, np.nda
     return fused_w, fused_b
 
 
-def _check_fit(eff: tuple[int, ...], target: tuple[int, ...]) -> None:
+def check_fit(eff: tuple[int, ...], target: tuple[int, ...]) -> None:
+    """Raise unless ``eff`` fits centred inside ``target``: no larger, and
+    of the same parity, on every axis."""
     for axis, (e, t) in enumerate(zip(eff, target)):
         if e > t:
             raise ValueError(
@@ -149,7 +155,7 @@ def merge_branches(
             raise ValueError("branches disagree on channel counts")
         if branch.weight.dtype != dtype:
             raise ValueError("branches disagree on dtype")
-        _check_fit(branch.effective, target)
+        check_fit(branch.effective, target)
         sparse = dilate_to_sparse(branch.weight, branch.dilation)
         fused_w, fused_b = fuse_bn(sparse, branch.bn)
         off = tuple((t - e) // 2 for t, e in zip(target, branch.effective))
@@ -159,25 +165,6 @@ def merge_branches(
         weight[region] += fused_w
         bias += fused_b
     return MergedKernel(weight=weight, bias=bias)
-
-
-def _same_conv3d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    dilation: tuple[int, int, int],
-    bias: np.ndarray | None = None,
-) -> np.ndarray:
-    """Conv3d with centered zero padding so output extents equal input's.
-
-    Pads floor((eff-1)/2) low / remainder high per axis, which keeps the
-    branch and merged forwards aligned for any agreeing parity.
-    """
-    eff = tuple((k - 1) * d + 1 for k, d in zip(weight.shape[2:], dilation))
-    lo = tuple((e - 1) // 2 for e in eff)
-    hi = tuple(e - 1 - l for e, l in zip(eff, lo))
-    xp = np.pad(x, [(0, 0)] + list(zip(lo, hi)))
-    spec = ConvSpec(kernel=tuple(weight.shape[2:]), dilation=dilation)
-    return conv3d(xp, weight, bias, spec)
 
 
 def apply_bn(y: np.ndarray, bn: BatchNormParams) -> np.ndarray:
@@ -196,14 +183,15 @@ def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
         raise ValueError("need at least one branch")
     out = None
     for branch in branches:
-        y = apply_bn(_same_conv3d(x, branch.weight, branch.dilation), branch.bn)
+        spec = ConvSpec(branch.kernel, branch.dilation)
+        y = apply_bn(conv3d(x, branch.weight, spec=spec), branch.bn)
         out = y if out is None else np.add(out, y, out=out)
     return out
 
 
 def forward_deploy(x: np.ndarray, merged: MergedKernel) -> np.ndarray:
-    """Deploy-form forward: one large-kernel conv3d with centered padding."""
-    return _same_conv3d(x, merged.weight, (1, 1, 1), bias=merged.bias)
+    """Deploy-form forward: one large-kernel conv3d."""
+    return conv3d(x, merged.weight, merged.bias)
 
 
 def default_branch_extents(

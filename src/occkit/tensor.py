@@ -1,13 +1,18 @@
-"""Dense tensor primitives: reference convolutions, softmax, exact 2x
-transpose-conv upsampling (``upsample2x``, 2D or 3D by the input's rank), and
-a dtype cast for weight dataclasses.
+"""Dense tensor primitives: reference convolutions, softmax and exact 2x
+transpose-conv upsampling (``upsample2x``, 2D or 3D by the input's rank).
 
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
 for high-precision oracle runs. Weights must already be in the input's dtype:
-no operation casts them, and a mismatch is an error. ``cast`` converts a whole
-weight dataclass once, for a float64 run. Every operation is deterministic for
-fixed inputs (single-threaded accumulation order, no unordered reductions).
+no operation casts them, and a mismatch is an error. Every operation is
+deterministic for fixed inputs (single-threaded accumulation order, no
+unordered reductions).
+
+Every convolution pads itself by one centred rule, and no caller passes
+padding: an axis of effective extent e = (k-1)*dilation + 1 gets (e-1)//2
+zeros low and e//2 high, the extra zero of an even extent on the high side.
+Output extents are then (n-1)//stride + 1, and dilated branches pad around
+the same voxel as the kernel they merge into.
 
 Convolutions run in slabs of output rows along the first spatial axis, sized
 so that each per-tap GEMM stays at or under ``SMALL_GEMM_MACS``
@@ -25,7 +30,7 @@ add, in fewer passes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from math import gcd, prod, sqrt
 
 import numpy as np
@@ -61,15 +66,17 @@ def _as_axes(value, rank: int, name: str) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class ConvSpec:
     """Geometry of a direct convolution: kernel extents plus per-axis
-    dilation, stride, and symmetric zero padding.
+    dilation and stride.
 
-    Effective extent per axis is (k-1)*dilation + 1.
+    Effective extent per axis is e = (k-1)*dilation + 1. The conv pads each
+    axis centred, with (e-1)//2 zeros low and e//2 high (the extra zero of
+    an even extent goes high), so output extents depend only on the input's
+    and the stride.
     """
 
     kernel: tuple[int, ...]
     dilation: tuple[int, ...] = ()
     stride: tuple[int, ...] = ()
-    padding: tuple[int, ...] = ()
 
     def __post_init__(self):
         rank = len(self.kernel)
@@ -78,17 +85,12 @@ class ConvSpec:
             self, "dilation", _as_axes(self.dilation or 1, rank, "dilation")
         )
         object.__setattr__(self, "stride", _as_axes(self.stride or 1, rank, "stride"))
-        object.__setattr__(
-            self, "padding", _as_axes(self.padding or 0, rank, "padding")
-        )
         if any(k < 1 for k in self.kernel):
             raise ValueError(f"kernel extents must be >= 1, got {self.kernel}")
         if any(d < 1 for d in self.dilation):
             raise ValueError(f"dilation must be >= 1, got {self.dilation}")
         if any(s < 1 for s in self.stride):
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if any(p < 0 for p in self.padding):
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
 
     @property
     def rank(self) -> int:
@@ -99,28 +101,8 @@ class ConvSpec:
         """Extent each kernel axis covers once dilation spreads its taps."""
         return tuple((k - 1) * d + 1 for k, d in zip(self.kernel, self.dilation))
 
-    @classmethod
-    def same(cls, kernel) -> "ConvSpec":
-        """Stride-1, undilated spec with centered padding so output extents
-        equal input. Requires odd extents; even ones have no center.
-        """
-        kernel = tuple(int(k) for k in kernel)
-        if any(k % 2 == 0 for k in kernel):
-            raise ValueError(f"centered padding needs odd effective extents, got {kernel}")
-        return cls(kernel=kernel, padding=tuple((k - 1) // 2 for k in kernel))
-
     def output_extents(self, spatial: tuple[int, ...]) -> tuple[int, ...]:
-        eff = self.effective
-        out = tuple(
-            (spatial[a] + 2 * self.padding[a] - eff[a]) // self.stride[a] + 1
-            for a in range(self.rank)
-        )
-        if any(o < 1 for o in out):
-            raise ValueError(
-                f"kernel {self.kernel} (dilation {self.dilation}) does not fit "
-                f"input extents {spatial} with padding {self.padding}"
-            )
-        return out
+        return tuple((n - 1) // s + 1 for n, s in zip(spatial, self.stride))
 
 
 # Multiply-adds at or under which OpenBLAS runs a GEMM through its
@@ -150,9 +132,12 @@ def _conv_nd(
 ) -> np.ndarray:
     """Direct cross-correlation over the trailing spatial axes of ``x``.
 
-    x: (C_in, *spatial); weight: (C_out, C_in, *kernel). No kernel flip,
-    zero padding. Accumulates one GEMM per kernel tap so arbitrary dilation
-    and stride reduce to shifted slices of the padded input.
+    x: (C_in, *spatial); weight: (C_out, C_in, *kernel). No kernel flip.
+    Zero padding is centred per axis, (e-1)//2 low and e//2 high for an
+    effective extent e (an even extent's extra zero goes high), and is made
+    by one ``np.pad`` copy of the input, only when some effective extent is
+    above 1. Accumulates one GEMM per kernel tap so arbitrary dilation and
+    stride reduce to shifted slices of the padded input.
 
     The output is worked through in slabs of ``slab_rows`` rows of its first
     spatial axis, sized so that each tap's GEMM stays under OpenBLAS's
@@ -189,9 +174,11 @@ def _conv_nd(
             f"weight extents {weight.shape[2:]} != spec kernel {spec.kernel}"
         )
     _check_bias(bias, c_out, x.dtype)
+    if min(x.shape[1:]) < 1:
+        raise ValueError(f"input extents must be >= 1, got {x.shape[1:]}")
 
     out_shape = (c_out,) + spec.output_extents(tuple(x.shape[1:]))
-    if spec.kernel == spec.stride == (1,) * rank and not any(spec.padding):
+    if spec.kernel == spec.stride == (1,) * rank:
         x, weight = x.reshape(c_in, -1), weight.reshape(c_out, c_in, 1)
         spec, rank = ConvSpec(kernel=(1,)), 1
     out_sp = spec.output_extents(tuple(x.shape[1:]))
@@ -202,8 +189,9 @@ def _conv_nd(
     else:
         rows = n_rows
 
-    pad = [(0, 0)] + [(p, p) for p in spec.padding]
-    xp = np.pad(x, pad) if any(spec.padding) else x
+    eff = spec.effective
+    pad = [(0, 0)] + [((e - 1) // 2, e // 2) for e in eff]
+    xp = np.pad(x, pad) if max(eff) > 1 else x
 
     # (taps, C_out, C_in): each tap's weight is one contiguous matrix.
     w_taps = np.ascontiguousarray(np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0))
@@ -340,20 +328,6 @@ def upsample2x(
             (c_out,) + sp
         )
     return out
-
-
-def cast(weights, dtype):
-    """``weights`` with every array in ``dtype``: an array, or a dataclass
-    rebuilt field by field, recursing into nested dataclasses. ``None``,
-    tuples and scalars pass through; arrays already in ``dtype`` are reused,
-    not copied."""
-    if isinstance(weights, np.ndarray):
-        return weights.astype(dtype, copy=False)
-    if is_dataclass(weights):
-        return replace(weights, **{
-            f.name: cast(getattr(weights, f.name), dtype) for f in fields(weights)
-        })
-    return weights
 
 
 def rng_named(seed: int, name: str) -> np.random.Generator:

@@ -35,8 +35,9 @@ from occkit.reparam import (
 )
 from occkit.scene import camera_ring, gen_scene
 from occkit.schedule import MixupSchedule, gt_depth_from_points, mix_depth, mixup_alpha
-from occkit.tensor import ConvSpec, cast, conv2d, rng_named, softmax
+from occkit.tensor import conv2d, rng_named, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat, sparsity_ratio
+from support import cast, identity_pose
 
 
 def _verdict(idx, label, ok, detail):
@@ -213,7 +214,7 @@ def test_04_height_lift_partition_of_unity():
         weights = BVLWeights.seeded(trial, "acc_bvl", 32, 32, 8)
         vol = bev_to_voxel_lift(b, weights)
         w = cast(weights, b.dtype)
-        ctx = conv2d(b, w.context_w, w.context_b, ConvSpec.same((1, 1)))
+        ctx = conv2d(b, w.context_w, w.context_b)
         scale = max(float(np.abs(ctx).max()), 1e-12)
         worst = max(worst, float(np.abs(vol.sum(axis=3) - ctx).max()) / scale)
     ok = worst <= 1e-5
@@ -266,14 +267,14 @@ def test_06_warp_exact_cases():
     identity_ok = np.array_equal(warp_bev(b, pose, pose, grid), b)
 
     shifted = warp_bev(
-        b, EgoPose.identity(), EgoPose.from_yaw(0.0, (1.0, 0.0, 0.0)), grid
+        b, identity_pose(), EgoPose.from_yaw(0.0, (1.0, 0.0, 0.0)), grid
     )
     want_shift = np.zeros_like(b)
     want_shift[:, :-1, :] = b[:, 1:, :]
     shift_ok = np.array_equal(shifted, want_shift)
 
     quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    turned = warp_bev(b, EgoPose.identity(), EgoPose(quarter, np.zeros(3)), grid)
+    turned = warp_bev(b, identity_pose(), EgoPose(quarter, np.zeros(3)), grid)
     turn_ok = np.array_equal(turned, b[:, ::-1, :].transpose(0, 2, 1))
 
     ok = identity_ok and shift_ok and turn_ok

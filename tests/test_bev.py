@@ -17,8 +17,9 @@ from occkit.bev import (
     warp_bev,
 )
 from occkit.config import default_config
-from occkit.tensor import ConvSpec, cast, conv2d
+from occkit.tensor import conv2d
 from occkit.view import GridSpec
+from support import cast, identity_pose
 
 EXACT_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -250,7 +251,7 @@ class TestWarpBev:
         rng = np.random.default_rng(2)
         b = rng.standard_normal((2, 32, 32))
         out = warp_bev(
-            b, EgoPose.identity(), EgoPose.from_yaw(0.0, (1.0, 0.0, 0.0)), bev_grid()
+            b, identity_pose(), EgoPose.from_yaw(0.0, (1.0, 0.0, 0.0)), bev_grid()
         )
         want = np.zeros_like(b)
         want[:, :-1, :] = b[:, 1:, :]
@@ -260,7 +261,7 @@ class TestWarpBev:
         rng = np.random.default_rng(3)
         b = rng.standard_normal((2, 32, 32))
         out = warp_bev(
-            b, EgoPose.identity(), EgoPose.from_yaw(0.0, (0.0, 1.0, 0.0)), bev_grid()
+            b, identity_pose(), EgoPose.from_yaw(0.0, (0.0, 1.0, 0.0)), bev_grid()
         )
         want = np.zeros_like(b)
         want[:, :, :-1] = b[:, :, 1:]
@@ -270,21 +271,21 @@ class TestWarpBev:
         rng = np.random.default_rng(4)
         b = rng.standard_normal((2, 32, 32)).astype(np.float32)
         pose_now = EgoPose(EXACT_90, np.zeros(3))
-        out = warp_bev(b, EgoPose.identity(), pose_now, bev_grid())
+        out = warp_bev(b, identity_pose(), pose_now, bev_grid())
         want = b[:, ::-1, :].transpose(0, 2, 1)
         np.testing.assert_array_equal(out, want)
 
     def test_quarter_turn_from_yaw_matches_permutation(self):
         rng = np.random.default_rng(5)
         b = rng.standard_normal((2, 32, 32))
-        out = warp_bev(b, EgoPose.identity(), EgoPose.from_yaw(np.pi / 2), bev_grid())
+        out = warp_bev(b, identity_pose(), EgoPose.from_yaw(np.pi / 2), bev_grid())
         want = b[:, ::-1, :].transpose(0, 2, 1)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_out_of_range_zero_fill(self):
         b = np.ones((1, 32, 32))
         out = warp_bev(
-            b, EgoPose.identity(), EgoPose.from_yaw(0.0, (40.0, 0.0, 0.0)), bev_grid()
+            b, identity_pose(), EgoPose.from_yaw(0.0, (40.0, 0.0, 0.0)), bev_grid()
         )
         assert not out.any()
 
@@ -306,7 +307,7 @@ class TestWarpBev:
 
     def test_rejects_extent_mismatch(self):
         with pytest.raises(ValueError, match="extents"):
-            warp_bev(np.zeros((1, 8, 8)), EgoPose.identity(), EgoPose.identity(), bev_grid())
+            warp_bev(np.zeros((1, 8, 8)), identity_pose(), identity_pose(), bev_grid())
 
 
 # The half grids and BEV widths of a desk run, a wide run (perfbench's
@@ -416,7 +417,7 @@ class TestExactWarps:
         grid = GridSpec((x0, y0, 0.0), (x0 + nx * vx, y0 + ny * vy, 1.0), (nx, ny, 1))
         b = np.random.default_rng(seed).standard_normal((2, nx, ny)).astype(dtype)
         pose_now = EgoPose(np.eye(3), np.array([shift[0] * vx, shift[1] * vy, 0.0]))
-        out = warp_bev(b, EgoPose.identity(), pose_now, grid)
+        out = warp_bev(b, identity_pose(), pose_now, grid)
         assert out.dtype == b.dtype
         assert plus_zero(out).tobytes() == shifted(b, *shift).tobytes()
 
@@ -474,9 +475,8 @@ class TestTemporalFuse:
 
         grid = bev_grid(n=8)
         b = rng.standard_normal((channels, 8, 8))
-        out = temporal_fuse(b, [], EgoPose.identity(), weights, grid)
-        same3 = ConvSpec.same((3, 3))
-        want = conv2d(conv2d(b, w1[:, :channels], b1, same3), w2, b2, same3)
+        out = temporal_fuse(b, [], identity_pose(), weights, grid)
+        want = conv2d(conv2d(b, w1[:, :channels], b1), w2, b2)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_averaging_fixed_point(self):
@@ -485,8 +485,8 @@ class TestTemporalFuse:
         weights = averaging_weights(channels, frames)
         grid = bev_grid(n=8)
         b = rng.standard_normal((channels, 8, 8))
-        history = [(b, EgoPose.identity())] * (frames - 1)
-        out = temporal_fuse(b, history, EgoPose.identity(), weights, grid)
+        history = [(b, identity_pose())] * (frames - 1)
+        out = temporal_fuse(b, history, identity_pose(), weights, grid)
         np.testing.assert_allclose(out, b, atol=1e-12)
 
     def test_history_slots_newest_first(self):
@@ -496,9 +496,9 @@ class TestTemporalFuse:
         channels, frames = 2, 4
         grid = bev_grid(n=8)
         b, newest, older = rng.standard_normal((3, channels, 8, 8))
-        history = [(newest, EgoPose.identity()), (older, EgoPose.identity())]
+        history = [(newest, identity_pose()), (older, identity_pose())]
         slots = [
-            temporal_fuse(b, history, EgoPose.identity(), slot_reader(channels, frames, k), grid)
+            temporal_fuse(b, history, identity_pose(), slot_reader(channels, frames, k), grid)
             for k in range(frames)
         ]
         np.testing.assert_array_equal(slots[0], b)
@@ -543,9 +543,9 @@ class TestTemporalFuse:
         history = []
         for _ in range(frames):
             b = rng.standard_normal((channels, 8, 8)).astype(np.float32)
-            out = temporal_fuse(b, history, EgoPose.identity(), weights, grid)
+            out = temporal_fuse(b, history, identity_pose(), weights, grid)
             assert out.shape == (channels, 8, 8)
-            history.insert(0, (b, EgoPose.identity()))
+            history.insert(0, (b, identity_pose()))
 
     def test_sixteen_frame_window(self):
         weights = FusionWeights.seeded(1, 2, 16)
@@ -553,8 +553,8 @@ class TestTemporalFuse:
         grid = bev_grid(n=8)
         b = np.ones((2, 8, 8), dtype=np.float32)
         for fill in (0, 15):
-            history = [(b, EgoPose.identity())] * fill
-            out = temporal_fuse(b, history, EgoPose.identity(), weights, grid)
+            history = [(b, identity_pose())] * fill
+            out = temporal_fuse(b, history, identity_pose(), weights, grid)
             assert out.shape == (2, 8, 8)
 
     def test_moving_ego_aligns_history(self):
@@ -571,7 +571,7 @@ class TestTemporalFuse:
         hist[0, 20, 16] = 5.0
         pose_now = EgoPose.from_yaw(0.0, (1.0, 0.0, 0.0))
         out = temporal_fuse(
-            np.zeros((1, 32, 32)), [(hist, EgoPose.identity())], pose_now, weights, grid
+            np.zeros((1, 32, 32)), [(hist, identity_pose())], pose_now, weights, grid
         )
         assert out[0, 19, 16] == 5.0
         out[0, 19, 16] = 0.0
@@ -582,7 +582,7 @@ class TestTemporalFuse:
         b = np.zeros((2, 8, 8), dtype=np.float32)
         with pytest.raises(ValueError, match="4 history maps .* window of 4"):
             temporal_fuse(
-                b, [(b, EgoPose.identity())] * 4, EgoPose.identity(), weights, bev_grid(n=8)
+                b, [(b, identity_pose())] * 4, identity_pose(), weights, bev_grid(n=8)
             )
 
     def test_rejects_channel_mismatch(self):
@@ -591,7 +591,7 @@ class TestTemporalFuse:
             temporal_fuse(
                 np.zeros((3, 8, 8), dtype=np.float32),
                 [],
-                EgoPose.identity(),
+                identity_pose(),
                 weights,
                 bev_grid(n=8),
             )

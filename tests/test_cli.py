@@ -102,6 +102,35 @@ class TestConfigErrors:
         assert err.count("\n") == 1
 
 
+class TestUnmergeableBranches:
+    """A kernel and branch set that cannot merge is a config error naming
+    ``[reparam] branches``, before any command does work or prints."""
+
+    @pytest.mark.parametrize("command", ["gen-scene", "run", "equiv"])
+    @pytest.mark.parametrize(
+        "kernel,branches",
+        [("4x4x1", "default"), ("3x3x1", "5x5x1"), ("3x3x1", "3x3x1, 2x2x1")],
+        ids=["even-kernel-default", "oversized", "parity"],
+    )
+    def test_one_error_line(self, tmp_path, capsys, command, kernel, branches):
+        p = tmp_path / "bad.cfg"
+        p.write_text(
+            TINY_CONFIG.replace("kernel = 3x3x1", f"kernel = {kernel}").replace(
+                "branches = 3x3x1, 1x1x1", f"branches = {branches}"
+            )
+        )
+        args = [command, "--config", str(p)]
+        if command == "gen-scene":
+            args += ["--out", str(tmp_path / "s")]
+        elif command == "run":
+            args += ["--scene", str(tmp_path / "s"), "--alpha", "0.5"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [reparam] branches")
+        assert err.count("\n") == 1
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "old,new,command,key",

@@ -16,7 +16,8 @@ from occkit.reparam import (
     merge_branches,
     random_branch_set,
 )
-from occkit.tensor import ConvSpec, cast, conv3d
+from occkit.tensor import ConvSpec, conv3d
+from support import cast, conv_untiled
 
 
 def identity_bn(channels, dtype=np.float32):
@@ -50,6 +51,17 @@ def merged_kernel_loops(branches, target):
                             )
         bias += br.bn.beta.astype(np.float64) - br.bn.mean.astype(np.float64) * scale
     return weight, bias
+
+
+def _same_conv3d(x, weight, dilation, bias=None):
+    """The branch and merged conv as reparam ran it before the conv padded
+    itself: floor((eff-1)/2) zeros low and the remainder high, padded
+    outside, then an unpadded conv (here the untiled GEMM oracle)."""
+    eff = tuple((k - 1) * d + 1 for k, d in zip(weight.shape[2:], dilation))
+    lo = tuple((e - 1) // 2 for e in eff)
+    hi = tuple(e - 1 - l for e, l in zip(eff, lo))
+    xp = np.pad(x, [(0, 0)] + list(zip(lo, hi)))
+    return conv_untiled(xp, weight, bias, dilation, (1, 1, 1))
 
 
 class TestDilateToSparse:
@@ -130,10 +142,9 @@ class TestFuseBn:
             gamma=rng.standard_normal(3),
             beta=rng.standard_normal(3),
         )
-        spec = ConvSpec.same((3, 3, 1))
-        sequential = apply_bn(conv3d(x, w, spec=spec), bn)
+        sequential = apply_bn(conv3d(x, w), bn)
         fw, fb = fuse_bn(w, bn)
-        fused = conv3d(x, fw, fb, spec)
+        fused = conv3d(x, fw, fb)
         np.testing.assert_allclose(sequential, fused, atol=1e-12)
 
     def test_rejects_nonpositive_std(self):
@@ -258,6 +269,33 @@ class TestEquivalence:
             13,
             4,
         )
+
+
+class TestSameConvOracle:
+    """Both forwards give the bytes of padding outside the conv. The input's
+    64x8 rows make the 11x11x1 convs run one-row slabs that read their taps
+    in place; the 4x4x2 set pads z, and its even extents put their extra
+    zero high."""
+
+    @pytest.mark.parametrize(
+        "target,layouts",
+        [
+            ((11, 11, 1), None),
+            ((4, 4, 2), [((4, 4, 2), (1, 1, 1)), ((2, 2, 2), (1, 1, 1))]),
+        ],
+        ids=["default-11x11x1", "even-4x4x2"],
+    )
+    def test_forwards_match_same_conv3d(self, target, layouts):
+        branches = random_branch_set(3, 32, 32, target, extents=layouts)
+        merged = merge_branches(branches, target)
+        x = np.random.default_rng(4).uniform(-1, 1, (32, 8, 64, 8)).astype(np.float32)
+        want = None
+        for b in branches:
+            y = apply_bn(_same_conv3d(x, b.weight, b.dilation), b.bn)
+            want = y if want is None else np.add(want, y, out=want)
+        assert forward_train(x, branches).tobytes() == want.tobytes()
+        want = _same_conv3d(x, merged.weight, (1, 1, 1), merged.bias)
+        assert forward_deploy(x, merged).tobytes() == want.tobytes()
 
 
 @st.composite

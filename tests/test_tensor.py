@@ -14,7 +14,6 @@ from occkit.tensor import (
     SMALL_GEMM_MACS,
     ConvSpec,
     _conv_nd,
-    cast,
     conv2d,
     conv3d,
     rng_named,
@@ -23,95 +22,19 @@ from occkit.tensor import (
     uniform_init,
     upsample2x,
 )
+from support import cast, centred_pad, conv_loops, conv_untiled
 
 
-def conv3d_loops(x, weight, bias, spec):
-    """Nested-loop direct convolution, independent of the vectorized path."""
-    c_out, c_in, kx, ky, kz = weight.shape
-    ox, oy, oz = spec.output_extents(x.shape[1:])
-    px, py, pz = spec.padding
-    sx, sy, sz = spec.stride
-    dx, dy, dz = spec.dilation
-    out = np.zeros((c_out, ox, oy, oz), dtype=np.float64)
-    for o in range(c_out):
-        for i in range(ox):
-            for j in range(oy):
-                for k in range(oz):
-                    acc = 0.0
-                    for c in range(c_in):
-                        for a in range(kx):
-                            for b in range(ky):
-                                for d in range(kz):
-                                    xi = i * sx + a * dx - px
-                                    yj = j * sy + b * dy - py
-                                    zk = k * sz + d * dz - pz
-                                    if (
-                                        0 <= xi < x.shape[1]
-                                        and 0 <= yj < x.shape[2]
-                                        and 0 <= zk < x.shape[3]
-                                    ):
-                                        acc += x[c, xi, yj, zk] * weight[o, c, a, b, d]
-                    out[o, i, j, k] = acc
-                    if bias is not None:
-                        out[o, i, j, k] += bias[o]
-    return out
-
-
-def conv2d_loops(x, weight, bias, spec):
-    c_out, c_in, kh, kw = weight.shape
-    oh, ow = spec.output_extents(x.shape[1:])
-    ph, pw = spec.padding
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    out = np.zeros((c_out, oh, ow), dtype=np.float64)
-    for o in range(c_out):
-        for i in range(oh):
-            for j in range(ow):
-                acc = 0.0
-                for c in range(c_in):
-                    for a in range(kh):
-                        for b in range(kw):
-                            xi = i * sh + a * dh - ph
-                            yj = j * sw + b * dw - pw
-                            if 0 <= xi < x.shape[1] and 0 <= yj < x.shape[2]:
-                                acc += x[c, xi, yj] * weight[o, c, a, b]
-                out[o, i, j] = acc
-                if bias is not None:
-                    out[o, i, j] += bias[o]
-    return out
+def conv_nd_loops(x, weight, bias, spec):
+    """The nested-loop oracle on ``x`` padded explicitly, centred."""
+    xp = centred_pad(x, spec.kernel, spec.dilation)
+    return conv_loops(xp, weight, bias, spec.dilation, spec.stride)
 
 
 def conv_nd_untiled(x, weight, bias, spec):
-    """The conv loop before slab tiling: one copy, GEMM and accumulate per
-    tap over the whole output at once. The tiled ``_conv_nd`` runs the same
-    taps in the same order on each output element, so it must match this
-    byte for byte."""
-    rank = spec.rank
-    c_out, c_in = weight.shape[:2]
-    out_sp = spec.output_extents(tuple(x.shape[1:]))
-    n_out = prod(out_sp)
-    pad = [(0, 0)] + [(p, p) for p in spec.padding]
-    xp = np.pad(x, pad) if any(spec.padding) else x
-    w2 = np.ascontiguousarray(weight.reshape(c_out, c_in, -1))
-    acc = np.zeros((c_out, n_out), dtype=x.dtype)
-    patch = np.empty((c_in, n_out), dtype=x.dtype)
-    tmp = np.empty((c_out, n_out), dtype=x.dtype)
-    patch_nd = patch.reshape((c_in,) + out_sp)
-    for tap_idx, tap in enumerate(np.ndindex(*spec.kernel)):
-        sl = tuple(
-            slice(
-                tap[a] * spec.dilation[a],
-                tap[a] * spec.dilation[a] + spec.stride[a] * (out_sp[a] - 1) + 1,
-                spec.stride[a],
-            )
-            for a in range(rank)
-        )
-        np.copyto(patch_nd, xp[(slice(None),) + sl])
-        np.matmul(w2[:, :, tap_idx], patch, out=tmp)
-        acc += tmp
-    if bias is not None:
-        acc += bias[:, None]
-    return acc.reshape((c_out,) + out_sp)
+    """The untiled GEMM oracle on ``x`` padded explicitly, centred."""
+    xp = centred_pad(x, spec.kernel, spec.dilation)
+    return conv_untiled(xp, weight, bias, spec.dilation, spec.stride)
 
 
 def upsample2x_interleaved(x, weight, bias, rank):
@@ -158,30 +81,36 @@ class TestConvSpec:
         spec = ConvSpec(kernel=(3, 3, 1))
         assert spec.dilation == (1, 1, 1)
         assert spec.stride == (1, 1, 1)
-        assert spec.padding == (0, 0, 0)
 
     def test_effective_extents(self):
         spec = ConvSpec(kernel=(3, 5, 1), dilation=(3, 2, 1))
         assert spec.effective == (7, 9, 1)
 
-    def test_same_preserves_extents(self):
-        spec = ConvSpec.same((3, 3, 1))
+    @pytest.mark.parametrize(
+        "kernel,dilation",
+        [((3, 3, 1), 1), ((2, 4, 1), 1), ((2, 3, 3), (3, 2, 1))],
+        ids=["3x3x1", "even-2x4x1", "dilated-2x3x3"],
+    )
+    def test_stride_1_preserves_extents(self, kernel, dilation):
+        spec = ConvSpec(kernel, dilation)
         assert spec.output_extents((8, 9, 4)) == (8, 9, 4)
 
-    def test_same_rejects_even_effective(self):
-        with pytest.raises(ValueError, match="odd effective"):
-            ConvSpec.same((2, 3, 1))
-
     def test_output_extents_formula(self):
-        spec = ConvSpec(kernel=(3, 3, 3), stride=(2, 2, 2), padding=(1, 1, 1))
-        assert spec.output_extents((8, 8, 8)) == (4, 4, 4)
+        spec = ConvSpec(kernel=(3, 3, 2), stride=(2, 2, 2))
+        assert spec.output_extents((8, 9, 1)) == (4, 5, 1)
 
-    def test_kernel_never_fits(self):
+    def test_kernel_larger_than_input_pads_to_fit(self):
         spec = ConvSpec(kernel=(5, 1, 1))
-        with pytest.raises(ValueError, match="does not fit"):
-            spec.output_extents((3, 3, 3))
+        assert spec.output_extents((3, 3, 3)) == (3, 3, 3)
+        x = np.ones((1, 3, 3, 3))
+        y = conv3d(x, np.ones((1, 1, 5, 1, 1)), spec=spec)
+        np.testing.assert_array_equal(y[0, :, 0, 0], [3.0, 3.0, 3.0])
 
-    @pytest.mark.parametrize("bad", [{"kernel": (0, 1, 1)}, {"kernel": (3,), "dilation": (0,)}, {"kernel": (3,), "stride": (0,)}, {"kernel": (3,), "padding": (-1,)}])
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="input extents must be >= 1"):
+            conv2d(np.zeros((1, 0, 4)), np.zeros((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize("bad", [{"kernel": (0, 1, 1)}, {"kernel": (3,), "dilation": (0,)}, {"kernel": (3,), "stride": (0,)}])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             ConvSpec(**bad)
@@ -201,28 +130,35 @@ class TestConv3d:
         x[0, 2, 2, 0] = 1.0
         rng = np.random.default_rng(1)
         w = rng.standard_normal((1, 1, 3, 3, 1))
-        y = conv3d(x, w, spec=ConvSpec.same((3, 3, 1)))
+        y = conv3d(x, w)
         # the delta copies the kernel, flipped by cross-correlation indexing
         np.testing.assert_allclose(y[0, 1:4, 1:4, 0], w[0, 0, ::-1, ::-1, 0])
 
+    def test_even_extent_puts_extra_zero_high(self):
+        """Kernel extent 2 pads no zero low and one high: output i reads
+        inputs i and i+1, and the last output reads the high zero."""
+        x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
+        w = np.array([1.0, 10.0]).reshape(1, 1, 2, 1)
+        np.testing.assert_array_equal(conv2d(x, w)[0, :, 0], [21.0, 32.0, 43.0, 4.0])
+
     @pytest.mark.parametrize(
-        "dilation,stride,padding",
+        "dilation,stride",
         [
-            ((1, 1, 1), (1, 1, 1), (0, 0, 0)),
-            ((1, 1, 1), (1, 1, 1), (1, 1, 1)),
-            ((2, 1, 1), (1, 1, 1), (2, 0, 0)),
-            ((1, 2, 1), (2, 1, 1), (1, 2, 0)),
-            ((2, 2, 2), (1, 1, 1), (2, 2, 2)),
+            ((1, 1, 1), (1, 1, 1)),
+            ((1, 1, 1), (2, 2, 2)),
+            ((2, 1, 1), (1, 1, 1)),
+            ((1, 2, 1), (2, 1, 1)),
+            ((2, 2, 2), (1, 1, 1)),
         ],
     )
-    def test_matches_nested_loop_oracle(self, dilation, stride, padding):
+    def test_matches_nested_loop_oracle(self, dilation, stride):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 4, 4, 4))
         w = rng.standard_normal((3, 2, 2, 2, 2))
         b = rng.standard_normal(3)
-        spec = ConvSpec(kernel=(2, 2, 2), dilation=dilation, stride=stride, padding=padding)
+        spec = ConvSpec(kernel=(2, 2, 2), dilation=dilation, stride=stride)
         got = conv3d(x, w, b, spec)
-        want = conv3d_loops(x, w, b, spec)
+        want = conv_nd_loops(x, w, b, spec)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_dilated_equals_sparse_kernel_f64(self):
@@ -249,9 +185,8 @@ class TestConv3d:
         x = rng.standard_normal((2, 5, 5, 3))
         y = rng.standard_normal((2, 5, 5, 3))
         w = rng.standard_normal((2, 2, 3, 3, 3))
-        spec = ConvSpec.same((3, 3, 3))
-        lhs = conv3d(2.0 * x + 3.0 * y, w, spec=spec)
-        rhs = 2.0 * conv3d(x, w, spec=spec) + 3.0 * conv3d(y, w, spec=spec)
+        lhs = conv3d(2.0 * x + 3.0 * y, w)
+        rhs = 2.0 * conv3d(x, w) + 3.0 * conv3d(y, w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5 * np.max(np.abs(lhs)))
 
     def test_shape_mismatch_errors(self):
@@ -265,80 +200,77 @@ class TestConv3d:
 
 # Every conv call of a desk run (default config), a wide run (perfbench's
 # 200x200x16 grid, stub depth) and acceptance check 9's run, in deploy and
-# train mode: input shape, weight shape, bias, dilation, stride, padding.
+# train mode: input shape, weight shape, bias, dilation, stride.
 PIPELINE_CONVS = [
     # desk
-    ((32, 10, 96, 8), (18, 32, 1, 1, 1), True, 1, 1, 0),
-    ((32, 6, 96, 8), (18, 32, 1, 1, 1), True, 1, 1, 0),
-    ((32, 12, 12), (32, 32, 3, 3), True, 1, 1, 1),
-    ((32, 24, 24), (32, 32, 3, 3), True, 1, 2, 1),
-    ((32, 48, 48), (32, 32, 1, 1), True, 1, 1, 0),
-    ((32, 48, 48), (32, 32, 3, 3), True, 1, 1, 1),
-    ((32, 48, 48), (32, 32, 3, 3), True, 1, 2, 1),
-    ((32, 48, 48), (4, 32, 1, 1), True, 1, 1, 0),
-    ((32, 54, 54, 4), (32, 32, 3, 3, 1), False, (3, 3, 1), 1, 0),
-    ((32, 56, 56, 4), (32, 32, 5, 5, 1), False, (2, 2, 1), 1, 0),
-    ((32, 58, 58, 4), (32, 32, 11, 11, 1), False, 1, 1, 0),
-    ((32, 58, 58, 4), (32, 32, 11, 11, 1), True, 1, 1, 0),
-    ((512, 48, 48), (32, 512, 3, 3), True, 1, 1, 1),
+    ((32, 10, 96, 8), (18, 32, 1, 1, 1), True, 1, 1),
+    ((32, 6, 96, 8), (18, 32, 1, 1, 1), True, 1, 1),
+    ((32, 12, 12), (32, 32, 3, 3), True, 1, 1),
+    ((32, 24, 24), (32, 32, 3, 3), True, 1, 2),
+    ((32, 48, 48), (32, 32, 1, 1), True, 1, 1),
+    ((32, 48, 48), (32, 32, 3, 3), True, 1, 1),
+    ((32, 48, 48), (32, 32, 3, 3), True, 1, 2),
+    ((32, 48, 48), (4, 32, 1, 1), True, 1, 1),
+    ((32, 48, 48, 4), (32, 32, 3, 3, 1), False, (3, 3, 1), 1),
+    ((32, 48, 48, 4), (32, 32, 5, 5, 1), False, (2, 2, 1), 1),
+    ((32, 48, 48, 4), (32, 32, 11, 11, 1), False, 1, 1),
+    ((32, 48, 48, 4), (32, 32, 11, 11, 1), True, 1, 1),
+    ((512, 48, 48), (32, 512, 3, 3), True, 1, 1),
     # wide
-    ((128, 100, 100), (32, 128, 3, 3), True, 1, 1, 1),
-    ((32, 100, 100), (32, 32, 1, 1), True, 1, 1, 0),
-    ((32, 100, 100), (32, 32, 3, 3), True, 1, 1, 1),
-    ((32, 100, 100), (32, 32, 3, 3), True, 1, 2, 1),
-    ((32, 100, 100), (8, 32, 1, 1), True, 1, 1, 0),
-    ((32, 106, 106, 8), (32, 32, 3, 3, 1), False, (3, 3, 1), 1, 0),
-    ((32, 108, 108, 8), (32, 32, 5, 5, 1), False, (2, 2, 1), 1, 0),
-    ((32, 110, 110, 8), (32, 32, 11, 11, 1), False, 1, 1, 0),
-    ((32, 110, 110, 8), (32, 32, 11, 11, 1), True, 1, 1, 0),
-    ((32, 16, 44), (16, 32, 1, 1), True, 1, 1, 0),
-    ((32, 16, 44), (32, 32, 3, 3), True, 1, 1, 1),
-    ((32, 25, 25), (32, 32, 3, 3), True, 1, 1, 1),
-    ((32, 4, 200, 16), (18, 32, 1, 1, 1), True, 1, 1, 0),
-    ((32, 50, 50), (32, 32, 3, 3), True, 1, 2, 1),
+    ((128, 100, 100), (32, 128, 3, 3), True, 1, 1),
+    ((32, 100, 100), (32, 32, 1, 1), True, 1, 1),
+    ((32, 100, 100), (32, 32, 3, 3), True, 1, 1),
+    ((32, 100, 100), (32, 32, 3, 3), True, 1, 2),
+    ((32, 100, 100), (8, 32, 1, 1), True, 1, 1),
+    ((32, 100, 100, 8), (32, 32, 3, 3, 1), False, (3, 3, 1), 1),
+    ((32, 100, 100, 8), (32, 32, 5, 5, 1), False, (2, 2, 1), 1),
+    ((32, 100, 100, 8), (32, 32, 11, 11, 1), False, 1, 1),
+    ((32, 100, 100, 8), (32, 32, 11, 11, 1), True, 1, 1),
+    ((32, 16, 44), (16, 32, 1, 1), True, 1, 1),
+    ((32, 16, 44), (32, 32, 3, 3), True, 1, 1),
+    ((32, 25, 25), (32, 32, 3, 3), True, 1, 1),
+    ((32, 2, 200, 16), (18, 32, 1, 1, 1), True, 1, 1),
+    ((32, 50, 50), (32, 32, 3, 3), True, 1, 2),
     # acceptance check 9
-    ((32, 24, 24), (8, 32, 3, 3), True, 1, 1, 1),
-    ((8, 12, 12), (8, 8, 3, 3), True, 1, 2, 1),
-    ((8, 24, 24), (2, 8, 1, 1), True, 1, 1, 0),
-    ((8, 24, 24), (8, 8, 1, 1), True, 1, 1, 0),
-    ((8, 24, 24), (8, 8, 3, 3), True, 1, 1, 1),
-    ((8, 24, 24), (8, 8, 3, 3), True, 1, 2, 1),
-    ((8, 30, 30, 2), (8, 8, 3, 3, 1), False, (3, 3, 1), 1, 0),
-    ((8, 32, 32, 2), (8, 8, 5, 5, 1), False, (2, 2, 1), 1, 0),
-    ((8, 34, 34, 2), (8, 8, 11, 11, 1), False, 1, 1, 0),
-    ((8, 34, 34, 2), (8, 8, 11, 11, 1), True, 1, 1, 0),
-    ((8, 40, 48, 4), (18, 8, 1, 1, 1), True, 1, 1, 0),
-    ((8, 6, 6), (8, 8, 3, 3), True, 1, 1, 1),
-    ((8, 8, 48, 4), (18, 8, 1, 1, 1), True, 1, 1, 0),
+    ((32, 24, 24), (8, 32, 3, 3), True, 1, 1),
+    ((8, 12, 12), (8, 8, 3, 3), True, 1, 2),
+    ((8, 24, 24), (2, 8, 1, 1), True, 1, 1),
+    ((8, 24, 24), (8, 8, 1, 1), True, 1, 1),
+    ((8, 24, 24), (8, 8, 3, 3), True, 1, 1),
+    ((8, 24, 24), (8, 8, 3, 3), True, 1, 2),
+    ((8, 24, 24, 2), (8, 8, 3, 3, 1), False, (3, 3, 1), 1),
+    ((8, 24, 24, 2), (8, 8, 5, 5, 1), False, (2, 2, 1), 1),
+    ((8, 24, 24, 2), (8, 8, 11, 11, 1), False, 1, 1),
+    ((8, 24, 24, 2), (8, 8, 11, 11, 1), True, 1, 1),
+    ((8, 48, 48, 4), (18, 8, 1, 1, 1), True, 1, 1),
+    ((8, 6, 6), (8, 8, 3, 3), True, 1, 1),
 ]
 
 # Convs whose output slab_rows splits into several slabs, most with the
-# last one short: (x, weight, bias, dilation, stride, padding, dtype). The
+# last one short: (x, weight, bias, dilation, stride, dtype). The
 # strided ones and the one with more than 256 input channels must still run
 # as one slab. The one-row ones read every tap in place.
 EDGE_CONVS = {
-    "3d-short-last-slab": ((32, 37, 16, 4), (32, 32, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float32),
-    "3d-stride-2": ((32, 120, 20, 4), (32, 32, 3, 3, 3), True, 1, 2, 1, np.float32),
-    "3d-dilated": ((32, 41, 12, 4), (32, 32, 3, 3, 1), True, (2, 2, 1), 1, (2, 2, 0), np.float32),
-    "3d-one-row-in-place": ((32, 22, 102, 8), (32, 32, 3, 3, 1), True, 1, 1, 0, np.float32),
-    "3d-dilated-one-row-in-place": ((32, 24, 104, 8), (32, 32, 3, 3, 1), False, (2, 2, 1), 1, 0, np.float32),
-    "2d-short-last-slab": ((32, 80, 34), (32, 32, 3, 3), True, 1, 1, 1, np.float32),
-    "2d-stride-2": ((32, 200, 32), (32, 32, 3, 3), True, 1, 2, 1, np.float32),
-    "2d-300-input-channels": ((300, 100, 40), (32, 300, 3, 3), True, 1, 1, 1, np.float32),
-    "3d-float64": ((32, 50, 24, 2), (32, 32, 3, 3, 1), True, 1, 1, (1, 1, 0), np.float64),
-    "3d-float64-one-row-in-place": ((32, 22, 102, 8), (32, 32, 3, 3, 1), True, 1, 1, 0, np.float64),
-    "2d-float64-no-bias": ((32, 80, 34), (32, 32, 3, 3), False, 1, 1, 1, np.float64),
+    "3d-short-last-slab": ((32, 37, 16, 4), (32, 32, 3, 3, 1), True, 1, 1, np.float32),
+    "3d-stride-2": ((32, 120, 20, 4), (32, 32, 3, 3, 3), True, 1, 2, np.float32),
+    "3d-dilated": ((32, 41, 12, 4), (32, 32, 3, 3, 1), True, (2, 2, 1), 1, np.float32),
+    "3d-one-row-in-place": ((32, 20, 100, 8), (32, 32, 3, 3, 1), True, 1, 1, np.float32),
+    "3d-dilated-one-row-in-place": ((32, 20, 100, 8), (32, 32, 3, 3, 1), False, (2, 2, 1), 1, np.float32),
+    "2d-short-last-slab": ((32, 80, 34), (32, 32, 3, 3), True, 1, 1, np.float32),
+    "2d-stride-2": ((32, 200, 32), (32, 32, 3, 3), True, 1, 2, np.float32),
+    "2d-300-input-channels": ((300, 100, 40), (32, 300, 3, 3), True, 1, 1, np.float32),
+    "3d-float64": ((32, 50, 24, 2), (32, 32, 3, 3, 1), True, 1, 1, np.float64),
+    "3d-float64-one-row-in-place": ((32, 20, 100, 8), (32, 32, 3, 3, 1), True, 1, 1, np.float64),
+    "2d-float64-no-bias": ((32, 80, 34), (32, 32, 3, 3), False, 1, 1, np.float64),
 }
 
 
-def _conv_case(x_shape, w_shape, bias, dilation, stride, padding, dtype):
+def _conv_case(x_shape, w_shape, bias, dilation, stride, dtype):
     rng = np.random.default_rng(len(x_shape) * 1000 + x_shape[1])
     x = rng.standard_normal(x_shape).astype(dtype)
     w = rng.standard_normal(w_shape).astype(dtype)
     b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
-    spec = ConvSpec(
-        kernel=w_shape[2:], dilation=dilation, stride=stride, padding=padding
-    )
+    spec = ConvSpec(kernel=w_shape[2:], dilation=dilation, stride=stride)
     return x, w, b, spec
 
 
@@ -349,14 +281,21 @@ def _tiled_and_untiled(*case):
 
 def _gemms(monkeypatch, x, w, b, spec):
     """``_conv_nd``'s output, and for each GEMM it ran, its output columns
-    and whether its right operand was read in place from ``x``."""
-    gemms = []
-    matmul = np.matmul
+    and whether its right operand was read in place from ``x`` or from the
+    padded copy of ``x`` that the conv made."""
+    gemms, inputs = [], [x]
+    matmul, pad = np.matmul, np.pad
+
+    def spy_pad(*args, **kwargs):
+        inputs.append(pad(*args, **kwargs))
+        return inputs[-1]
 
     def spy(a, patch, out=None):
-        gemms.append((patch.shape[1], np.may_share_memory(patch, x)))
+        read = any(np.may_share_memory(patch, i) for i in inputs)
+        gemms.append((patch.shape[1], read))
         return matmul(a, patch, out=out)
 
+    monkeypatch.setattr(np, "pad", spy_pad)
     monkeypatch.setattr(np, "matmul", spy)
     try:
         return _conv_nd(x, w, b, spec), gemms
@@ -371,20 +310,16 @@ def _slabs(n_rows, row, rows):
 
 class TestSlabTiling:
     @pytest.mark.parametrize(
-        "x_shape,w_shape,bias,dilation,stride,padding",
+        "x_shape,w_shape,bias,dilation,stride",
         PIPELINE_CONVS,
         ids=[
             "x".join(map(str, x)) + "-w" + "x".join(map(str, w))
             + ("-bias" if b else "") + ("-stride2" if s == 2 else "")
-            for x, w, b, _, s, _ in PIPELINE_CONVS
+            for x, w, b, _, s in PIPELINE_CONVS
         ],
     )
-    def test_pipeline_convs_match_untiled(
-        self, x_shape, w_shape, bias, dilation, stride, padding
-    ):
-        got, want = _tiled_and_untiled(
-            x_shape, w_shape, bias, dilation, stride, padding, np.float32
-        )
+    def test_pipeline_convs_match_untiled(self, x_shape, w_shape, bias, dilation, stride):
+        got, want = _tiled_and_untiled(x_shape, w_shape, bias, dilation, stride, np.float32)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -410,7 +345,7 @@ class TestSlabTiling:
         past the last multiple of 16 differently, so a conv whose output
         columns are not a multiple of 16 is not split, even over the
         cutoff."""
-        x, w, b, spec = _conv_case((32, 70, 33), (32, 32, 3, 3), True, 1, 1, 1, np.float32)
+        x, w, b, spec = _conv_case((32, 70, 33), (32, 32, 3, 3), True, 1, 1, np.float32)
         assert 70 * 33 % 16 and 70 * 33 * 32 * 32 > SMALL_GEMM_MACS
         assert slab_rows(70, 33, 32 * 32) == 70
         got, gemms = _gemms(monkeypatch, x, w, b, spec)
@@ -444,7 +379,7 @@ class TestSlabTiling:
     def test_pointwise_convs_run_as_one_axis(
         self, monkeypatch, x_shape, w_shape, chunk
     ):
-        x, w, b, spec = _conv_case(x_shape, w_shape, True, 1, 1, 0, np.float32)
+        x, w, b, spec = _conv_case(x_shape, w_shape, True, 1, 1, np.float32)
         got, gemms = _gemms(monkeypatch, x, w, b, spec)
         assert [c for c, _ in gemms] == _slabs(prod(x_shape[1:]), 1, chunk)
         assert all(in_place for _, in_place in gemms)
@@ -516,7 +451,7 @@ class TestAccumulatorStart:
     )
     def test_pipeline_shapes_match_accumulator(self, case, bias):
         x_shape, w_shape = case
-        x, w, b, spec = _conv_case(x_shape, w_shape, bias, 1, 1, 0, np.float32)
+        x, w, b, spec = _conv_case(x_shape, w_shape, bias, 1, 1, np.float32)
         got = _conv_nd(x, w, b, spec)
         want = conv_nd_untiled(x, w, b, spec)
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -526,12 +461,12 @@ class TestAccumulatorStart:
     @pytest.mark.parametrize("signed_gemm", [False, True], ids=["blas", "neg-zero-blas"])
     @pytest.mark.parametrize("bias", ["none", "signed-zeros"])
     @pytest.mark.parametrize(
-        "kernel, stride, padding",
-        [((1, 1), 1, 0), ((1, 1), 1, (1, 0)), ((3, 3), 1, 1), ((3, 1), 2, 1)],
-        ids=["1x1", "1x1-padded", "3x3", "3x1-stride-2"],
+        "kernel, stride",
+        [((1, 1), 1), ((1, 1), 2), ((3, 3), 1), ((3, 1), 2)],
+        ids=["1x1", "1x1-stride-2", "3x3", "3x1-stride-2"],
     )
     def test_zero_columns_and_signed_zero_bias(
-        self, monkeypatch, kernel, stride, padding, dtype, signed_gemm, bias
+        self, monkeypatch, kernel, stride, dtype, signed_gemm, bias
     ):
         """All-zero input columns under negative weights, and a bias that
         holds -0.0 and +0.0: every output byte, sign bits included, is the
@@ -543,7 +478,7 @@ class TestAccumulatorStart:
         b = None if bias == "none" else np.array([-0.0, 0.0, -0.0, 1.5, -0.0, -2.0], dtype)
         if signed_gemm:
             _signed_zero_matmul(monkeypatch)
-        spec = ConvSpec(kernel=kernel, stride=stride, padding=padding)
+        spec = ConvSpec(kernel=kernel, stride=stride)
         got = _conv_nd(x, w, b, spec)
         want = conv_nd_untiled(x, w, b, spec)
         assert (got == 0).any()
@@ -553,17 +488,46 @@ class TestAccumulatorStart:
 
 class TestConv2d:
     @pytest.mark.parametrize(
-        "stride,padding", [((1, 1), (0, 0)), ((1, 1), (1, 1)), ((2, 2), (1, 1))]
+        "stride", [(1, 1), (2, 2), (1, 2)]
     )
-    def test_matches_nested_loop_oracle(self, stride, padding):
+    def test_matches_nested_loop_oracle(self, stride):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 6, 6))
         w = rng.standard_normal((2, 3, 3, 3))
         b = rng.standard_normal(2)
-        spec = ConvSpec(kernel=(3, 3), stride=stride, padding=padding)
+        spec = ConvSpec(kernel=(3, 3), stride=stride)
         np.testing.assert_allclose(
-            conv2d(x, w, b, spec), conv2d_loops(x, w, b, spec), atol=1e-12
+            conv2d(x, w, b, spec), conv_nd_loops(x, w, b, spec), atol=1e-12
         )
+
+
+@st.composite
+def conv_geometries(draw):
+    """A 2D or 3D conv: kernel 1-4, dilation 1-3 and stride 1-2 per axis,
+    input extents 1-5, one or two channels in and out."""
+    rank = draw(st.sampled_from([2, 3]))
+
+    def axes(lo, hi):
+        return tuple(draw(st.integers(lo, hi)) for _ in range(rank))
+
+    spec = ConvSpec(axes(1, 4), axes(1, 3), axes(1, 2))
+    c_in, c_out = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return spec, (c_in,) + axes(1, 5), (c_out, c_in) + spec.kernel
+
+
+class TestCentredPaddingProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(case=conv_geometries(), seed=st.integers(0, 2**16), bias=st.booleans())
+    def test_matches_loops_on_explicitly_padded_input(self, case, seed, bias):
+        """``_conv_nd`` equals the nested loops run on the input padded with
+        floor((e-1)/2) zeros low and the rest high per axis."""
+        spec, x_shape, w_shape = case
+        rng = np.random.default_rng(seed)
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[0]) if bias else None
+        got = _conv_nd(x, w, b, spec)
+        assert got.shape == (w_shape[0],) + spec.output_extents(x_shape[1:])
+        np.testing.assert_allclose(got, conv_nd_loops(x, w, b, spec), rtol=0, atol=1e-12)
 
 
 class TestSoftmax:
@@ -721,7 +685,7 @@ import hashlib
 import numpy as np
 from occkit.tensor import ConvSpec, conv3d
 rng = np.random.default_rng(7)
-x = rng.standard_normal((32, 110, 110, 8)).astype(np.float32)
+x = rng.standard_normal((32, 100, 100, 8)).astype(np.float32)
 w = rng.standard_normal((32, 32, 11, 11, 1)).astype(np.float32)
 y = conv3d(x, w, spec=ConvSpec(kernel=(11, 11, 1)))
 print(y.shape, hashlib.sha256(y.tobytes()).hexdigest())
