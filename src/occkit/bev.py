@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import FLOAT_DTYPES, ConvSpec, conv2d, rng_named, uniform_init, upsample2x
+from .tensor import FLOAT_DTYPES, conv2d, rng_named, uniform_init, upsample2x
 from .view import GridSpec
 
 
@@ -318,10 +318,8 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
         raise ValueError(f"BEV extents must be divisible by 4, got ({nx}, {ny})")
 
     w = weights
-    stride2 = ConvSpec((3, 3), stride=2)
-
-    d1 = _relu(conv2d(b_t, w.down1_w, w.down1_b, stride2))  # (C, X/2, Y/2)
-    d2 = _relu(conv2d(d1, w.down2_w, w.down2_b, stride2))  # (C, X/4, Y/4)
+    d1 = _relu(conv2d(b_t, w.down1_w, w.down1_b, stride=2))  # (C, X/2, Y/2)
+    d2 = _relu(conv2d(d1, w.down2_w, w.down2_b, stride=2))  # (C, X/4, Y/4)
     m = _relu(conv2d(d2, w.mid_w, w.mid_b) + d2)
     u1 = _relu(upsample2x(m, w.up1_w, w.up1_b) + d1)  # (C, X/2, Y/2)
     u0 = upsample2x(u1, w.up2_w, w.up2_b)  # (C', X, Y)

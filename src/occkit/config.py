@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from .reparam import check_fit, default_branch_extents
 from .scene import SceneSpec
+from .tensor import effective_extents
 from .view import GridSpec
 
 
@@ -63,13 +64,13 @@ class PipelineConfig:
         ):
             if value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
-        # Each branch must merge into the kernel: reparam's fit-and-parity rule.
-        for ext, dil in self.branch_extents():
+        # Each branch must merge into the kernel: reparam's fit-and-parity
+        # rule. Default branches always do.
+        for ext, dil in self.branches or ():
             try:
-                check_fit(tuple((k - 1) * d + 1 for k, d in zip(ext, dil)), self.kernel)
+                check_fit(effective_extents(ext, dil), self.kernel)
             except ValueError as e:
-                which = " (default)" if self.branches is None else ""
-                raise ConfigError(f"[reparam] branches{which}: {e}") from None
+                raise ConfigError(f"[reparam] branches: {e}") from None
         for key, value in (
             ("[scene] focal", self.scene_focal),
             ("[scene] march_step", self.scene_march_step),
@@ -236,10 +237,12 @@ def parse_config(path: str) -> PipelineConfig:
     )
     cp.optionxform = str
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             cp.read_file(f)
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from None
     except configparser.Error as e:
         raise ConfigError(f"malformed config file {path}: {e}") from None
 

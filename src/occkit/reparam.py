@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConvSpec, conv3d, rng_named, uniform_init
+from .tensor import conv3d, effective_extents, rng_named, uniform_init
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class ConvBranchSpec:
 
     @property
     def effective(self) -> tuple[int, int, int]:
-        return tuple((k - 1) * d + 1 for k, d in zip(self.kernel, self.dilation))
+        return effective_extents(self.kernel, self.dilation)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def dilate_to_sparse(weight: np.ndarray, dilation: tuple[int, int, int]) -> np.n
     Tap [i, j, k] lands at [i*rx, j*ry, k*rz]; leading axes pass through.
     """
     rx, ry, rz = dilation
-    out_sp = tuple((n - 1) * r + 1 for n, r in zip(weight.shape[-3:], dilation))
+    out_sp = effective_extents(weight.shape[-3:], dilation)
     out = np.zeros(weight.shape[:-3] + out_sp, dtype=weight.dtype)
     out[..., ::rx, ::ry, ::rz] = weight
     return out
@@ -183,8 +183,7 @@ def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
         raise ValueError("need at least one branch")
     out = None
     for branch in branches:
-        spec = ConvSpec(branch.kernel, branch.dilation)
-        y = apply_bn(conv3d(x, branch.weight, spec=spec), branch.bn)
+        y = apply_bn(conv3d(x, branch.weight, dilation=branch.dilation), branch.bn)
         out = y if out is None else np.add(out, y, out=out)
     return out
 
@@ -200,21 +199,26 @@ def default_branch_extents(
     """Default branch layout for a target kernel: the full-size non-dilated
     kernel plus dilated 5-tap (r=2) and 3-tap (r=3) branches, clipped per
     axis so effective extents fit inside the target with matching parity.
+    A dilated layout that has no fitting extent on some axis is left out,
+    as the 5-tap one is on an even axis, so every layout merges.
     """
 
-    def clip(k: int, r: int, extent: int) -> tuple[int, int]:
+    def clip(k: int, r: int, extent: int) -> tuple[int, int] | None:
         if extent == 1:
             return 1, 1
         for kk in range(k, 0, -1):
-            eff = (kk - 1) * r + 1
+            (eff,) = effective_extents((kk,), (r,))
             if eff <= extent and (extent - eff) % 2 == 0:
                 return kk, r
-        return 1, 1
+        return None
 
     target = tuple(int(t) for t in target)
     layouts = [(target, (1, 1, 1))]
     for k, r in ((5, 2), (3, 3)):
-        kernel, dilation = zip(*(clip(k, r, t) for t in target))
+        axes = [clip(k, r, t) for t in target]
+        if None in axes:
+            continue
+        kernel, dilation = zip(*axes)
         cand = (tuple(kernel), tuple(dilation))
         if cand not in layouts:
             layouts.append(cand)

@@ -391,16 +391,47 @@ def save_scene(bundle: SceneBundle, out_dir: str) -> None:
             f.write(f"{key} = {_manifest_text(value)}\n")
 
 
+# Each scene tensor's file stem, dtype, a test that its values are out of
+# domain, and the domain (poses are checked frame by frame in
+# ``load_scene``). The grids are tested by their maximum, which makes no
+# temporary array.
+_TENSORS = (
+    ("occupancy", np.uint8, lambda a: a.max(initial=0) > EMPTY_CLASS,
+     f"class labels at most {EMPTY_CLASS}"),
+    ("visible", np.uint8, lambda a: a.max(initial=0) > 1, "only 0 and 1"),
+    ("depth", np.float32,
+     lambda a: not ((a == -1) | ((a > 0) & (a < np.inf))).all(),
+     "depths that are -1 or finite and positive"),
+    ("poses", np.float64, lambda a: False, ""),
+)
+
+
+def _read_tensor(scene_dir: str, stem: str, dtype, bad, domain: str) -> np.ndarray:
+    path = os.path.join(scene_dir, f"{stem}.gsdt")
+    arr = gsdt.read(path)
+    if arr.dtype != dtype:
+        raise ValueError(
+            f"scene {stem} {path} must be {np.dtype(dtype).name}, got {arr.dtype}"
+        )
+    if bad(arr):
+        raise ValueError(f"scene {stem} {path} must hold {domain}")
+    return arr
+
+
 def load_scene(scene_dir: str) -> SceneBundle:
     path = os.path.join(scene_dir, "manifest.txt")
     manifest = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            manifest[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"scene manifest {path} is not UTF-8 text: {e}") from None
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        manifest[key.strip()] = value.strip()
 
     grid_fields, fields = {}, {}
     for key, field, parse in _MANIFEST:
@@ -421,11 +452,8 @@ def load_scene(scene_dir: str) -> SceneBundle:
         (grid_fields if key.startswith("grid_") else fields)[field] = value
     grid = GridSpec(**grid_fields)
     spec = SceneSpec(grid=grid, **fields)
-    occupancy = gsdt.read(os.path.join(scene_dir, "occupancy.gsdt"))
-    visible = gsdt.read(os.path.join(scene_dir, "visible.gsdt"))
-    depth = gsdt.read(os.path.join(scene_dir, "depth.gsdt"))
+    occupancy, visible, depth, poses = (_read_tensor(scene_dir, *t) for t in _TENSORS)
     poses_path = os.path.join(scene_dir, "poses.gsdt")
-    poses = gsdt.read(poses_path)
     expected = (spec.n_frames,) + grid.counts
     if occupancy.shape != expected or visible.shape != expected:
         raise ValueError(

@@ -8,11 +8,13 @@ no operation casts them, and a mismatch is an error. Every operation is
 deterministic for fixed inputs (single-threaded accumulation order, no
 unordered reductions).
 
-Every convolution pads itself by one centred rule, and no caller passes
-padding: an axis of effective extent e = (k-1)*dilation + 1 gets (e-1)//2
-zeros low and e//2 high, the extra zero of an even extent on the high side.
-Output extents are then (n-1)//stride + 1, and dilated branches pad around
-the same voxel as the kernel they merge into.
+A convolution reads its rank and kernel extents from its weight, and takes
+only ``dilation`` and ``stride`` besides, each an int or one int per axis.
+It pads itself by one centred rule, and no caller passes padding: an axis
+of effective extent e (``effective_extents``) gets (e-1)//2 zeros low and
+e//2 high, the extra zero of an even extent on the high side. Output extents
+are then (n-1)//stride + 1, and dilated branches pad around the same voxel
+as the kernel they merge into.
 
 Convolutions run in slabs of output rows along the first spatial axis, sized
 so that each per-tap GEMM stays at or under ``SMALL_GEMM_MACS``
@@ -30,7 +32,6 @@ add, in fewer passes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from math import gcd, prod, sqrt
 
 import numpy as np
@@ -55,54 +56,24 @@ def _check_bias(bias: np.ndarray | None, c_out: int, dtype: np.dtype) -> None:
 
 
 def _as_axes(value, rank: int, name: str) -> tuple[int, ...]:
+    """``value`` as one int per axis: an int repeats, a sequence must have
+    ``rank`` entries. Every entry must be at least 1."""
     if isinstance(value, (int, np.integer)):
-        return (int(value),) * rank
-    out = tuple(int(v) for v in value)
-    if len(out) != rank:
-        raise ValueError(f"{name} must have {rank} entries, got {len(out)}")
+        out = (int(value),) * rank
+    else:
+        out = tuple(int(v) for v in value)
+        if len(out) != rank:
+            raise ValueError(f"{name} must have {rank} entries, got {len(out)}")
+    if min(out) < 1:
+        raise ValueError(f"{name} must be >= 1, got {out}")
     return out
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Geometry of a direct convolution: kernel extents plus per-axis
-    dilation and stride.
-
-    Effective extent per axis is e = (k-1)*dilation + 1. The conv pads each
-    axis centred, with (e-1)//2 zeros low and e//2 high (the extra zero of
-    an even extent goes high), so output extents depend only on the input's
-    and the stride.
-    """
-
-    kernel: tuple[int, ...]
-    dilation: tuple[int, ...] = ()
-    stride: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        rank = len(self.kernel)
-        object.__setattr__(self, "kernel", tuple(int(k) for k in self.kernel))
-        object.__setattr__(
-            self, "dilation", _as_axes(self.dilation or 1, rank, "dilation")
-        )
-        object.__setattr__(self, "stride", _as_axes(self.stride or 1, rank, "stride"))
-        if any(k < 1 for k in self.kernel):
-            raise ValueError(f"kernel extents must be >= 1, got {self.kernel}")
-        if any(d < 1 for d in self.dilation):
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
-        if any(s < 1 for s in self.stride):
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.kernel)
-
-    @property
-    def effective(self) -> tuple[int, ...]:
-        """Extent each kernel axis covers once dilation spreads its taps."""
-        return tuple((k - 1) * d + 1 for k, d in zip(self.kernel, self.dilation))
-
-    def output_extents(self, spatial: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((n - 1) // s + 1 for n, s in zip(spatial, self.stride))
+def effective_extents(kernel, dilation) -> tuple[int, ...]:
+    """Extent each kernel axis covers once its taps sit ``dilation`` apart:
+    the span the conv pads for, and the extent a dilated kernel has in
+    sparse form."""
+    return tuple((k - 1) * d + 1 for k, d in zip(kernel, dilation))
 
 
 # Multiply-adds at or under which OpenBLAS runs a GEMM through its
@@ -128,11 +99,17 @@ def slab_rows(n_rows: int, row: int, macs: int) -> int:
 
 
 def _conv_nd(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, spec: ConvSpec
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    dilation: int | tuple[int, ...],
+    stride: int | tuple[int, ...],
 ) -> np.ndarray:
     """Direct cross-correlation over the trailing spatial axes of ``x``.
 
-    x: (C_in, *spatial); weight: (C_out, C_in, *kernel). No kernel flip.
+    x: (C_in, *spatial); weight: (C_out, C_in, *kernel), whose trailing
+    axes give the rank and kernel extents; ``dilation`` and ``stride`` are
+    an int or one int per axis, each at least 1. No kernel flip.
     Zero padding is centred per axis, (e-1)//2 low and e//2 high for an
     effective extent e (an even extent's extra zero goes high), and is made
     by one ``np.pad`` copy of the input, only when some effective extent is
@@ -156,11 +133,12 @@ def _conv_nd(
     conv, or one with more than 256 input channels, runs as one slab, since
     tiling either changed low bits.
     """
-    rank = spec.rank
+    rank = weight.ndim - 2
     if x.ndim != rank + 1:
         raise ValueError(f"input must have rank {rank + 1}, got {x.ndim}")
-    if weight.ndim != rank + 2:
-        raise ValueError(f"weight must have rank {rank + 2}, got {weight.ndim}")
+    kernel = _as_axes(weight.shape[2:], rank, "kernel extents")
+    dilation = _as_axes(dilation, rank, "dilation")
+    stride = _as_axes(stride, rank, "stride")
     _check_float_dtype(x, "input")
     if weight.dtype != x.dtype:
         raise ValueError(f"weight dtype {weight.dtype} != input dtype {x.dtype}")
@@ -169,27 +147,24 @@ def _conv_nd(
         raise ValueError(
             f"channel mismatch: input has {x.shape[0]}, weight expects {c_in}"
         )
-    if tuple(weight.shape[2:]) != spec.kernel:
-        raise ValueError(
-            f"weight extents {weight.shape[2:]} != spec kernel {spec.kernel}"
-        )
     _check_bias(bias, c_out, x.dtype)
     if min(x.shape[1:]) < 1:
         raise ValueError(f"input extents must be >= 1, got {x.shape[1:]}")
 
-    out_shape = (c_out,) + spec.output_extents(tuple(x.shape[1:]))
-    if spec.kernel == spec.stride == (1,) * rank:
+    out_sp = tuple((n - 1) // s + 1 for n, s in zip(x.shape[1:], stride))
+    out_shape = (c_out,) + out_sp
+    if kernel == stride == (1,) * rank:
         x, weight = x.reshape(c_in, -1), weight.reshape(c_out, c_in, 1)
-        spec, rank = ConvSpec(kernel=(1,)), 1
-    out_sp = spec.output_extents(tuple(x.shape[1:]))
+        kernel = dilation = stride = (1,)
+        rank, out_sp = 1, (prod(out_sp),)
     n_rows, row = out_sp[0], prod(out_sp[1:])
-    s0 = spec.stride[0]
-    if all(s == 1 for s in spec.stride) and c_in <= 256:
+    s0 = stride[0]
+    if all(s == 1 for s in stride) and c_in <= 256:
         rows = slab_rows(n_rows, row, c_out * c_in)
     else:
         rows = n_rows
 
-    eff = spec.effective
+    eff = effective_extents(kernel, dilation)
     pad = [(0, 0)] + [((e - 1) // 2, e // 2) for e in eff]
     xp = np.pad(x, pad) if max(eff) > 1 else x
 
@@ -200,17 +175,17 @@ def _conv_nd(
     # other axes.
     taps = [
         (
-            tap[0] * spec.dilation[0],
+            tap[0] * dilation[0],
             tuple(
                 slice(
-                    tap[a] * spec.dilation[a],
-                    tap[a] * spec.dilation[a] + spec.stride[a] * (out_sp[a] - 1) + 1,
-                    spec.stride[a],
+                    tap[a] * dilation[a],
+                    tap[a] * dilation[a] + stride[a] * (out_sp[a] - 1) + 1,
+                    stride[a],
                 )
                 for a in range(1, rank)
             ),
         )
-        for tap in np.ndindex(*spec.kernel)
+        for tap in np.ndindex(*kernel)
     ]
     # Every tap's slab has the same strides, so one channel of one tap tells
     # whether all of them can be read in place.
@@ -254,32 +229,26 @@ def conv3d(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray | None = None,
-    spec: ConvSpec | None = None,
+    dilation: int | tuple[int, int, int] = 1,
+    stride: int | tuple[int, int, int] = 1,
 ) -> np.ndarray:
     """3D cross-correlation of (C_in, X, Y, Z) with (C_out, C_in, kx, ky, kz)."""
     if weight.ndim != 5:
         raise ValueError(f"conv3d weight must be 5D, got {weight.ndim}D")
-    if spec is None:
-        spec = ConvSpec(kernel=tuple(weight.shape[2:]))
-    if spec.rank != 3:
-        raise ValueError("conv3d needs a rank-3 ConvSpec")
-    return _conv_nd(x, weight, bias, spec)
+    return _conv_nd(x, weight, bias, dilation, stride)
 
 
 def conv2d(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray | None = None,
-    spec: ConvSpec | None = None,
+    dilation: int | tuple[int, int] = 1,
+    stride: int | tuple[int, int] = 1,
 ) -> np.ndarray:
     """2D cross-correlation of (C_in, H, W) with (C_out, C_in, kh, kw)."""
     if weight.ndim != 4:
         raise ValueError(f"conv2d weight must be 4D, got {weight.ndim}D")
-    if spec is None:
-        spec = ConvSpec(kernel=tuple(weight.shape[2:]))
-    if spec.rank != 2:
-        raise ValueError("conv2d needs a rank-2 ConvSpec")
-    return _conv_nd(x, weight, bias, spec)
+    return _conv_nd(x, weight, bias, dilation, stride)
 
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:

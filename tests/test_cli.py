@@ -109,8 +109,8 @@ class TestUnmergeableBranches:
     @pytest.mark.parametrize("command", ["gen-scene", "run", "equiv"])
     @pytest.mark.parametrize(
         "kernel,branches",
-        [("4x4x1", "default"), ("3x3x1", "5x5x1"), ("3x3x1", "3x3x1, 2x2x1")],
-        ids=["even-kernel-default", "oversized", "parity"],
+        [("4x4x1", "4x4x1, 3x3x1"), ("3x3x1", "5x5x1"), ("3x3x1", "3x3x1, 2x2x1")],
+        ids=["even-kernel-parity", "oversized", "parity"],
     )
     def test_one_error_line(self, tmp_path, capsys, command, kernel, branches):
         p = tmp_path / "bad.cfg"
@@ -129,6 +129,76 @@ class TestUnmergeableBranches:
         assert out == ""
         assert err.startswith("error: [reparam] branches")
         assert err.count("\n") == 1
+
+
+class TestNotUtf8:
+    """A config or scene manifest that does not decode as UTF-8 ends in one
+    ``error:`` line that names the file."""
+
+    def test_config(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(TINY_CONFIG.encode() + b"# \xff\n")
+        assert main(["gen-scene", "--config", str(p), "--out", str(tmp_path / "s")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: config file {p} is not UTF-8 text")
+        assert err.count("\n") == 1
+
+    def test_manifest(self, config_path, scene_dir, capsys):
+        manifest = f"{scene_dir}/manifest.txt"
+        with open(manifest, "ab") as f:
+            f.write(b"\xff\n")
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scene manifest {manifest} is not UTF-8 text")
+        assert err.count("\n") == 1
+
+
+def _as_uint8(a):
+    return np.clip(a, 0, 255).astype(np.uint8)
+
+
+def _set_first(value):
+    def edit(a):
+        a.flat[0] = value
+        return a
+    return edit
+
+
+class TestSceneTensors:
+    """``load_scene`` requires each scene file's dtype and value domain, and
+    an error names the file."""
+
+    @pytest.mark.parametrize(
+        "stem,edit,message",
+        [
+            ("occupancy", lambda a: a.astype(np.float32), "must be uint8, got float32"),
+            ("occupancy", _set_first(200), "must hold class labels at most 17"),
+            ("visible", lambda a: a.astype(np.float64), "must be uint8, got float64"),
+            ("visible", _set_first(7), "must hold only 0 and 1"),
+            ("depth", _as_uint8, "must be float32, got uint8"),
+            ("depth", _set_first(np.nan), "must hold depths that are -1 or finite and positive"),
+            ("depth", _set_first(np.inf), "must hold depths that are -1 or finite and positive"),
+            ("depth", _set_first(0.0), "must hold depths that are -1 or finite and positive"),
+            ("depth", _set_first(-2.0), "must hold depths that are -1 or finite and positive"),
+            ("poses", lambda a: a.astype(np.float32), "must be float64, got float32"),
+            ("poses", _as_uint8, "must be float64, got uint8"),
+        ],
+        ids=[
+            "occupancy-float32", "occupancy-label-200", "visible-float64",
+            "visible-7", "depth-uint8", "depth-nan", "depth-inf", "depth-zero",
+            "depth-negative", "poses-float32", "poses-uint8",
+        ],
+    )
+    def test_run_names_file(self, config_path, scene_dir, capsys, stem, edit, message):
+        path = f"{scene_dir}/{stem}.gsdt"
+        gsdt.write(path, edit(gsdt.read(path)))
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: scene {stem} {path} {message}\n"
 
 
 class TestNonFinite:
@@ -296,6 +366,18 @@ class TestEquiv:
         out = capsys.readouterr().out
         assert "equivalence: PASS" in out
         assert "float32" in out and "float64" in out
+
+    def test_passes_on_even_kernel_default_branches(self, tmp_path, capsys):
+        """An even kernel's default branches skip the dilated layout that
+        cannot sit centred, so they merge."""
+        p = tmp_path / "even.cfg"
+        p.write_text(
+            TINY_CONFIG.replace("kernel = 3x3x1", "kernel = 4x4x1").replace(
+                "branches = 3x3x1, 1x1x1", "branches = default"
+            )
+        )
+        assert main(["equiv", "--config", str(p)]) == 0
+        assert "equivalence: PASS" in capsys.readouterr().out
 
 
 class TestBench:

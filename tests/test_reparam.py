@@ -16,7 +16,7 @@ from occkit.reparam import (
     merge_branches,
     random_branch_set,
 )
-from occkit.tensor import ConvSpec, conv3d
+from occkit.tensor import conv3d, effective_extents
 from support import cast, conv_untiled
 
 
@@ -106,9 +106,10 @@ class TestDilateToSparse:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 10, 10, 6))
         w = rng.standard_normal((3, 2, 3, 3, 3))
-        direct = conv3d(x, w, spec=ConvSpec(kernel=(3, 3, 3), dilation=(2, 2, 2)))
+        direct = conv3d(x, w, dilation=(2, 2, 2))
         sparse = dilate_to_sparse(w, (2, 2, 2))
-        via_sparse = conv3d(x, sparse, spec=ConvSpec(kernel=(5, 5, 5)))
+        assert sparse.shape[2:] == effective_extents(w.shape[2:], (2, 2, 2))
+        via_sparse = conv3d(x, sparse)
         np.testing.assert_array_equal(direct, via_sparse)
 
 
@@ -354,8 +355,16 @@ class TestDefaultBranchExtents:
         assert layouts[0] == ((3, 3, 1), (1, 1, 1))
         assert len(layouts) == len(set(layouts))
 
+    def test_even_target_skips_unfit_layout(self):
+        """No 5-tap r=2 extent sits centred in an even extent of 4, so that
+        layout is left out rather than clipped to one tap."""
+        assert default_branch_extents((4, 4, 1)) == [
+            ((4, 4, 1), (1, 1, 1)),
+            ((2, 2, 1), (3, 3, 1)),
+        ]
+
     def test_all_layouts_fit(self):
-        for target in [(11, 11, 1), (7, 7, 7), (5, 5, 3), (9, 3, 1)]:
+        for target in [(11, 11, 1), (7, 7, 7), (5, 5, 3), (9, 3, 1), (4, 4, 1)]:
             for kernel, dilation in default_branch_extents(target):
                 eff = tuple((k - 1) * r + 1 for k, r in zip(kernel, dilation))
                 assert all(e <= t for e, t in zip(eff, target))

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
 from occkit.tensor import (
     SMALL_GEMM_MACS,
-    ConvSpec,
     _conv_nd,
     conv2d,
     conv3d,
+    effective_extents,
     rng_named,
     slab_rows,
     softmax,
@@ -25,16 +25,18 @@ from occkit.tensor import (
 from support import cast, centred_pad, conv_loops, conv_untiled
 
 
-def conv_nd_loops(x, weight, bias, spec):
-    """The nested-loop oracle on ``x`` padded explicitly, centred."""
-    xp = centred_pad(x, spec.kernel, spec.dilation)
-    return conv_loops(xp, weight, bias, spec.dilation, spec.stride)
+def conv_nd_loops(x, weight, bias, dilation, stride):
+    """The nested-loop oracle on ``x`` padded explicitly, centred; dilation
+    and stride are per-axis tuples."""
+    xp = centred_pad(x, weight.shape[2:], dilation)
+    return conv_loops(xp, weight, bias, dilation, stride)
 
 
-def conv_nd_untiled(x, weight, bias, spec):
-    """The untiled GEMM oracle on ``x`` padded explicitly, centred."""
-    xp = centred_pad(x, spec.kernel, spec.dilation)
-    return conv_untiled(xp, weight, bias, spec.dilation, spec.stride)
+def conv_nd_untiled(x, weight, bias, dilation, stride):
+    """The untiled GEMM oracle on ``x`` padded explicitly, centred; dilation
+    and stride are per-axis tuples."""
+    xp = centred_pad(x, weight.shape[2:], dilation)
+    return conv_untiled(xp, weight, bias, dilation, stride)
 
 
 def upsample2x_interleaved(x, weight, bias, rank):
@@ -76,15 +78,21 @@ def upsample2x_strided_add(x, weight, bias):
     return out
 
 
-class TestConvSpec:
-    def test_defaults(self):
-        spec = ConvSpec(kernel=(3, 3, 1))
-        assert spec.dilation == (1, 1, 1)
-        assert spec.stride == (1, 1, 1)
+class TestConvGeometry:
+    """``conv2d`` and ``conv3d`` read the kernel from the weight and take
+    dilation and stride as an int or one int per axis."""
+
+    def test_default_dilation_and_stride_are_one(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 5, 6, 3))
+        w = rng.standard_normal((2, 2, 3, 2, 1))
+        got = conv3d(x, w)
+        assert got.tobytes() == conv3d(x, w, None, (1, 1, 1), (1, 1, 1)).tobytes()
+        want = conv_nd_loops(x, w, None, (1, 1, 1), (1, 1, 1))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_effective_extents(self):
-        spec = ConvSpec(kernel=(3, 5, 1), dilation=(3, 2, 1))
-        assert spec.effective == (7, 9, 1)
+        assert effective_extents((3, 5, 1), (3, 2, 1)) == (7, 9, 1)
 
     @pytest.mark.parametrize(
         "kernel,dilation",
@@ -92,28 +100,55 @@ class TestConvSpec:
         ids=["3x3x1", "even-2x4x1", "dilated-2x3x3"],
     )
     def test_stride_1_preserves_extents(self, kernel, dilation):
-        spec = ConvSpec(kernel, dilation)
-        assert spec.output_extents((8, 9, 4)) == (8, 9, 4)
+        x = np.zeros((1, 8, 9, 4))
+        assert conv3d(x, np.zeros((1, 1) + kernel), dilation=dilation).shape == x.shape
 
-    def test_output_extents_formula(self):
-        spec = ConvSpec(kernel=(3, 3, 2), stride=(2, 2, 2))
-        assert spec.output_extents((8, 9, 1)) == (4, 5, 1)
+    @pytest.mark.parametrize(
+        "conv,kernel,stride",
+        [
+            (conv3d, (3, 3, 2), (2, 2, 2)),
+            (conv3d, (1, 1, 1), (3, 1, 2)),
+            (conv2d, (3, 3), 2),
+            (conv2d, (2, 1), (1, 3)),
+        ],
+        ids=["3d-stride-2", "3d-pointwise-mixed", "2d-stride-2", "2d-even-mixed"],
+    )
+    def test_output_extents_formula(self, conv, kernel, stride):
+        sp = (8, 9, 1)[: len(kernel)]
+        strides = (stride,) * len(kernel) if isinstance(stride, int) else stride
+        y = conv(np.zeros((1,) + sp), np.zeros((2, 1) + kernel), stride=stride)
+        assert y.shape == (2,) + tuple((n - 1) // s + 1 for n, s in zip(sp, strides))
 
     def test_kernel_larger_than_input_pads_to_fit(self):
-        spec = ConvSpec(kernel=(5, 1, 1))
-        assert spec.output_extents((3, 3, 3)) == (3, 3, 3)
         x = np.ones((1, 3, 3, 3))
-        y = conv3d(x, np.ones((1, 1, 5, 1, 1)), spec=spec)
+        y = conv3d(x, np.ones((1, 1, 5, 1, 1)))
+        assert y.shape == (1, 3, 3, 3)
         np.testing.assert_array_equal(y[0, :, 0, 0], [3.0, 3.0, 3.0])
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="input extents must be >= 1"):
             conv2d(np.zeros((1, 0, 4)), np.zeros((1, 1, 3, 3)))
 
-    @pytest.mark.parametrize("bad", [{"kernel": (0, 1, 1)}, {"kernel": (3,), "dilation": (0,)}, {"kernel": (3,), "stride": (0,)}])
-    def test_rejects_invalid(self, bad):
-        with pytest.raises(ValueError):
-            ConvSpec(**bad)
+    @pytest.mark.parametrize(
+        "conv,kernel,kwargs,match",
+        [
+            (conv3d, (0, 1, 1), {}, r"kernel extents must be >= 1, got \(0, 1, 1\)"),
+            (conv2d, (3, 3), {"dilation": 0}, r"dilation must be >= 1"),
+            (conv3d, (3, 3, 1), {"dilation": (2, 0, 1)}, r"dilation must be >= 1"),
+            (conv2d, (3, 3), {"stride": (1, 0)}, r"stride must be >= 1"),
+            (conv3d, (1, 1, 1), {"stride": -1}, r"stride must be >= 1"),
+            (conv2d, (3, 3), {"stride": (2, 2, 2)}, r"stride must have 2 entries, got 3"),
+            (conv3d, (3, 3, 1), {"dilation": (2, 2)}, r"dilation must have 3 entries, got 2"),
+        ],
+        ids=[
+            "zero-kernel", "dilation-0", "dilation-axis-0", "stride-axis-0",
+            "stride-negative", "stride-too-long", "dilation-too-short",
+        ],
+    )
+    def test_rejects_invalid(self, conv, kernel, kwargs, match):
+        x = np.zeros((1,) + (4,) * len(kernel))
+        with pytest.raises(ValueError, match=match):
+            conv(x, np.zeros((1, 1) + kernel), **kwargs)
 
 
 class TestConv3d:
@@ -156,27 +191,26 @@ class TestConv3d:
         x = rng.standard_normal((2, 4, 4, 4))
         w = rng.standard_normal((3, 2, 2, 2, 2))
         b = rng.standard_normal(3)
-        spec = ConvSpec(kernel=(2, 2, 2), dilation=dilation, stride=stride)
-        got = conv3d(x, w, b, spec)
-        want = conv_nd_loops(x, w, b, spec)
+        got = conv3d(x, w, b, dilation, stride)
+        want = conv_nd_loops(x, w, b, dilation, stride)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_dilated_equals_sparse_kernel_f64(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 9, 9, 5))
         w = rng.standard_normal((2, 2, 3, 3, 1))
-        dense = conv3d(x, w, spec=ConvSpec(kernel=(3, 3, 1), dilation=(2, 2, 1)))
+        dense = conv3d(x, w, dilation=(2, 2, 1))
         sparse = dilate_to_sparse(w, (2, 2, 1))
-        same = conv3d(x, sparse, spec=ConvSpec(kernel=(5, 5, 1)))
+        same = conv3d(x, sparse)
         np.testing.assert_array_equal(dense, same)
 
     def test_dilated_equals_sparse_kernel_f32(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 9, 9, 5)).astype(np.float32)
         w = rng.standard_normal((2, 2, 3, 3, 1)).astype(np.float32)
-        dense = conv3d(x, w, spec=ConvSpec(kernel=(3, 3, 1), dilation=(2, 2, 1)))
+        dense = conv3d(x, w, dilation=(2, 2, 1))
         sparse = dilate_to_sparse(w, (2, 2, 1))
-        same = conv3d(x, sparse, spec=ConvSpec(kernel=(5, 5, 1)))
+        same = conv3d(x, sparse)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(dense - same)) <= 1e-5 * scale
 
@@ -266,20 +300,25 @@ EDGE_CONVS = {
 
 
 def _conv_case(x_shape, w_shape, bias, dilation, stride, dtype):
+    """Seeded input, weight and bias, and the dilation and stride as
+    per-axis tuples."""
     rng = np.random.default_rng(len(x_shape) * 1000 + x_shape[1])
     x = rng.standard_normal(x_shape).astype(dtype)
     w = rng.standard_normal(w_shape).astype(dtype)
     b = rng.standard_normal(w_shape[0]).astype(dtype) if bias else None
-    spec = ConvSpec(kernel=w_shape[2:], dilation=dilation, stride=stride)
-    return x, w, b, spec
+    rank = len(w_shape) - 2
+    dilation, stride = (
+        (v,) * rank if isinstance(v, int) else tuple(v) for v in (dilation, stride)
+    )
+    return x, w, b, dilation, stride
 
 
 def _tiled_and_untiled(*case):
-    x, w, b, spec = _conv_case(*case)
-    return _conv_nd(x, w, b, spec), conv_nd_untiled(x, w, b, spec)
+    case = _conv_case(*case)
+    return _conv_nd(*case), conv_nd_untiled(*case)
 
 
-def _gemms(monkeypatch, x, w, b, spec):
+def _gemms(monkeypatch, x, w, b, dilation, stride):
     """``_conv_nd``'s output, and for each GEMM it ran, its output columns
     and whether its right operand was read in place from ``x`` or from the
     padded copy of ``x`` that the conv made."""
@@ -298,7 +337,7 @@ def _gemms(monkeypatch, x, w, b, spec):
     monkeypatch.setattr(np, "pad", spy_pad)
     monkeypatch.setattr(np, "matmul", spy)
     try:
-        return _conv_nd(x, w, b, spec), gemms
+        return _conv_nd(x, w, b, dilation, stride), gemms
     finally:
         monkeypatch.undo()
 
@@ -325,15 +364,16 @@ class TestSlabTiling:
 
     @pytest.mark.parametrize("case", list(EDGE_CONVS.values()), ids=list(EDGE_CONVS))
     def test_edge_convs_match_untiled(self, monkeypatch, case):
-        x, w, b, spec = _conv_case(*case)
-        got, gemms = _gemms(monkeypatch, x, w, b, spec)
-        want = conv_nd_untiled(x, w, b, spec)
+        case = _conv_case(*case)
+        got, gemms = _gemms(monkeypatch, *case)
+        want = conv_nd_untiled(*case)
+        x, w, b, dilation, stride = case
         out_rows, row = got.shape[1], prod(got.shape[2:])
         macs = w.shape[0] * w.shape[1]
         assert slab_rows(out_rows, row, macs) < out_rows
-        one_slab = spec.stride != (1,) * spec.rank or w.shape[1] > 256
+        one_slab = stride != (1,) * len(stride) or w.shape[1] > 256
         rows = out_rows if one_slab else slab_rows(out_rows, row, macs)
-        taps = prod(spec.kernel)
+        taps = prod(w.shape[2:])
         assert [c for c, _ in gemms] == [
             c for c in _slabs(out_rows, row, rows) for _ in range(taps)
         ]
@@ -345,12 +385,12 @@ class TestSlabTiling:
         past the last multiple of 16 differently, so a conv whose output
         columns are not a multiple of 16 is not split, even over the
         cutoff."""
-        x, w, b, spec = _conv_case((32, 70, 33), (32, 32, 3, 3), True, 1, 1, np.float32)
+        case = _conv_case((32, 70, 33), (32, 32, 3, 3), True, 1, 1, np.float32)
         assert 70 * 33 % 16 and 70 * 33 * 32 * 32 > SMALL_GEMM_MACS
         assert slab_rows(70, 33, 32 * 32) == 70
-        got, gemms = _gemms(monkeypatch, x, w, b, spec)
+        got, gemms = _gemms(monkeypatch, *case)
         assert [c for c, _ in gemms] == [70 * 33] * 9
-        assert got.tobytes() == conv_nd_untiled(x, w, b, spec).tobytes()
+        assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
     @pytest.mark.parametrize(
         "case",
@@ -358,14 +398,13 @@ class TestSlabTiling:
         ids=[k for k in EDGE_CONVS if k.endswith("in-place")],
     )
     def test_one_row_slabs_read_taps_in_place(self, monkeypatch, case):
-        x, w, b, spec = _conv_case(*case)
-        got, gemms = _gemms(monkeypatch, x, w, b, spec)
+        case = _conv_case(*case)
+        got, gemms = _gemms(monkeypatch, *case)
         assert gemms and all(in_place for _, in_place in gemms)
-        assert got.tobytes() == conv_nd_untiled(x, w, b, spec).tobytes()
+        assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
     def test_padded_taps_are_copied(self, monkeypatch):
-        x, w, b, spec = _conv_case(*EDGE_CONVS["3d-short-last-slab"])
-        _, gemms = _gemms(monkeypatch, x, w, b, spec)
+        _, gemms = _gemms(monkeypatch, *_conv_case(*EDGE_CONVS["3d-short-last-slab"]))
         assert not any(in_place for _, in_place in gemms)
 
     @pytest.mark.parametrize(
@@ -379,11 +418,11 @@ class TestSlabTiling:
     def test_pointwise_convs_run_as_one_axis(
         self, monkeypatch, x_shape, w_shape, chunk
     ):
-        x, w, b, spec = _conv_case(x_shape, w_shape, True, 1, 1, np.float32)
-        got, gemms = _gemms(monkeypatch, x, w, b, spec)
+        case = _conv_case(x_shape, w_shape, True, 1, 1, np.float32)
+        got, gemms = _gemms(monkeypatch, *case)
         assert [c for c, _ in gemms] == _slabs(prod(x_shape[1:]), 1, chunk)
         assert all(in_place for _, in_place in gemms)
-        assert got.tobytes() == conv_nd_untiled(x, w, b, spec).tobytes()
+        assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -451,9 +490,9 @@ class TestAccumulatorStart:
     )
     def test_pipeline_shapes_match_accumulator(self, case, bias):
         x_shape, w_shape = case
-        x, w, b, spec = _conv_case(x_shape, w_shape, bias, 1, 1, np.float32)
-        got = _conv_nd(x, w, b, spec)
-        want = conv_nd_untiled(x, w, b, spec)
+        case = _conv_case(x_shape, w_shape, bias, 1, 1, np.float32)
+        got = _conv_nd(*case)
+        want = conv_nd_untiled(*case)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -478,9 +517,8 @@ class TestAccumulatorStart:
         b = None if bias == "none" else np.array([-0.0, 0.0, -0.0, 1.5, -0.0, -2.0], dtype)
         if signed_gemm:
             _signed_zero_matmul(monkeypatch)
-        spec = ConvSpec(kernel=kernel, stride=stride)
-        got = _conv_nd(x, w, b, spec)
-        want = conv_nd_untiled(x, w, b, spec)
+        got = _conv_nd(x, w, b, (1, 1), (stride, stride))
+        want = conv_nd_untiled(x, w, b, (1, 1), (stride, stride))
         assert (got == 0).any()
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[got == 0]).any()
@@ -495,9 +533,10 @@ class TestConv2d:
         x = rng.standard_normal((3, 6, 6))
         w = rng.standard_normal((2, 3, 3, 3))
         b = rng.standard_normal(2)
-        spec = ConvSpec(kernel=(3, 3), stride=stride)
         np.testing.assert_allclose(
-            conv2d(x, w, b, spec), conv_nd_loops(x, w, b, spec), atol=1e-12
+            conv2d(x, w, b, stride=stride),
+            conv_nd_loops(x, w, b, (1, 1), stride),
+            atol=1e-12,
         )
 
 
@@ -510,9 +549,9 @@ def conv_geometries(draw):
     def axes(lo, hi):
         return tuple(draw(st.integers(lo, hi)) for _ in range(rank))
 
-    spec = ConvSpec(axes(1, 4), axes(1, 3), axes(1, 2))
+    kernel, dilation, stride = axes(1, 4), axes(1, 3), axes(1, 2)
     c_in, c_out = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    return spec, (c_in,) + axes(1, 5), (c_out, c_in) + spec.kernel
+    return (dilation, stride), (c_in,) + axes(1, 5), (c_out, c_in) + kernel
 
 
 class TestCentredPaddingProperty:
@@ -521,13 +560,15 @@ class TestCentredPaddingProperty:
     def test_matches_loops_on_explicitly_padded_input(self, case, seed, bias):
         """``_conv_nd`` equals the nested loops run on the input padded with
         floor((e-1)/2) zeros low and the rest high per axis."""
-        spec, x_shape, w_shape = case
+        (dilation, stride), x_shape, w_shape = case
         rng = np.random.default_rng(seed)
         x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
         b = rng.standard_normal(w_shape[0]) if bias else None
-        got = _conv_nd(x, w, b, spec)
-        assert got.shape == (w_shape[0],) + spec.output_extents(x_shape[1:])
-        np.testing.assert_allclose(got, conv_nd_loops(x, w, b, spec), rtol=0, atol=1e-12)
+        got = _conv_nd(x, w, b, dilation, stride)
+        out_sp = tuple((n - 1) // s + 1 for n, s in zip(x_shape[1:], stride))
+        assert got.shape == (w_shape[0],) + out_sp
+        want = conv_nd_loops(x, w, b, dilation, stride)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSoftmax:
@@ -683,11 +724,11 @@ class TestUpsample2x:
 _THREAD_CHILD = """
 import hashlib
 import numpy as np
-from occkit.tensor import ConvSpec, conv3d
+from occkit.tensor import conv3d
 rng = np.random.default_rng(7)
 x = rng.standard_normal((32, 100, 100, 8)).astype(np.float32)
 w = rng.standard_normal((32, 32, 11, 11, 1)).astype(np.float32)
-y = conv3d(x, w, spec=ConvSpec(kernel=(11, 11, 1)))
+y = conv3d(x, w, dilation=(1, 1, 1), stride=(1, 1, 1))
 print(y.shape, hashlib.sha256(y.tobytes()).hexdigest())
 """
 
