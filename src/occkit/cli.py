@@ -267,6 +267,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # e.g. a march_step so small its samples cannot fit
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

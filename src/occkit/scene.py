@@ -206,12 +206,15 @@ def _rasterize(
     A voxel is a box's when its centre, in world coordinates, lies in the
     box. Each box tests only the voxels of its ego-frame bounding box,
     widened by one voxel per side so that rounding cannot drop a centre.
+
+    Only the full-height centre columns over the box's x/y range go
+    through the pose, and the box's z range is sliced from them after the
+    transform. Each column is then the same (Z, 3) @ (3, 3) product that a
+    transform of the whole grid's centre array makes, which keeps every
+    world coordinate's bytes; clipping z first would transform shorter
+    columns, whose products BLAS may round differently at nonzero yaw.
     """
-    cx = grid.centers(0)
-    cy = grid.centers(1)
-    cz = grid.centers(2)
-    pts = np.stack(np.meshgrid(cx, cy, cz, indexing="ij"), axis=-1)
-    world = pts @ pose.rotation.T + pose.translation
+    cx, cy, cz = (grid.centers(a) for a in range(3))
     out = np.full(grid.counts, EMPTY_CLASS, dtype=np.uint8)
     to_ego = pose.inverse()
     counts = np.array(grid.counts)
@@ -220,30 +223,92 @@ def _rasterize(
         ego = corners @ to_ego.rotation.T + to_ego.translation
         (lo, hi), _ = grid.voxel_index(np.stack([ego.min(axis=0), ego.max(axis=0)]))
         lo, hi = np.clip(lo - 1, 0, counts), np.clip(hi + 2, 0, counts)
-        region = tuple(slice(l, h) for l, h in zip(lo, hi))
-        inside = ((world[region] >= b.lo) & (world[region] < b.hi)).all(axis=-1)
-        out[region][inside] = b.cls
+        cols = np.stack(
+            np.meshgrid(cx[lo[0]:hi[0]], cy[lo[1]:hi[1]], cz, indexing="ij"), axis=-1
+        )
+        world = (cols @ pose.rotation.T + pose.translation)[:, :, lo[2]:hi[2]]
+        inside = ((world >= b.lo) & (world < b.hi)).all(axis=-1)
+        out[tuple(slice(l, h) for l, h in zip(lo, hi))][inside] = b.cls
     return out
 
 
-def _march_frame(
-    occ: np.ndarray,
-    grid: GridSpec,
-    cams: list[CameraParams],
-    d_max: float,
-    step: float,
-):
+@dataclass(frozen=True)
+class MarchPlan:
+    """The frame-invariant half of a march: every camera ray and the voxel
+    of each of its kept samples. The rig and the ego grid do not move
+    between frames, so one plan serves every frame of a scene.
+
+    Rays are numbered camera by camera in pixel order. ``origins`` and
+    ``dirs`` are each ray's (R, 3) origin and direction, with optical-axis
+    depth 1. The kept samples of all rays are listed in (ray, k) order:
+    ``ray_of``, ``d``, ``flat`` and ``inside`` give each one's ray, depth,
+    flat voxel index and in-grid mask (``flat`` is meaningful only where
+    ``inside``), and ``last`` gives each ray's last sample in that list.
+    """
+
+    grid: GridSpec
+    step: float
+    depth_shape: tuple[int, int, int]  # (N_c, H_F, W_F)
+    origins: np.ndarray
+    dirs: np.ndarray
+    ray_of: np.ndarray
+    d: np.ndarray
+    flat: np.ndarray
+    inside: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def build(
+        cls, grid: GridSpec, cams: list[CameraParams], d_max: float, step: float
+    ) -> "MarchPlan":
+        """Each ray's samples sit at d = (k + 0.5) * step, up to d_max: the
+        samples of a march that steps every ray to d_max. A slab test clips
+        each ray to the grid box widened by one step of travel on every
+        side, and the ray keeps only its samples inside that. A dropped
+        sample lies over a step outside the grid, far beyond the rounding of
+        its coordinates, so it could neither mark a voxel visible nor hit
+        one; this holds as well along direction components of 0 or within
+        rounding of 0."""
+        # the march's samples: k < ceil(d_max / step) and d <= d_max
+        ks = np.arange(int(np.ceil(d_max / step)))
+        n_steps = int(np.count_nonzero((ks + 0.5) * step <= d_max))
+        # z components are exactly 1 before the rotation
+        rays = [cam.pixels().reshape(-1, 3) @ np.linalg.inv(cam.intrinsics).T for cam in cams]
+        dirs = np.concatenate([ray @ cam.rotation.T for ray, cam in zip(rays, cams)])
+        origins = np.concatenate(
+            [np.broadcast_to(cam.translation, ray.shape) for ray, cam in zip(rays, cams)]
+        )
+
+        start, end = np.array(grid.start), np.array(grid.end)
+        pad = step * np.linalg.norm(dirs, axis=1, keepdims=True)  # one step of travel
+        with np.errstate(all="ignore"):  # 0 components give inf, or nan fmin/fmax skip
+            t1, t2 = (start - pad - origins) / dirs, (end + pad - origins) / dirs
+            near, far = np.fmin(t1, t2).max(axis=1), np.fmax(t1, t2).min(axis=1)
+            k_lo = np.clip(np.ceil(near / step - 0.5), 0, n_steps).astype(np.int64)
+            k_hi = np.clip(np.floor(far / step - 0.5) + 1, 0, n_steps).astype(np.int64)
+        n = np.maximum(k_hi - k_lo, 0)
+
+        # every kept sample, in (ray, k) order
+        first = np.cumsum(n) - n
+        ray_of = np.repeat(np.arange(len(n)), n)
+        k = np.arange(n.sum()) + np.repeat(k_lo - first, n)
+        d = (k + 0.5) * step
+        flat, inside = grid.flat_index(
+            *(origins[ray_of, a] + d * dirs[ray_of, a] for a in range(3))
+        )
+        h_f, w_f = cams[0].feature_size
+        return cls(
+            grid, step, (len(cams), h_f, w_f),
+            origins, dirs, ray_of, d, flat, inside, first + n - 1,
+        )
+
+
+def _march_frame(occ: np.ndarray, plan: MarchPlan):
     """Depth and visibility for one frame.
 
-    Every feature pixel casts one ray, parametrized by optical-axis depth so
-    samples sit at d = (k + 0.5) * step, up to d_max: the samples of a march
-    that steps every ray to d_max. A slab test clips each ray to the grid
-    box widened by one step of travel on every side, and the ray keeps only
-    its samples inside that. A dropped sample lies over a step outside the
-    grid, far beyond the rounding of its coordinates, so it could neither
-    mark a voxel visible nor hit one; this holds as well along direction
-    components of 0 or within rounding of 0. Each camera's kept samples are
-    then looked up in one pass, in (ray, k) order.
+    Every feature pixel casts one ray, and ``plan`` (``MarchPlan.build``)
+    holds the ray's samples, clipped to the grid, and each one's voxel. A
+    frame only looks its samples up in ``occ``, all in one pass.
 
     A ray's first sample inside an occupied voxel brackets the surface;
     bisection then narrows the crossing to ~1e-7 * step. Depth error against
@@ -251,78 +316,45 @@ def _march_frame(
     sliver thinner than the step). Visibility marks every voxel a sample
     lands in up to and including the hit voxel.
     """
+    grid, ray_of = plan.grid, plan.ray_of
     occupied = occ.reshape(-1) != EMPTY_CLASS
+    hit = plan.inside & occupied.take(plan.flat, mode="clip")
+
+    hits = np.flatnonzero(hit)
+    hits = hits[np.diff(ray_of[hits], prepend=-1) != 0]  # each ray's first
+    last = plan.last.copy()
+    last[ray_of[hits]] = hits
+    seen = plan.inside & (np.arange(ray_of.size) <= last[ray_of])
     visible = np.zeros(occ.size, dtype=bool)
-
-    def lookup(x, y, z):
-        """Flat voxel index, in-grid mask and occupied mask of points."""
-        flat, inside = grid.flat_index(x, y, z)
-        return flat, inside, inside & occupied.take(flat, mode="clip")
-
-    # the march's samples: k < ceil(d_max / step) and d <= d_max
-    ks = np.arange(int(np.ceil(d_max / step)))
-    n_steps = int(np.count_nonzero((ks + 0.5) * step <= d_max))
-    start, end = np.array(grid.start), np.array(grid.end)
-    origins, dirs, hit_d = [], [], []
-    for cam in cams:
-        pix = cam.pixels().reshape(-1, 3)
-        ray = pix @ np.linalg.inv(cam.intrinsics).T  # z component is exactly 1
-        r = ray @ cam.rotation.T
-        o = cam.translation
-        origins.append(np.broadcast_to(o, r.shape))
-        dirs.append(r)
-
-        pad = step * np.linalg.norm(r, axis=1, keepdims=True)  # one step of travel
-        with np.errstate(all="ignore"):  # 0 components give inf, or nan fmin/fmax skip
-            t1, t2 = (start - pad - o) / r, (end + pad - o) / r
-            near, far = np.fmin(t1, t2).max(axis=1), np.fmax(t1, t2).min(axis=1)
-            k_lo = np.clip(np.ceil(near / step - 0.5), 0, n_steps).astype(np.int64)
-            k_hi = np.clip(np.floor(far / step - 0.5) + 1, 0, n_steps).astype(np.int64)
-        n = np.maximum(k_hi - k_lo, 0)
-
-        # every kept sample of the camera, in (ray, k) order
-        first = np.cumsum(n) - n
-        ray_of = np.repeat(np.arange(len(n)), n)
-        k = np.arange(n.sum()) + np.repeat(k_lo - first, n)
-        d = (k + 0.5) * step
-        flat, inside, hit = lookup(*(o[a] + d * r[ray_of, a] for a in range(3)))
-
-        hits = np.flatnonzero(hit)
-        hits = hits[np.diff(ray_of[hits], prepend=-1) != 0]  # each ray's first
-        last = first + n - 1
-        last[ray_of[hits]] = hits
-        visible[flat[inside & (np.arange(k.size) <= last[ray_of])]] = True
-        cam_d = np.full(len(n), -1.0)
-        cam_d[ray_of[hits]] = d[hits]
-        hit_d.append(cam_d)
-    origins = np.concatenate(origins)  # (R, 3)
-    dirs = np.concatenate(dirs)
-    hit_d = np.concatenate(hit_d)
+    visible[plan.flat[seen]] = True
+    hit_d = np.full(len(last), -1.0)
+    hit_d[ray_of[hits]] = plan.d[hits]
 
     # bisect [d_hit - step, d_hit] down to the free/occupied crossing
     hit_ids = np.nonzero(hit_d > 0)[0]
     if hit_ids.size:
+        step = plan.step
         lo = np.maximum(hit_d[hit_ids] - step, 1e-9)
         hi = hit_d[hit_ids].copy()
-        o = origins[hit_ids]
-        r = dirs[hit_ids]
+        o = plan.origins[hit_ids]
+        r = plan.dirs[hit_ids]
         for _ in range(30):
             mid = 0.5 * (lo + hi)
-            occ_mid = lookup(*(o + mid[:, None] * r).T)[2]
+            flat, inside = grid.flat_index(*(o + mid[:, None] * r).T)
+            occ_mid = inside & occupied.take(flat, mode="clip")
             hi = np.where(occ_mid, mid, hi)
             lo = np.where(occ_mid, lo, mid)
         hit_d[hit_ids] = 0.5 * (lo + hi)
 
-    h_f, w_f = cams[0].feature_size
-    depth = hit_d.reshape(len(cams), h_f, w_f).astype(np.float32)
+    depth = hit_d.reshape(plan.depth_shape).astype(np.float32)
     return depth, visible.reshape(grid.counts)
 
 
 def gen_scene(spec: SceneSpec) -> SceneBundle:
     """Generate the full bundle; bit-identical for equal specs."""
     boxes = spec.resolve_boxes()
-    cams = spec.cameras()
     poses = spec.poses()
+    plan = MarchPlan.build(spec.grid, spec.cameras(), spec.d_max, spec.march_step)
     nx, ny, nz = spec.grid.counts
     t_total = spec.n_frames
     h_f, w_f = spec.feature_size
@@ -334,7 +366,7 @@ def gen_scene(spec: SceneSpec) -> SceneBundle:
 
     for t in range(t_total):
         occ = _rasterize(boxes, spec.grid, poses[t])
-        d, vis = _march_frame(occ, spec.grid, cams, spec.d_max, spec.march_step)
+        d, vis = _march_frame(occ, plan)
         occupancy[t] = occ
         visible[t] = vis.astype(np.uint8)
         depth[t] = d

@@ -76,6 +76,21 @@ class TestGenScene:
         assert err.startswith("error: [scene] features")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 186. GiB", ""])
+    def test_out_of_memory_reports_error(self, tmp_path, config_path, capsys,
+                                         monkeypatch, message):
+        """A scene too large to allocate is one error line, exit 1; the
+        allocation is faked, so the host's overcommit policy plays no part."""
+        def gen_scene(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("occkit.cli.gen_scene", gen_scene)
+        out = str(tmp_path / "scene")
+        assert main(["gen-scene", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+        assert message in err
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(

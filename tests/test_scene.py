@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from occkit import scene
 from occkit.bev import EgoPose
 from occkit.config import default_config
 from occkit.evaluate import EMPTY_CLASS
 from occkit.scene import (
     BoxObstacle,
+    MarchPlan,
     SceneBundle,
     SceneSpec,
     _march_frame,
@@ -477,7 +484,7 @@ def march_stepwise(occ, grid, cams, d_max, step):
 
 
 def assert_march_matches_stepwise(occ, grid, cams, d_max, step):
-    depth, visible = _march_frame(occ, grid, cams, d_max, step)
+    depth, visible = _march_frame(occ, MarchPlan.build(grid, cams, d_max, step))
     want_depth, want_visible = march_stepwise(occ, grid, cams, d_max, step)
     assert depth.tobytes() == want_depth.tobytes()
     assert visible.dtype == bool and visible.shape == grid.counts
@@ -594,7 +601,7 @@ class TestClippedMarch:
         assert (dirs == 0).any() and step > max(grid.voxel_size)
         _, inside = grid.voxel_index(np.array([cam.translation for cam in cams]))
         assert not inside.any()
-        depth, visible = _march_frame(occ, grid, cams, d_max, step)
+        depth, visible = _march_frame(occ, MarchPlan.build(grid, cams, d_max, step))
         assert (depth == -1).any() and (depth > 0).any() and visible.any()
         assert_march_matches_stepwise(occ, grid, cams, d_max, step)
 
@@ -674,3 +681,120 @@ def test_gen_scene_byte_deterministic(spec):
     a, b = gen_scene(spec), gen_scene(spec)
     for name in ("occupancy", "visible", "depth", "poses"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@st.composite
+def yawed_specs(draw):
+    """Small scenes whose ego turns and moves every frame, on grids down to
+    one voxel along any axis, with explicit boxes anywhere in the grid."""
+    vsize = draw(st.tuples(*[st.sampled_from([0.25, 0.4, 0.5, 0.7])] * 3))
+    counts = draw(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4)))
+    # the grid's z span holds the rig's 1.5 m camera height, so most rays
+    # cross it
+    z_start = 1.5 - draw(st.floats(0.0, 1.0)) * vsize[2] * counts[2]
+    start = draw(st.tuples(st.floats(-3, 0), st.floats(-3, 0), st.just(z_start)))
+    end = [s + v * c for s, v, c in zip(start, vsize, counts)]
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        size = [draw(st.floats(0.05, 1.0)) * (e - s) for s, e in zip(start, end)]
+        lo = [s + draw(st.floats(0.0, 1.0)) * (e - s - w) for s, e, w in zip(start, end, size)]
+        center = [l + w / 2 for l, w in zip(lo, size)]
+        boxes.append(BoxObstacle(center, size, draw(st.integers(1, EMPTY_CLASS - 1))))
+    return SceneSpec(
+        seed=0,
+        grid=GridSpec(start, end, counts),
+        n_frames=draw(st.integers(2, 4)),
+        n_cameras=draw(st.integers(1, 3)),
+        image_size=(8, 12),
+        feature_size=draw(st.sampled_from([(2, 3), (4, 6)])),
+        focal=8.0,
+        d_max=draw(st.floats(0.5, 12.0)),
+        march_step=draw(st.floats(0.05, 1.0)),
+        speed=draw(st.floats(0.05, 0.8)),
+        yaw_rate=draw(st.floats(0.01, 0.6)) * draw(st.sampled_from([-1, 1])),
+        boxes=tuple(boxes),
+    )
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(spec=yawed_specs())
+def check_yawed_scene(spec):
+    """``gen_scene`` renders a yawed, moving scene byte for byte as a loop of
+    the full-grid rasterizer and the step loop does, frame by frame."""
+    bundle = gen_scene(spec)
+    boxes, cams = spec.resolve_boxes(), spec.cameras()
+    for t, pose in enumerate(spec.poses()):
+        occ = rasterize_full_grid(boxes, spec.grid, pose)
+        depth, visible = march_stepwise(occ, spec.grid, cams, spec.d_max, spec.march_step)
+        assert bundle.occupancy[t].tobytes() == occ.tobytes()
+        assert bundle.visible[t].tobytes() == visible.astype(np.uint8).tobytes()
+        assert bundle.depth[t].tobytes() == depth.tobytes()
+
+
+_YAWED_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_scene
+test_scene.check_yawed_scene()
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_yawed_scenes_match_oracle(threads):
+    """``check_yawed_scene`` holds with one and with two BLAS threads, each
+    set before numpy loads."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(
+        p for p in (str(here.parent / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    child = subprocess.run(
+        [sys.executable, "-c", _YAWED_CHILD, str(here)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+
+
+class TestWorkDoneOnce:
+    def test_rasterize_allocates_only_the_box_columns(self):
+        """One small box on a 1000x1000x8 grid: the rasterizer allocates its
+        uint8 output and the box's columns, far below the 192 MB that a
+        float64 transform of the whole grid's centres would take."""
+        grid = GridSpec((-250.0, -250.0, -1.0), (250.0, 250.0, 3.0), (1000, 1000, 8))
+        box = BoxObstacle((10.0, -5.0, 0.5), (2.0, 1.5, 1.0), 3)
+        pose = EgoPose.from_yaw(0.3, (1.0, 2.0, 0.0))
+        whole_grid = np.prod(grid.counts) * 3 * 8
+        tracemalloc.start()
+        try:
+            occ = _rasterize([box], grid, pose)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (occ == box.cls).any()
+        assert peak < occ.nbytes + whole_grid // 100
+
+    def test_one_plan_per_scene(self, monkeypatch):
+        """``gen_scene`` builds one march plan and hands it to each of its
+        ``n_frames`` march calls, none of which writes into it."""
+        plans, marched = [], []
+        build, march = MarchPlan.build, scene._march_frame
+
+        def spy_build(cls, *args):
+            plans.append(build(*args))
+            return plans[-1]
+
+        def spy_march(occ, plan):
+            marched.append(plan)
+            return march(occ, plan)
+
+        monkeypatch.setattr(MarchPlan, "build", classmethod(spy_build))
+        monkeypatch.setattr(scene, "_march_frame", spy_march)
+        spec = replace(one_box_spec(n_frames=3, speed=0.5), yaw_rate=0.1)
+        bundle = gen_scene(spec)
+        assert len(plans) == 1
+        assert len(marched) == spec.n_frames
+        assert all(p is plans[0] for p in marched)
+        assert (bundle.depth > 0).any()
+        fresh = MarchPlan.build(spec.grid, spec.cameras(), spec.d_max, spec.march_step)
+        for name in ("origins", "dirs", "ray_of", "d", "flat", "inside", "last"):
+            assert getattr(plans[0], name).tobytes() == getattr(fresh, name).tobytes()
