@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import FLOAT_DTYPES, conv2d, rng_named, uniform_init, upsample2x
+from .tensor import FLOAT_DTYPES, conv, rng_named, uniform_init, upsample2x
 from .view import GridSpec
 
 
@@ -246,8 +246,8 @@ def temporal_fuse(
     for slot, (bev, pose) in enumerate(history, start=1):
         stack[slot * n_ch : (slot + 1) * n_ch] = warp_bev(bev, pose, pose_now, grid)
 
-    h = conv2d(stack, weights.mix1_w, weights.mix1_b)
-    return conv2d(h, weights.mix2_w, weights.mix2_b)
+    h = conv(stack, weights.mix1_w, weights.mix1_b)
+    return conv(h, weights.mix2_w, weights.mix2_b)
 
 
 @dataclass(frozen=True)
@@ -318,12 +318,12 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
         raise ValueError(f"BEV extents must be divisible by 4, got ({nx}, {ny})")
 
     w = weights
-    d1 = _relu(conv2d(b_t, w.down1_w, w.down1_b, stride=2))  # (C, X/2, Y/2)
-    d2 = _relu(conv2d(d1, w.down2_w, w.down2_b, stride=2))  # (C, X/4, Y/4)
-    m = _relu(conv2d(d2, w.mid_w, w.mid_b) + d2)
+    d1 = _relu(conv(b_t, w.down1_w, w.down1_b, stride=2))  # (C, X/2, Y/2)
+    d2 = _relu(conv(d1, w.down2_w, w.down2_b, stride=2))  # (C, X/4, Y/4)
+    m = _relu(conv(d2, w.mid_w, w.mid_b) + d2)
     u1 = _relu(upsample2x(m, w.up1_w, w.up1_b) + d1)  # (C, X/2, Y/2)
     u0 = upsample2x(u1, w.up2_w, w.up2_b)  # (C', X, Y)
-    skip = b_t if w.skip_w is None else conv2d(b_t, w.skip_w, w.skip_b)
+    skip = b_t if w.skip_w is None else conv(b_t, w.skip_w, w.skip_b)
     if skip.shape != u0.shape:
         raise ValueError(f"residual {skip.shape} does not match decoder output {u0.shape}")
     return u0 + skip

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import conv2d, rng_named, softmax, uniform_init, upsample2x
+from .tensor import conv, rng_named, softmax, uniform_init, upsample2x
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def predict_height(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     """Per-cell height distribution: (Z, X, Y), softmax over the height axis."""
     if b.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
-    logits = conv2d(b, weights.height_w, weights.height_b)
+    logits = conv(b, weights.height_w, weights.height_b)
     return softmax(logits, axis=0)
 
 
@@ -61,7 +61,7 @@ def bev_to_voxel_lift(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     """
     if b.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
-    ctx = conv2d(b, weights.context_w, weights.context_b)
+    ctx = conv(b, weights.context_w, weights.context_b)
     hgt = predict_height(b, weights)
     return np.einsum("cxy,zxy->cxyz", ctx, hgt)
 

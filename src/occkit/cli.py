@@ -265,11 +265,12 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        message = str(e)
     except MemoryError as e:  # e.g. a march_step so small its samples cannot fit
-        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
-        return 1
+        message = f"out of memory: {str(e) or 'allocation failed'}"
+    # one line, though a message (such as configparser's) may hold several
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

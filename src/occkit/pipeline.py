@@ -41,7 +41,7 @@ from .reparam import (
 )
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
-from .tensor import conv2d, conv3d, rng_named, slab_rows, softmax, uniform_init
+from .tensor import conv, rng_named, slab_rows, softmax, uniform_init
 from .view import DepthDistribution, LiftPlan, bin_centers, lift_splat, sparsity_ratio
 
 
@@ -142,27 +142,19 @@ def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
     """(N_c, C, H, W) features -> (N_c, D, H, W) depth distributions."""
     out = []
     for f in features:
-        h = np.maximum(conv2d(f, stub.conv1_w, stub.conv1_b), 0)
-        logits = conv2d(h, stub.conv2_w, stub.conv2_b)
+        h = np.maximum(conv(f, stub.conv1_w, stub.conv1_b), 0)
+        logits = conv(h, stub.conv2_w, stub.conv2_b)
         out.append(softmax(logits, axis=0))
     return np.stack(out)
 
 
 def _check_scene(config: PipelineConfig, scene: SceneBundle) -> None:
-    if scene.spec.feature_size != config.scene_features:
-        raise ValueError(
-            f"scene feature extents {scene.spec.feature_size} != config "
-            f"{config.scene_features}"
-        )
-    if scene.spec.n_cameras != config.scene_cameras:
-        raise ValueError(
-            f"scene has {scene.spec.n_cameras} cameras, config expects "
-            f"{config.scene_cameras}"
-        )
-    if scene.grid != config.grid:
-        raise ValueError(
-            f"scene grid {scene.grid} does not match config grid {config.grid}"
-        )
+    """The scene must have the grid and camera rig the config's lift assumes."""
+    want = config.scene_spec()
+    for field in ("grid", "n_cameras", "image_size", "feature_size", "focal"):
+        got, expected = getattr(scene.spec, field), getattr(want, field)
+        if got != expected:
+            raise ValueError(f"scene {field} {got} does not match config {expected}")
 
 
 def run_pipeline(
@@ -278,7 +270,7 @@ def run_pipeline(
             "fuse_upsample", fuse_and_upsample, v_g[:, a:b], v_s[:, a:b], weights.upsample
         )
         logits[:, 2 * a : 2 * b] = staged(
-            "classifier", conv3d, v_gs, weights.head_w, weights.head_b
+            "classifier", conv, v_gs, weights.head_w, weights.head_b
         )
 
     total = time.perf_counter() - t_start

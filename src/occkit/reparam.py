@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import conv3d, effective_extents, rng_named, uniform_init
+from .tensor import conv, effective_extents, rng_named, uniform_init
 
 
 @dataclass(frozen=True)
@@ -178,19 +178,19 @@ def apply_bn(y: np.ndarray, bn: BatchNormParams) -> np.ndarray:
 
 
 def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
-    """Train-form forward: sum of per-branch conv3d + batch norm outputs."""
+    """Train-form forward: sum of per-branch conv + batch norm outputs."""
     if not branches:
         raise ValueError("need at least one branch")
     out = None
     for branch in branches:
-        y = apply_bn(conv3d(x, branch.weight, dilation=branch.dilation), branch.bn)
+        y = apply_bn(conv(x, branch.weight, dilation=branch.dilation), branch.bn)
         out = y if out is None else np.add(out, y, out=out)
     return out
 
 
 def forward_deploy(x: np.ndarray, merged: MergedKernel) -> np.ndarray:
-    """Deploy-form forward: one large-kernel conv3d."""
-    return conv3d(x, merged.weight, merged.bias)
+    """Deploy-form forward: one large-kernel conv."""
+    return conv(x, merged.weight, merged.bias)
 
 
 def default_branch_extents(

@@ -482,8 +482,11 @@ def load_scene(scene_dir: str) -> SceneBundle:
                 f"{manifest[key]!r}"
             )
         (grid_fields if key.startswith("grid_") else fields)[field] = value
-    grid = GridSpec(**grid_fields)
-    spec = SceneSpec(grid=grid, **fields)
+    try:
+        grid = GridSpec(**grid_fields)
+        spec = SceneSpec(grid=grid, **fields)
+    except ValueError as e:
+        raise ValueError(f"scene manifest {path}: {e}") from None
     occupancy, visible, depth, poses = (_read_tensor(scene_dir, *t) for t in _TENSORS)
     poses_path = os.path.join(scene_dir, "poses.gsdt")
     expected = (spec.n_frames,) + grid.counts

@@ -1,5 +1,6 @@
-"""Dense tensor primitives: reference convolutions, softmax and exact 2x
-transpose-conv upsampling (``upsample2x``, 2D or 3D by the input's rank).
+"""Dense tensor primitives: one convolution (``conv``, of any rank), softmax
+and exact 2x transpose-conv upsampling (``upsample2x``, 2D or 3D by the
+input's rank).
 
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
@@ -8,8 +9,9 @@ no operation casts them, and a mismatch is an error. Every operation is
 deterministic for fixed inputs (single-threaded accumulation order, no
 unordered reductions).
 
-A convolution reads its rank and kernel extents from its weight, and takes
-only ``dilation`` and ``stride`` besides, each an int or one int per axis.
+``conv`` reads its rank and kernel extents from its weight, which needs a
+spatial axis, and takes only ``dilation`` and ``stride`` besides, each an
+int or one int per axis.
 It pads itself by one centred rule, and no caller passes padding: an axis
 of effective extent e (``effective_extents``) gets (e-1)//2 zeros low and
 e//2 high, the extra zero of an even extent on the high side. Output extents
@@ -98,18 +100,19 @@ def slab_rows(n_rows: int, row: int, macs: int) -> int:
     return min(n_rows, max(1, SMALL_GEMM_MACS // (macs * row * step)) * step)
 
 
-def _conv_nd(
+def conv(
     x: np.ndarray,
     weight: np.ndarray,
-    bias: np.ndarray | None,
-    dilation: int | tuple[int, ...],
-    stride: int | tuple[int, ...],
+    bias: np.ndarray | None = None,
+    dilation: int | tuple[int, ...] = 1,
+    stride: int | tuple[int, ...] = 1,
 ) -> np.ndarray:
     """Direct cross-correlation over the trailing spatial axes of ``x``.
 
     x: (C_in, *spatial); weight: (C_out, C_in, *kernel), whose trailing
-    axes give the rank and kernel extents; ``dilation`` and ``stride`` are
-    an int or one int per axis, each at least 1. No kernel flip.
+    axes give the rank (at least 1, else a ValueError; a 4D weight makes a
+    2D conv) and kernel extents; ``dilation`` and ``stride`` are an int or
+    one int per axis, each at least 1. No kernel flip.
     Zero padding is centred per axis, (e-1)//2 low and e//2 high for an
     effective extent e (an even extent's extra zero goes high), and is made
     by one ``np.pad`` copy of the input, only when some effective extent is
@@ -134,6 +137,8 @@ def _conv_nd(
     tiling either changed low bits.
     """
     rank = weight.ndim - 2
+    if rank < 1:
+        raise ValueError(f"conv weight has no spatial axis: shape {weight.shape}")
     if x.ndim != rank + 1:
         raise ValueError(f"input must have rank {rank + 1}, got {x.ndim}")
     kernel = _as_axes(weight.shape[2:], rank, "kernel extents")
@@ -225,30 +230,9 @@ def _conv_nd(
     return out.reshape(out_shape)
 
 
-def conv3d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None = None,
-    dilation: int | tuple[int, int, int] = 1,
-    stride: int | tuple[int, int, int] = 1,
-) -> np.ndarray:
-    """3D cross-correlation of (C_in, X, Y, Z) with (C_out, C_in, kx, ky, kz)."""
-    if weight.ndim != 5:
-        raise ValueError(f"conv3d weight must be 5D, got {weight.ndim}D")
-    return _conv_nd(x, weight, bias, dilation, stride)
-
-
-def conv2d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None = None,
-    dilation: int | tuple[int, int] = 1,
-    stride: int | tuple[int, int] = 1,
-) -> np.ndarray:
-    """2D cross-correlation of (C_in, H, W) with (C_out, C_in, kh, kw)."""
-    if weight.ndim != 4:
-        raise ValueError(f"conv2d weight must be 4D, got {weight.ndim}D")
-    return _conv_nd(x, weight, bias, dilation, stride)
+# perfbench/spans.py's TARGETS wraps convolutions under this name, and its
+# tracer patches every module attribute that is this same function.
+_conv_nd = conv
 
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:

@@ -62,7 +62,7 @@ def conv_loops(xp, weight, bias, dilation, stride):
 def conv_untiled(xp, weight, bias, dilation, stride):
     """Cross-correlation of an already padded ``xp`` as the conv ran before
     slab tiling: a zero-filled accumulator, one copy, GEMM and add per tap
-    over the whole output at once, then the bias. The tiled ``_conv_nd``
+    over the whole output at once, then the bias. The tiled ``conv``
     runs the same taps in the same order on each output element, so it must
     match this byte for byte."""
     c_out, c_in = weight.shape[:2]

@@ -35,7 +35,7 @@ from occkit.reparam import (
 )
 from occkit.scene import camera_ring, gen_scene
 from occkit.schedule import MixupSchedule, gt_depth_from_points, mix_depth, mixup_alpha
-from occkit.tensor import conv2d, rng_named, softmax
+from occkit.tensor import conv, rng_named, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat, sparsity_ratio
 from support import cast, identity_pose
 
@@ -214,7 +214,7 @@ def test_04_height_lift_partition_of_unity():
         weights = BVLWeights.seeded(trial, "acc_bvl", 32, 32, 8)
         vol = bev_to_voxel_lift(b, weights)
         w = cast(weights, b.dtype)
-        ctx = conv2d(b, w.context_w, w.context_b)
+        ctx = conv(b, w.context_w, w.context_b)
         scale = max(float(np.abs(ctx).max()), 1e-12)
         worst = max(worst, float(np.abs(vol.sum(axis=3) - ctx).max()) / scale)
     ok = worst <= 1e-5

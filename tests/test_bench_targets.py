@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import occkit.pipeline
+import occkit.tensor
 from occkit.config import parse_config
 from occkit.scene import gen_scene
 
@@ -63,6 +64,12 @@ def _targets():
 @pytest.mark.parametrize("module,attr", _targets(), ids=lambda v: v)
 def test_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_traced_conv_name_is_conv():
+    """perfbench wraps ``tensor._conv_nd``; were it another function than
+    ``conv``, which every layer calls, no conv would be traced."""
+    assert occkit.tensor._conv_nd is occkit.tensor.conv
 
 
 @pytest.mark.parametrize("mode", ["deploy", "train"])

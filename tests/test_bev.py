@@ -17,7 +17,7 @@ from occkit.bev import (
     warp_bev,
 )
 from occkit.config import default_config
-from occkit.tensor import conv2d
+from occkit.tensor import conv
 from occkit.view import GridSpec
 from support import cast, identity_pose
 
@@ -476,7 +476,7 @@ class TestTemporalFuse:
         grid = bev_grid(n=8)
         b = rng.standard_normal((channels, 8, 8))
         out = temporal_fuse(b, [], identity_pose(), weights, grid)
-        want = conv2d(conv2d(b, w1[:, :channels], b1), w2, b2)
+        want = conv(conv(b, w1[:, :channels], b1), w2, b2)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_averaging_fixed_point(self):

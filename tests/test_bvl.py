@@ -10,13 +10,13 @@ from occkit.bvl import (
     fuse_and_upsample,
     predict_height,
 )
-from occkit.tensor import conv2d, upsample2x
+from occkit.tensor import conv, upsample2x
 from support import cast
 
 
 def context_map(b, weights):
     w = cast(weights, b.dtype)
-    return conv2d(b, w.context_w, w.context_b)
+    return conv(b, w.context_w, w.context_b)
 
 
 class TestBVLWeights:

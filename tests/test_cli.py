@@ -1,8 +1,17 @@
+import io
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from occkit import gsdt
 from occkit.cli import main
+from occkit.config import parse_config
 
 TINY_CONFIG = """
 [grid]
@@ -375,6 +384,36 @@ class TestRun:
         assert err.count("\n") == 1
 
 
+class TestManifestFields:
+    """A manifest value the config does not share, or one that builds no
+    grid, ends in one ``error:`` line naming the field or the manifest."""
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("focal", "-8.0", "scene focal -8.0 does not match config 8.0"),
+            ("image_size", "0,0", "scene image_size (0, 0) does not match config (8, 16)"),
+            ("image_size", "8,16,3",
+             "scene image_size (8, 16, 3) does not match config (8, 16)"),
+            ("grid_counts", "32,32",
+             "scene manifest {manifest}: grid start/end/counts must each have 3 entries"),
+        ],
+        ids=["focal-negative", "image-zero", "image-three-entries", "grid-two-counts"],
+    )
+    def test_run_reports_field(self, config_path, scene_dir, capsys, key, value, message):
+        manifest = f"{scene_dir}/manifest.txt"
+        with open(manifest) as f:
+            lines = [f"{key} = {value}\n" if ln.split("=")[0].strip() == key else ln
+                     for ln in f]
+        with open(manifest, "w") as f:
+            f.writelines(lines)
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message.format(manifest=manifest)}\n"
+
+
 class TestEquiv:
     def test_passes_on_tiny_config(self, config_path, capsys):
         assert main(["equiv", "--config", config_path]) == 0
@@ -473,3 +512,119 @@ def test_unknown_command_exits():
 def test_no_command_exits():
     with pytest.raises(SystemExit):
         main([])
+
+
+# Fuzz: ``main`` on mutated copies of the tiny config, a scene generated from
+# it and a run's pred/gt/mask. Each example mutates one file that its command
+# reads and runs the command in-process.
+_FUZZ_READS = {
+    "gen-scene": ("tiny.cfg",),
+    "run": ("tiny.cfg", "scene/manifest.txt", "scene/occupancy.gsdt",
+            "scene/visible.gsdt", "scene/depth.gsdt", "scene/poses.gsdt"),
+    "eval": ("out/pred.gsdt", "out/gt.gsdt", "out/mask.gsdt"),
+}
+
+# Replacement values for an edited line: none raises a count or extent.
+_FUZZ_VALUES = ("", "0", "-1", "1", "0.5", "nan", "inf", "1e400", "abc",
+                "1, 1", "1, 1, 1", "1x1x1", "3x3x1@2", "[grid]", "=")
+
+
+def _fuzz_argv(command, d):
+    if command == "gen-scene":
+        return ["gen-scene", "--config", f"{d}/tiny.cfg", "--out", f"{d}/new"]
+    if command == "run":
+        return ["run", "--config", f"{d}/tiny.cfg", "--scene", f"{d}/scene",
+                "--alpha", "0.5", "--out", f"{d}/new"]
+    return ["eval", "--pred", f"{d}/out/pred.gsdt", "--gt", f"{d}/out/gt.gsdt",
+            "--mask", f"{d}/out/mask.gsdt"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory of every file the fuzzed commands read."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "tiny.cfg").write_text(TINY_CONFIG)
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen-scene", "--config", str(d / "tiny.cfg"),
+                     "--out", str(d / "scene")]) == 0
+        assert main(["run", "--config", str(d / "tiny.cfg"), "--scene",
+                     str(d / "scene"), "--alpha", "0.5", "--out", str(d / "out")]) == 0
+    return d
+
+
+def _mutate_gsdt(data, raw):
+    header = 7 + 8 * raw[6]
+    kind = data.draw(st.sampled_from(
+        ["truncate", "flip-header", "flip-payload", "dtype-code", "recode"]))
+    out = bytearray(raw)
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "recode":
+        arr = gsdt.loads(raw)
+        dtype = data.draw(st.sampled_from(
+            [t for t in (np.float32, np.float64, np.uint8) if t != arr.dtype]))
+        if dtype == np.uint8:
+            arr = np.clip(arr, 0, 255)
+        return gsdt.dumps(arr.astype(dtype))
+    if kind == "dtype-code":
+        out[5] = data.draw(st.integers(0, 255).filter(lambda c: c != raw[5]))
+        return bytes(out)
+    lo, hi = (0, header) if kind == "flip-header" else (header, len(raw))
+    i = data.draw(st.integers(lo, hi - 1))
+    out[i] ^= data.draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def _mutate_text(data, raw):
+    kind = data.draw(st.sampled_from(["truncate", "delete-line", "edit-line", "non-utf8"]))
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "non-utf8":
+        i = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        return raw[:i] + bad + raw[i:]
+    lines = raw.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "delete-line":
+        del lines[i]
+    else:
+        key, eq, _ = lines[i].partition(b"=")
+        value = data.draw(st.sampled_from(_FUZZ_VALUES)).encode()
+        lines[i] = key + b"= " + value if eq else value
+    return b"\n".join(lines)
+
+
+def _no_larger_than_tiny(config_path):
+    """Whether a config that parses asks for no larger grid, frame count,
+    image or feature map than the tiny config; a deleted line falls back to
+    the desk-scale defaults."""
+    try:
+        c = parse_config(config_path)
+    except ValueError:
+        return True
+    sizes = (c.grid.counts, (c.scene_frames,), c.scene_image, c.scene_features)
+    limits = ((32, 32, 4), (2,), (8, 16), (4, 8))
+    return all(a <= b for size, limit in zip(sizes, limits) for a, b in zip(size, limit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_main_on_mutated_inputs(fuzz_inputs, data):
+    """Truncated files, flipped GSDT bytes, rewritten dtype codes, edited or
+    deleted manifest and config lines and non-UTF-8 bytes: ``main`` returns
+    0 or 1, and on 1 prints exactly one ``error:`` line."""
+    command = data.draw(st.sampled_from(sorted(_FUZZ_READS)))
+    target = data.draw(st.sampled_from(_FUZZ_READS[command]))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "in"
+        shutil.copytree(fuzz_inputs, d)
+        mutate = _mutate_gsdt if target.endswith(".gsdt") else _mutate_text
+        (d / target).write_bytes(mutate(data, (d / target).read_bytes()))
+        assume(_no_larger_than_tiny(str(d / "tiny.cfg")))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(_fuzz_argv(command, d))
+    assert rc in (0, 1)
+    if rc == 1:
+        lines = err.getvalue().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("error:") and lines[1] == "", lines

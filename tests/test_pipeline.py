@@ -20,7 +20,7 @@ from occkit.pipeline import (
 from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
-from occkit.tensor import conv3d, slab_rows
+from occkit.tensor import conv, slab_rows
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat
 from test_acceptance import GATE_CONFIG
 
@@ -86,7 +86,7 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
     else:
         v_g = forward_train(v_g0, list(weights.branches))
     v_gs = fuse_and_upsample(v_g, v_s, weights.upsample)
-    return conv3d(
+    return conv(
         v_gs, weights.head_w.astype(v_gs.dtype), weights.head_b.astype(v_gs.dtype)
     )
 
@@ -304,7 +304,7 @@ class TestFusionWindow:
 class TestSlabbedTail:
     """run_pipeline upsamples and classifies the summed volume one half-res
     x-slab at a time; ``fuse_every_frame`` runs that tail on the whole
-    volume, ``conv3d(fuse_and_upsample(v_g, v_s), head)``."""
+    volume, ``conv(fuse_and_upsample(v_g, v_s), head)``."""
 
     @pytest.mark.parametrize("reparam_mode", ["deploy", "train"])
     @pytest.mark.parametrize(

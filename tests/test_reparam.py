@@ -16,7 +16,7 @@ from occkit.reparam import (
     merge_branches,
     random_branch_set,
 )
-from occkit.tensor import conv3d, effective_extents
+from occkit.tensor import conv, effective_extents
 from support import cast, conv_untiled
 
 
@@ -106,10 +106,10 @@ class TestDilateToSparse:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 10, 10, 6))
         w = rng.standard_normal((3, 2, 3, 3, 3))
-        direct = conv3d(x, w, dilation=(2, 2, 2))
+        direct = conv(x, w, dilation=(2, 2, 2))
         sparse = dilate_to_sparse(w, (2, 2, 2))
         assert sparse.shape[2:] == effective_extents(w.shape[2:], (2, 2, 2))
-        via_sparse = conv3d(x, sparse)
+        via_sparse = conv(x, sparse)
         np.testing.assert_array_equal(direct, via_sparse)
 
 
@@ -143,9 +143,9 @@ class TestFuseBn:
             gamma=rng.standard_normal(3),
             beta=rng.standard_normal(3),
         )
-        sequential = apply_bn(conv3d(x, w), bn)
+        sequential = apply_bn(conv(x, w), bn)
         fw, fb = fuse_bn(w, bn)
-        fused = conv3d(x, fw, fb)
+        fused = conv(x, fw, fb)
         np.testing.assert_allclose(sequential, fused, atol=1e-12)
 
     def test_rejects_nonpositive_std(self):

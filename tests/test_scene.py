@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,90 @@ class TestRasterizeClipping:
                 _rasterize([box], SMALL_GRID, pose),
                 rasterize_full_grid([box], SMALL_GRID, pose),
             )
+
+    def test_transforms_full_height_columns(self):
+        """``_rasterize`` gives the verdict of the full-height column
+        transform, sliced in z after it, where a transform of only the
+        region's z slice would round a centre differently.
+
+        With OpenBLAS 0.3.31 only a one-voxel z slice rounds differently:
+        numpy computes its (1, 3) @ (3, 3) products on the vector path. A box's
+        region is one voxel tall only when its ego z range lies past the
+        grid, and it then holds a centre only when rounding at the pose's
+        z translation is coarser than half a voxel. At 2^52 m up it is 1 m,
+        so a box whose ego bottom is the grid's top face (ego z 1.0) holds
+        the top layer, whose centres (ego z 0.75) land on its bottom face.
+        """
+        tz = 2.0**52
+        for yaw in (0.05, 0.3, -0.7):
+            pose = EgoPose.from_yaw(yaw, (0.3, -0.2, tz))
+            start = BoxObstacle((0.0, 0.0, tz + 33.0), (4.0, 4.0, 64.0), 5)
+            lo, hi = _box_region(start, SMALL_GRID, pose)
+            centres = _region_world(SMALL_GRID, pose, lo, hi, z_first=False)
+            for (i, j), axis in product(np.ndindex(*centres.shape[:2]), (0, 1)):
+                # the box's low face on this axis is exactly the full-height value
+                v = centres[i, j, 0, axis]
+                center, size = list(start.center), list(start.size)
+                center[axis], size[axis] = v + 1.0, 2.0
+                box = BoxObstacle(tuple(center), tuple(size), 5)
+                if box.lo[axis] != v:
+                    continue
+                voxel = (lo[0] + i, lo[1] + j, lo[2])
+                got = self._verdicts_if_forms_disagree(box, pose, voxel)
+                if got is None:
+                    continue
+                region, want = got
+                out = _rasterize([box], SMALL_GRID, pose)
+                assert out[voxel] == box.cls
+                np.testing.assert_array_equal(out[region] == box.cls, want)
+                np.testing.assert_array_equal(
+                    out, rasterize_full_grid([box], SMALL_GRID, pose)
+                )
+                return
+        pytest.skip("this BLAS rounds full-height and z-clipped transforms alike")
+
+    @staticmethod
+    def _verdicts_if_forms_disagree(box, pose, voxel):
+        """``box``'s region slices and the full-height form's inside
+        verdicts over it, when the region holds ``voxel`` and the
+        full-height form puts it inside the box while the z-clipped one
+        does not; otherwise None."""
+        lo, hi = _box_region(box, SMALL_GRID, pose)
+        if not all(l <= v < h for l, v, h in zip(lo, voxel, hi)):
+            return None
+        full, clipped = (
+            ((w >= box.lo) & (w < box.hi)).all(axis=-1)
+            for w in (_region_world(SMALL_GRID, pose, lo, hi, z_first)
+                      for z_first in (False, True))
+        )
+        at = tuple(v - l for v, l in zip(voxel, lo))
+        if not full[at] or clipped[at]:
+            return None
+        return tuple(slice(l, h) for l, h in zip(lo, hi)), full
+
+
+def _box_region(box, grid, pose):
+    """The voxel range ``_rasterize`` tests for ``box``: its ego-frame
+    bounding box, widened by one voxel per side and clipped to the grid."""
+    to_ego = pose.inverse()
+    corners = np.array(list(product(*zip(box.lo, box.hi))))
+    ego = corners @ to_ego.rotation.T + to_ego.translation
+    (lo, hi), _ = grid.voxel_index(np.stack([ego.min(axis=0), ego.max(axis=0)]))
+    counts = np.array(grid.counts)
+    return np.clip(lo - 1, 0, counts), np.clip(hi + 2, 0, counts)
+
+
+def _region_world(grid, pose, lo, hi, z_first):
+    """World centres of the voxels in [lo, hi): full-height centre columns
+    transformed and then sliced in z, or (``z_first``) sliced and then
+    transformed."""
+    cx, cy, cz = (grid.centers(a) for a in range(3))
+    z = cz[lo[2]:hi[2]] if z_first else cz
+    cols = np.stack(
+        np.meshgrid(cx[lo[0]:hi[0]], cy[lo[1]:hi[1]], z, indexing="ij"), axis=-1
+    )
+    world = cols @ pose.rotation.T + pose.translation
+    return world if z_first else world[:, :, lo[2]:hi[2]]
 
 
 class TestDeterminism:

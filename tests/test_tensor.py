@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
 from occkit.tensor import (
     SMALL_GEMM_MACS,
-    _conv_nd,
-    conv2d,
-    conv3d,
+    conv,
     effective_extents,
     rng_named,
     slab_rows,
@@ -79,15 +77,15 @@ def upsample2x_strided_add(x, weight, bias):
 
 
 class TestConvGeometry:
-    """``conv2d`` and ``conv3d`` read the kernel from the weight and take
+    """``conv`` reads its rank and kernel from the weight and takes
     dilation and stride as an int or one int per axis."""
 
     def test_default_dilation_and_stride_are_one(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 5, 6, 3))
         w = rng.standard_normal((2, 2, 3, 2, 1))
-        got = conv3d(x, w)
-        assert got.tobytes() == conv3d(x, w, None, (1, 1, 1), (1, 1, 1)).tobytes()
+        got = conv(x, w)
+        assert got.tobytes() == conv(x, w, None, (1, 1, 1), (1, 1, 1)).tobytes()
         want = conv_nd_loops(x, w, None, (1, 1, 1), (1, 1, 1))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -101,19 +99,14 @@ class TestConvGeometry:
     )
     def test_stride_1_preserves_extents(self, kernel, dilation):
         x = np.zeros((1, 8, 9, 4))
-        assert conv3d(x, np.zeros((1, 1) + kernel), dilation=dilation).shape == x.shape
+        assert conv(x, np.zeros((1, 1) + kernel), dilation=dilation).shape == x.shape
 
     @pytest.mark.parametrize(
-        "conv,kernel,stride",
-        [
-            (conv3d, (3, 3, 2), (2, 2, 2)),
-            (conv3d, (1, 1, 1), (3, 1, 2)),
-            (conv2d, (3, 3), 2),
-            (conv2d, (2, 1), (1, 3)),
-        ],
+        "kernel,stride",
+        [((3, 3, 2), (2, 2, 2)), ((1, 1, 1), (3, 1, 2)), ((3, 3), 2), ((2, 1), (1, 3))],
         ids=["3d-stride-2", "3d-pointwise-mixed", "2d-stride-2", "2d-even-mixed"],
     )
-    def test_output_extents_formula(self, conv, kernel, stride):
+    def test_output_extents_formula(self, kernel, stride):
         sp = (8, 9, 1)[: len(kernel)]
         strides = (stride,) * len(kernel) if isinstance(stride, int) else stride
         y = conv(np.zeros((1,) + sp), np.zeros((2, 1) + kernel), stride=stride)
@@ -121,31 +114,33 @@ class TestConvGeometry:
 
     def test_kernel_larger_than_input_pads_to_fit(self):
         x = np.ones((1, 3, 3, 3))
-        y = conv3d(x, np.ones((1, 1, 5, 1, 1)))
+        y = conv(x, np.ones((1, 1, 5, 1, 1)))
         assert y.shape == (1, 3, 3, 3)
         np.testing.assert_array_equal(y[0, :, 0, 0], [3.0, 3.0, 3.0])
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="input extents must be >= 1"):
-            conv2d(np.zeros((1, 0, 4)), np.zeros((1, 1, 3, 3)))
+            conv(np.zeros((1, 0, 4)), np.zeros((1, 1, 3, 3)))
 
     @pytest.mark.parametrize(
-        "conv,kernel,kwargs,match",
+        "kernel,kwargs,match",
         [
-            (conv3d, (0, 1, 1), {}, r"kernel extents must be >= 1, got \(0, 1, 1\)"),
-            (conv2d, (3, 3), {"dilation": 0}, r"dilation must be >= 1"),
-            (conv3d, (3, 3, 1), {"dilation": (2, 0, 1)}, r"dilation must be >= 1"),
-            (conv2d, (3, 3), {"stride": (1, 0)}, r"stride must be >= 1"),
-            (conv3d, (1, 1, 1), {"stride": -1}, r"stride must be >= 1"),
-            (conv2d, (3, 3), {"stride": (2, 2, 2)}, r"stride must have 2 entries, got 3"),
-            (conv3d, (3, 3, 1), {"dilation": (2, 2)}, r"dilation must have 3 entries, got 2"),
+            ((0, 1, 1), {}, r"kernel extents must be >= 1, got \(0, 1, 1\)"),
+            ((3, 3), {"dilation": 0}, r"dilation must be >= 1"),
+            ((3, 3, 1), {"dilation": (2, 0, 1)}, r"dilation must be >= 1"),
+            ((3, 3), {"stride": (1, 0)}, r"stride must be >= 1"),
+            ((1, 1, 1), {"stride": -1}, r"stride must be >= 1"),
+            ((3, 3), {"stride": (2, 2, 2)}, r"stride must have 2 entries, got 3"),
+            ((3, 3, 1), {"dilation": (2, 2)}, r"dilation must have 3 entries, got 2"),
+            ((), {}, r"conv weight has no spatial axis: shape \(1, 1\)"),
         ],
         ids=[
             "zero-kernel", "dilation-0", "dilation-axis-0", "stride-axis-0",
             "stride-negative", "stride-too-long", "dilation-too-short",
+            "no-spatial-axis",
         ],
     )
-    def test_rejects_invalid(self, conv, kernel, kwargs, match):
+    def test_rejects_invalid(self, kernel, kwargs, match):
         x = np.zeros((1,) + (4,) * len(kernel))
         with pytest.raises(ValueError, match=match):
             conv(x, np.zeros((1, 1) + kernel), **kwargs)
@@ -158,14 +153,14 @@ class TestConv3d:
         w = np.zeros((3, 3, 1, 1, 1), dtype=np.float32)
         for c in range(3):
             w[c, c, 0, 0, 0] = 1.0
-        np.testing.assert_array_equal(conv3d(x, w), x)
+        np.testing.assert_array_equal(conv(x, w), x)
 
     def test_delta_input_reads_kernel(self):
         x = np.zeros((1, 5, 5, 1), dtype=np.float64)
         x[0, 2, 2, 0] = 1.0
         rng = np.random.default_rng(1)
         w = rng.standard_normal((1, 1, 3, 3, 1))
-        y = conv3d(x, w)
+        y = conv(x, w)
         # the delta copies the kernel, flipped by cross-correlation indexing
         np.testing.assert_allclose(y[0, 1:4, 1:4, 0], w[0, 0, ::-1, ::-1, 0])
 
@@ -174,7 +169,7 @@ class TestConv3d:
         inputs i and i+1, and the last output reads the high zero."""
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
         w = np.array([1.0, 10.0]).reshape(1, 1, 2, 1)
-        np.testing.assert_array_equal(conv2d(x, w)[0, :, 0], [21.0, 32.0, 43.0, 4.0])
+        np.testing.assert_array_equal(conv(x, w)[0, :, 0], [21.0, 32.0, 43.0, 4.0])
 
     @pytest.mark.parametrize(
         "dilation,stride",
@@ -191,7 +186,7 @@ class TestConv3d:
         x = rng.standard_normal((2, 4, 4, 4))
         w = rng.standard_normal((3, 2, 2, 2, 2))
         b = rng.standard_normal(3)
-        got = conv3d(x, w, b, dilation, stride)
+        got = conv(x, w, b, dilation, stride)
         want = conv_nd_loops(x, w, b, dilation, stride)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -199,18 +194,18 @@ class TestConv3d:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 9, 9, 5))
         w = rng.standard_normal((2, 2, 3, 3, 1))
-        dense = conv3d(x, w, dilation=(2, 2, 1))
+        dense = conv(x, w, dilation=(2, 2, 1))
         sparse = dilate_to_sparse(w, (2, 2, 1))
-        same = conv3d(x, sparse)
+        same = conv(x, sparse)
         np.testing.assert_array_equal(dense, same)
 
     def test_dilated_equals_sparse_kernel_f32(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 9, 9, 5)).astype(np.float32)
         w = rng.standard_normal((2, 2, 3, 3, 1)).astype(np.float32)
-        dense = conv3d(x, w, dilation=(2, 2, 1))
+        dense = conv(x, w, dilation=(2, 2, 1))
         sparse = dilate_to_sparse(w, (2, 2, 1))
-        same = conv3d(x, sparse)
+        same = conv(x, sparse)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(dense - same)) <= 1e-5 * scale
 
@@ -219,17 +214,17 @@ class TestConv3d:
         x = rng.standard_normal((2, 5, 5, 3))
         y = rng.standard_normal((2, 5, 5, 3))
         w = rng.standard_normal((2, 2, 3, 3, 3))
-        lhs = conv3d(2.0 * x + 3.0 * y, w)
-        rhs = 2.0 * conv3d(x, w) + 3.0 * conv3d(y, w)
+        lhs = conv(2.0 * x + 3.0 * y, w)
+        rhs = 2.0 * conv(x, w) + 3.0 * conv(y, w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5 * np.max(np.abs(lhs)))
 
     def test_shape_mismatch_errors(self):
         x = np.zeros((2, 4, 4, 4), dtype=np.float32)
         w = np.zeros((3, 3, 1, 1, 1), dtype=np.float32)
         with pytest.raises(ValueError, match="channel mismatch"):
-            conv3d(x, w)
+            conv(x, w)
         with pytest.raises(ValueError, match="dtype"):
-            conv3d(x, np.zeros((3, 2, 1, 1, 1), dtype=np.float64))
+            conv(x, np.zeros((3, 2, 1, 1, 1), dtype=np.float64))
 
 
 # Every conv call of a desk run (default config), a wide run (perfbench's
@@ -315,11 +310,11 @@ def _conv_case(x_shape, w_shape, bias, dilation, stride, dtype):
 
 def _tiled_and_untiled(*case):
     case = _conv_case(*case)
-    return _conv_nd(*case), conv_nd_untiled(*case)
+    return conv(*case), conv_nd_untiled(*case)
 
 
 def _gemms(monkeypatch, x, w, b, dilation, stride):
-    """``_conv_nd``'s output, and for each GEMM it ran, its output columns
+    """``conv``'s output, and for each GEMM it ran, its output columns
     and whether its right operand was read in place from ``x`` or from the
     padded copy of ``x`` that the conv made."""
     gemms, inputs = [], [x]
@@ -337,7 +332,7 @@ def _gemms(monkeypatch, x, w, b, dilation, stride):
     monkeypatch.setattr(np, "pad", spy_pad)
     monkeypatch.setattr(np, "matmul", spy)
     try:
-        return _conv_nd(x, w, b, dilation, stride), gemms
+        return conv(x, w, b, dilation, stride), gemms
     finally:
         monkeypatch.undo()
 
@@ -478,7 +473,7 @@ def _signed_zero_matmul(monkeypatch):
 
 
 class TestAccumulatorStart:
-    """``_conv_nd`` starts each slab's accumulator with the first tap's GEMM
+    """``conv`` starts each slab's accumulator with the first tap's GEMM
     and adds the bias (or 0.0) on the way into the output, so a one-tap conv
     is one GEMM and one add. ``conv_nd_untiled``, which zero-fills its
     accumulator, adds every tap's product and then the bias, is its byte
@@ -491,7 +486,7 @@ class TestAccumulatorStart:
     def test_pipeline_shapes_match_accumulator(self, case, bias):
         x_shape, w_shape = case
         case = _conv_case(x_shape, w_shape, bias, 1, 1, np.float32)
-        got = _conv_nd(*case)
+        got = conv(*case)
         want = conv_nd_untiled(*case)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -517,7 +512,7 @@ class TestAccumulatorStart:
         b = None if bias == "none" else np.array([-0.0, 0.0, -0.0, 1.5, -0.0, -2.0], dtype)
         if signed_gemm:
             _signed_zero_matmul(monkeypatch)
-        got = _conv_nd(x, w, b, (1, 1), (stride, stride))
+        got = conv(x, w, b, (1, 1), (stride, stride))
         want = conv_nd_untiled(x, w, b, (1, 1), (stride, stride))
         assert (got == 0).any()
         assert got.tobytes() == want.tobytes()
@@ -534,7 +529,7 @@ class TestConv2d:
         w = rng.standard_normal((2, 3, 3, 3))
         b = rng.standard_normal(2)
         np.testing.assert_allclose(
-            conv2d(x, w, b, stride=stride),
+            conv(x, w, b, stride=stride),
             conv_nd_loops(x, w, b, (1, 1), stride),
             atol=1e-12,
         )
@@ -558,13 +553,13 @@ class TestCentredPaddingProperty:
     @settings(max_examples=40, deadline=None)
     @given(case=conv_geometries(), seed=st.integers(0, 2**16), bias=st.booleans())
     def test_matches_loops_on_explicitly_padded_input(self, case, seed, bias):
-        """``_conv_nd`` equals the nested loops run on the input padded with
+        """``conv`` equals the nested loops run on the input padded with
         floor((e-1)/2) zeros low and the rest high per axis."""
         (dilation, stride), x_shape, w_shape = case
         rng = np.random.default_rng(seed)
         x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
         b = rng.standard_normal(w_shape[0]) if bias else None
-        got = _conv_nd(x, w, b, dilation, stride)
+        got = conv(x, w, b, dilation, stride)
         out_sp = tuple((n - 1) // s + 1 for n, s in zip(x_shape[1:], stride))
         assert got.shape == (w_shape[0],) + out_sp
         want = conv_nd_loops(x, w, b, dilation, stride)
@@ -724,11 +719,11 @@ class TestUpsample2x:
 _THREAD_CHILD = """
 import hashlib
 import numpy as np
-from occkit.tensor import conv3d
+from occkit.tensor import conv
 rng = np.random.default_rng(7)
 x = rng.standard_normal((32, 100, 100, 8)).astype(np.float32)
 w = rng.standard_normal((32, 32, 11, 11, 1)).astype(np.float32)
-y = conv3d(x, w, dilation=(1, 1, 1), stride=(1, 1, 1))
+y = conv(x, w, dilation=(1, 1, 1), stride=(1, 1, 1))
 print(y.shape, hashlib.sha256(y.tobytes()).hexdigest())
 """
 
