@@ -157,7 +157,8 @@ def warp_bev(
 
     # Each corner gathers through one flat index into the (C, X*Y) map; a
     # corner off the map reads a clipped cell with weight 0, which is exact
-    # because every bilinear weight is >= +0.
+    # because every bilinear weight is >= +0. The 0 is selected, not
+    # multiplied in: a far but finite pose can make an off-map weight inf.
     src = b_hist.astype(np.float64).reshape(b_hist.shape[0], nx * ny)
     out = None
     for iu, iv, w in (
@@ -169,7 +170,7 @@ def warp_bev(
         inside = (iu >= 0) & (iu < nx) & (iv >= 0) & (iv < ny)
         flat = np.clip(iu, 0, nx - 1) * ny + np.clip(iv, 0, ny - 1)
         tap = src.take(flat.ravel(), axis=1)
-        tap *= (inside * w).ravel()
+        tap *= np.where(inside, w, 0.0).ravel()
         if out is None:
             out = tap
         else:

@@ -19,12 +19,11 @@ import numpy as np
 from . import gsdt
 from .config import ConfigError, parse_config
 from .evaluate import CLASS_NAMES, EMPTY_CLASS, argmax_decode, miou, per_class_iou
-from .pipeline import run_pipeline
+from .pipeline import PipelineStageError, run_pipeline
 from .reparam import forward_deploy, forward_train, merge_branches, random_branch_set
 from .scene import gen_scene, load_scene, save_scene
 from .schedule import MixupSchedule, iteration_to_x, mixup_alpha
-from .tensor import rng_named, softmax
-from .view import DepthDistribution, LiftPlan, lift_splat
+from .tensor import rng_named
 
 # input extents for the equivalence and benchmark convolution runs; the
 # benchmark volume is fixed so timing numbers are comparable across configs
@@ -34,7 +33,9 @@ _BENCH_EXTENTS = (100, 100, 8)
 
 def _cmd_gen_scene(args) -> int:
     config = parse_config(args.config)
+    t0 = time.perf_counter()
     bundle = gen_scene(config.scene_spec())
+    gen_s = time.perf_counter() - t0
     save_scene(bundle, args.out)
     occupied = (bundle.occupancy[0] != EMPTY_CLASS).mean()
     print(f"scene written to {args.out}")
@@ -43,6 +44,7 @@ def _cmd_gen_scene(args) -> int:
         f"grid={bundle.grid.counts} boxes={bundle.spec.n_boxes}"
     )
     print(f"  frame-0 occupied fraction: {occupied:.4f}")
+    print(f"  generated in {gen_s:.4f} s")
     return 0
 
 
@@ -67,6 +69,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _conv_forms(config, seed: int, extents: tuple, dtype, name: str):
+    """The config's seeded large-kernel branch set, its merged kernel, and a
+    uniform(-1, 1) input of ``extents`` drawn from the RNG stream ``name``:
+    the two conv forms that ``equiv`` compares and ``bench`` times."""
+    c = config.refined_channels
+    branches = random_branch_set(
+        seed, c, c, config.kernel, extents=config.branch_extents(), dtype=dtype
+    )
+    merged = merge_branches(branches, config.kernel)
+    x = rng_named(seed, name).uniform(-1.0, 1.0, (c,) + extents).astype(dtype)
+    return branches, merged, x
+
+
 def _cmd_equiv(args) -> int:
     config = parse_config(args.config)
     extents = tuple(
@@ -82,13 +97,7 @@ def _cmd_equiv(args) -> int:
     for dtype, tol in tolerances.items():
         name = np.dtype(dtype).name
         for seed in range(3):
-            branches = random_branch_set(
-                seed, channels, channels, config.kernel,
-                extents=config.branch_extents(), dtype=dtype,
-            )
-            merged = merge_branches(branches, config.kernel)
-            rng = rng_named(seed, "equiv_input")
-            x = rng.uniform(-1.0, 1.0, (channels,) + extents).astype(dtype)
+            branches, merged, x = _conv_forms(config, seed, extents, dtype, "equiv_input")
             diff = float(
                 np.max(np.abs(forward_train(x, branches) - forward_deploy(x, merged)))
             )
@@ -115,18 +124,12 @@ def _cmd_bench(args) -> int:
     runs = args.runs
     if runs < 1:
         raise ValueError(f"--runs must be >= 1, got {runs}")
-    channels = config.refined_channels
-    branches = random_branch_set(
-        config.seed, channels, channels, config.kernel,
-        extents=config.branch_extents(),
+    branches, merged, x = _conv_forms(
+        config, config.seed, _BENCH_EXTENTS, np.float32, "bench_input"
     )
-    merged = merge_branches(branches, config.kernel)
-    rng = rng_named(config.seed, "bench_input")
-    x = rng.uniform(-1.0, 1.0, (channels,) + _BENCH_EXTENTS).astype(np.float32)
-
     print(
         f"large-kernel conv benchmark: kernel {config.kernel}, "
-        f"{len(branches)} branches, C={channels}, input {_BENCH_EXTENTS}, "
+        f"{len(branches)} branches, C={config.refined_channels}, input {_BENCH_EXTENTS}, "
         f"{runs} runs"
     )
     train_med, train_min = _median_times(lambda: forward_train(x, branches), runs)
@@ -135,35 +138,6 @@ def _cmd_bench(args) -> int:
     print(f"  {'multi-branch':<14} {train_med:12.4f} {train_min:12.4f}")
     print(f"  {'merged':<14} {deploy_med:12.4f} {deploy_min:12.4f}")
     print(f"  speedup (median multi-branch / merged): {train_med / deploy_med:.3f}x")
-
-    # lift latency at desk shapes from the config
-    h_f, w_f = config.scene_features
-    cams = config.scene_spec().cameras()
-    feats = rng.standard_normal(
-        (config.scene_cameras, config.channels, h_f, w_f)
-    ).astype(np.float32)
-    logits = rng.standard_normal(
-        (config.scene_cameras, config.depth_bins, h_f, w_f)
-    ).astype(np.float32)
-    dist = DepthDistribution(softmax(logits, axis=1), config.d_min, config.d_max)
-    # built once per run, as run_pipeline does, and timed on its own
-    t0 = time.perf_counter()
-    plan = LiftPlan.build(cams, dist.bin_centers(), config.half_grid())
-    plan_s = time.perf_counter() - t0
-    print(f"  {'lift_plan':<14} {plan_s:12.4f} {plan_s:12.4f}")
-    lift_med, lift_min = _median_times(
-        lambda: lift_splat(feats, dist, plan), max(3, runs // 4)
-    )
-    print(f"  {'lift_splat':<14} {lift_med:12.4f} {lift_min:12.4f}")
-
-    t0 = time.perf_counter()
-    scene = gen_scene(config.scene_spec())
-    scene_s = time.perf_counter() - t0
-    print(f"  {'gen_scene':<14} {scene_s:12.4f} {scene_s:12.4f}")
-    t0 = time.perf_counter()
-    _, report = run_pipeline(config, scene, alpha=0.0)
-    pipeline_s = time.perf_counter() - t0
-    print(f"  {'full pipeline':<14} {pipeline_s:12.4f}  ({scene.n_frames} frames)")
     return 0
 
 
@@ -264,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, ValueError) as e:
+    except (ConfigError, OSError, ValueError, PipelineStageError) as e:
         message = str(e)
     except MemoryError as e:  # e.g. a march_step so small its samples cannot fit
         message = f"out of memory: {str(e) or 'allocation failed'}"

@@ -49,7 +49,7 @@ class PipelineStageError(RuntimeError):
     """A stage failed; ``stage`` names it."""
 
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
+        super().__init__(f"stage {stage!r} failed: {str(cause) or type(cause).__name__}")
         self.stage = stage
 
 
@@ -139,13 +139,15 @@ def frame_features(config: PipelineConfig, frame: int) -> np.ndarray:
 
 
 def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
-    """(N_c, C, H, W) features -> (N_c, D, H, W) depth distributions."""
-    out = []
-    for f in features:
-        h = np.maximum(conv(f, stub.conv1_w, stub.conv1_b), 0)
-        logits = conv(h, stub.conv2_w, stub.conv2_b)
-        out.append(softmax(logits, axis=0))
-    return np.stack(out)
+    """(N_c, C, H, W) features -> (N_c, D, H, W) depth distributions.
+
+    The whole rig runs as one 3D conv pair over (C, N_c, H, W): the weights
+    gain a camera axis of extent 1, so no camera reads another's pixels, and
+    ``slab_rows`` cuts the 3x3 conv's slabs at whole cameras."""
+    x = np.ascontiguousarray(np.moveaxis(features, 1, 0))
+    h = np.maximum(conv(x, stub.conv1_w[:, :, None], stub.conv1_b), 0)
+    logits = conv(h, stub.conv2_w[:, :, None], stub.conv2_b)
+    return np.ascontiguousarray(np.moveaxis(softmax(logits, axis=0), 0, 1))
 
 
 def _check_scene(config: PipelineConfig, scene: SceneBundle) -> None:

@@ -13,11 +13,13 @@ from occkit.bev import EgoPose
 
 def cast(weights, dtype):
     """``weights`` with every array in ``dtype``: an array, or a dataclass
-    rebuilt field by field, recursing into nested dataclasses. ``None``,
-    tuples and scalars pass through; arrays already in ``dtype`` are reused,
-    not copied."""
+    rebuilt field by field or a tuple item by item, recursing into nested
+    ones. ``None`` and scalars pass through; arrays already in ``dtype`` are
+    reused, not copied."""
     if isinstance(weights, np.ndarray):
         return weights.astype(dtype, copy=False)
+    if isinstance(weights, tuple):
+        return tuple(cast(w, dtype) for w in weights)
     if is_dataclass(weights):
         return replace(weights, **{
             f.name: cast(getattr(weights, f.name), dtype) for f in fields(weights)

@@ -12,6 +12,7 @@ from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
 from occkit.config import PipelineConfig, default_config, parse_config
 from occkit.pipeline import (
     PipelineStageError,
+    StubDepthWeights,
     _stub_depth,
     build_weights,
     frame_features,
@@ -20,8 +21,9 @@ from occkit.pipeline import (
 from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
-from occkit.tensor import conv, slab_rows
+from occkit.tensor import conv, slab_rows, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat
+from support import cast
 from test_acceptance import GATE_CONFIG
 
 STAGES = (
@@ -398,6 +400,65 @@ def test_reference_logits_hashes(reference_run, name, mode, sha256):
     logits, _ = run_pipeline(config, scene, 0.5, mode, weights)
     assert logits.dtype == np.float32
     assert hashlib.sha256(logits.tobytes()).hexdigest() == sha256
+
+
+# Largest |float32 - float64| logit allowed by the oracle below. Measured at
+# scene seed 7, alpha 0.5: 0.98e-7 to 1.13e-7 at the tiny config (both modes,
+# gt or stub depth, one or two cameras), 3.1e-7 / 3.8e-7 on desk deploy /
+# train and 3.5e-7 / 3.9e-7 on wide, against logits of magnitude up to 0.87.
+FLOAT64_BOUND = 1e-6
+
+
+@pytest.mark.parametrize("depth_provider", ["gt", "stub"])
+@pytest.mark.parametrize("mode", ["deploy", "train"])
+def test_float32_logits_match_float64_oracle(monkeypatch, mode, depth_provider):
+    """The float32 forward pass against the same network, scene and weights
+    run in float64: the logits agree within ``FLOAT64_BOUND`` and their
+    argmax labels agree on every voxel.
+
+    The pinned hashes catch any change but cannot judge one. A change that
+    moves them on purpose (a new scene renderer, a reordered sum, another
+    off-map fill) must pass this check, which says the new float32 logits
+    are still this network's."""
+    config = small_config(depth_provider=depth_provider, scene_cameras=2, scene_frames=4)
+    scene = gen_scene(config.scene_spec())
+    weights = build_weights(config)
+    features = occkit.pipeline.frame_features
+    logits = {}
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(
+            occkit.pipeline, "frame_features",
+            lambda c, t, dtype=dtype: features(c, t).astype(dtype),
+        )
+        logits[dtype], _ = run_pipeline(config, scene, 0.5, mode, cast(weights, dtype))
+        assert logits[dtype].dtype == dtype
+    single, double = logits[np.float32], logits[np.float64]
+    assert np.abs(single - double).max() <= FLOAT64_BOUND
+    np.testing.assert_array_equal(single.argmax(axis=0), double.argmax(axis=0))
+
+
+class TestStubDepth:
+    @pytest.mark.parametrize(
+        "shape, n_bins",
+        [((1, 4, 4, 8), 4), ((3, 5, 7, 9), 3), ((2, 32, 16, 44), 16)],
+        ids=["tiny", "odd", "wide"],
+    )
+    def test_matches_per_camera_convs(self, shape, n_bins):
+        """One conv pair over the whole rig gives each camera the bytes of
+        its own 2D conv pair and softmax."""
+        stub = StubDepthWeights.seeded(7, shape[1], n_bins)
+        features = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
+        expected = np.stack([
+            softmax(
+                conv(np.maximum(conv(f, stub.conv1_w, stub.conv1_b), 0),
+                     stub.conv2_w, stub.conv2_b),
+                axis=0,
+            )
+            for f in features
+        ])
+        got = _stub_depth(features, stub)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestFrameFeatures:
