@@ -141,14 +141,17 @@ def warp_bev(
     a12 = -s * (vy / vx)
     a21 = s * (vx / vy)
     a22 = c
-    b_i = 0.5 * (a11 + a12) - 0.5 + ((c - 1.0) * xs - s * ys + tx) / vx
-    b_j = 0.5 * (a21 + a22) - 0.5 + (s * xs + (c - 1.0) * ys + ty) / vy
+    # A far pose may overflow b to +-inf. Clipped into [-2, n + 1], a coordinate
+    # keeps both corners off the map, on the same clipped cells, with finite weights.
+    with np.errstate(over="ignore"):
+        b_i = 0.5 * (a11 + a12) - 0.5 + ((c - 1.0) * xs - s * ys + tx) / vx
+        b_j = 0.5 * (a21 + a22) - 0.5 + (s * xs + (c - 1.0) * ys + ty) / vy
 
     ii, jj = np.meshgrid(
         np.arange(nx, dtype=np.float64), np.arange(ny, dtype=np.float64), indexing="ij"
     )
-    u = a11 * ii + a12 * jj + b_i
-    v = a21 * ii + a22 * jj + b_j
+    u = np.clip(a11 * ii + a12 * jj + b_i, -2.0, nx + 1.0)
+    v = np.clip(a21 * ii + a22 * jj + b_j, -2.0, ny + 1.0)
 
     u0 = np.floor(u).astype(np.int64)
     v0 = np.floor(v).astype(np.int64)
@@ -157,8 +160,7 @@ def warp_bev(
 
     # Each corner gathers through one flat index into the (C, X*Y) map; a
     # corner off the map reads a clipped cell with weight 0, which is exact
-    # because every bilinear weight is >= +0. The 0 is selected, not
-    # multiplied in: a far but finite pose can make an off-map weight inf.
+    # because every bilinear weight is >= +0.
     src = b_hist.astype(np.float64).reshape(b_hist.shape[0], nx * ny)
     out = None
     for iu, iv, w in (

@@ -49,10 +49,11 @@ class PipelineConfig:
     def __post_init__(self):
         branch_entries = [n for ext, dil in self.branches or () for n in ext + dil]
         for key, value, low in (
-            ("depth bins", self.depth_bins, 1),
-            ("temporal queue", self.queue_len, 1),
-            ("channel widths", min(self.channels, self.refined_channels), 1),
-            ("scene frames", self.scene_frames, 1),
+            ("[depth] bins", self.depth_bins, 1),
+            ("[temporal] queue", self.queue_len, 1),
+            ("[channels] base", self.channels, 1),
+            ("[channels] refined", self.refined_channels, 1),
+            ("[scene] frames", self.scene_frames, 1),
             ("[pipeline] seed", self.seed, 0),
             ("[scene] seed", self.scene_seed, 0),
             ("[reparam] kernel entries", min(self.kernel), 1),
@@ -78,20 +79,22 @@ class PipelineConfig:
             if not value > 0:
                 raise ConfigError(f"{key} must be > 0, got {value}")
         if not self.d_max > self.d_min > 0:
-            raise ConfigError(f"need 0 < depth min < max, got {self.d_min}, {self.d_max}")
+            raise ConfigError(
+                f"[depth] min and max: need 0 < depth min < max, got {self.d_min}, {self.d_max}"
+            )
         nx, ny, nz = self.grid.counts
         # BEV work runs at half resolution and the 2D encoder downsamples
         # twice more, so the horizontal counts must be divisible by 8 and the
         # height count by 2.
         if nx % 8 or ny % 8:
             raise ConfigError(
-                f"horizontal voxel counts must be divisible by 8, got ({nx}, {ny})"
+                f"[grid] counts: horizontal voxel counts must be divisible by 8, got ({nx}, {ny})"
             )
         if nz % 2:
-            raise ConfigError(f"height voxel count must be even, got {nz}")
+            raise ConfigError(f"[grid] counts: height voxel count must be even, got {nz}")
         if self.depth_provider not in ("gt", "stub"):
             raise ConfigError(
-                f"depth_provider must be 'gt' or 'stub', got {self.depth_provider!r}"
+                f"[pipeline] depth_provider must be 'gt' or 'stub', got {self.depth_provider!r}"
             )
 
     def half_grid(self) -> GridSpec:

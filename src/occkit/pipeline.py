@@ -236,9 +236,7 @@ def run_pipeline(
         else:
             pred = gt_oh
         mixed = staged("depth", mix_depth, pred, gt_oh, alpha, valid)
-        dist = DepthDistribution(mixed, config.d_min, config.d_max)
-        dist.validate()
-        v = staged("lift", lift_splat, features, dist, plan)
+        v = staged("lift", lift_splat, features, DepthDistribution(mixed), plan)
         return v, staged("height_collapse", collapse_height, v)
 
     t_start = time.perf_counter()

@@ -23,7 +23,8 @@ class MixupSchedule:
 
     Progress iter/total maps linearly onto x in [-half_range, +half_range];
     the blend weight is sigmoid(steepness * x), so it runs from near 0 to
-    near 1 and crosses 0.5 exactly at the midpoint.
+    near 1 and crosses 0.5 exactly at the midpoint. Both steepness and
+    2 * half_range * total_iters, the axis map's largest term, are finite.
     """
 
     steepness: float = 5.0
@@ -31,12 +32,15 @@ class MixupSchedule:
     half_range: float = 5.0
 
     def __post_init__(self):
-        if not self.steepness > 0:
-            raise ValueError(f"steepness must be > 0, got {self.steepness}")
+        if not 0 < self.steepness < np.inf:
+            raise ValueError(f"steepness must be finite and > 0, got {self.steepness}")
         if self.total_iters < 1:
             raise ValueError(f"total_iters must be >= 1, got {self.total_iters}")
-        if not self.half_range > 0:
-            raise ValueError(f"half_range must be > 0, got {self.half_range}")
+        if not 0 < 2.0 * self.half_range * self.total_iters < np.inf:
+            raise ValueError(
+                f"half_range must be > 0 with 2 * half_range * total_iters finite, "
+                f"got {self.half_range}"
+            )
 
 
 def iteration_to_x(iteration: int, schedule: MixupSchedule) -> float:
@@ -55,7 +59,8 @@ def mixup_alpha(iteration: int, schedule: MixupSchedule) -> float:
     Monotonically increasing in the iteration; 0.5 at the midpoint.
     """
     x = iteration_to_x(iteration, schedule)
-    return float(1.0 / (1.0 + np.exp(-schedule.steepness * x)))
+    with np.errstate(over="ignore"):  # exp -> inf gives the limit 1 / (1 + inf) = 0
+        return float(1.0 / (1.0 + np.exp(-schedule.steepness * x)))
 
 
 def mix_depth(

@@ -1,9 +1,10 @@
 """Explicit 2D-to-3D view transformation.
 
 Per-pixel image features are weighted by a categorical depth distribution
-(outer product), unprojected through the camera frustum into ego space, and
-scatter-added into a voxel grid. Pooling runs at 2x-downsampled grid
-resolution, so the caller passes the already-halved grid.
+(outer product) over the lift plan's bins, unprojected through the camera
+frustum into ego space, and scatter-added into a voxel grid. A distribution
+checks its probabilities when it is built. Pooling runs at 2x-downsampled
+grid resolution, so the caller passes the already-halved grid.
 """
 
 from __future__ import annotations
@@ -137,38 +138,26 @@ class CameraParams:
 
 @dataclass(frozen=True)
 class DepthDistribution:
-    """Per-camera categorical depth: probs (N_c, D_bin, H_F, W_F) over
-    uniform metric bins spanning [d_min, d_max)."""
+    """Per-camera categorical depth: probs (N_c, D_bin, H_F, W_F), one
+    probability per bin of the ``LiftPlan`` it is lifted through. Built only
+    from nonnegative probabilities that sum to 1 per pixel, to within 1e-4
+    (float32 sums over the bins)."""
 
     probs: np.ndarray
-    d_min: float
-    d_max: float
 
     def __post_init__(self):
         if self.probs.ndim != 4:
             raise ValueError(f"probs must be 4D (cam, bin, v, u), got {self.probs.ndim}D")
-        if not self.d_max > self.d_min > 0:
-            raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.probs.shape[1]
-
-    def bin_centers(self) -> np.ndarray:
-        return bin_centers(self.d_min, self.d_max, self.n_bins)
-
-    def validate(self) -> None:
-        """Nonnegative probabilities summing to 1 per pixel, to within 1e-4
-        (float32 sums over the bins)."""
         if (self.probs < 0).any():
             raise ValueError("depth probabilities must be nonnegative")
-        sums = self.probs.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-4:
+        if not np.max(np.abs(self.probs.sum(axis=1) - 1.0)) <= 1e-4:
             raise ValueError("depth probabilities must sum to 1 per pixel")
 
 
 def bin_centers(d_min: float, d_max: float, n_bins: int) -> np.ndarray:
     """Metric centers of ``n_bins`` uniform depth bins over [d_min, d_max)."""
+    if not (d_max > d_min > 0 and n_bins >= 1):
+        raise ValueError(f"need 0 < d_min < d_max and n_bins >= 1, got {d_min}, {d_max}, {n_bins}")
     idx = np.arange(n_bins, dtype=np.float64)
     return d_min + (idx + 0.5) * ((d_max - d_min) / n_bins)
 
@@ -239,8 +228,9 @@ def lift_splat(
     feature scaled by the bin probability and is scatter-added into the voxel
     containing it; points outside the grid are dropped. Both come from
     ``plan`` (``LiftPlan.build``), whose grid is the pooled (already
-    downsampled) one. Each voxel sums its points from +0.0, camera by camera
-    and in C order within a camera, so results are deterministic.
+    downsampled) one; ``depth`` has a probability per planned bin and pixel.
+    Each voxel sums its points from +0.0, camera by camera and in C order
+    within a camera, so results are deterministic.
     """
     if features.ndim != 4:
         raise ValueError(f"features must be 4D (cam, C, v, u), got {features.ndim}D")
@@ -249,15 +239,11 @@ def lift_splat(
             f"camera count mismatch: {plan.n_cameras} planned, {features.shape[0]} "
             f"feature maps, {depth.probs.shape[0]} depth maps"
         )
-    if features.shape[2:] != plan.feature_size or depth.probs.shape[2:] != plan.feature_size:
+    planned = (plan.centers.size,) + plan.feature_size
+    if features.shape[2:] != plan.feature_size or depth.probs.shape[1:] != planned:
         raise ValueError(
-            f"feature extents {features.shape[2:]} and depth extents "
-            f"{depth.probs.shape[2:]} must equal the planned {plan.feature_size}"
-        )
-    if not np.array_equal(depth.bin_centers(), plan.centers):
-        raise ValueError(
-            f"depth bin centers {depth.bin_centers()} differ from the planned "
-            f"{plan.centers}"
+            f"feature extents {features.shape[2:]} and depth (bins, extents) "
+            f"{depth.probs.shape[1:]} must equal the planned bin centers and extents {planned}"
         )
     n_ch = features.shape[1]
     n_vox = int(np.prod(plan.grid.counts))

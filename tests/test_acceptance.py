@@ -36,7 +36,14 @@ from occkit.reparam import (
 from occkit.scene import camera_ring, gen_scene
 from occkit.schedule import MixupSchedule, gt_depth_from_points, mix_depth, mixup_alpha
 from occkit.tensor import conv, rng_named, softmax
-from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat, sparsity_ratio
+from occkit.view import (
+    DepthDistribution,
+    GridSpec,
+    LiftPlan,
+    bin_centers,
+    lift_splat,
+    sparsity_ratio,
+)
 from support import cast, identity_pose
 
 
@@ -132,6 +139,9 @@ def _yaw_matrix(theta):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+_LIFT_CENTERS = bin_centers(1.0, 25.0, 16)
+
+
 def _lift_instance(trial):
     rng = np.random.default_rng(100 + trial)
     cams = []
@@ -146,7 +156,7 @@ def _lift_instance(trial):
     feats = rng.standard_normal((2, 8, 16, 44)).astype(np.float32)
     logits = rng.standard_normal((2, 16, 16, 44))
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    return feats, DepthDistribution(probs.astype(np.float32), 1.0, 25.0), cams
+    return feats, DepthDistribution(probs.astype(np.float32)), cams
 
 
 def _lift_enumerated(feats, depth, cams, grid):
@@ -154,7 +164,7 @@ def _lift_enumerated(feats, depth, cams, grid):
     n_cams, c, h, w = feats.shape
     want = np.zeros((c,) + grid.counts, np.float64)
     mass = np.zeros(c, np.float64)
-    centers = depth.bin_centers()
+    centers = _LIFT_CENTERS
     sx, sy, sz = grid.start
     vx, vy, vz = grid.voxel_size
     nx, ny, nz = grid.counts
@@ -187,7 +197,7 @@ def test_03_lift_matches_enumeration_oracle():
     worst_mass = 0.0
     for trial in range(10):
         feats, depth, cams = _lift_instance(trial)
-        got = lift_splat(feats, depth, LiftPlan.build(cams, depth.bin_centers(), grid))
+        got = lift_splat(feats, depth, LiftPlan.build(cams, _LIFT_CENTERS, grid))
         want, mass = _lift_enumerated(feats, depth, cams, grid)
         scale = max(float(np.abs(want).max()), 1e-12)
         worst_rel = max(worst_rel, float(np.abs(got - want).max()) / scale)
@@ -323,10 +333,9 @@ def test_08_default_scene_lift_sparsity():
     frame = cfg.scene_frames - 1
     feats = frame_features(cfg, frame)
     one_hot, _ = gt_depth_from_points(scene.depth[frame], cfg.d_min, cfg.d_max, cfg.depth_bins)
-    depth = DepthDistribution(one_hot, cfg.d_min, cfg.d_max)
-    lifted = lift_splat(
-        feats, depth, LiftPlan.build(scene.cameras(), depth.bin_centers(), cfg.half_grid())
-    )
+    depth = DepthDistribution(one_hot)
+    centers = bin_centers(cfg.d_min, cfg.d_max, cfg.depth_bins)
+    lifted = lift_splat(feats, depth, LiftPlan.build(scene.cameras(), centers, cfg.half_grid()))
     ratio = sparsity_ratio(lifted)
     ok = ratio > 0.35
     detail = f"zero fraction {ratio:.3f} > 0.35"

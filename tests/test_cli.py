@@ -2,6 +2,7 @@ import io
 import re
 import shutil
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -114,8 +115,20 @@ class TestConfigErrors:
             ("focal = 8.0", "focal = 0", "gen-scene", "[scene] focal"),
             ("focal = 8.0", "focal = 8.0\nmarch_step = 0", "gen-scene", "[scene] march_step"),
             ("cameras = 1", "cameras = 0", "gen-scene", "[scene] cameras"),
+            ("bins = 4", "bins = 0", "gen-scene", "[depth] bins"),
+            ("queue = 2", "queue = 0", "gen-scene", "[temporal] queue"),
+            ("base = 4", "base = 0", "gen-scene", "[channels] base"),
+            ("refined = 4", "refined = 0", "equiv", "[channels] refined"),
+            ("frames = 2", "frames = 0", "gen-scene", "[scene] frames"),
+            ("min = 0.5", "min = 20", "gen-scene", "[depth] min and max"),
+            ("counts = 32, 32, 4", "counts = 30, 32, 4", "gen-scene", "[grid] counts"),
+            ("counts = 32, 32, 4", "counts = 32, 32, 3", "equiv", "[grid] counts"),
+            ("[scene]", "[pipeline]\ndepth_provider = oracle\n\n[scene]", "gen-scene",
+             "[pipeline] depth_provider"),
         ],
-        ids=["branch-extent", "branch-dilation", "branch-syntax", "focal", "march-step", "cameras"],
+        ids=["branch-extent", "branch-dilation", "branch-syntax", "focal", "march-step", "cameras",
+             "depth-bins", "queue", "channels-base", "channels-refined", "frames",
+             "depth-range", "grid-horizontal", "grid-height", "provider"],
     )
     def test_out_of_range_value_names_key(self, tmp_path, capsys, old, new, command, key):
         p = tmp_path / "bad.cfg"
@@ -388,9 +401,6 @@ class TestRun:
 
 
 class TestAbsurdPose:
-    # the off-map source coordinates overflow int64 and the bilinear weights
-    # overflow to inf; numpy warns of both, and neither may reach the logits
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_far_translation_gives_finite_logits(self, tmp_path, config_path, scene_dir):
         """A finite pose 1e300 m away puts every history cell off the map;
         the warp reads zeros there, not 0 * inf."""
@@ -544,6 +554,35 @@ class TestSchedule:
         out = capsys.readouterr().out
         assert out.startswith("iter,x,alpha")
         assert "alpha(0)=" in out
+
+    _EDGE_FLAGS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e300,
+                   1e-300, 5e-324, 0.0, -0.0, -1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.one_of(st.sampled_from(_EDGE_FLAGS), st.floats()),
+        nalpha=st.one_of(st.sampled_from(_EDGE_FLAGS), st.floats()),
+        tmax=st.integers(1, 12),
+    )
+    def test_curve_is_finite_or_one_error(self, r, nalpha, tmax):
+        """Any steepness and half range either end in one ``error:`` line
+        and exit 1, or print a curve whose x and alpha are finite and whose
+        alpha lies in [0, 1] and never decreases, without a RuntimeWarning."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["schedule", f"--r={r!r}", f"--nalpha={nalpha!r}", f"--tmax={tmax}"])
+        if rc == 1:
+            assert out.getvalue() == ""
+            lines = err.getvalue().split("\n")
+            assert len(lines) == 2 and lines[0].startswith("error:") and lines[1] == ""
+            return
+        assert rc == 0 and err.getvalue() == ""
+        rows = out.getvalue().splitlines()[1 : tmax + 2]
+        xs, alphas = np.array([[float(v) for v in row.split(",")[1:]] for row in rows]).T
+        assert np.isfinite(xs).all() and np.isfinite(alphas).all()
+        assert ((alphas >= 0) & (alphas <= 1)).all()
+        assert (np.diff(alphas) >= 0).all()
 
 
 def test_unknown_command_exits():

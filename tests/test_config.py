@@ -253,11 +253,26 @@ class TestValidation:
                 "branches", (((3, 3, 1), (0, 0, 0)),), "[reparam] branches",
                 id="branch-dilation",
             ),
+            pytest.param("depth_bins", 0, "[depth] bins", id="depth-bins"),
+            pytest.param("queue_len", 0, "[temporal] queue", id="queue"),
+            pytest.param("channels", 0, "[channels] base", id="channels-base"),
+            pytest.param("refined_channels", 0, "[channels] refined", id="channels-refined"),
+            pytest.param("scene_frames", 0, "[scene] frames", id="frames"),
+            pytest.param("d_min", 30.0, "[depth] min and max", id="depth-range"),
+            pytest.param(
+                "grid", GridSpec((-8, -8, -1), (8, 8, 1), (30, 32, 4)), "[grid] counts",
+                id="grid-horizontal",
+            ),
+            pytest.param(
+                "grid", GridSpec((-8, -8, -1), (8, 8, 1), (32, 32, 5)), "[grid] counts",
+                id="grid-height",
+            ),
+            pytest.param("depth_provider", "oracle", "[pipeline] depth_provider", id="provider"),
         ],
     )
     def test_rejects_out_of_range_value(self, field, value, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
-            PipelineConfig(grid=self.grid(), **{field: value})
+            PipelineConfig(**{"grid": self.grid(), field: value})
 
     def test_accepts_smallest_valid_values(self):
         PipelineConfig(

@@ -22,7 +22,7 @@ from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv, slab_rows, softmax
-from occkit.view import DepthDistribution, GridSpec, LiftPlan, lift_splat
+from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
 from support import cast
 from test_acceptance import GATE_CONFIG
 
@@ -76,9 +76,9 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
         )
         pred = _stub_depth(features, weights.stub) if config.depth_provider == "stub" else gt_oh
         mixed = mix_depth(pred, gt_oh, alpha, valid)
-        dist = DepthDistribution(mixed, config.d_min, config.d_max)
-        plan = LiftPlan.build(cams, dist.bin_centers(), half)
-        b = collapse_height(lift_splat(features, dist, plan))
+        centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
+        plan = LiftPlan.build(cams, centers, half)
+        b = collapse_height(lift_splat(features, DepthDistribution(mixed), plan))
         b_t = temporal_fuse(b, history, scene.pose(t), weights.fusion, half)
         history.appendleft((b, scene.pose(t)))
     v_s = bev_to_voxel_lift(semantic_encoder_2d(b_t, weights.encoder), weights.bvl_semantic)

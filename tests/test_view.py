@@ -66,16 +66,15 @@ def random_camera(rng, image_size=(8, 16), feature_size=(4, 8)):
     )
 
 
-def lift_loops(features, depth, cams, grid):
+def lift_loops(features, depth, centers, cams, grid):
     """Brute-force scatter: visit every (camera, bin, v, u) point one by one."""
     n_c, n_ch, h_f, w_f = features.shape
     out = np.zeros((n_ch,) + grid.counts, dtype=np.float64)
-    centers = depth.bin_centers()
     start = np.array(grid.start)
     vsize = np.array(grid.voxel_size)
     for i, cam in enumerate(cams):
         k_inv = np.linalg.inv(cam.intrinsics)
-        for b in range(depth.n_bins):
+        for b in range(centers.size):
             d = centers[b]
             for v in range(h_f):
                 for u in range(w_f):
@@ -92,18 +91,17 @@ def lift_loops(features, depth, cams, grid):
     return out
 
 
-def lift(features, depth, cams, grid):
+def lift(features, depth, centers, cams, grid):
     """One lift through a plan built for it alone."""
-    return lift_splat(features, depth, LiftPlan.build(cams, depth.bin_centers(), grid))
+    return lift_splat(features, depth, LiftPlan.build(cams, centers, grid))
 
 
-def lift_masked(features, depth, cams, grid):
+def lift_masked(features, depth, centers, cams, grid):
     """The lift before plans: per camera, unproject and look up every point,
     then for each channel gather through the in-grid mask and bincount."""
     n_c, n_ch = features.shape[:2]
     counts = grid.counts
     n_vox = counts[0] * counts[1] * counts[2]
-    centers = depth.bin_centers()
     out = np.zeros((n_ch, n_vox), dtype=np.float64)
     for i in range(n_c):
         pts = frustum_points(cams[i], centers)
@@ -297,25 +295,37 @@ class TestFrustumPoints:
 
 
 class TestDepthDistribution:
+    def test_holds_only_probabilities(self):
+        assert [f.name for f in dataclasses.fields(DepthDistribution)] == ["probs"]
+        DepthDistribution(np.full((1, 4, 1, 1), 0.25))
+
     def test_bin_centers(self):
-        d = DepthDistribution(np.full((1, 4, 1, 1), 0.25), d_min=1.0, d_max=5.0)
-        np.testing.assert_allclose(d.bin_centers(), [1.5, 2.5, 3.5, 4.5])
-        assert d.bin_centers().tobytes() == bin_centers(1.0, 5.0, 4).tobytes()
+        np.testing.assert_allclose(bin_centers(1.0, 5.0, 4), [1.5, 2.5, 3.5, 4.5])
 
-    def test_validate_rejects_negative(self):
-        probs = np.full((1, 2, 1, 1), 0.5)
-        probs[0, 0, 0, 0] = -0.5
-        probs[0, 1, 0, 0] = 1.5
-        with pytest.raises(ValueError, match="nonnegative"):
-            DepthDistribution(probs, 1.0, 5.0).validate()
+    @pytest.mark.parametrize(
+        "probs, match",
+        [
+            (np.full((4, 1, 1), 0.25), "4D"),
+            (np.array([-0.5, 1.5]).reshape(1, 2, 1, 1), "nonnegative"),
+            (np.full((1, 4, 1, 1), 0.3), "sum to 1"),
+            (np.array([0.5, 0.5, 0.5, 0.5, 0.0, 1.0]).reshape(1, 3, 1, 2), "sum to 1"),
+            (np.array([np.nan, 1.0]).reshape(1, 2, 1, 1), "sum to 1"),
+        ],
+        ids=["rank-3", "negative", "unnormalized", "one-pixel-unnormalized", "nan"],
+    )
+    def test_construction_rejects(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            DepthDistribution(probs)
 
-    def test_validate_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            DepthDistribution(np.full((1, 4, 1, 1), 0.3), 1.0, 5.0).validate()
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError, match="d_min"):
-            DepthDistribution(np.full((1, 1, 1, 1), 1.0), 5.0, 1.0)
+    @pytest.mark.parametrize(
+        "d_min, d_max, n_bins, match",
+        [(5.0, 1.0, 4, "d_min"), (0.0, 5.0, 4, "d_min"), (1.0, 1.0, 4, "d_min"),
+         (1.0, 5.0, 0, "n_bins")],
+        ids=["inverted", "zero-min", "empty-range", "no-bins"],
+    )
+    def test_bin_centers_rejects(self, d_min, d_max, n_bins, match):
+        with pytest.raises(ValueError, match=match):
+            bin_centers(d_min, d_max, n_bins)
 
 
 class TestLiftSplat:
@@ -330,9 +340,8 @@ class TestLiftSplat:
         cam, grid = self.one_point_setup()
         probs = np.zeros((1, 4, 1, 1))
         probs[0, 2, 0, 0] = 1.0  # bin center 3.5
-        depth = DepthDistribution(probs, d_min=1.0, d_max=5.0)
         features = np.full((1, 3, 1, 1), 2.5, dtype=np.float32)
-        out = lift(features, depth, [cam], grid)
+        out = lift(features, DepthDistribution(probs), bin_centers(1.0, 5.0, 4), [cam], grid)
         assert out.shape == (3, 4, 4, 4)
         np.testing.assert_allclose(out[:, 1, 2, 2], 2.5)
         out[:, 1, 2, 2] = 0
@@ -341,17 +350,18 @@ class TestLiftSplat:
     def test_point_on_voxel_face_goes_to_higher_index(self):
         cam, _ = self.one_point_setup()
         grid = GridSpec((0, -0.5, -0.5), (4, 0.5, 0.5), (4, 1, 1))  # 1 m voxels
-        depth = DepthDistribution(np.ones((1, 1, 1, 1)), d_min=1.5, d_max=2.5)
-        assert frustum_points(cam, depth.bin_centers())[0, 0, 0, 0] == 2.0
-        out = lift(np.ones((1, 1, 1, 1)), depth, [cam], grid)
+        centers = bin_centers(1.5, 2.5, 1)
+        assert frustum_points(cam, centers)[0, 0, 0, 0] == 2.0
+        out = lift(np.ones((1, 1, 1, 1)), DepthDistribution(np.ones((1, 1, 1, 1))), centers,
+                   [cam], grid)
         np.testing.assert_array_equal(out[0, :, 0, 0], [0.0, 0.0, 1.0, 0.0])
 
     def test_out_of_range_points_dropped(self):
         cam, _ = self.one_point_setup()
         grid = GridSpec((100, 100, 100), (108, 108, 108), (4, 4, 4))
-        probs = np.full((1, 4, 1, 1), 0.25)
-        depth = DepthDistribution(probs, d_min=1.0, d_max=5.0)
-        out = lift(np.ones((1, 2, 1, 1), dtype=np.float32), depth, [cam], grid)
+        depth = DepthDistribution(np.full((1, 4, 1, 1), 0.25))
+        centers = bin_centers(1.0, 5.0, 4)
+        out = lift(np.ones((1, 2, 1, 1), dtype=np.float32), depth, centers, [cam], grid)
         assert not out.any()
 
     def test_matches_enumeration_oracle(self):
@@ -362,9 +372,9 @@ class TestLiftSplat:
             features = rng.standard_normal((2, 3, 4, 8)).astype(np.float32)
             logits = rng.standard_normal((2, 8, 4, 8))
             probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-            depth = DepthDistribution(probs, d_min=0.5, d_max=8.5)
-            got = lift(features, depth, cams, grid)
-            want = lift_loops(features, depth, cams, grid)
+            depth, centers = DepthDistribution(probs), bin_centers(0.5, 8.5, 8)
+            got = lift(features, depth, centers, cams, grid)
+            want = lift_loops(features, depth, centers, cams, grid)
             scale = max(np.abs(want).max(), 1e-9)
             assert np.abs(got - want).max() <= 1e-4 * scale
 
@@ -374,10 +384,10 @@ class TestLiftSplat:
         cams = [random_camera(rng)]
         features = rng.uniform(0.5, 2.0, (1, 2, 4, 8)).astype(np.float64)
         probs = np.full((1, 8, 4, 8), 0.125)
-        depth = DepthDistribution(probs, d_min=0.5, d_max=8.5)
-        out = lift(features, depth, cams, grid)
+        centers = bin_centers(0.5, 8.5, 8)
+        out = lift(features, DepthDistribution(probs), centers, cams, grid)
 
-        pts = frustum_points(cams[0], depth.bin_centers())
+        pts = frustum_points(cams[0], centers)
         idx = np.floor((pts - np.array(grid.start)) / np.array(grid.voxel_size))
         in_range = ((idx >= 0) & (idx < np.array(grid.counts))).all(axis=-1)
         for c in range(2):
@@ -423,8 +433,8 @@ class TestLiftSplat:
         n_c = len(cams)
         features = rng.uniform(0.1, 1.0, (n_c, 3, h, w)).astype(dtype)
         probs = rng.dirichlet(np.ones(n_bins), (n_c, h, w)).transpose(0, 3, 1, 2)
-        depth = DepthDistribution(probs.astype(dtype), d_min, d_max)
-        plan = LiftPlan.build(cams, depth.bin_centers(), grid)
+        depth = DepthDistribution(probs.astype(dtype))
+        plan = LiftPlan.build(cams, bin_centers(d_min, d_max, n_bins), grid)
         assert all(inside.all() for inside in plan.inside)
         got = lift_splat(features, depth, plan).astype(np.float64).sum(axis=(1, 2, 3))
         want = features.astype(np.float64).sum(axis=(0, 2, 3))
@@ -436,12 +446,9 @@ class TestLiftSplat:
         cam_a, cam_b = random_camera(rng), random_camera(rng)
         features = rng.uniform(0.1, 1.0, (2, 2, 4, 8)).astype(np.float64)
         probs = np.full((2, 8, 4, 8), 0.125)
-        one = lift(
-            features[:1], DepthDistribution(probs[:1], 0.5, 8.5), [cam_a], grid
-        )
-        both = lift(
-            features, DepthDistribution(probs, 0.5, 8.5), [cam_a, cam_b], grid
-        )
+        centers = bin_centers(0.5, 8.5, 8)
+        one = lift(features[:1], DepthDistribution(probs[:1]), centers, [cam_a], grid)
+        both = lift(features, DepthDistribution(probs), centers, [cam_a, cam_b], grid)
         assert both.sum() >= one.sum() - 1e-12
 
     def test_linear_in_features(self):
@@ -450,20 +457,20 @@ class TestLiftSplat:
         cams = [random_camera(rng)]
         f1 = rng.standard_normal((1, 2, 4, 8))
         f2 = rng.standard_normal((1, 2, 4, 8))
-        probs = np.full((1, 8, 4, 8), 0.125)
-        depth = DepthDistribution(probs, 0.5, 8.5)
-        lhs = lift(2.0 * f1 + 3.0 * f2, depth, cams, grid)
-        rhs = 2.0 * lift(f1, depth, cams, grid) + 3.0 * lift(
-            f2, depth, cams, grid
+        depth = DepthDistribution(np.full((1, 8, 4, 8), 0.125))
+        centers = bin_centers(0.5, 8.5, 8)
+        lhs = lift(2.0 * f1 + 3.0 * f2, depth, centers, cams, grid)
+        rhs = 2.0 * lift(f1, depth, centers, cams, grid) + 3.0 * lift(
+            f2, depth, centers, cams, grid
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_rejects_camera_count_mismatch(self):
         cam, grid = self.one_point_setup()
-        probs = np.full((2, 4, 1, 1), 0.25)
-        depth = DepthDistribution(probs, 1.0, 5.0)
+        depth = DepthDistribution(np.full((2, 4, 1, 1), 0.25))
         with pytest.raises(ValueError, match="camera count"):
-            lift(np.ones((2, 2, 1, 1), dtype=np.float32), depth, [cam], grid)
+            lift(np.ones((2, 2, 1, 1), dtype=np.float32), depth, bin_centers(1.0, 5.0, 4),
+                 [cam], grid)
 
 
 # The lift inputs of a desk run (default config), a wide run (perfbench's
@@ -484,7 +491,7 @@ RUN_CONFIGS = {
 
 
 def run_lift_inputs(name, depth_provider):
-    """(features, depth, cams, half grid) of one frame of a run's lift:
+    """(features, depth, bin centres, cams, half grid) of one frame of a run's lift:
     one-hot depth from random hits (30% missing), or the stub depth head."""
     config = dataclasses.replace(default_config(), **RUN_CONFIGS[name])
     cams = config.scene_spec().cameras()
@@ -497,8 +504,8 @@ def run_lift_inputs(name, depth_provider):
         hits = rng.uniform(0.0, config.d_max + 5.0, (len(cams),) + config.scene_features)
         hits[rng.random(hits.shape) < 0.3] = -1.0
         probs = gt_depth_from_points(hits, config.d_min, config.d_max, config.depth_bins)[0]
-    depth = DepthDistribution(probs, config.d_min, config.d_max)
-    return features, depth, cams, config.half_grid()
+    centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
+    return features, DepthDistribution(probs), centers, cams, config.half_grid()
 
 
 @st.composite
@@ -509,7 +516,9 @@ def lift_cases(draw):
     intrinsics, one image pixel per feature pixel, whole-metre bin centres,
     signed-permutation rotations and integer translations. Otherwise the
     cameras are random. Either way the grid covers only part of the
-    frustums, so some points fall outside it."""
+    frustums, so some points fall outside it. About 30% of the bins hold
+    zero probability; each pixel keeps at least one nonzero bin and sums to
+    1 over its bins."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_cams, n_ch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(1, 4)), draw(st.integers(1, 6))
@@ -538,35 +547,38 @@ def lift_cases(draw):
         grid = GridSpec(lo, lo + rng.uniform(0.5, 12.0, 3), rng.integers(1, 9, 3))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     probs = rng.dirichlet(np.ones(n_bins), (n_cams, h, w)).transpose(0, 3, 1, 2)
-    probs[rng.random(probs.shape) < 0.3] = 0.0
+    zero = rng.random(probs.shape) < 0.3
+    zero[:, 0] &= ~zero[:, 1:].all(axis=1)  # bin 0 stays where every other bin is zeroed
+    probs[zero] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
     frames = [
         (
             rng.standard_normal((n_cams, n_ch, h, w)).astype(dtype),
-            DepthDistribution(rng.permutation(probs, axis=1), d_min, d_max),
+            DepthDistribution(rng.permutation(probs, axis=1)),
         )
         for _ in range(2)
     ]
-    return frames, cams, grid
+    return frames, bin_centers(d_min, d_max, n_bins), cams, grid
 
 
 class TestLiftPlan:
     @pytest.mark.parametrize("depth_provider", ["gt", "stub"])
     @pytest.mark.parametrize("name", list(RUN_CONFIGS))
     def test_matches_masked_lift_at_run_shapes(self, name, depth_provider):
-        features, depth, cams, grid = run_lift_inputs(name, depth_provider)
-        got = lift(features, depth, cams, grid)
-        want = lift_masked(features, depth, cams, grid)
+        features, depth, centers, cams, grid = run_lift_inputs(name, depth_provider)
+        got = lift(features, depth, centers, cams, grid)
+        want = lift_masked(features, depth, centers, cams, grid)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(case=lift_cases())
     def test_one_plan_matches_masked_lift_every_frame(self, case):
-        frames, cams, grid = case
-        plan = LiftPlan.build(cams, frames[0][1].bin_centers(), grid)
+        frames, centers, cams, grid = case
+        plan = LiftPlan.build(cams, centers, grid)
         for features, depth in frames:
             got = lift_splat(features, depth, plan)
-            want = lift_masked(features, depth, cams, grid)
+            want = lift_masked(features, depth, centers, cams, grid)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -578,10 +590,10 @@ class TestLiftPlan:
         cam = random_camera(rng)
         grid = GridSpec((-10, -10, -10), (10, 10, 10), (2, 2, 2))
         features = rng.standard_normal((2, 3, 4, 8))
-        depth = DepthDistribution(rng.dirichlet(np.ones(8), (2, 4, 8)).transpose(0, 3, 1, 2),
-                                  0.5, 8.5)
-        got = lift(features, depth, [cam, cam], grid)
-        assert got.tobytes() == lift_masked(features, depth, [cam, cam], grid).tobytes()
+        depth = DepthDistribution(rng.dirichlet(np.ones(8), (2, 4, 8)).transpose(0, 3, 1, 2))
+        centers = bin_centers(0.5, 8.5, 8)
+        got = lift(features, depth, centers, [cam, cam], grid)
+        assert got.tobytes() == lift_masked(features, depth, centers, [cam, cam], grid).tobytes()
 
     def test_records_what_it_was_built_for(self):
         rng = np.random.default_rng(9)
@@ -592,8 +604,6 @@ class TestLiftPlan:
         assert plan.n_cameras == 2 and plan.feature_size == (4, 8)
         assert plan.grid == grid
         assert plan.centers.tobytes() == centers.tobytes()
-        depth = DepthDistribution(np.full((2, 8, 4, 8), 0.125), 0.5, 8.5)
-        assert depth.bin_centers().tobytes() == centers.tobytes()
         for cam, inside, pixel, voxel in zip(cams, plan.inside, plan.pixel, plan.voxel):
             idx, ok = grid.voxel_index(frustum_points(cam, centers))
             assert inside.tobytes() == ok.tobytes()
@@ -601,28 +611,25 @@ class TestLiftPlan:
             np.testing.assert_array_equal(np.unravel_index(voxel, grid.counts), idx[ok].T)
 
     @pytest.mark.parametrize(
-        "features_shape, probs_shape, d_max, match",
+        "features_shape, probs_shape, match",
         [
-            ((2, 3, 4, 8), (1, 8, 4, 8), 8.5, "camera count"),
-            ((1, 3, 4, 8), (2, 8, 4, 8), 8.5, "camera count"),
-            ((1, 3, 4, 7), (1, 8, 4, 8), 8.5, "extents"),
-            ((1, 3, 4, 8), (1, 8, 3, 8), 8.5, "extents"),
-            ((1, 3, 4, 8), (1, 8, 4, 8), 9.5, "bin centers"),
-            ((1, 3, 4, 8), (1, 4, 4, 8), 8.5, "bin centers"),
-            ((3, 4, 8), (1, 8, 4, 8), 8.5, "4D"),
+            ((2, 3, 4, 8), (1, 8, 4, 8), "camera count"),
+            ((1, 3, 4, 8), (2, 8, 4, 8), "camera count"),
+            ((1, 3, 4, 7), (1, 8, 4, 8), "extents"),
+            ((1, 3, 4, 8), (1, 8, 3, 8), "extents"),
+            ((1, 3, 4, 8), (1, 4, 4, 8), "bin centers"),
+            ((3, 4, 8), (1, 8, 4, 8), "4D"),
         ],
         ids=["features-cams", "depth-cams", "features-extents", "depth-extents",
-             "bin-range", "bin-count", "features-rank"],
+             "bin-count", "features-rank"],
     )
-    def test_rejects_inputs_it_was_not_built_for(
-        self, features_shape, probs_shape, d_max, match
-    ):
+    def test_rejects_inputs_it_was_not_built_for(self, features_shape, probs_shape, match):
         cam = random_camera(np.random.default_rng(10))
         grid = GridSpec((-6, -6, -3), (6, 6, 3), (6, 6, 3))
         plan = LiftPlan.build([cam], bin_centers(0.5, 8.5, 8), grid)
         probs = np.full(probs_shape, 1.0 / probs_shape[1])
         with pytest.raises(ValueError, match=match):
-            lift_splat(np.ones(features_shape), DepthDistribution(probs, 0.5, d_max), plan)
+            lift_splat(np.ones(features_shape), DepthDistribution(probs), plan)
 
     def test_rejects_mixed_feature_extents(self):
         rng = np.random.default_rng(11)
@@ -644,7 +651,7 @@ class TestLiftPlan:
         cams = [random_camera(rng), random_camera(rng)]
         grid = GridSpec((-6, -6, -3), (6, 6, 3), (6, 6, 3))
         plan = LiftPlan.build(cams, bin_centers(0.5, 8.5, 8), grid)
-        depth = DepthDistribution(np.full((2, 8, 4, 8), 0.125), 0.5, 8.5)
+        depth = DepthDistribution(np.full((2, 8, 4, 8), 0.125))
         for _ in range(3):
             lift_splat(np.ones((2, 3, 4, 8)), depth, plan)
         assert calls == cams
