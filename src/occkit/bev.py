@@ -104,10 +104,19 @@ def _planar_relative(pose_hist: EgoPose, pose_now: EgoPose):
     is read straight off the relative rotation R_hist^T R_now and
     renormalized, so exact axis-aligned rotations stay exact. Both poses
     turn about z, so the pair's norm is 1 to within ``EgoPose``'s 1e-6.
+
+    The translation is R_hist^T t_now - R_hist^T t_hist. Where either term
+    overflows it is taken as R_hist^T (t_now - t_hist) instead, which is 0
+    for identical poses at any finite translation. A relative translation
+    too large for float64 comes back non-finite, without a warning.
     """
     rt = pose_hist.rotation.T
     c, s = (rt @ pose_now.rotation)[:2, 0]
-    tx, ty = (rt @ pose_now.translation + -rt @ pose_hist.translation)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = rt @ pose_now.translation + -rt @ pose_hist.translation
+        if not np.isfinite(t[:2]).all():
+            t = rt @ (pose_now.translation - pose_hist.translation)
+    tx, ty = t[:2]
     norm = np.hypot(c, s)
     return c / norm, s / norm, tx, ty
 
@@ -123,7 +132,8 @@ def warp_bev(
     For each current-frame cell center, the matching metric point in the
     history frame is found through the relative pose (yaw + planar
     translation only) and bilinearly sampled; points that fall outside the
-    history map contribute zeros. b_hist is (C, X, Y) on the same grid spec.
+    history map contribute zeros, and so does every point when the relative
+    translation is not finite. b_hist is (C, X, Y) on the same grid spec.
     """
     if b_hist.ndim != 3:
         raise ValueError(f"expected 3D BEV tensor, got {b_hist.ndim}D")
@@ -132,6 +142,8 @@ def warp_bev(
         raise ValueError(f"BEV extents {b_hist.shape[1:]} do not match grid ({nx}, {ny})")
 
     c, s, tx, ty = _planar_relative(pose_hist, pose_now)
+    if not (np.isfinite(tx) and np.isfinite(ty)):
+        return np.zeros(b_hist.shape, dtype=b_hist.dtype)
     vx, vy = grid.voxel_size[0], grid.voxel_size[1]
     xs, ys = grid.start[0], grid.start[1]
 

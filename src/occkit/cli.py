@@ -9,6 +9,7 @@ curve as CSV).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import statistics
 import sys
@@ -163,18 +164,15 @@ def _cmd_schedule(args) -> int:
     schedule = MixupSchedule(
         steepness=args.r, total_iters=args.tmax, half_range=args.nalpha
     )
-    lines = ["iter,x,alpha"]
-    for it in range(schedule.total_iters + 1):
-        x = iteration_to_x(it, schedule)
-        a = mixup_alpha(it, schedule)
-        lines.append(f"{it},{x:.10g},{a:.10g}")
-    text = "\n".join(lines) + "\n"
+    # one row at a time, so a long curve never sits in memory whole
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as f:
+        f.write("iter,x,alpha\n")
+        for it in range(schedule.total_iters + 1):
+            x = iteration_to_x(it, schedule)
+            a = mixup_alpha(it, schedule)
+            f.write(f"{it},{x:.10g},{a:.10g}\n")
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
         print(f"wrote {schedule.total_iters + 1} rows to {args.out}")
-    else:
-        print(text, end="")
     mid = schedule.total_iters // 2
     print(
         f"alpha(0)={mixup_alpha(0, schedule):.3e}  "

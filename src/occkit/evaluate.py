@@ -79,10 +79,29 @@ def miou(ious: np.ndarray) -> float:
     return float(np.nanmean(chosen))
 
 
+# Voxels per ``argmax_decode`` block: the block's (N_CLASSES, columns)
+# float32 copy, 576 KB, stays in cache.
+DECODE_BLOCK = 8192
+
+
 def argmax_decode(logits: np.ndarray) -> np.ndarray:
-    """Class ids from (N_CLASSES, ...) logits; ties go to the lower index."""
+    """Class ids from (N_CLASSES, ...) logits; ties go to the lower index.
+
+    The ids are those of ``np.argmax(logits, axis=0).astype(np.uint8)``,
+    NaN included (the first NaN wins), but are decoded ``DECODE_BLOCK``
+    voxels at a time into one uint8 array: ``np.argmax`` over the whole
+    axis would first copy all the logits into a transposed layout. Logits
+    that are not C-contiguous are flattened by one copy."""
     if logits.shape[0] != N_CLASSES:
         raise ValueError(
             f"logits must have {N_CLASSES} leading channels, got {logits.shape[0]}"
         )
-    return np.argmax(logits, axis=0).astype(np.uint8)
+    flat = logits.reshape(N_CLASSES, -1)
+    n = flat.shape[1]
+    out = np.empty(n, dtype=np.uint8)
+    ids = np.empty(min(n, DECODE_BLOCK), dtype=np.intp)
+    for a in range(0, n, DECODE_BLOCK):
+        b = min(a + DECODE_BLOCK, n)
+        np.argmax(flat[:, a:b], axis=0, out=ids[: b - a])
+        out[a:b] = ids[: b - a]
+    return out.reshape(logits.shape[1:])

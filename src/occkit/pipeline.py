@@ -9,10 +9,14 @@ features into the half-resolution voxel grid through the run's one lift
 plan, and collapse to BEV. The ``queue_len`` frames before the last are
 encoded raw, unfused, and become the fusion's history of (BEV map, pose)
 pairs; older frames are skipped. Only the last frame is fused with its
-warped history. The fused BEV map forks into a semantic path (2D encoder
-then height lifting) and a geometric path (height lifting then the
-large-kernel 3D convolution); the two volumes are summed, upsampled to full
-resolution, and classified, one half-resolution x-slab at a time.
+warped history. The fused BEV map forks into a geometric path (height
+lifting then the large-kernel 3D convolution), which runs first, and a
+semantic path (2D encoder then height lifting); the two volumes are summed,
+upsampled to full resolution, and classified, one half-resolution x-slab at
+a time.
+
+Each half-resolution volume is freed after its last read, so only the two
+that are summed are alive next to the logits in the tail.
 """
 
 from __future__ import annotations
@@ -178,6 +182,15 @@ def run_pipeline(
     ``LiftPlan`` is built per call, timed under "lift", and every frame's
     lift reads it.
 
+    The stages then run in this order: "temporal_fuse", the geometric
+    "bvl", "large_kernel_conv", "semantic_encoder" and the semantic "bvl",
+    then the tail. Each volume is released after its last read: the last
+    frame's lifted volume once its zero fraction is taken, and the
+    geometric lift once the large-kernel conv returns. The semantic path
+    runs after that conv, so its volume never coexists with the conv's
+    padded input and branch outputs. Only the two summed volumes, ``v_g``
+    and ``v_s``, are alive in the tail next to the logits.
+
     The tail runs slab by slab along x: for each slab of ``slab_rows``
     half-resolution rows, ``fuse_and_upsample`` sums and upsamples the two
     volumes and the 1x1x1 head classifies the result into its rows of the
@@ -187,11 +200,12 @@ def run_pipeline(
     over the slabs.
 
     Returns (logits, report): logits are (18, X, Y, Z) at the full grid
-    resolution, the report carries per-stage wall-clock timings (their sum is
-    bounded by the total) and the zero fraction of the final frame's lifted
-    volume. ``reparam_mode`` selects the multi-branch ("train") or merged
-    single-kernel ("deploy") form of the large 3D convolution; the two agree
-    to within accumulated float32 rounding.
+    resolution, the report carries per-stage wall-clock timings in the order
+    the stages first ran (their sum is bounded by the total) and the zero
+    fraction of the final frame's lifted volume. ``reparam_mode`` selects
+    the multi-branch ("train") or merged single-kernel ("deploy") form of
+    the large 3D convolution; the two agree to within accumulated float32
+    rounding.
     """
     if reparam_mode not in ("train", "deploy"):
         raise ValueError(f"reparam_mode must be 'train' or 'deploy', got {reparam_mode!r}")
@@ -248,19 +262,21 @@ def run_pipeline(
     ][::-1]
     v, b = encode(last)
     lift_sparsity = sparsity_ratio(v)
+    del v
     b_t = staged(
         "temporal_fuse",
         temporal_fuse,
         b, history, scene.pose(last), weights.fusion, half,
     )
 
-    b_s = staged("semantic_encoder", semantic_encoder_2d, b_t, weights.encoder)
-    v_s = staged("bvl", bev_to_voxel_lift, b_s, weights.bvl_semantic)
     v_g0 = staged("bvl", bev_to_voxel_lift, b_t, weights.bvl_geometric)
     if reparam_mode == "deploy":
         v_g = staged("large_kernel_conv", forward_deploy, v_g0, weights.merged)
     else:
         v_g = staged("large_kernel_conv", forward_train, v_g0, list(weights.branches))
+    del v_g0
+    b_s = staged("semantic_encoder", semantic_encoder_2d, b_t, weights.encoder)
+    v_s = staged("bvl", bev_to_voxel_lift, b_s, weights.bvl_semantic)
     c, nx, ny, nz = v_g.shape
     logits = np.empty((N_CLASSES, 2 * nx, 2 * ny, 2 * nz), dtype=v_g.dtype)
     rows = slab_rows(nx, ny * nz, c * c)

@@ -178,13 +178,19 @@ def apply_bn(y: np.ndarray, bn: BatchNormParams) -> np.ndarray:
 
 
 def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
-    """Train-form forward: sum of per-branch conv + batch norm outputs."""
+    """Train-form forward: sum of per-branch conv + batch norm outputs.
+
+    Each branch's output is added into the running sum and freed before
+    the next branch pads its input."""
     if not branches:
         raise ValueError("need at least one branch")
-    out = None
-    for branch in branches:
-        y = apply_bn(conv(x, branch.weight, dilation=branch.dilation), branch.bn)
-        out = y if out is None else np.add(out, y, out=out)
+
+    def branch_out(branch):
+        return apply_bn(conv(x, branch.weight, dilation=branch.dilation), branch.bn)
+
+    out = branch_out(branches[0])
+    for branch in branches[1:]:
+        out += branch_out(branch)
     return out
 
 

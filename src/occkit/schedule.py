@@ -12,6 +12,7 @@ takes a whole camera rig as one array: a frame makes one call of each.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ class MixupSchedule:
             raise ValueError(f"steepness must be finite and > 0, got {self.steepness}")
         if self.total_iters < 1:
             raise ValueError(f"total_iters must be >= 1, got {self.total_iters}")
+        # Python compares an int with a float exactly, without converting it
+        if self.total_iters > sys.float_info.max:
+            raise ValueError(
+                f"total_iters must be at most the largest float, {sys.float_info.max:g}"
+            )
         if not 0 < 2.0 * self.half_range * self.total_iters < np.inf:
             raise ValueError(
                 f"half_range must be > 0 with 2 * half_range * total_iters finite, "

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: a dtype cast for weight dataclasses,
-the identity ego pose, and convolution oracles that run on an input the
-caller has already padded."""
+the identity ego pose, convolution oracles that run on an input the caller
+has already padded, and a call's peak traced memory."""
 
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from itertools import product
 from math import prod
@@ -29,6 +30,25 @@ def cast(weights, dtype):
 
 def identity_pose() -> EgoPose:
     return EgoPose(np.eye(3), np.zeros(3))
+
+
+def traced_peak(fn, *args, **kw):
+    """(fn(*args, **kw), peak bytes): the most memory, numpy buffers
+    included, that ``tracemalloc`` saw the call hold above what was traced
+    at its start. Tracing is switched off again afterwards unless it was on
+    before, so no later test runs traced; an outer trace's peak is reset."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kw)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def centred_pad(x, kernel, dilation):

@@ -289,6 +289,26 @@ class TestWarpBev:
         )
         assert not out.any()
 
+    def test_identical_absurd_poses_are_identity(self):
+        """Identical poses 1.7e308 m out at 0.7 rad warp a map as identical
+        poses at the origin do, without a RuntimeWarning: each rotated
+        translation overflows, but their difference is 0."""
+        b = np.random.default_rng(6).standard_normal((2, 32, 32)).astype(np.float32)
+        far = EgoPose.from_yaw(0.7, (1.7e308, -1.7e308, 0.0))
+        home = EgoPose.from_yaw(0.7)
+        out = warp_bev(b, far, far, bev_grid())
+        assert out.tobytes() == warp_bev(b, home, home, bev_grid()).tobytes()
+
+    def test_non_finite_relative_translation_warps_to_zeros(self):
+        """Poses 1.7e308 m out on opposite sides are further apart than
+        float64 holds: the map warps to zeros, without a RuntimeWarning."""
+        b = np.ones((2, 32, 32), dtype=np.float32)
+        now = EgoPose.from_yaw(0.7, (1.7e308, -1.7e308, 0.0))
+        hist = EgoPose.from_yaw(0.7, (-1.7e308, 1.7e308, 0.0))
+        out = warp_bev(b, hist, now, bev_grid())
+        assert out.shape == b.shape and out.dtype == b.dtype
+        assert not out.any()
+
     def test_composition_on_smooth_field(self):
         # compactly supported bump so the double warp loses nothing at borders
         grid = bev_grid(n=128)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 import shutil
@@ -554,6 +555,21 @@ class TestSchedule:
         out = capsys.readouterr().out
         assert out.startswith("iter,x,alpha")
         assert "alpha(0)=" in out
+
+    def test_default_stdout_bytes(self, capsys):
+        """The default curve's stdout, written row by row, keeps its bytes."""
+        assert main(["schedule"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ff4f04d03e30574e1b5157ae4e5adf923c7d5d63ed155d93e5b54326a32544f0"
+        )
+
+    def test_huge_tmax_is_one_error(self, capsys):
+        """An iteration count past the float range ends in one error line."""
+        assert main(["schedule", f"--tmax={10**400}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: total_iters must be at most") and err.count("\n") == 1
 
     _EDGE_FLAGS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e300,
                    1e-300, 5e-324, 0.0, -0.0, -1.0)

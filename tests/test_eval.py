@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.evaluate import (
     CLASS_NAMES,
+    DECODE_BLOCK,
     EMPTY_CLASS,
     N_CLASSES,
     argmax_decode,
@@ -10,6 +13,7 @@ from occkit.evaluate import (
     miou,
     per_class_iou,
 )
+from support import traced_peak
 
 
 def hand_counted_grids():
@@ -194,6 +198,50 @@ class TestArgmaxDecode:
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ValueError, match="channels"):
             argmax_decode(np.zeros((17, 2, 2)))
+
+    # Logit values a decode must rank as np.argmax does: ties, signed
+    # zeros, infinities and NaN, which wins wherever it first occurs.
+    _SPECIALS = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from(
+            [0, 1, DECODE_BLOCK - 1, DECODE_BLOCK, DECODE_BLOCK + 1,
+             2 * DECODE_BLOCK, 2 * DECODE_BLOCK + 37]
+        ) | st.integers(0, 3 * DECODE_BLOCK),
+        special_frac=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_argmax(self, n, special_frac, dtype, seed):
+        """Any flattened size (below, at, past and off a multiple of the
+        block) decodes to the ids of ``np.argmax(axis=0)``: small integer
+        logits make ties, and a share of them become special values."""
+        rng = np.random.default_rng(seed)
+        logits = rng.integers(-2, 3, (N_CLASSES, n)).astype(dtype)
+        special = rng.random(logits.shape) < special_frac
+        logits[special] = rng.choice(self._SPECIALS, int(special.sum()))
+        want = np.argmax(logits, axis=0).astype(np.uint8)
+        for shaped in (logits, logits.reshape(N_CLASSES, 1, n, 1)):
+            got = argmax_decode(shaped)
+            assert got.dtype == np.uint8 and got.shape == shaped.shape[1:]
+            np.testing.assert_array_equal(got.reshape(-1), want)
+
+    def test_non_contiguous_logits(self):
+        logits = np.random.default_rng(3).standard_normal((5, 7, N_CLASSES)).T
+        np.testing.assert_array_equal(
+            argmax_decode(logits), np.argmax(logits, axis=0).astype(np.uint8)
+        )
+
+    def test_makes_no_copy_of_the_logits(self):
+        """The decode's traced peak stays well under the logits' size:
+        ``np.argmax`` over the whole axis would first copy them all."""
+        logits = np.random.default_rng(4).standard_normal(
+            (N_CLASSES, 100, 100, 16)
+        ).astype(np.float32)
+        pred, peak = traced_peak(argmax_decode, logits)
+        np.testing.assert_array_equal(pred, np.argmax(logits, axis=0).astype(np.uint8))
+        assert peak <= logits.nbytes // 8
 
 
 def test_class_names_cover_all_ids():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 from collections import deque
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import occkit.view
 from occkit.bev import collapse_height, semantic_encoder_2d, temporal_fuse
 from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
 from occkit.config import PipelineConfig, default_config, parse_config
+from occkit.evaluate import argmax_decode
 from occkit.pipeline import (
     PipelineStageError,
     StubDepthWeights,
@@ -23,7 +25,7 @@ from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv, slab_rows, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
-from support import cast
+from support import cast, traced_peak
 from test_acceptance import GATE_CONFIG
 
 STAGES = (
@@ -400,6 +402,24 @@ def test_reference_logits_hashes(reference_run, name, mode, sha256):
     logits, _ = run_pipeline(config, scene, 0.5, mode, weights)
     assert logits.dtype == np.float32
     assert hashlib.sha256(logits.tobytes()).hexdigest() == sha256
+
+
+def test_wide_train_call_memory(reference_run):
+    """One wide train call, the pipeline and then the label decode as
+    ``occ run --out`` makes them, holds at its traced peak at most the
+    logits and 3.5 half-grid volumes. It holds that little only if each
+    volume is freed after its last read, the semantic path runs after the
+    large-kernel conv, and the decode makes no copy of the logits."""
+    config, scene, weights = reference_run("wide")
+
+    def call():
+        logits, _ = run_pipeline(config, scene, 0.5, "train", weights)
+        return logits, argmax_decode(logits)
+
+    (logits, _), peak = traced_peak(call)
+    volume = config.refined_channels * prod(config.half_grid().counts) * logits.itemsize
+    bound = logits.nbytes + 3.5 * volume
+    assert peak <= bound, f"traced peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
 
 
 # Largest |float32 - float64| logit allowed by the oracle below. Measured at

@@ -62,6 +62,8 @@ class TestMixupSchedule:
             MixupSchedule(total_iters=0)
         with pytest.raises(ValueError, match="half_range"):
             MixupSchedule(half_range=-1.0)
+        with pytest.raises(ValueError, match="largest float"):
+            MixupSchedule(total_iters=10**400)
 
 
 def random_distribution(rng, shape, axis=0):
