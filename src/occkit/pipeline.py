@@ -15,8 +15,9 @@ semantic path (2D encoder then height lifting); the two volumes are summed,
 upsampled to full resolution, and classified, one half-resolution x-slab at
 a time.
 
-Each half-resolution volume is freed after its last read, so only the two
-that are summed are alive next to the logits in the tail.
+Each half-resolution volume and BEV map is freed after its last read, so
+only the two volumes that are summed are alive next to the logits in the
+tail.
 """
 
 from __future__ import annotations
@@ -186,7 +187,10 @@ def run_pipeline(
     "bvl", "large_kernel_conv", "semantic_encoder" and the semantic "bvl",
     then the tail. Each volume is released after its last read: the last
     frame's lifted volume once its zero fraction is taken, and the
-    geometric lift once the large-kernel conv returns. The semantic path
+    geometric lift once the large-kernel conv returns. So is each BEV map:
+    the history and the last frame's map once ``temporal_fuse`` returns,
+    the fused map once the semantic encoder returns, and the encoder's map
+    once its lift returns. The semantic path
     runs after that conv, so its volume never coexists with the conv's
     padded input and branch outputs. Only the two summed volumes, ``v_g``
     and ``v_s``, are alive in the tail next to the logits.
@@ -268,6 +272,7 @@ def run_pipeline(
         temporal_fuse,
         b, history, scene.pose(last), weights.fusion, half,
     )
+    del history, b
 
     v_g0 = staged("bvl", bev_to_voxel_lift, b_t, weights.bvl_geometric)
     if reparam_mode == "deploy":
@@ -276,16 +281,19 @@ def run_pipeline(
         v_g = staged("large_kernel_conv", forward_train, v_g0, list(weights.branches))
     del v_g0
     b_s = staged("semantic_encoder", semantic_encoder_2d, b_t, weights.encoder)
+    del b_t
     v_s = staged("bvl", bev_to_voxel_lift, b_s, weights.bvl_semantic)
+    del b_s
     c, nx, ny, nz = v_g.shape
     logits = np.empty((N_CLASSES, 2 * nx, 2 * ny, 2 * nz), dtype=v_g.dtype)
     rows = slab_rows(nx, ny * nz, c * c)
     for a in range(0, nx, rows):
-        b = min(a + rows, nx)
+        end = min(a + rows, nx)
         v_gs = staged(
-            "fuse_upsample", fuse_and_upsample, v_g[:, a:b], v_s[:, a:b], weights.upsample
+            "fuse_upsample", fuse_and_upsample,
+            v_g[:, a:end], v_s[:, a:end], weights.upsample,
         )
-        logits[:, 2 * a : 2 * b] = staged(
+        logits[:, 2 * a : 2 * end] = staged(
             "classifier", conv, v_gs, weights.head_w, weights.head_b
         )
 

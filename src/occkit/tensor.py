@@ -29,6 +29,19 @@ its first tap's GEMM and adds the bias (or 0.0) on the way into the output,
 and ``upsample2x`` adds its bias to each contiguous block GEMM before one
 strided copy per block: the bytes of a zero-filled accumulator or a strided
 add, in fewer passes.
+
+A conv with more than 256 input channels runs as one slab. With unit
+stride it reads each tap as a window, not a copy: its accumulator rows span
+the padded trailing extents, so a tap's right operand is the column window
+``[off, off + cols)`` of the padded input flattened to (C_in, columns),
+where ``off`` is the flat index of the tap's dilated offset. The pad gains
+one more zero row high on the first axis, where the last tap's window ends,
+and the final add reads only the columns inside the output. OpenBLAS's
+regular GEMM kernel gives a column the same bytes at any column count if it
+lies before the last multiple of 8, and its small-matrix kernel does not.
+So a conv reads windows only when its GEMM is over ``SMALL_GEMM_MACS`` and
+both its output's and its windows' column counts are multiples of 8, and
+otherwise copies each tap into a patch.
 """
 
 from __future__ import annotations
@@ -134,7 +147,11 @@ def conv(
     boundaries fall on multiples of 16 columns, which keeps the result
     byte-identical to one GEMM per tap over the whole output. A strided
     conv, or one with more than 256 input channels, runs as one slab, since
-    tiling either changed low bits.
+    tiling either changed low bits. A conv with more than 256 input
+    channels and unit stride reads each tap as a column window of its
+    flattened padded input, over one more zero row, where the module
+    docstring's column rule keeps the bytes; its accumulator then spans the
+    padded trailing extents, and its last add reads the output's columns.
     """
     rank = weight.ndim - 2
     if rank < 1:
@@ -170,7 +187,22 @@ def conv(
         rows = n_rows
 
     eff = effective_extents(kernel, dilation)
+    # The trailing extents an accumulator row spans: the padded ones for a
+    # window conv, the output's otherwise.
+    grid = tuple(n + e - 1 for n, e in zip(out_sp[1:], eff[1:]))
+    window = (
+        c_in > 256
+        and stride == (1,) * rank
+        and c_out * c_in * n_rows * row > SMALL_GEMM_MACS
+        and n_rows * row % 8 == n_rows * prod(grid) % 8 == 0
+    )
+    if not window:
+        grid = out_sp[1:]
+    pitch = prod(grid)
     pad = [(0, 0)] + [((e - 1) // 2, e // 2) for e in eff]
+    # A window conv's last tap reads past the padded input's last row, into
+    # one more row of zeros.
+    pad[1] = (pad[1][0], pad[1][1] + window)
     xp = np.pad(x, pad) if max(eff) > 1 else x
 
     # (taps, C_out, C_in): each tap's weight is one contiguous matrix.
@@ -196,37 +228,51 @@ def conv(
     # whether all of them can be read in place.
     first, inner = taps[0]
     first_slab = (0, slice(first, first + s0 * (rows - 1) + 1, s0)) + inner
-    in_place = xp[first_slab].flags.c_contiguous
+    in_place = window or xp[first_slab].flags.c_contiguous
     patch_buf = None if in_place else np.empty(c_in * rows * row, dtype=x.dtype)
-    tmp_buf = np.empty(c_out * rows * row, dtype=x.dtype)
-    acc_buf = np.empty(c_out * rows * row, dtype=x.dtype)
+    tmp_buf = np.empty(c_out * rows * pitch, dtype=x.dtype)
+    acc_buf = np.empty(c_out * rows * pitch, dtype=x.dtype)
     # The first tap's GEMM starts the accumulator in place of a zero fill.
     # Its sums then differ from +0.0-started ones only by being -0.0 where
     # those are +0.0, and adding b + 0.0 (or 0.0 without a bias) turns each
     # such -0.0 into +0.0, as adding b to a +0.0-started sum does.
-    shift = 0.0 if bias is None else (bias + 0.0)[:, None]
+    if bias is None:
+        shift = 0.0
+    else:
+        shift = (bias + 0.0).reshape((c_out,) + (1,) * (rank if window else 1))
 
     for r0 in range(0, n_rows, rows):
         n = min(rows, n_rows - r0)
-        cols = n * row
+        cols = n * pitch
         if not in_place:
             patch = patch_buf[: c_in * cols].reshape(c_in, cols)
             patch_nd = patch.reshape((c_in, n) + out_sp[1:])
         tmp = tmp_buf[: c_out * cols].reshape(c_out, cols)
         acc = acc_buf[: c_out * cols].reshape(c_out, cols)
         for tap_idx, (first, inner) in enumerate(taps):
-            start = first + s0 * r0
-            src = xp[(slice(None), slice(start, start + s0 * (n - 1) + 1, s0)) + inner]
-            if in_place:
-                patch = src.reshape(c_in, cols)
+            if window:  # starts at the flat index of the tap's first read
+                corner = (first,) + tuple(sl.start for sl in inner)
+                off = np.ravel_multi_index(corner, xp.shape[1:])
+                patch = xp.reshape(c_in, -1)[:, off : off + cols]
             else:
-                np.copyto(patch_nd, src)
+                start = first + s0 * r0
+                rows_in = slice(start, start + s0 * (n - 1) + 1, s0)
+                src = xp[(slice(None), rows_in) + inner]
+                if in_place:
+                    patch = src.reshape(c_in, cols)
+                else:
+                    np.copyto(patch_nd, src)
             if tap_idx == 0:
                 np.matmul(w_taps[0], patch, out=acc)
             else:
                 np.matmul(w_taps[tap_idx], patch, out=tmp)
                 acc += tmp
-        np.add(acc, shift, out=out[:, r0 * row : r0 * row + cols])
+        dst = out[:, r0 * row : (r0 + n) * row]
+        if window:  # only the columns inside the output's extents
+            inside = (slice(None), slice(None)) + tuple(map(slice, out_sp[1:]))
+            acc = acc.reshape((c_out, n) + grid)[inside]
+            dst = dst.reshape(acc.shape)
+        np.add(acc, shift, out=dst)
     return out.reshape(out_shape)
 
 

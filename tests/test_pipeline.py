@@ -404,21 +404,39 @@ def test_reference_logits_hashes(reference_run, name, mode, sha256):
     assert hashlib.sha256(logits.tobytes()).hexdigest() == sha256
 
 
-def test_wide_train_call_memory(reference_run):
-    """One wide train call, the pipeline and then the label decode as
-    ``occ run --out`` makes them, holds at its traced peak at most the
-    logits and 3.5 half-grid volumes. It holds that little only if each
-    volume is freed after its last read, the semantic path runs after the
-    large-kernel conv, and the decode makes no copy of the logits."""
-    config, scene, weights = reference_run("wide")
+def _call_peak(config, scene, weights, mode):
+    """(logits, traced peak) of one call: the pipeline and then the label
+    decode, as ``occ run --out`` makes them."""
 
     def call():
-        logits, _ = run_pipeline(config, scene, 0.5, "train", weights)
+        logits, _ = run_pipeline(config, scene, 0.5, mode, weights)
         return logits, argmax_decode(logits)
 
     (logits, _), peak = traced_peak(call)
+    return logits, peak
+
+
+def test_wide_train_call_memory(reference_run):
+    """One wide train call holds at its traced peak at most the logits and
+    2.5 half-grid volumes. It holds that little only if each volume and BEV
+    map is freed after its last read, the semantic path runs after the
+    large-kernel conv, and the decode makes no copy of the logits."""
+    config, scene, weights = reference_run("wide")
+    logits, peak = _call_peak(config, scene, weights, "train")
     volume = config.refined_channels * prod(config.half_grid().counts) * logits.itemsize
-    bound = logits.nbytes + 3.5 * volume
+    bound = logits.nbytes + 2.5 * volume
+    assert peak <= bound, f"traced peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
+
+
+def test_desk_deploy_call_memory(reference_run):
+    """One desk deploy call peaks inside the temporal fusion, and holds
+    there at most four times the fusion's stacked input: the stack, its
+    padded copy and the history maps, but no third copy of the stack."""
+    config, scene, weights = reference_run("desk")
+    logits, peak = _call_peak(config, scene, weights, "deploy")
+    nx, ny, _ = config.half_grid().counts
+    stack = (config.queue_len + 1) * config.channels * nx * ny * logits.itemsize
+    bound = 4 * stack
     assert peak <= bound, f"traced peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
 
 

@@ -20,7 +20,7 @@ from occkit.tensor import (
     uniform_init,
     upsample2x,
 )
-from support import cast, centred_pad, conv_loops, conv_untiled
+from support import cast, centred_pad, conv_loops, conv_untiled, traced_peak
 
 
 def conv_nd_loops(x, weight, bias, dilation, stride):
@@ -314,18 +314,22 @@ def _tiled_and_untiled(*case):
 
 
 def _gemms(monkeypatch, x, w, b, dilation, stride):
-    """``conv``'s output, and for each GEMM it ran, its output columns
-    and whether its right operand was read in place from ``x`` or from the
-    padded copy of ``x`` that the conv made."""
-    gemms, inputs = [], [x]
+    """``conv``'s output, and for each GEMM it ran, its output columns and
+    where its right operand was read in place: "input" for ``x``, "padded"
+    for the padded copy of ``x`` that the conv made, None for a patch."""
+    gemms, padded = [], []
     matmul, pad = np.matmul, np.pad
 
     def spy_pad(*args, **kwargs):
-        inputs.append(pad(*args, **kwargs))
-        return inputs[-1]
+        padded.append(pad(*args, **kwargs))
+        return padded[-1]
 
     def spy(a, patch, out=None):
-        read = any(np.may_share_memory(patch, i) for i in inputs)
+        read = None
+        if np.may_share_memory(patch, x):
+            read = "input"
+        elif any(np.may_share_memory(patch, p) for p in padded):
+            read = "padded"
         gemms.append((patch.shape[1], read))
         return matmul(a, patch, out=out)
 
@@ -335,6 +339,12 @@ def _gemms(monkeypatch, x, w, b, dilation, stride):
         return conv(x, w, b, dilation, stride), gemms
     finally:
         monkeypatch.undo()
+
+
+def _padded_row(trailing, kernel, dilation):
+    """Columns of one output row when a conv reads its taps as windows:
+    the product of the padded trailing extents."""
+    return prod(n + e - 1 for n, e in zip(trailing, effective_extents(kernel, dilation)))
 
 
 def _slabs(n_rows, row, rows):
@@ -368,6 +378,8 @@ class TestSlabTiling:
         assert slab_rows(out_rows, row, macs) < out_rows
         one_slab = stride != (1,) * len(stride) or w.shape[1] > 256
         rows = out_rows if one_slab else slab_rows(out_rows, row, macs)
+        if w.shape[1] > 256:  # a window read: rows span the padded extents
+            row = _padded_row(got.shape[2:], w.shape[3:], dilation[1:])
         taps = prod(w.shape[2:])
         assert [c for c, _ in gemms] == [
             c for c in _slabs(out_rows, row, rows) for _ in range(taps)
@@ -435,6 +447,66 @@ class TestSlabTiling:
             assert rows * row % 16 == 0 and n_rows * row % 16 == 0
             assert rows * row * macs <= SMALL_GEMM_MACS or rows == step
             assert (rows + step) * row * macs > SMALL_GEMM_MACS
+
+
+# Convs with more than 256 input channels that read each tap as a window
+# of the flattened padded input: (x, weight, bias, dilation, stride, dtype).
+WINDOW_CONVS = {
+    "desk-fusion": ((512, 48, 48), (32, 512, 3, 3), True, 1, 1, np.float32),
+    "2d-odd-extents": ((300, 24, 9), (32, 300, 3, 3), True, 1, 1, np.float32),
+    "2d-dilated": ((300, 24, 12), (32, 300, 3, 3), True, (2, 2), 1, np.float32),
+    "2d-even-4x4": ((300, 16, 13), (32, 300, 4, 4), True, 1, 1, np.float32),
+    "3d-3x3x1": ((300, 8, 7, 8), (32, 300, 3, 3, 1), True, 1, 1, np.float32),
+    "2d-float64-no-bias": ((300, 24, 9), (32, 300, 3, 3), False, 1, 1, np.float64),
+}
+
+# Convs with more than 256 input channels that copy each tap into a patch
+# instead, as one slab: strided, under the small-matrix cutoff, or with an
+# output or window column count off a multiple of 8. Windows would change
+# low bits of the last three.
+COPIED_WIDE_CONVS = {
+    "2d-stride-2": ((300, 20, 20), (32, 300, 3, 3), True, 1, 2, np.float32),
+    "2d-odd-extents": ((300, 7, 9), (32, 300, 3, 3), True, 1, 1, np.float32),
+    "2d-under-cutoff": ((300, 12, 12), (16, 300, 3, 3), True, 1, 1, np.float32),
+    "2d-columns-off-8": ((300, 2, 102), (32, 300, 3, 3), True, 1, 1, np.float64),
+    "2d-window-off-8": ((300, 2, 100), (64, 300, 3, 3), True, 1, 1, np.float64),
+}
+
+
+class TestWindowRead:
+    """A conv with more than 256 input channels runs one GEMM per tap over
+    the whole output. Where OpenBLAS gives each column the same bytes at
+    either column count, its right operand is a contiguous column window
+    of the flattened padded input, not a copied patch."""
+
+    @pytest.mark.parametrize("case", list(WINDOW_CONVS.values()), ids=list(WINDOW_CONVS))
+    def test_taps_are_windows_of_the_padded_input(self, monkeypatch, case):
+        case = _conv_case(*case)
+        got, gemms = _gemms(monkeypatch, *case)
+        x, w, b, dilation, stride = case
+        cols = got.shape[1] * _padded_row(got.shape[2:], w.shape[3:], dilation[1:])
+        assert gemms == [(cols, "padded")] * prod(w.shape[2:])
+        want = conv_nd_untiled(*case)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "case", list(COPIED_WIDE_CONVS.values()), ids=list(COPIED_WIDE_CONVS)
+    )
+    def test_other_wide_convs_copy_one_slab(self, monkeypatch, case):
+        case = _conv_case(*case)
+        got, gemms = _gemms(monkeypatch, *case)
+        w = case[1]
+        assert gemms == [(prod(got.shape[1:]), None)] * prod(w.shape[2:])
+        assert got.tobytes() == conv_nd_untiled(*case).tobytes()
+
+    def test_no_patch_buffer(self):
+        """The desk fusion conv holds its padded input, its accumulator
+        buffers and its output, but no copy of a tap: at most 1.75 times
+        its input's bytes above its start."""
+        x, w, b, dilation, stride = _conv_case(*WINDOW_CONVS["desk-fusion"])
+        _, peak = traced_peak(conv, x, w, b)
+        assert peak <= 1.75 * x.nbytes, f"{peak / 1e6:.2f} MB"
 
 
 # Every single-tap conv of a desk, wide and check-9 run (input, weight), as
@@ -714,35 +786,52 @@ class TestUpsample2x:
         assert got.tobytes() == upsample2x_strided_add(x, w, b).tobytes()
 
 
-# One wide-run branch conv in a fresh interpreter: OpenBLAS reads its
-# thread count once, when it loads.
+# One conv in a fresh interpreter: OpenBLAS reads its thread count once,
+# when it loads.
 _THREAD_CHILD = """
 import hashlib
 import numpy as np
 from occkit.tensor import conv
 rng = np.random.default_rng(7)
-x = rng.standard_normal((32, 100, 100, 8)).astype(np.float32)
-w = rng.standard_normal((32, 32, 11, 11, 1)).astype(np.float32)
-y = conv(x, w, dilation=(1, 1, 1), stride=(1, 1, 1))
+x = rng.standard_normal({x_shape}).astype(np.float32)
+w = rng.standard_normal({w_shape}).astype(np.float32)
+y = conv(x, w)
 print(y.shape, hashlib.sha256(y.tobytes()).hexdigest())
 """
 
 
-def test_wide_branch_conv_independent_of_blas_threads():
-    """The 11x11x1 branch conv of a wide run, whose one-row slabs read taps
-    in place, gives the same bytes with one and two BLAS threads."""
+def _conv_at_one_and_two_threads(x_shape, w_shape):
+    """The output shape and sha256 of a seeded conv, printed by a fresh
+    interpreter with one and then two OpenBLAS threads."""
+    program = _THREAD_CHILD.format(x_shape=x_shape, w_shape=w_shape)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         child = subprocess.run(
-            [sys.executable, "-c", _THREAD_CHILD],
+            [sys.executable, "-c", program],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert child.returncode == 0, child.stderr
         outs.append(child.stdout)
+    return outs
+
+
+def test_wide_branch_conv_independent_of_blas_threads():
+    """The 11x11x1 branch conv of a wide run, whose one-row slabs read taps
+    in place, gives the same bytes with one and two BLAS threads."""
+    outs = _conv_at_one_and_two_threads((32, 100, 100, 8), (32, 32, 11, 11, 1))
     assert outs[0].startswith("(32, 100, 100, 8) ")
+    assert outs[0] == outs[1]
+
+
+def test_fusion_conv_independent_of_blas_threads():
+    """The desk fusion conv, whose K = 512 GEMMs over padded windows are the
+    only pipeline GEMMs large enough for OpenBLAS to split between threads,
+    gives the same bytes with one and two BLAS threads."""
+    outs = _conv_at_one_and_two_threads((512, 48, 48), (32, 512, 3, 3))
+    assert outs[0].startswith("(32, 48, 48) ")
     assert outs[0] == outs[1]
 
 
