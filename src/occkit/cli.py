@@ -42,7 +42,7 @@ def _cmd_gen_scene(args) -> int:
     print(f"scene written to {args.out}")
     print(
         f"  frames={bundle.n_frames} cameras={bundle.spec.n_cameras} "
-        f"grid={bundle.grid.counts} boxes={bundle.spec.n_boxes}"
+        f"grid={bundle.spec.grid.counts} boxes={bundle.spec.n_boxes}"
     )
     print(f"  frame-0 occupied fraction: {occupied:.4f}")
     print(f"  generated in {gen_s:.4f} s")

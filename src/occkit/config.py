@@ -27,7 +27,7 @@ class PipelineConfig:
     grid: GridSpec
     depth_bins: int = 16
     d_min: float = 1.0
-    d_max: float = 25.0
+    d_max: float = SceneSpec.d_max
     queue_len: int = 15
     channels: int = 32
     refined_channels: int = 32
@@ -37,14 +37,14 @@ class PipelineConfig:
     depth_provider: str = "gt"
     scene_seed: int = 7
     scene_frames: int = 16
-    scene_boxes: int = 8
-    scene_cameras: int = 2
-    scene_image: tuple[int, int] = (256, 704)
-    scene_features: tuple[int, int] = (16, 44)
-    scene_focal: float = 352.0
-    scene_march_step: float = 0.1
-    scene_speed: float = 0.4
-    scene_yaw_rate: float = 0.0
+    scene_boxes: int = SceneSpec.n_boxes
+    scene_cameras: int = SceneSpec.n_cameras
+    scene_image: tuple[int, int] = SceneSpec.image_size
+    scene_features: tuple[int, int] = SceneSpec.feature_size
+    scene_focal: float = SceneSpec.focal
+    scene_march_step: float = SceneSpec.march_step
+    scene_speed: float = SceneSpec.speed
+    scene_yaw_rate: float = SceneSpec.yaw_rate
 
     def __post_init__(self):
         branch_entries = [n for ext, dil in self.branches or () for n in ext + dil]

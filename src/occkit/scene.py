@@ -100,7 +100,6 @@ class SceneSpec:
     march_step: float = 0.1
     speed: float = 0.4
     yaw_rate: float = 0.0
-    boxes: tuple[BoxObstacle, ...] | None = None
 
     def __post_init__(self):
         if self.n_frames < 1:
@@ -109,8 +108,6 @@ class SceneSpec:
             raise ValueError(f"n_boxes must be >= 0, got {self.n_boxes}")
         if self.march_step <= 0 or self.d_max <= 0:
             raise ValueError("march_step and d_max must be positive")
-        if self.boxes is not None:
-            object.__setattr__(self, "boxes", tuple(self.boxes))
 
     def cameras(self) -> list[CameraParams]:
         return camera_ring(
@@ -128,27 +125,33 @@ class SceneSpec:
         return out
 
     def resolve_boxes(self) -> tuple[BoxObstacle, ...]:
-        """Explicit boxes, or seeded random ones that fit the frame-0 grid."""
-        if self.boxes is not None:
-            self._check_boxes(self.boxes)
-            return self.boxes
+        """Seeded random boxes inside the frame-0 grid: each centre is drawn
+        from the grid shrunk by half the box. A grid too small for a drawn
+        box is an error naming both, raised before the draw it would fail."""
         rng = rng_named(self.seed, "scene/boxes")
         lo = np.array(self.grid.start)
         hi = np.array(self.grid.end)
-        z_span = hi[2] - lo[2]
+        span = hi - lo
+        grid = f"grid {self.grid.start}..{self.grid.end}"
         boxes = []
         for _ in range(self.n_boxes):
             size_xy = rng.uniform(0.8, 3.2, size=2)
-            size_z = rng.uniform(0.8, min(2.4, z_span))
+            box = f"{size_xy[0]:.2f} x {size_xy[1]:.2f} m box"
+            if span[2] < 0.8:
+                raise ValueError(f"{grid} is {span[2]:.2f} m tall, too low for a {box}")
+            size_z = rng.uniform(0.8, min(2.4, span[2]))
             margin = np.array([size_xy[0], size_xy[1], size_z]) * 0.5
+            if (lo[:2] + margin[:2] > hi[:2] - margin[:2]).any():
+                raise ValueError(
+                    f"{grid} is {span[0]:.2f} x {span[1]:.2f} m, too small for a {box}"
+                )
             # keep a clear bubble around the ego so cameras never start
             # inside an obstacle; the centre range's farthest corner says
             # whether any centre clears it
             reach = np.maximum(np.abs(lo[:2] + margin[:2]), np.abs(hi[:2] - margin[:2]))
             if np.hypot(*reach) <= 3.0:
                 raise ValueError(
-                    f"grid {self.grid.start}..{self.grid.end} has no room for a "
-                    f"{size_xy[0]:.2f} x {size_xy[1]:.2f} m box outside the 3 m "
+                    f"{grid} has no room for a {box} outside the 3 m "
                     f"bubble around the ego"
                 )
             while True:
@@ -161,26 +164,14 @@ class SceneSpec:
             boxes.append(
                 BoxObstacle((cx, cy, cz), (size_xy[0], size_xy[1], size_z), cls)
             )
-        boxes = tuple(boxes)
-        self._check_boxes(boxes)
-        return boxes
-
-    def _check_boxes(self, boxes) -> None:
-        lo = np.array(self.grid.start)
-        hi = np.array(self.grid.end)
-        for b in boxes:
-            if (b.lo < lo - 1e-9).any() or (b.hi > hi + 1e-9).any():
-                raise ValueError(
-                    f"box at {b.center} size {b.size} lies outside grid range"
-                )
+        return tuple(boxes)
 
 
 @dataclass
 class SceneBundle:
     """Generated scene: per-frame class grids, visibility masks, depth maps,
-    and ego poses, plus the geometry needed to replay it."""
+    and ego poses, plus the spec that made them, whose grid they are on."""
 
-    grid: GridSpec
     occupancy: np.ndarray  # (T, X, Y, Z) uint8 class ids
     visible: np.ndarray  # (T, X, Y, Z) uint8 0/1
     depth: np.ndarray  # (T, N_c, H_F, W_F) float32, -1 where no hit
@@ -221,8 +212,10 @@ def _rasterize(
     for b in boxes:
         corners = np.array(list(product(*zip(b.lo, b.hi))))
         ego = corners @ to_ego.rotation.T + to_ego.translation
-        (lo, hi), _ = grid.voxel_index(np.stack([ego.min(axis=0), ego.max(axis=0)]))
-        lo, hi = np.clip(lo - 1, 0, counts), np.clip(hi + 2, 0, counts)
+        # axis_index is monotone, so the corners' extreme indices bound the box
+        idx = np.stack([grid.axis_index(ego[:, a], a) for a in range(3)], axis=1)
+        lo = np.clip(idx.min(axis=0) - 1, 0, counts)
+        hi = np.clip(idx.max(axis=0) + 2, 0, counts)
         cols = np.stack(
             np.meshgrid(cx[lo[0]:hi[0]], cy[lo[1]:hi[1]], cz, indexing="ij"), axis=-1
         )
@@ -372,7 +365,7 @@ def gen_scene(spec: SceneSpec) -> SceneBundle:
         depth[t] = d
         pose_mats[t] = poses[t].matrix()
 
-    return SceneBundle(spec.grid, occupancy, visible, depth, pose_mats, spec)
+    return SceneBundle(occupancy, visible, depth, pose_mats, spec)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -507,4 +500,4 @@ def load_scene(scene_dir: str) -> SceneBundle:
             raise ValueError(
                 f"scene poses {poses_path}: frame {t} must be a rotation about z"
             ) from None
-    return SceneBundle(grid, occupancy, visible, depth, poses, spec)
+    return SceneBundle(occupancy, visible, depth, poses, spec)

@@ -24,11 +24,13 @@ multiply-adds, where OpenBLAS runs its faster small-matrix kernel, and the
 working buffers stay in cache. Each output element still sums its taps in
 the same order. Every slab but the last spans a multiple of 16 columns (see
 ``slab_rows``), which keeps the logits byte-identical to running each GEMM
-over the whole output at once. A conv starts each slab's accumulator with
-its first tap's GEMM and adds the bias (or 0.0) on the way into the output,
-and ``upsample2x`` adds its bias to each contiguous block GEMM before one
-strided copy per block: the bytes of a zero-filled accumulator or a strided
-add, in fewer passes.
+over the whole output at once, except in a conv with one output channel,
+whose BLAS vector-matrix products round by column count and operand layout
+(no desk, wide or check-9 conv has one). A conv starts each slab's
+accumulator with its first tap's GEMM and adds the bias (or 0.0) on the way
+into the output, and ``upsample2x`` adds its bias to each contiguous block
+GEMM before one strided copy per block: the bytes of a zero-filled
+accumulator or a strided add, in fewer passes.
 
 A conv with more than 256 input channels runs as one slab. With unit
 stride it reads each tap as a window, not a copy: its accumulator rows span
@@ -145,7 +147,8 @@ def conv(
     unpadded z, and is copied into a patch otherwise. A pointwise conv is
     flattened to one axis first, so its slabs are cut by columns. Slab
     boundaries fall on multiples of 16 columns, which keeps the result
-    byte-identical to one GEMM per tap over the whole output. A strided
+    byte-identical to one GEMM per tap over the whole output, unless
+    ``C_out`` is 1 (see the module docstring). A strided
     conv, or one with more than 256 input channels, runs as one slab, since
     tiling either changed low bits. A conv with more than 256 input
     channels and unit stride reads each tap as a column window of its
@@ -288,9 +291,7 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def upsample2x(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
+def upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-2, kernel-2 transpose convolution: doubles every spatial extent
     of (C_in, *spatial) exactly. weight layout (C_in, C_out, 2, ..., 2), one
     2 per spatial axis of ``x``; bias (C_out,), in the input's dtype.
@@ -321,8 +322,7 @@ def upsample2x(
     y = np.empty((c_out, x2.shape[1]), dtype=x.dtype)
     for block in np.ndindex(*(2,) * rank):
         np.matmul(w_blocks[(slice(None),) + block].T, x2, out=y)
-        if bias is not None:
-            y += bias[:, None]
+        y += bias[:, None]
         out[(slice(None),) + tuple(slice(o, None, 2) for o in block)] = y.reshape(
             (c_out,) + sp
         )

@@ -57,7 +57,7 @@ class GridSpec:
         idx = np.arange(self.counts[axis], dtype=np.float64)
         return self.start[axis] + (idx + 0.5) * size
 
-    def _axis_index(self, coords: np.ndarray, axis: int) -> np.ndarray:
+    def axis_index(self, coords: np.ndarray, axis: int) -> np.ndarray:
         """Unclipped int64 voxel index of metric coordinates along one axis.
         Cells are half-open [lo, hi), so a coordinate on a shared face
         belongs to the higher-index voxel."""
@@ -65,20 +65,14 @@ class GridSpec:
         size = self.voxel_size[axis]
         return np.floor((coords - self.start[axis]) / size).astype(np.int64)
 
-    def voxel_index(self, points: np.ndarray):
-        """Voxel of each metric point (..., 3): ``(idx, inside)``, the int64
-        (..., 3) index and whether it lies in the grid; ``idx`` is unclipped
-        outside the grid."""
-        idx = np.stack([self._axis_index(points[..., a], a) for a in range(3)], axis=-1)
-        return idx, ((idx >= 0) & (idx < np.array(self.counts))).all(axis=-1)
-
     def flat_index(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         """C-order flat voxel index of each point given per axis:
-        ``(flat, inside)``, by the same rule as ``voxel_index``. ``flat`` is
-        meaningful only where ``inside``."""
+        ``(flat, inside)``, with each axis's index from ``axis_index`` and
+        ``inside`` where all three lie in the grid. ``flat`` is meaningful
+        only where ``inside``."""
         flat, inside = 0, True
         for a, (coords, n) in enumerate(zip((x, y, z), self.counts)):
-            i = self._axis_index(coords, a)
+            i = self.axis_index(coords, a)
             inside = inside & (i >= 0) & (i < n)
             flat = flat * n + i
         return flat, inside

@@ -1,15 +1,17 @@
 """Helpers shared by the test modules: a dtype cast for weight dataclasses,
-the identity ego pose, convolution oracles that run on an input the caller
-has already padded, and a call's peak traced memory."""
+the identity ego pose, scenes with boxes placed by hand, the voxel of a
+point, convolution oracles that run on an input the caller has already
+padded, and a call's peak traced memory."""
 
 import tracemalloc
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import product
 from math import prod
 
 import numpy as np
 
 from occkit.bev import EgoPose
+from occkit.scene import BoxObstacle, SceneSpec
 
 
 def cast(weights, dtype):
@@ -30,6 +32,25 @@ def cast(weights, dtype):
 
 def identity_pose() -> EgoPose:
     return EgoPose(np.eye(3), np.zeros(3))
+
+
+@dataclass(frozen=True)
+class PlacedSceneSpec(SceneSpec):
+    """A scene spec whose boxes are given, not seeded; nothing checks that
+    they lie in the grid."""
+
+    boxes: tuple[BoxObstacle, ...] = ()
+
+    def resolve_boxes(self) -> tuple[BoxObstacle, ...]:
+        return self.boxes
+
+
+def voxel_index(grid, points):
+    """Voxel of each metric point (..., 3), one ``GridSpec.axis_index`` per
+    axis: ``(idx, inside)``, the int64 (..., 3) index, unclipped outside the
+    grid, and whether it lies in the grid."""
+    idx = np.stack([grid.axis_index(points[..., a], a) for a in range(3)], axis=-1)
+    return idx, ((idx >= 0) & (idx < np.array(grid.counts))).all(axis=-1)
 
 
 def traced_peak(fn, *args, **kw):
@@ -85,13 +106,15 @@ def conv_untiled(xp, weight, bias, dilation, stride):
     """Cross-correlation of an already padded ``xp`` as the conv ran before
     slab tiling: a zero-filled accumulator, one copy, GEMM and add per tap
     over the whole output at once, then the bias. The tiled ``conv``
-    runs the same taps in the same order on each output element, so it must
-    match this byte for byte."""
+    runs the same taps in the same order on each output element, so with
+    more than one output channel it must match this byte for byte."""
     c_out, c_in = weight.shape[:2]
     kernel = weight.shape[2:]
     out_sp = _unpadded_extents(xp, kernel, dilation, stride)
     n_out = prod(out_sp)
-    w2 = np.ascontiguousarray(weight.reshape(c_out, c_in, -1))
+    # (taps, C_out, C_in): each tap's weight is one contiguous matrix, as
+    # ``conv`` passes it to BLAS
+    w_taps = np.ascontiguousarray(np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0))
     acc = np.zeros((c_out, n_out), dtype=xp.dtype)
     patch = np.empty((c_in, n_out), dtype=xp.dtype)
     tmp = np.empty((c_out, n_out), dtype=xp.dtype)
@@ -102,7 +125,7 @@ def conv_untiled(xp, weight, bias, dilation, stride):
             for t, d, s, o in zip(tap, dilation, stride, out_sp)
         )
         np.copyto(patch_nd, xp[(slice(None),) + sl])
-        np.matmul(w2[:, :, tap_idx], patch, out=tmp)
+        np.matmul(w_taps[tap_idx], patch, out=tmp)
         acc += tmp
     if bias is not None:
         acc += bias[:, None]

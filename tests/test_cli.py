@@ -90,6 +90,26 @@ class TestGenScene:
         assert err.startswith("error: [scene] features")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("start = -8, -8, -1.0\nend = 8, 8, -0.5\ncounts = 32, 32, 2",
+             "grid (-8.0, -8.0, -1.0)..(8.0, 8.0, -0.5) is 0.50 m tall, too low for a"),
+            ("start = -1, -20, -1.0\nend = 1, 20, 2.2\ncounts = 8, 80, 8",
+             "grid (-1.0, -20.0, -1.0)..(1.0, 20.0, 2.2) is 2.00 x 40.00 m, too small for a"),
+        ],
+        ids=["low", "narrow"],
+    )
+    def test_grid_too_small_for_a_box(self, tmp_path, capsys, grid, message):
+        """The default scene's seeded boxes do not fit the grid: one error
+        line naming it, exit 1."""
+        p = tmp_path / "small.cfg"
+        p.write_text(f"[grid]\n{grid}\n")
+        rc = main(["gen-scene", "--config", str(p), "--out", str(tmp_path / "s")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("message", ["Unable to allocate 186. GiB", ""])
     def test_out_of_memory_reports_error(self, tmp_path, config_path, capsys,
                                          monkeypatch, message):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from occkit.config import _KEYS, ConfigError, PipelineConfig, default_config, parse_config
+from occkit.scene import SceneSpec
 from occkit.view import GridSpec
 
 
@@ -43,6 +44,12 @@ class TestDefaults:
         assert spec.d_max == cfg.d_max
         assert spec.grid == cfg.grid
         assert spec.n_frames == cfg.scene_frames
+
+    def test_scene_defaults_are_scene_specs(self):
+        """Past its seed, frame count and grid, the default scene is
+        ``SceneSpec``'s own default one."""
+        cfg = default_config()
+        assert cfg.scene_spec() == SceneSpec(seed=7, grid=cfg.grid, n_frames=16)
 
 
 class TestParsing:

@@ -25,7 +25,7 @@ from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv, slab_rows, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
-from support import cast, traced_peak
+from support import PlacedSceneSpec, cast, traced_peak
 from test_acceptance import GATE_CONFIG
 
 STAGES = (
@@ -142,8 +142,8 @@ class TestRunPipeline:
         # a box dead ahead guarantees some pixels carry trusted depth, so the
         # blend weight reaches the lifted volume
         config = small_config(depth_provider="stub")
-        spec = dataclasses.replace(
-            config.scene_spec(),
+        spec = PlacedSceneSpec(
+            **vars(config.scene_spec()),
             boxes=(BoxObstacle((5.0, 0.0, 0.0), (2.0, 3.0, 2.0), cls=4),),
         )
         scene = gen_scene(spec)

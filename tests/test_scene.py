@@ -28,6 +28,7 @@ from occkit.scene import (
     save_scene,
 )
 from occkit.view import CameraParams, GridSpec
+from support import PlacedSceneSpec, voxel_index
 
 # exact binary grid: 0.5 m voxels, so aligned box faces voxelize losslessly
 ALIGNED_GRID = GridSpec((-16.0, -16.0, -1.0), (16.0, 16.0, 3.0), (64, 64, 8))
@@ -35,7 +36,7 @@ FULL_HEIGHT_BOX = BoxObstacle(center=(6.0, 0.0, 1.0), size=(4.0, 4.0, 4.0), cls=
 
 
 def one_box_spec(n_frames=1, speed=0.0, **kw):
-    return SceneSpec(
+    return PlacedSceneSpec(
         seed=0,
         grid=ALIGNED_GRID,
         n_frames=n_frames,
@@ -97,6 +98,22 @@ class TestCameraRing:
             camera_ring(0, (16, 16), (8, 8), focal=16.0)
 
 
+@st.composite
+def box_grids(draw):
+    """Grids from too small for any box to roomy: one horizontal axis and
+    the height span freely from 0.3 m, the other horizontal axis at least
+    8 m to each side of the ego, so that most boxes that fit the grid also
+    have room outside the 3 m bubble."""
+    free = draw(st.integers(0, 1))
+    start, end = [0.0] * 3, [0.0] * 3
+    start[free] = draw(st.floats(-20, 5))
+    end[free] = start[free] + draw(st.floats(0.3, 25))
+    start[1 - free], end[1 - free] = -draw(st.floats(8, 20)), draw(st.floats(8, 20))
+    start[2] = draw(st.floats(-2, 1))
+    end[2] = start[2] + draw(st.floats(0.3, 4))
+    return GridSpec(start, end, (4, 4, 2))
+
+
 class TestSceneSpec:
     def test_poses_advance_linearly(self):
         spec = one_box_spec(n_frames=4, speed=0.5)
@@ -120,11 +137,22 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="no room"):
             SceneSpec(seed=0, grid=grid, n_frames=1, n_boxes=1).resolve_boxes()
 
-    def test_explicit_box_outside_grid_rejected(self):
-        bad = BoxObstacle((30.0, 0.0, 0.0), (2.0, 2.0, 1.0), cls=1)
-        spec = SceneSpec(seed=0, grid=ALIGNED_GRID, n_frames=1, boxes=(bad,))
-        with pytest.raises(ValueError, match="outside grid"):
-            gen_scene(spec)
+    @settings(max_examples=100, deadline=None)
+    @given(grid=box_grids(), seed=st.integers(0, 2**16), n_boxes=st.integers(1, 8))
+    def test_seeded_boxes_lie_in_the_grid(self, grid, seed, n_boxes):
+        """Whenever seeded boxes are returned they lie in the grid within
+        1e-9, and a grid too small for one is an error that names the grid,
+        not numpy's."""
+        spec = SceneSpec(seed=seed, grid=grid, n_frames=1, n_boxes=n_boxes)
+        try:
+            boxes = spec.resolve_boxes()
+        except ValueError as e:
+            assert str(e).startswith(f"grid {grid.start}..{grid.end} ")
+            return
+        assert len(boxes) == n_boxes
+        for b in boxes:
+            assert (b.lo >= np.array(grid.start) - 1e-9).all()
+            assert (b.hi <= np.array(grid.end) + 1e-9).all()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="n_frames"):
@@ -363,7 +391,7 @@ def _box_region(box, grid, pose):
     to_ego = pose.inverse()
     corners = np.array(list(product(*zip(box.lo, box.hi))))
     ego = corners @ to_ego.rotation.T + to_ego.translation
-    (lo, hi), _ = grid.voxel_index(np.stack([ego.min(axis=0), ego.max(axis=0)]))
+    (lo, hi), _ = voxel_index(grid, np.stack([ego.min(axis=0), ego.max(axis=0)]))
     counts = np.array(grid.counts)
     return np.clip(lo - 1, 0, counts), np.clip(hi + 2, 0, counts)
 
@@ -435,8 +463,8 @@ class TestSaveLoad:
         np.testing.assert_array_equal(loaded.poses, bundle.poses)
         assert loaded.spec.seed == 5
         assert loaded.spec.feature_size == (4, 4)
-        assert loaded.grid.counts == (32, 32, 4)
-        np.testing.assert_allclose(loaded.grid.start, spec.grid.start)
+        assert loaded.spec.grid.counts == (32, 32, 4)
+        np.testing.assert_allclose(loaded.spec.grid.start, spec.grid.start)
         assert loaded.spec.speed == 0.25
 
     def test_load_rejects_tampered_shapes(self, tmp_path):
@@ -508,7 +536,7 @@ def test_manifest_matches_fstring_writer(tmp_path, spec):
     """The key-table writer's manifest is byte-equal to the f-string one."""
     empty = np.zeros((1, 1, 1, 1), dtype=np.uint8)
     bundle = SceneBundle(
-        spec.grid, empty, empty, np.zeros((1, 1, 1, 1), np.float32), np.eye(4)[None], spec
+        empty, empty, np.zeros((1, 1, 1, 1), np.float32), np.eye(4)[None], spec
     )
     save_scene(bundle, str(tmp_path))
     assert (tmp_path / "manifest.txt").read_bytes() == manifest_fstrings(spec).encode()
@@ -529,7 +557,7 @@ def march_stepwise(occ, grid, cams, d_max, step):
     dirs = np.concatenate(dirs)
 
     def lookup(points):
-        idx, inside = grid.voxel_index(points)
+        idx, inside = voxel_index(grid, points)
         ijk = tuple(idx[inside].T)
         hit = np.zeros(len(points), dtype=bool)
         hit[inside] = occ[ijk] != EMPTY_CLASS
@@ -684,7 +712,7 @@ class TestClippedMarch:
              for cam in cams]
         )
         assert (dirs == 0).any() and step > max(grid.voxel_size)
-        _, inside = grid.voxel_index(np.array([cam.translation for cam in cams]))
+        _, inside = voxel_index(grid, np.array([cam.translation for cam in cams]))
         assert not inside.any()
         depth, visible = _march_frame(occ, MarchPlan.build(grid, cams, d_max, step))
         assert (depth == -1).any() and (depth > 0).any() and visible.any()
@@ -771,7 +799,7 @@ def test_gen_scene_byte_deterministic(spec):
 @st.composite
 def yawed_specs(draw):
     """Small scenes whose ego turns and moves every frame, on grids down to
-    one voxel along any axis, with explicit boxes anywhere in the grid."""
+    one voxel along any axis, with boxes placed anywhere in the grid."""
     vsize = draw(st.tuples(*[st.sampled_from([0.25, 0.4, 0.5, 0.7])] * 3))
     counts = draw(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4)))
     # the grid's z span holds the rig's 1.5 m camera height, so most rays
@@ -785,7 +813,7 @@ def yawed_specs(draw):
         lo = [s + draw(st.floats(0.0, 1.0)) * (e - s - w) for s, e, w in zip(start, end, size)]
         center = [l + w / 2 for l, w in zip(lo, size)]
         boxes.append(BoxObstacle(center, size, draw(st.integers(1, EMPTY_CLASS - 1))))
-    return SceneSpec(
+    return PlacedSceneSpec(
         seed=0,
         grid=GridSpec(start, end, counts),
         n_frames=draw(st.integers(2, 4)),

@@ -50,8 +50,7 @@ def upsample2x_interleaved(x, weight, bias, rank):
     else:
         y = y.reshape((c_out, 2, 2) + sp).transpose(0, 3, 1, 4, 2)
     y = np.ascontiguousarray(y).reshape((c_out,) + tuple(2 * n for n in sp))
-    if bias is not None:
-        y += bias.reshape((c_out,) + (1,) * rank)
+    y += bias.reshape((c_out,) + (1,) * rank)
     return y
 
 
@@ -69,10 +68,7 @@ def upsample2x_strided_add(x, weight, bias):
     for block in np.ndindex(*(2,) * rank):
         y = np.matmul(w_blocks[(slice(None),) + block].T, x2).reshape((c_out,) + sp)
         dst = out[(slice(None),) + tuple(slice(o, None, 2) for o in block)]
-        if bias is None:
-            dst[...] = y
-        else:
-            np.add(y, bias.reshape((c_out,) + (1,) * rank), out=dst)
+        np.add(y, bias.reshape((c_out,) + (1,) * rank), out=dst)
     return out
 
 
@@ -500,6 +496,50 @@ class TestWindowRead:
         assert gemms == [(prod(got.shape[1:]), None)] * prod(w.shape[2:])
         assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [True, False], ids=["window", "one-slab"])
+    def test_matches_untiled_oracle(self, window, dtype, data):
+        """Random convs with 257-399 input channels and at least two output
+        channels, on the window path or copied as one slab, give the bytes
+        of the untiled oracle. One output channel is the exception (see
+        ``conv``), so none is drawn."""
+        rank = data.draw(st.integers(2, 3))
+        c_in = data.draw(st.integers(257, 399))
+        # a 1x1 conv reads its input in place, with no window to take
+        kernel = data.draw(st.tuples(*[st.integers(1, 3)] * rank).filter(
+            lambda k: window <= (max(k) > 1)))
+        dilation = data.draw(st.tuples(*[st.integers(1, 2)] * rank))
+        if window:
+            # rows of 8 keep both column counts multiples of 8, and enough
+            # output channels take the GEMM over the small-matrix cutoff
+            trailing = (st.integers(16, 48),) if rank == 2 else (
+                st.integers(4, 16), st.integers(2, 4))
+            sp = (8 * data.draw(st.integers(1, 4)),) + data.draw(st.tuples(*trailing))
+            stride = (1,) * rank
+            least = max(2, SMALL_GEMM_MACS // (c_in * prod(sp)) + 1)
+            c_out = data.draw(st.integers(least, least + 8))
+        else:
+            # at most 1,000 outputs keep even two output channels' GEMM
+            # under the cutoff, so no conv drawn here reads windows
+            sp = data.draw(st.tuples(*[st.integers(1, 12 if rank == 2 else 10)] * rank))
+            stride = data.draw(st.tuples(*[st.integers(1, 2)] * rank))
+            macs = c_in * prod(sp)  # per output channel at unit stride
+            c_out = data.draw(st.integers(2, max(2, min(16, SMALL_GEMM_MACS // macs))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.standard_normal((c_in,) + sp).astype(dtype)
+        w = rng.standard_normal((c_out, c_in) + kernel).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype) if data.draw(st.booleans()) else None
+        with pytest.MonkeyPatch.context() as mp:
+            got, gemms = _gemms(mp, x, w, b, dilation, stride)
+        if window:
+            cols = got.shape[1] * _padded_row(got.shape[2:], kernel[1:], dilation[1:])
+            assert gemms == [(cols, "padded")] * prod(kernel)
+        else:
+            assert [c for c, _ in gemms] == [prod(got.shape[1:])] * prod(kernel)
+        assert got.tobytes() == conv_nd_untiled(x, w, b, dilation, stride).tobytes()
+
     def test_no_patch_buffer(self):
         """The desk fusion conv holds its padded input, its accumulator
         buffers and its output, but no copy of a tap: at most 1.75 times
@@ -684,13 +724,13 @@ class TestUpsample2x:
     def test_extents_double(self):
         x = np.zeros((1, 100, 100, 8), dtype=np.float32)
         w = np.zeros((1, 1, 2, 2, 2), dtype=np.float32)
-        assert upsample2x(x, w).shape == (1, 200, 200, 16)
+        assert upsample2x(x, w, np.zeros(1, np.float32)).shape == (1, 200, 200, 16)
 
     def test_constant_input_all_ones_kernel(self):
         x = np.full((1, 3, 3, 3), 4.0)
         w = np.ones((1, 1, 2, 2, 2))
         np.testing.assert_array_equal(
-            upsample2x(x, w), np.full((1, 6, 6, 6), 4.0)
+            upsample2x(x, w, np.zeros(1)), np.full((1, 6, 6, 6), 4.0)
         )
 
     def test_block_expansion_oracle_3d(self):
@@ -727,12 +767,14 @@ class TestUpsample2x:
                                 want[o, 2 * xx + a, 2 * yy + bb] += (
                                     x[i, xx, yy] * w[i, o, a, bb]
                                 )
-        np.testing.assert_allclose(upsample2x(x, w), want, atol=1e-12)
+        np.testing.assert_allclose(upsample2x(x, w, np.zeros(4)), want, atol=1e-12)
 
     def test_rejects_wrong_kernel(self):
         x = np.zeros((1, 4, 4, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="extents"):
-            upsample2x(x, np.zeros((1, 1, 3, 3, 3), dtype=np.float32))
+            upsample2x(
+                x, np.zeros((1, 1, 3, 3, 3), dtype=np.float32), np.zeros(1, np.float32)
+            )
 
     def test_rejects_bias_of_other_dtype(self):
         x = np.zeros((2, 4, 4), dtype=np.float32)
@@ -752,7 +794,7 @@ class TestUpsample2x:
         with pytest.raises(ValueError, match=r"bias must have shape \(3,\), got \(4,\)"):
             upsample2x(x, w, np.zeros(4, dtype=np.float32))
 
-    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "zero-bias"])
     @pytest.mark.parametrize(
         "shape", list(UPSAMPLE_INPUTS.values()), ids=list(UPSAMPLE_INPUTS)
     )
@@ -763,7 +805,7 @@ class TestUpsample2x:
         rng = np.random.default_rng(prod(shape))
         x = rng.standard_normal(shape).astype(np.float32)
         w = rng.standard_normal((shape[0], shape[0]) + (2,) * rank).astype(np.float32)
-        b = rng.standard_normal(shape[0]).astype(np.float32) if bias else None
+        b = (rng.standard_normal(shape[0]) if bias else np.zeros(shape[0])).astype(np.float32)
         got = upsample2x(x, w, b)
         want = upsample2x_interleaved(x, w, b, rank)
         assert got.shape == want.shape and got.dtype == want.dtype

@@ -19,6 +19,7 @@ from occkit.view import (
     lift_splat,
     sparsity_ratio,
 )
+from support import voxel_index
 
 
 def image_to_feature(cam, u_img, v_img):
@@ -105,7 +106,7 @@ def lift_masked(features, depth, centers, cams, grid):
     out = np.zeros((n_ch, n_vox), dtype=np.float64)
     for i in range(n_c):
         pts = frustum_points(cams[i], centers)
-        idx, ok = grid.voxel_index(pts)
+        idx, ok = voxel_index(grid, pts)
         flat = (
             idx[..., 0] * (counts[1] * counts[2])
             + idx[..., 1] * counts[2]
@@ -149,10 +150,11 @@ class TestGridSpec:
         faces=st.lists(st.tuples(*[st.integers(-3, 15)] * 3), min_size=1, max_size=8),
         seed=st.integers(0, 2**16),
     )
-    def test_voxel_index_matches_inline_oracle(self, start, size, counts, faces, seed):
+    def test_axis_index_matches_inline_oracle(self, start, size, counts, faces, seed):
         """Points on voxel faces, outside the grid and at negative
-        coordinates index exactly as the inline expression that
-        ``voxel_index`` replaced at each call site."""
+        coordinates index exactly as the inline expression that the
+        per-axis lookup replaced at each call site, and ``flat_index``
+        finds them inside exactly where that expression does."""
         end = tuple(s + c * v for s, c, v in zip(start, counts, size))
         grid = GridSpec(start, end, counts)
         vsize = np.array(grid.voxel_size)
@@ -164,7 +166,8 @@ class TestGridSpec:
         for pts in (on_faces, scattered):
             idx = np.floor((pts - np.array(grid.start)) / vsize).astype(np.int64)
             inside = ((idx >= 0) & (idx < np.array(grid.counts))).all(axis=-1)
-            got_idx, got_inside = grid.voxel_index(pts)
+            got_idx = np.stack([grid.axis_index(pts[..., a], a) for a in range(3)], axis=-1)
+            _, got_inside = grid.flat_index(*np.moveaxis(pts, -1, 0))
             assert got_idx.dtype == np.int64 and got_idx.shape == pts.shape
             np.testing.assert_array_equal(got_idx, idx)
             np.testing.assert_array_equal(got_inside, inside)
@@ -177,10 +180,10 @@ class TestGridSpec:
         faces=st.lists(st.tuples(*[st.integers(-3, 15)] * 3), min_size=1, max_size=8),
         seed=st.integers(0, 2**16),
     )
-    def test_flat_index_is_raveled_voxel_index(self, start, size, counts, faces, seed):
+    def test_flat_index_is_raveled_axis_index(self, start, size, counts, faces, seed):
         """On voxel faces, on the grid's end face and outside the grid, the
-        flat lookup has ``voxel_index``'s in-grid mask and, where inside,
-        its C-order raveled index."""
+        flat lookup is inside where every axis index is in range and,
+        there, the C-order raveled axis indices."""
         end = tuple(s + c * v for s, c, v in zip(start, counts, size))
         grid = GridSpec(start, end, counts)
         vsize = np.array(grid.voxel_size)
@@ -192,17 +195,20 @@ class TestGridSpec:
         )
         for pts in (on_faces, on_end, scattered):
             flat, inside = grid.flat_index(*np.moveaxis(pts, -1, 0))
-            idx, want = grid.voxel_index(pts)
+            idx = np.stack([grid.axis_index(pts[..., a], a) for a in range(3)], axis=-1)
+            want = ((idx >= 0) & (idx < np.array(grid.counts))).all(axis=-1)
             assert inside.tobytes() == want.tobytes()
             assert flat.dtype == np.int64 and flat.shape == pts.shape[:-1]
             np.testing.assert_array_equal(
                 flat[inside], np.ravel_multi_index(tuple(idx[inside].T), grid.counts)
             )
 
-    def test_voxel_index_faces_go_to_higher_index(self):
+    def test_axis_index_faces_go_to_higher_index(self):
         g = GridSpec((-2.0, -2.0, -1.0), (2.0, 2.0, 1.0), (8, 8, 4))  # 0.5 m voxels
         i = np.array([[-1, 0, 0], [0, 0, 0], [3, 7, 3], [8, 4, 2], [4, 4, 4]])
-        idx, inside = g.voxel_index(np.array(g.start) + 0.5 * i)
+        pts = np.array(g.start) + 0.5 * i
+        idx = np.stack([g.axis_index(pts[:, a], a) for a in range(3)], axis=-1)
+        _, inside = g.flat_index(*pts.T)
         np.testing.assert_array_equal(idx, i)
         np.testing.assert_array_equal(inside, [False, True, True, False, False])
 
@@ -605,7 +611,7 @@ class TestLiftPlan:
         assert plan.grid == grid
         assert plan.centers.tobytes() == centers.tobytes()
         for cam, inside, pixel, voxel in zip(cams, plan.inside, plan.pixel, plan.voxel):
-            idx, ok = grid.voxel_index(frustum_points(cam, centers))
+            idx, ok = voxel_index(grid, frustum_points(cam, centers))
             assert inside.tobytes() == ok.tobytes()
             assert pixel.shape == voxel.shape == (ok.sum(),)
             np.testing.assert_array_equal(np.unravel_index(voxel, grid.counts), idx[ok].T)
