@@ -21,6 +21,9 @@ from .evaluate import EMPTY_CLASS, N_CLASSES
 from .tensor import rng_named
 from .view import CameraParams, GridSpec
 
+# Centre draws in the ego's 3 m bubble after which a box has no room.
+CENTRE_TRIES = 1000
+
 
 @dataclass(frozen=True)
 class BoxObstacle:
@@ -126,8 +129,9 @@ class SceneSpec:
 
     def resolve_boxes(self) -> tuple[BoxObstacle, ...]:
         """Seeded random boxes inside the frame-0 grid: each centre is drawn
-        from the grid shrunk by half the box. A grid too small for a drawn
-        box is an error naming both, raised before the draw it would fail."""
+        from the grid shrunk by half the box, up to ``CENTRE_TRIES`` times
+        while it lies in the ego's bubble. A grid too small for a drawn box
+        is an error naming both, raised before the draw it would fail."""
         rng = rng_named(self.seed, "scene/boxes")
         lo = np.array(self.grid.start)
         hi = np.array(self.grid.end)
@@ -146,19 +150,17 @@ class SceneSpec:
                     f"{grid} is {span[0]:.2f} x {span[1]:.2f} m, too small for a {box}"
                 )
             # keep a clear bubble around the ego so cameras never start
-            # inside an obstacle; the centre range's farthest corner says
-            # whether any centre clears it
-            reach = np.maximum(np.abs(lo[:2] + margin[:2]), np.abs(hi[:2] - margin[:2]))
-            if np.hypot(*reach) <= 3.0:
-                raise ValueError(
-                    f"{grid} has no room for a {box} outside the 3 m "
-                    f"bubble around the ego"
-                )
-            while True:
+            # inside an obstacle
+            for _ in range(CENTRE_TRIES):
                 cx = rng.uniform(lo[0] + margin[0], hi[0] - margin[0])
                 cy = rng.uniform(lo[1] + margin[1], hi[1] - margin[1])
                 if np.hypot(cx, cy) > 3.0:
                     break
+            else:
+                raise ValueError(
+                    f"{grid} has no room for a {box} outside the 3 m "
+                    f"bubble around the ego"
+                )
             cz = lo[2] + size_z / 2
             cls = int(rng.integers(1, EMPTY_CLASS))
             boxes.append(

@@ -24,31 +24,35 @@ multiply-adds, where OpenBLAS runs its faster small-matrix kernel, and the
 working buffers stay in cache. Each output element still sums its taps in
 the same order. Every slab but the last spans a multiple of 16 columns (see
 ``slab_rows``), which keeps the logits byte-identical to running each GEMM
-over the whole output at once, except in a conv with one output channel,
-whose BLAS vector-matrix products round by column count and operand layout
-(no desk, wide or check-9 conv has one). A conv starts each slab's
-accumulator with its first tap's GEMM and adds the bias (or 0.0) on the way
-into the output, and ``upsample2x`` adds its bias to each contiguous block
-GEMM before one strided copy per block: the bytes of a zero-filled
-accumulator or a strided add, in fewer passes.
+over the whole output at once. A weight with one output channel gains a
+zero second row, so that every tap is a GEMM: a BLAS vector-matrix product
+rounds by column count, operand layout and thread count. A conv starts
+each slab's accumulator with its first tap's GEMM and adds the bias (or
+0.0) on the way into the output, and ``upsample2x`` adds its bias to each
+contiguous block GEMM before one strided copy per block: the bytes of a
+zero-filled accumulator or a strided add, in fewer passes.
 
-A conv with more than 256 input channels runs as one slab. With unit
-stride it reads each tap as a window, not a copy: its accumulator rows span
-the padded trailing extents, so a tap's right operand is the column window
-``[off, off + cols)`` of the padded input flattened to (C_in, columns),
-where ``off`` is the flat index of the tap's dilated offset. The pad gains
-one more zero row high on the first axis, where the last tap's window ends,
+A tap's right operand is a view where its slab is contiguous in the
+padded input: the column range ``[off, off + cols)`` of that input
+flattened to (C_in, columns), ``off`` being the flat index of the slab's
+first read. Otherwise the tap is copied into a patch. One-row slabs of
+kz=1 convs, pointwise convs (run as one flat axis) and window convs read
+views. A conv with more than 256 input channels runs as one slab, and with
+unit stride it is a window conv: its accumulator rows span the padded
+trailing extents, so that every tap's slab is contiguous. The pad gains
+one more zero row high on the first axis, where the last tap's range ends,
 and the final add reads only the columns inside the output. OpenBLAS's
 regular GEMM kernel gives a column the same bytes at any column count if it
 lies before the last multiple of 8, and its small-matrix kernel does not.
-So a conv reads windows only when its GEMM is over ``SMALL_GEMM_MACS`` and
-both its output's and its windows' column counts are multiples of 8, and
-otherwise copies each tap into a patch.
+So a conv is a window conv only when its GEMM is over ``SMALL_GEMM_MACS``
+and both its output's and its accumulator's column counts are multiples
+of 8.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 from math import gcd, prod, sqrt
 
 import numpy as np
@@ -142,19 +146,15 @@ def conv(
     allocated once. That is the bytes of a zero-filled accumulator with the
     bias added last, -0.0 products included, in fewer passes: a single-tap
     conv (every 1x1 conv) makes one GEMM and one add per slab. A tap is
-    read in place when its slab already is a (C_in, columns) matrix with
-    unit inner stride, as in every one-row slab of a kz=1 conv over
-    unpadded z, and is copied into a patch otherwise. A pointwise conv is
-    flattened to one axis first, so its slabs are cut by columns. Slab
-    boundaries fall on multiples of 16 columns, which keeps the result
-    byte-identical to one GEMM per tap over the whole output, unless
-    ``C_out`` is 1 (see the module docstring). A strided
-    conv, or one with more than 256 input channels, runs as one slab, since
-    tiling either changed low bits. A conv with more than 256 input
-    channels and unit stride reads each tap as a column window of its
-    flattened padded input, over one more zero row, where the module
-    docstring's column rule keeps the bytes; its accumulator then spans the
-    padded trailing extents, and its last add reads the output's columns.
+    read as a view, a column range of the flattened padded input, when its
+    slab is contiguous there, and is copied into a patch otherwise. A
+    pointwise conv is flattened to one axis first, so its slabs are cut by
+    columns. Slab boundaries fall on multiples of 16 columns, which keeps
+    the result byte-identical to one GEMM per tap over the whole output; a
+    one-output-channel weight runs as a GEMM of two rows, the second zero.
+    A strided conv, or one with more than 256 input channels, runs as one
+    slab, since tiling either changed low bits; with unit stride the latter
+    can be a window conv (see the module docstring), whose taps are views.
     """
     rank = weight.ndim - 2
     if rank < 1:
@@ -183,9 +183,12 @@ def conv(
         kernel = dilation = stride = (1,)
         rank, out_sp = 1, (prod(out_sp),)
     n_rows, row = out_sp[0], prod(out_sp[1:])
+    # GEMM rows: a one-output-channel weight gains a zero second row, so
+    # that no tap is a vector-matrix product.
+    c_rows = max(c_out, 2)
     s0 = stride[0]
     if all(s == 1 for s in stride) and c_in <= 256:
-        rows = slab_rows(n_rows, row, c_out * c_in)
+        rows = slab_rows(n_rows, row, c_rows * c_in)
     else:
         rows = n_rows
 
@@ -196,7 +199,7 @@ def conv(
     window = (
         c_in > 256
         and stride == (1,) * rank
-        and c_out * c_in * n_rows * row > SMALL_GEMM_MACS
+        and c_rows * c_in * n_rows * row > SMALL_GEMM_MACS
         and n_rows * row % 8 == n_rows * prod(grid) % 8 == 0
     )
     if not window:
@@ -207,75 +210,67 @@ def conv(
     # one more row of zeros.
     pad[1] = (pad[1][0], pad[1][1] + window)
     xp = np.pad(x, pad) if max(eff) > 1 else x
+    # The column stride of each spatial axis in xp flattened to (C_in, columns).
+    steps = [prod(xp.shape[a + 2 :]) for a in range(rank)]
 
-    # (taps, C_out, C_in): each tap's weight is one contiguous matrix.
-    w_taps = np.ascontiguousarray(np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0))
-    out = np.empty((c_out, n_rows * row), dtype=x.dtype)
-    # Per tap: the first padded input row it reads, and its slices of the
-    # other axes.
+    # (taps, C_rows, C_in): each tap's weight is one contiguous matrix.
+    w_taps = np.empty((prod(kernel), c_rows, c_in), dtype=x.dtype)
+    w_taps[:, :c_out] = np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0)
+    w_taps[:, c_out:] = 0
+    out = np.empty((c_out,) + out_sp, dtype=x.dtype)
+    # Per tap, in np.ndindex order and as read for the first slab: its first
+    # padded input row, its slices of the other axes and the flat column
+    # where its read starts, each a product of per-axis choices.
+    firsts = range(0, kernel[0] * dilation[0], dilation[0])
+    inners = product(*[
+        [slice(c, c + s * (n - 1) + 1, s) for c in range(0, k * d, d)]
+        for k, d, s, n in zip(kernel[1:], dilation[1:], stride[1:], out_sp[1:])
+    ])
+    offsets = [range(0, k * d * p, d * p) for k, d, p in zip(kernel, dilation, steps)]
     taps = [
-        (
-            tap[0] * dilation[0],
-            tuple(
-                slice(
-                    tap[a] * dilation[a],
-                    tap[a] * dilation[a] + stride[a] * (out_sp[a] - 1) + 1,
-                    stride[a],
-                )
-                for a in range(1, rank)
-            ),
-        )
-        for tap in np.ndindex(*kernel)
+        (f, i, sum(o)) for (f, i), o in zip(product(firsts, inners), product(*offsets))
     ]
-    # Every tap's slab has the same strides, so one channel of one tap tells
-    # whether all of them can be read in place.
-    first, inner = taps[0]
-    first_slab = (0, slice(first, first + s0 * (rows - 1) + 1, s0)) + inner
-    in_place = window or xp[first_slab].flags.c_contiguous
-    patch_buf = None if in_place else np.empty(c_in * rows * row, dtype=x.dtype)
-    tmp_buf = np.empty(c_out * rows * pitch, dtype=x.dtype)
-    acc_buf = np.empty(c_out * rows * pitch, dtype=x.dtype)
+    # Every tap's slab of `rows` rows by `grid` has the same strides, and is a
+    # column range of the flattened xp when it spans as many columns as it
+    # holds. The flattening copies only an unpadded, non-contiguous input.
+    span = 1 + sum((n - 1) * s * p for n, s, p in zip((rows,) + grid, stride, steps))
+    view = span == rows * pitch
+    flat = xp.reshape(c_in, -1) if view else None
+    patch_buf = None if view else np.empty(c_in * rows * pitch, dtype=x.dtype)
+    tmp_buf = np.empty(c_rows * rows * pitch, dtype=x.dtype)
+    acc_buf = np.empty(c_rows * rows * pitch, dtype=x.dtype)
     # The first tap's GEMM starts the accumulator in place of a zero fill.
     # Its sums then differ from +0.0-started ones only by being -0.0 where
     # those are +0.0, and adding b + 0.0 (or 0.0 without a bias) turns each
     # such -0.0 into +0.0, as adding b to a +0.0-started sum does.
-    if bias is None:
-        shift = 0.0
-    else:
-        shift = (bias + 0.0).reshape((c_out,) + (1,) * (rank if window else 1))
+    shift = 0.0 if bias is None else (bias + 0.0).reshape((c_out,) + (1,) * rank)
+    # The accumulator's rows and columns that are the output's.
+    inside = (slice(c_out), slice(None)) + tuple(map(slice, out_sp[1:]))
 
     for r0 in range(0, n_rows, rows):
         n = min(rows, n_rows - r0)
         cols = n * pitch
-        if not in_place:
+        if not view:
             patch = patch_buf[: c_in * cols].reshape(c_in, cols)
-            patch_nd = patch.reshape((c_in, n) + out_sp[1:])
-        tmp = tmp_buf[: c_out * cols].reshape(c_out, cols)
-        acc = acc_buf[: c_out * cols].reshape(c_out, cols)
-        for tap_idx, (first, inner) in enumerate(taps):
-            if window:  # starts at the flat index of the tap's first read
-                corner = (first,) + tuple(sl.start for sl in inner)
-                off = np.ravel_multi_index(corner, xp.shape[1:])
-                patch = xp.reshape(c_in, -1)[:, off : off + cols]
+            patch_nd = patch.reshape((c_in, n) + grid)
+        tmp = tmp_buf[: c_rows * cols].reshape(c_rows, cols)
+        acc = acc_buf[: c_rows * cols].reshape(c_rows, cols)
+        r = s0 * r0  # padded rows between each tap's first read and this slab's
+        for tap_idx, (first, inner, off) in enumerate(taps):
+            if view:
+                begin = off + r * steps[0]
+                patch = flat[:, begin : begin + cols]
             else:
-                start = first + s0 * r0
-                rows_in = slice(start, start + s0 * (n - 1) + 1, s0)
-                src = xp[(slice(None), rows_in) + inner]
-                if in_place:
-                    patch = src.reshape(c_in, cols)
-                else:
-                    np.copyto(patch_nd, src)
+                rows_in = slice(first + r, first + r + s0 * (n - 1) + 1, s0)
+                np.copyto(patch_nd, xp[(slice(None), rows_in) + inner])
             if tap_idx == 0:
                 np.matmul(w_taps[0], patch, out=acc)
             else:
                 np.matmul(w_taps[tap_idx], patch, out=tmp)
                 acc += tmp
-        dst = out[:, r0 * row : (r0 + n) * row]
-        if window:  # only the columns inside the output's extents
-            inside = (slice(None), slice(None)) + tuple(map(slice, out_sp[1:]))
-            acc = acc.reshape((c_out, n) + grid)[inside]
-            dst = dst.reshape(acc.shape)
-        np.add(acc, shift, out=dst)
+        np.add(
+            acc.reshape((c_rows, n) + grid)[inside], shift, out=out[:, r0 : r0 + n]
+        )
     return out.reshape(out_shape)
 
 

@@ -106,18 +106,21 @@ def conv_untiled(xp, weight, bias, dilation, stride):
     """Cross-correlation of an already padded ``xp`` as the conv ran before
     slab tiling: a zero-filled accumulator, one copy, GEMM and add per tap
     over the whole output at once, then the bias. The tiled ``conv``
-    runs the same taps in the same order on each output element, so with
-    more than one output channel it must match this byte for byte."""
+    runs the same taps in the same order on each output element, so it
+    must match this byte for byte."""
     c_out, c_in = weight.shape[:2]
     kernel = weight.shape[2:]
     out_sp = _unpadded_extents(xp, kernel, dilation, stride)
     n_out = prod(out_sp)
-    # (taps, C_out, C_in): each tap's weight is one contiguous matrix, as
-    # ``conv`` passes it to BLAS
-    w_taps = np.ascontiguousarray(np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0))
-    acc = np.zeros((c_out, n_out), dtype=xp.dtype)
+    # (taps, C_rows, C_in): each tap's weight is one contiguous matrix, as
+    # ``conv`` passes it to BLAS, and one output channel's gains a zero
+    # second row, as in ``conv``
+    c_rows = max(c_out, 2)
+    w_taps = np.zeros((prod(kernel), c_rows, c_in), dtype=xp.dtype)
+    w_taps[:, :c_out] = np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0)
+    acc = np.zeros((c_rows, n_out), dtype=xp.dtype)
     patch = np.empty((c_in, n_out), dtype=xp.dtype)
-    tmp = np.empty((c_out, n_out), dtype=xp.dtype)
+    tmp = np.empty((c_rows, n_out), dtype=xp.dtype)
     patch_nd = patch.reshape((c_in,) + out_sp)
     for tap_idx, tap in enumerate(np.ndindex(*kernel)):
         sl = tuple(
@@ -127,6 +130,7 @@ def conv_untiled(xp, weight, bias, dilation, stride):
         np.copyto(patch_nd, xp[(slice(None),) + sl])
         np.matmul(w_taps[tap_idx], patch, out=tmp)
         acc += tmp
+    acc = acc[:c_out]
     if bias is not None:
         acc += bias[:, None]
     return acc.reshape((c_out,) + out_sp)

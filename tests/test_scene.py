@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -136,6 +137,16 @@ class TestSceneSpec:
         grid = GridSpec((-2.5, -2.0, -1.0), (2.5, 2.0, 1.0), (10, 8, 4))
         with pytest.raises(ValueError, match="no room"):
             SceneSpec(seed=0, grid=grid, n_frames=1, n_boxes=1).resolve_boxes()
+
+    def test_sliver_outside_the_ego_bubble_ends_in_no_room(self):
+        """Here a box's centre range clears the bubble only in its corners,
+        and the draw gives up after CENTRE_TRIES centres in the bubble."""
+        grid = GridSpec((-2.9, -2.9, -1.0), (2.9, 2.9, 1.0), (29, 29, 10))
+        spec = SceneSpec(seed=252, grid=grid, n_frames=1, n_boxes=8)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no room"):
+            spec.resolve_boxes()
+        assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(grid=box_grids(), seed=st.integers(0, 2**16), n_boxes=st.integers(1, 8))

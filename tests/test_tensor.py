@@ -274,7 +274,7 @@ PIPELINE_CONVS = [
 # Convs whose output slab_rows splits into several slabs, most with the
 # last one short: (x, weight, bias, dilation, stride, dtype). The
 # strided ones and the one with more than 256 input channels must still run
-# as one slab. The one-row ones read every tap in place.
+# as one slab. The one-row ones read every tap as a view.
 EDGE_CONVS = {
     "3d-short-last-slab": ((32, 37, 16, 4), (32, 32, 3, 3, 1), True, 1, 1, np.float32),
     "3d-stride-2": ((32, 120, 20, 4), (32, 32, 3, 3, 3), True, 1, 2, np.float32),
@@ -311,7 +311,7 @@ def _tiled_and_untiled(*case):
 
 def _gemms(monkeypatch, x, w, b, dilation, stride):
     """``conv``'s output, and for each GEMM it ran, its output columns and
-    where its right operand was read in place: "input" for ``x``, "padded"
+    where its right operand was read as a view: "input" for ``x``, "padded"
     for the padded copy of ``x`` that the conv made, None for a patch."""
     gemms, padded = [], []
     matmul, pad = np.matmul, np.pad
@@ -411,6 +411,35 @@ class TestSlabTiling:
         assert not any(in_place for _, in_place in gemms)
 
     @pytest.mark.parametrize(
+        "x_shape,cut,w_shape,stride,gemms",
+        [
+            # its slab skips rows and columns: each tap is copied
+            ((32, 40, 30), np.s_[:, :, :21], (16, 32, 1, 1), 2, [(220, None)]),
+            # each channel's rows are contiguous, so its flattened rows are
+            # a view of the input, read a slab at a time
+            ((32, 100, 100), np.s_[:, 10:58], (32, 32, 1, 1), 1,
+             [(c, "input") for c in _slabs(4800, 1, 976)]),
+            # its one-row slab is contiguous, but the input flattens only
+            # through one copy
+            ((32, 3, 30), np.s_[:, :, :21], (16, 32, 1, 1), (4, 1), [(21, None)]),
+        ],
+        ids=[
+            "1x1-stride-2-column-slice", "pointwise-row-slice", "one-row-column-slice"
+        ],
+    )
+    def test_unpadded_non_contiguous_inputs(
+        self, monkeypatch, x_shape, cut, w_shape, stride, gemms
+    ):
+        x, w, b, dilation, stride = _conv_case(
+            x_shape, w_shape, True, 1, stride, np.float32
+        )
+        x = x[cut]
+        assert not x.flags.c_contiguous
+        got, read = _gemms(monkeypatch, x, w, b, dilation, stride)
+        assert read == gemms
+        assert got.tobytes() == conv_nd_untiled(x, w, b, dilation, stride).tobytes()
+
+    @pytest.mark.parametrize(
         "x_shape,w_shape,chunk",
         [
             ((32, 4, 200, 16), (18, 32, 1, 1, 1), 1728),
@@ -454,6 +483,7 @@ WINDOW_CONVS = {
     "2d-even-4x4": ((300, 16, 13), (32, 300, 4, 4), True, 1, 1, np.float32),
     "3d-3x3x1": ((300, 8, 7, 8), (32, 300, 3, 3, 1), True, 1, 1, np.float32),
     "2d-float64-no-bias": ((300, 24, 9), (32, 300, 3, 3), False, 1, 1, np.float64),
+    "2d-one-output-channel": ((300, 48, 40), (1, 300, 3, 3), True, 1, 1, np.float32),
 }
 
 # Convs with more than 256 input channels that copy each tap into a patch
@@ -501,13 +531,12 @@ class TestWindowRead:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [True, False], ids=["window", "one-slab"])
     def test_matches_untiled_oracle(self, window, dtype, data):
-        """Random convs with 257-399 input channels and at least two output
-        channels, on the window path or copied as one slab, give the bytes
-        of the untiled oracle. One output channel is the exception (see
-        ``conv``), so none is drawn."""
+        """Random convs with 257-399 input channels, on the window path or
+        copied as one slab, give the bytes of the untiled oracle, one output
+        channel included."""
         rank = data.draw(st.integers(2, 3))
         c_in = data.draw(st.integers(257, 399))
-        # a 1x1 conv reads its input in place, with no window to take
+        # a 1x1 conv reads its input as a view, with no window to take
         kernel = data.draw(st.tuples(*[st.integers(1, 3)] * rank).filter(
             lambda k: window <= (max(k) > 1)))
         dilation = data.draw(st.tuples(*[st.integers(1, 2)] * rank))
@@ -519,14 +548,16 @@ class TestWindowRead:
             sp = (8 * data.draw(st.integers(1, 4)),) + data.draw(st.tuples(*trailing))
             stride = (1,) * rank
             least = max(2, SMALL_GEMM_MACS // (c_in * prod(sp)) + 1)
-            c_out = data.draw(st.integers(least, least + 8))
+            # one output channel runs as a GEMM of two rows, over the
+            # cutoff wherever two channels are
+            c_out = data.draw(st.integers(1 if least == 2 else least, least + 8))
         else:
             # at most 1,000 outputs keep even two output channels' GEMM
             # under the cutoff, so no conv drawn here reads windows
             sp = data.draw(st.tuples(*[st.integers(1, 12 if rank == 2 else 10)] * rank))
             stride = data.draw(st.tuples(*[st.integers(1, 2)] * rank))
             macs = c_in * prod(sp)  # per output channel at unit stride
-            c_out = data.draw(st.integers(2, max(2, min(16, SMALL_GEMM_MACS // macs))))
+            c_out = data.draw(st.integers(1, max(2, min(16, SMALL_GEMM_MACS // macs))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         x = rng.standard_normal((c_in,) + sp).astype(dtype)
         w = rng.standard_normal((c_out, c_in) + kernel).astype(dtype)
@@ -862,7 +893,7 @@ def _conv_at_one_and_two_threads(x_shape, w_shape):
 
 def test_wide_branch_conv_independent_of_blas_threads():
     """The 11x11x1 branch conv of a wide run, whose one-row slabs read taps
-    in place, gives the same bytes with one and two BLAS threads."""
+    as views, gives the same bytes with one and two BLAS threads."""
     outs = _conv_at_one_and_two_threads((32, 100, 100, 8), (32, 32, 11, 11, 1))
     assert outs[0].startswith("(32, 100, 100, 8) ")
     assert outs[0] == outs[1]
@@ -874,6 +905,15 @@ def test_fusion_conv_independent_of_blas_threads():
     gives the same bytes with one and two BLAS threads."""
     outs = _conv_at_one_and_two_threads((512, 48, 48), (32, 512, 3, 3))
     assert outs[0].startswith("(32, 48, 48) ")
+    assert outs[0] == outs[1]
+
+
+def test_one_output_channel_conv_independent_of_blas_threads():
+    """A conv with one output channel runs each tap as a GEMM of two rows,
+    not as a BLAS vector-matrix product, whose bytes follow the thread
+    count, and so gives the same bytes with one and two BLAS threads."""
+    outs = _conv_at_one_and_two_threads((361, 88, 51), (1, 361, 3, 3))
+    assert outs[0].startswith("(1, 88, 51) ")
     assert outs[0] == outs[1]
 
 
