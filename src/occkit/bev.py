@@ -194,20 +194,13 @@ def warp_bev(
 
 @dataclass(frozen=True)
 class FusionWeights:
-    """Two linear 3x3 convs mixing stacked history down to C channels."""
+    """Two linear 2D convs mixing stacked history down to C channels:
+    ``seeded`` builds 3x3 kernels, (C, frames * C) then (C, C)."""
 
     mix1_w: np.ndarray
     mix1_b: np.ndarray
     mix2_w: np.ndarray
     mix2_b: np.ndarray
-
-    def __post_init__(self):
-        if self.mix1_w.ndim != 4 or self.mix2_w.ndim != 4:
-            raise ValueError("fusion conv weights must be 4D")
-        if self.mix1_w.shape[2:] != (3, 3) or self.mix2_w.shape[2:] != (3, 3):
-            raise ValueError("fusion convs must use 3x3 kernels")
-        if self.mix2_w.shape[1] != self.mix1_w.shape[0]:
-            raise ValueError("mix2 input channels must equal mix1 output channels")
 
     @property
     def n_channels(self) -> int:

@@ -18,20 +18,13 @@ from .tensor import conv, rng_named, softmax, uniform_init, upsample2x
 
 @dataclass(frozen=True)
 class BVLWeights:
-    """1x1 context conv (C_in -> C_out) and 1x1 height conv (C_in -> Z)."""
+    """Context conv (C_in -> C_out) and height conv (C_in -> Z), both 2D:
+    ``seeded`` builds 1x1 kernels."""
 
     context_w: np.ndarray
     context_b: np.ndarray
     height_w: np.ndarray
     height_b: np.ndarray
-
-    def __post_init__(self):
-        if self.context_w.ndim != 4 or self.height_w.ndim != 4:
-            raise ValueError("BVL conv weights must be 4D")
-        if self.context_w.shape[2:] != (1, 1) or self.height_w.shape[2:] != (1, 1):
-            raise ValueError("BVL convs must use 1x1 kernels")
-        if self.context_w.shape[1] != self.height_w.shape[1]:
-            raise ValueError("context and height convs must share input channels")
 
     @classmethod
     def seeded(cls, seed: int, name: str, c_in: int, c_out: int, n_heights: int):
@@ -72,12 +65,6 @@ class UpsampleWeights:
 
     weight: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self):
-        if self.weight.ndim != 5 or self.weight.shape[2:] != (2, 2, 2):
-            raise ValueError("upsample weight must be (C_in, C_out, 2, 2, 2)")
-        if self.bias.shape != (self.weight.shape[1],):
-            raise ValueError("upsample bias must match output channels")
 
     @classmethod
     def seeded(cls, seed: int, channels: int):

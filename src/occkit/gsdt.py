@@ -21,11 +21,7 @@ _CODE_TO_DTYPE = {
     2: np.dtype("<f8"),
     3: np.dtype("u1"),
 }
-_DTYPE_TO_CODE = {
-    np.dtype(np.float32): 1,
-    np.dtype(np.float64): 2,
-    np.dtype(np.uint8): 3,
-}
+_DTYPE_TO_CODE = {dtype: code for code, dtype in _CODE_TO_DTYPE.items()}
 
 
 class FormatError(ValueError):

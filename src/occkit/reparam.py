@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import conv, effective_extents, rng_named, uniform_init
+from .tensor import as_axes, conv, effective_extents, rng_named, uniform_init
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class ConvBranchSpec:
     def __post_init__(self):
         if self.weight.ndim != 5:
             raise ValueError(f"branch weight must be 5D, got {self.weight.ndim}D")
-        object.__setattr__(self, "dilation", tuple(int(d) for d in self.dilation))
-        if len(self.dilation) != 3 or any(d < 1 for d in self.dilation):
-            raise ValueError(f"dilation must be 3 entries >= 1, got {self.dilation}")
+        object.__setattr__(self, "dilation", as_axes(self.dilation, 3, "dilation"))
         if self.bn.mean.shape[0] != self.weight.shape[0]:
             raise ValueError(
                 f"batch norm has {self.bn.mean.shape[0]} channels, "
@@ -85,14 +83,6 @@ class MergedKernel:
 
     weight: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self):
-        if self.weight.ndim != 5:
-            raise ValueError(f"merged weight must be 5D, got {self.weight.ndim}D")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise ValueError(
-                f"bias shape {self.bias.shape} != ({self.weight.shape[0]},)"
-            )
 
 
 def dilate_to_sparse(weight: np.ndarray, dilation: tuple[int, int, int]) -> np.ndarray:
@@ -142,9 +132,7 @@ def merge_branches(
     """
     if not branches:
         raise ValueError("need at least one branch")
-    target = tuple(int(t) for t in target_extents)
-    if len(target) != 3 or any(t < 1 for t in target):
-        raise ValueError(f"target extents must be 3 entries >= 1, got {target}")
+    target = as_axes(target_extents, 3, "target extents")
     c_out, c_in = branches[0].weight.shape[:2]
     dtype = branches[0].weight.dtype
 

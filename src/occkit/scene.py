@@ -76,11 +76,9 @@ def camera_ring(
     base = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     cams = []
     for i in range(n_cameras):
-        yaw = 2.0 * np.pi * i / n_cameras
-        c, s = np.cos(yaw), np.sin(yaw)
-        rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        rz = EgoPose.from_yaw(2.0 * np.pi * i / n_cameras).rotation
         rot = rz @ base
-        t = np.array([0.3 * c, 0.3 * s, 1.5])
+        t = np.array([0.3 * rz[0, 0], 0.3 * rz[1, 0], 1.5])
         cams.append(
             CameraParams(k, rot, t, image_size=image_size, feature_size=feature_size)
         )

@@ -5,7 +5,11 @@ input's rank).
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
 for high-precision oracle runs. Weights must already be in the input's dtype:
-no operation casts them, and a mismatch is an error. Every operation is
+no operation casts them, and a mismatch is an error. ``conv`` and
+``upsample2x`` are where weight shapes are checked: each checks the rank,
+channels and bias of the weight it reads (``upsample2x`` its 2-extents too)
+and raises ValueError before it writes any output, so the weight containers
+of the other modules hold their tensors unchecked. Every operation is
 deterministic for fixed inputs (single-threaded accumulation order, no
 unordered reductions).
 
@@ -26,7 +30,10 @@ the same order. Every slab but the last spans a multiple of 16 columns (see
 ``slab_rows``), which keeps the logits byte-identical to running each GEMM
 over the whole output at once. A weight with one output channel gains a
 zero second row, so that every tap is a GEMM: a BLAS vector-matrix product
-rounds by column count, operand layout and thread count. A conv starts
+rounds by column count, operand layout and thread count. In float64, a GEMM
+over the cutoff runs its columns past the last multiple of 8 as a GEMM of
+their own (``gemm_split``), in ``conv`` and ``upsample2x`` alike: OpenBLAS
+rounds them by how its threads split the columns. A conv starts
 each slab's accumulator with its first tap's GEMM and adds the bias (or
 0.0) on the way into the output, and ``upsample2x`` adds its bias to each
 contiguous block GEMM before one strided copy per block: the bytes of a
@@ -76,7 +83,7 @@ def _check_bias(bias: np.ndarray | None, c_out: int, dtype: np.dtype) -> None:
         raise ValueError(f"bias dtype {bias.dtype} != input dtype {dtype}")
 
 
-def _as_axes(value, rank: int, name: str) -> tuple[int, ...]:
+def as_axes(value, rank: int, name: str) -> tuple[int, ...]:
     """``value`` as one int per axis: an int repeats, a sequence must have
     ``rank`` entries. Every entry must be at least 1."""
     if isinstance(value, (int, np.integer)):
@@ -117,6 +124,17 @@ def slab_rows(n_rows: int, row: int, macs: int) -> int:
         return n_rows
     step = 16 // gcd(row, 16)
     return min(n_rows, max(1, SMALL_GEMM_MACS // (macs * row * step)) * step)
+
+
+def gemm_split(cols: int, macs: int, dtype: np.dtype) -> int:
+    """How many leading columns of a GEMM over ``cols`` columns of ``macs``
+    multiply-adds each run as one GEMM; the rest run as a second, small
+    one. In float64 over ``SMALL_GEMM_MACS``, OpenBLAS's regular kernel
+    rounds the columns past the last multiple of 8 by how its threads split
+    the columns, so those columns get a GEMM of their own."""
+    if dtype == F64 and cols * macs > SMALL_GEMM_MACS:
+        return cols - cols % 8
+    return cols
 
 
 def conv(
@@ -161,9 +179,9 @@ def conv(
         raise ValueError(f"conv weight has no spatial axis: shape {weight.shape}")
     if x.ndim != rank + 1:
         raise ValueError(f"input must have rank {rank + 1}, got {x.ndim}")
-    kernel = _as_axes(weight.shape[2:], rank, "kernel extents")
-    dilation = _as_axes(dilation, rank, "dilation")
-    stride = _as_axes(stride, rank, "stride")
+    kernel = as_axes(weight.shape[2:], rank, "kernel extents")
+    dilation = as_axes(dilation, rank, "dilation")
+    stride = as_axes(stride, rank, "stride")
     _check_float_dtype(x, "input")
     if weight.dtype != x.dtype:
         raise ValueError(f"weight dtype {weight.dtype} != input dtype {x.dtype}")
@@ -250,6 +268,7 @@ def conv(
     for r0 in range(0, n_rows, rows):
         n = min(rows, n_rows - r0)
         cols = n * pitch
+        split = gemm_split(cols, c_rows * c_in, x.dtype)
         if not view:
             patch = patch_buf[: c_in * cols].reshape(c_in, cols)
             patch_nd = patch.reshape((c_in, n) + grid)
@@ -263,10 +282,13 @@ def conv(
             else:
                 rows_in = slice(first + r, first + r + s0 * (n - 1) + 1, s0)
                 np.copyto(patch_nd, xp[(slice(None), rows_in) + inner])
-            if tap_idx == 0:
-                np.matmul(w_taps[0], patch, out=acc)
+            dst = tmp if tap_idx else acc
+            if split == cols:
+                np.matmul(w_taps[tap_idx], patch, out=dst)
             else:
-                np.matmul(w_taps[tap_idx], patch, out=tmp)
+                np.matmul(w_taps[tap_idx], patch[:, :split], out=dst[:, :split])
+                np.matmul(w_taps[tap_idx], patch[:, split:], out=dst[:, split:])
+            if tap_idx:
                 acc += tmp
         np.add(
             acc.reshape((c_rows, n) + grid)[inside], shift, out=out[:, r0 : r0 + n]
@@ -315,8 +337,11 @@ def upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarra
     w_blocks = np.ascontiguousarray(np.moveaxis(weight, 1, -1))  # (C_in, 2.., C_out)
     out = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=x.dtype)
     y = np.empty((c_out, x2.shape[1]), dtype=x.dtype)
+    split = gemm_split(x2.shape[1], c_out * x.shape[0], x.dtype)
     for block in np.ndindex(*(2,) * rank):
-        np.matmul(w_blocks[(slice(None),) + block].T, x2, out=y)
+        w = w_blocks[(slice(None),) + block].T
+        np.matmul(w, x2[:, :split], out=y[:, :split])
+        np.matmul(w, x2[:, split:], out=y[:, split:])
         y += bias[:, None]
         out[(slice(None),) + tuple(slice(o, None, 2) for o in block)] = y.reshape(
             (c_out,) + sp

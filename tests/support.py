@@ -12,6 +12,7 @@ import numpy as np
 
 from occkit.bev import EgoPose
 from occkit.scene import BoxObstacle, SceneSpec
+from occkit.tensor import gemm_split
 
 
 def cast(weights, dtype):
@@ -122,13 +123,16 @@ def conv_untiled(xp, weight, bias, dilation, stride):
     patch = np.empty((c_in, n_out), dtype=xp.dtype)
     tmp = np.empty((c_rows, n_out), dtype=xp.dtype)
     patch_nd = patch.reshape((c_in,) + out_sp)
+    # as in ``conv``, a float64 GEMM's last columns may run on their own
+    split = gemm_split(n_out, c_rows * c_in, xp.dtype)
     for tap_idx, tap in enumerate(np.ndindex(*kernel)):
         sl = tuple(
             slice(t * d, t * d + s * (o - 1) + 1, s)
             for t, d, s, o in zip(tap, dilation, stride, out_sp)
         )
         np.copyto(patch_nd, xp[(slice(None),) + sl])
-        np.matmul(w_taps[tap_idx], patch, out=tmp)
+        np.matmul(w_taps[tap_idx], patch[:, :split], out=tmp[:, :split])
+        np.matmul(w_taps[tap_idx], patch[:, split:], out=tmp[:, split:])
         acc += tmp
     acc = acc[:c_out]
     if bias is not None:

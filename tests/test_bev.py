@@ -617,6 +617,26 @@ class TestTemporalFuse:
             )
 
 
+    @pytest.mark.parametrize(
+        "mix1_w, mix2_w, match",
+        [
+            ((2, 4, 3, 3, 1), (2, 2, 3, 3), "input must have rank 4"),
+            ((2, 4, 3, 3), (2, 2, 3), "input must have rank 2"),
+            ((3, 4, 3, 3), (2, 2, 3, 3), "channel mismatch"),
+        ],
+        ids=["mix1-rank", "mix2-rank", "mix2-channels"],
+    )
+    def test_rejects_malformed_weights(self, mix1_w, mix2_w, match):
+        """The fusion convs reject the weights they read: each must be 2D,
+        and mix2 must take mix1's output channels."""
+        weights = FusionWeights(
+            np.zeros(mix1_w), np.zeros(mix1_w[0]), np.zeros(mix2_w), np.zeros(mix2_w[0])
+        )
+        b = np.zeros((2, 8, 8))
+        with pytest.raises(ValueError, match=match):
+            temporal_fuse(b, [], identity_pose(), weights, bev_grid(n=8))
+
+
 class TestSemanticEncoder:
     def test_shape_contract(self):
         weights = SemanticEncoderWeights.seeded(0, channels=3, out_channels=5)

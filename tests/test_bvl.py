@@ -25,17 +25,41 @@ class TestBVLWeights:
         assert w.context_w.shape == (6, 4, 1, 1)
         assert w.height_w.shape == (8, 4, 1, 1)
 
-    def test_rejects_non_pointwise(self):
-        with pytest.raises(ValueError, match="1x1"):
-            BVLWeights(
-                np.zeros((2, 2, 3, 3)), np.zeros(2), np.zeros((4, 2, 1, 1)), np.zeros(4)
-            )
+    def test_three_by_three_context_lifts(self):
+        """A 3x3 context conv keeps the map's extents, since ``conv`` pads
+        centred, and the lifted volume's height-sum is still that conv."""
+        rng = np.random.default_rng(12)
+        w = BVLWeights(
+            rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
+            rng.standard_normal(3).astype(np.float32),
+            rng.standard_normal((8, 2, 1, 1)).astype(np.float32),
+            rng.standard_normal(8).astype(np.float32),
+        )
+        b = rng.standard_normal((2, 7, 5)).astype(np.float32)
+        vol = bev_to_voxel_lift(b, w)
+        ctx = context_map(b, w)
+        assert vol.shape == (3, 7, 5, 8) and ctx.shape == (3, 7, 5)
+        assert float(np.abs(vol.sum(axis=3) - ctx).max()) <= 1e-5
 
-    def test_rejects_input_channel_mismatch(self):
-        with pytest.raises(ValueError, match="input channels"):
-            BVLWeights(
-                np.zeros((2, 3, 1, 1)), np.zeros(2), np.zeros((4, 2, 1, 1)), np.zeros(4)
-            )
+    @pytest.mark.parametrize(
+        "context_w, height_w, match",
+        [
+            ((2, 3, 1, 1), (4, 2, 1, 1), "channel mismatch"),
+            ((2, 2, 1, 1), (4, 3, 1, 1), "channel mismatch"),
+            ((2, 2, 1, 1, 1), (4, 2, 1, 1), "input must have rank 4"),
+            ((2, 2, 1, 1), (4, 2, 1), "input must have rank 2"),
+        ],
+        ids=["context-channels", "height-channels", "context-rank", "height-rank"],
+    )
+    def test_lift_rejects_malformed_weights(self, context_w, height_w, match):
+        """The convs that read the weights reject them: each must be 2D and
+        take the BEV map's channels."""
+        w = BVLWeights(
+            np.zeros(context_w), np.zeros(context_w[0]),
+            np.zeros(height_w), np.zeros(height_w[0]),
+        )
+        with pytest.raises(ValueError, match=match):
+            bev_to_voxel_lift(np.zeros((2, 3, 3)), w)
 
 
 class TestPredictHeight:
@@ -198,6 +222,19 @@ class TestFuseAndUpsample:
                 w,
             )
 
-    def test_rejects_bad_weight_shape(self):
-        with pytest.raises(ValueError, match="2, 2, 2"):
-            UpsampleWeights(np.zeros((2, 2, 3, 3, 3)), np.zeros(2))
+    @pytest.mark.parametrize(
+        "weight, bias, match",
+        [
+            ((2, 2, 3, 3, 3), (2,), "kernel extents must all be 2"),
+            ((2, 2, 2, 2), (2,), "weight must have rank 5"),
+            ((2, 2, 2, 2, 2), (3,), "bias must have shape"),
+        ],
+        ids=["extents", "rank", "bias"],
+    )
+    def test_rejects_bad_weight_shape(self, weight, bias, match):
+        """``upsample2x`` rejects the weight it reads: rank, 2-extents and
+        bias."""
+        w = UpsampleWeights(np.zeros(weight), np.zeros(bias))
+        v = np.zeros((2, 4, 4, 2))
+        with pytest.raises(ValueError, match=match):
+            fuse_and_upsample(v, v, w)

@@ -383,8 +383,16 @@ class TestValidation:
             ConvBranchSpec(w, (1, 1, 1), identity_bn(3))
 
     def test_merged_rejects_bias_shape(self):
-        with pytest.raises(ValueError, match="bias"):
-            MergedKernel(np.zeros((2, 2, 3, 3, 1)), np.zeros(3))
+        """The deploy conv rejects a bias that does not match the merged
+        kernel's output channels."""
+        merged = MergedKernel(np.zeros((2, 2, 3, 3, 1)), np.zeros(3))
+        with pytest.raises(ValueError, match=r"bias must have shape \(2,\)"):
+            forward_deploy(np.zeros((2, 4, 4, 2)), merged)
+
+    def test_merged_rejects_non_3d_weight(self):
+        merged = MergedKernel(np.zeros((2, 2, 3, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="input must have rank 3"):
+            forward_deploy(np.zeros((2, 4, 4, 2)), merged)
 
     def test_empty_branch_list(self):
         with pytest.raises(ValueError, match="at least one"):

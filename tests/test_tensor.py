@@ -9,17 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occkit.bev import EgoPose, warp_bev
 from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
+from occkit.scene import camera_ring
 from occkit.tensor import (
     SMALL_GEMM_MACS,
     conv,
     effective_extents,
+    gemm_split,
     rng_named,
     slab_rows,
     softmax,
     uniform_init,
     upsample2x,
 )
+from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
 from support import cast, centred_pad, conv_loops, conv_untiled, traced_peak
 
 
@@ -523,7 +527,11 @@ class TestWindowRead:
         case = _conv_case(*case)
         got, gemms = _gemms(monkeypatch, *case)
         w = case[1]
-        assert gemms == [(prod(got.shape[1:]), None)] * prod(w.shape[2:])
+        cols = prod(got.shape[1:])
+        # a float64 GEMM's columns past the last multiple of 8 run on their own
+        split = gemm_split(cols, w.shape[0] * w.shape[1], w.dtype)
+        parts = [(split, None), (cols - split, None)] if split < cols else [(cols, None)]
+        assert gemms == parts * prod(w.shape[2:])
         assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
     @settings(max_examples=25, deadline=None)
@@ -873,22 +881,27 @@ print(y.shape, hashlib.sha256(y.tobytes()).hexdigest())
 """
 
 
-def _conv_at_one_and_two_threads(x_shape, w_shape):
-    """The output shape and sha256 of a seeded conv, printed by a fresh
-    interpreter with one and then two OpenBLAS threads."""
-    program = _THREAD_CHILD.format(x_shape=x_shape, w_shape=w_shape)
+def _at_one_and_two_threads(program, *args):
+    """What ``program`` prints in a fresh interpreter with one and then two
+    OpenBLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         child = subprocess.run(
-            [sys.executable, "-c", program],
+            [sys.executable, "-c", program, *args],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert child.returncode == 0, child.stderr
         outs.append(child.stdout)
     return outs
+
+
+def _conv_at_one_and_two_threads(x_shape, w_shape):
+    """The output shape and sha256 of a seeded conv, printed by a fresh
+    interpreter with one and then two OpenBLAS threads."""
+    return _at_one_and_two_threads(_THREAD_CHILD.format(x_shape=x_shape, w_shape=w_shape))
 
 
 def test_wide_branch_conv_independent_of_blas_threads():
@@ -914,6 +927,87 @@ def test_one_output_channel_conv_independent_of_blas_threads():
     count, and so gives the same bytes with one and two BLAS threads."""
     outs = _conv_at_one_and_two_threads((361, 88, 51), (1, 361, 3, 3))
     assert outs[0].startswith("(1, 88, 51) ")
+    assert outs[0] == outs[1]
+
+
+# The batch's convs by read path, each in float32 and float64: shapes whose
+# read path a spy test pins (the pointwise one in
+# ``test_pointwise_convs_run_as_one_axis``).
+BATCH_CONVS = {
+    "view": EDGE_CONVS["3d-one-row-in-place"],
+    "pointwise-view": ((32, 100, 100), (32, 32, 1, 1), True, 1, 1, np.float32),
+    "window": WINDOW_CONVS["2d-odd-extents"],
+    "patch": EDGE_CONVS["3d-short-last-slab"],
+    "one-output-channel": WINDOW_CONVS["2d-one-output-channel"],
+    "stride": EDGE_CONVS["2d-stride-2"],
+    "dilation": EDGE_CONVS["3d-dilated"],
+}
+BATCH_RANDOM_CONVS, BATCH_YAWS, BATCH_LIFTS = 12, (0.1, 0.7, 2.0, -2.9), 3
+# 1,100 cells: a float64 upsample GEMM over the cutoff, off a multiple of 8
+BATCH_UPSAMPLE = (32, 10, 10, 11)
+
+
+def thread_batch():
+    """Seeded outputs, each as (label, array): the ``BATCH_CONVS`` in both
+    dtypes, random convs, upsamples, yawed warps and lifts through one
+    plan."""
+    outs = []
+    for name, (x_shape, w_shape, bias, dilation, stride, _) in BATCH_CONVS.items():
+        for dtype in (np.float32, np.float64):
+            case = _conv_case(x_shape, w_shape, bias, dilation, stride, dtype)
+            outs.append((f"conv-{name}-{np.dtype(dtype)}", conv(*case)))
+    rng = np.random.default_rng(27)
+    for i in range(BATCH_RANDOM_CONVS):
+        rank = int(rng.integers(1, 4))
+        sp = tuple(int(n) for n in rng.integers(1, (0, 400, 40, 16)[rank], rank))
+        c_in, c_out = int(rng.integers(1, 300)), int(rng.integers(1, 33))
+        dtype = (np.float32, np.float64)[i % 2]
+        x = rng.standard_normal((c_in,) + sp).astype(dtype)
+        kernel = tuple(int(k) for k in rng.integers(1, 4, rank))
+        w = rng.standard_normal((c_out, c_in) + kernel).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        dilation, stride = rng.integers(1, 3, rank), rng.integers(1, 3, rank)
+        outs.append((f"conv-random-{i}", conv(x, w, b, dilation, stride)))
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal(BATCH_UPSAMPLE).astype(dtype)
+        w = rng.standard_normal((32, 32, 2, 2, 2)).astype(dtype)
+        b = rng.standard_normal(32).astype(dtype)
+        outs.append((f"upsample-{np.dtype(dtype)}", upsample2x(x, w, b)))
+    grid = GridSpec((-24.0, -24.0, -1.0), (24.0, 24.0, 3.0), (96, 96, 8))
+    b_hist = rng.standard_normal((32, 96, 96)).astype(np.float32)
+    now = EgoPose.from_yaw(-0.4, (0.3, 1.2, 0.0))
+    for yaw in BATCH_YAWS:
+        pose = EgoPose.from_yaw(yaw, (1.5, -0.5, 0.0))
+        outs.append((f"warp-{yaw}", warp_bev(b_hist, pose, now, grid)))
+    cams = camera_ring(6, (64, 176), (8, 22), focal=100.0)
+    plan = LiftPlan.build(cams, bin_centers(1.0, 40.0, 32), grid)
+    for i in range(BATCH_LIFTS):
+        features = rng.standard_normal((6, 16, 8, 22)).astype(np.float32)
+        probs = softmax(rng.standard_normal((6, 32, 8, 22)), axis=1).astype(np.float32)
+        outs.append((f"lift-{i}", lift_splat(features, DepthDistribution(probs), plan)))
+    return outs
+
+
+_BATCH_CHILD = """
+import hashlib
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_tensor
+for label, out in test_tensor.thread_batch():
+    print(label, out.dtype, out.shape, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_seeded_batch_independent_of_blas_threads():
+    """Every output of ``thread_batch`` has the same bytes with one and two
+    BLAS threads: convs on every read path, strided, dilated and with one
+    output channel, in both dtypes; random convs; upsamples; yawed warps;
+    and lifts through one ``LiftPlan``."""
+    outs = _at_one_and_two_threads(_BATCH_CHILD, str(Path(__file__).resolve().parent))
+    lines = outs[0].splitlines()
+    assert len(lines) == (
+        2 * len(BATCH_CONVS) + BATCH_RANDOM_CONVS + 2 + len(BATCH_YAWS) + BATCH_LIFTS
+    )
     assert outs[0] == outs[1]
 
 
