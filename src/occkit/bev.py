@@ -135,8 +135,6 @@ def warp_bev(
     history map contribute zeros, and so does every point when the relative
     translation is not finite. b_hist is (C, X, Y) on the same grid spec.
     """
-    if b_hist.ndim != 3:
-        raise ValueError(f"expected 3D BEV tensor, got {b_hist.ndim}D")
     nx, ny = grid.counts[0], grid.counts[1]
     if b_hist.shape[1:] != (nx, ny):
         raise ValueError(f"BEV extents {b_hist.shape[1:]} do not match grid ({nx}, {ny})")

@@ -39,8 +39,6 @@ class BVLWeights:
 
 def predict_height(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     """Per-cell height distribution: (Z, X, Y), softmax over the height axis."""
-    if b.ndim != 3:
-        raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
     logits = conv(b, weights.height_w, weights.height_b)
     return softmax(logits, axis=0)
 
@@ -52,8 +50,6 @@ def bev_to_voxel_lift(b: np.ndarray, weights: BVLWeights) -> np.ndarray:
     distribution sums to one per cell, the volume's height-sum reproduces the
     context map.
     """
-    if b.ndim != 3:
-        raise ValueError(f"expected 3D BEV tensor, got {b.ndim}D")
     ctx = conv(b, weights.context_w, weights.context_b)
     hgt = predict_height(b, weights)
     return np.einsum("cxy,zxy->cxyz", ctx, hgt)
@@ -81,6 +77,4 @@ def fuse_and_upsample(
     """Sum the geometric and semantic volumes and double every spatial extent."""
     if v_g.shape != v_s.shape:
         raise ValueError(f"volume shapes differ: {v_g.shape} vs {v_s.shape}")
-    if v_g.ndim != 4:
-        raise ValueError(f"expected 4D voxel tensors, got {v_g.ndim}D")
     return upsample2x(v_g + v_s, weights.weight, weights.bias)

@@ -146,11 +146,7 @@ def _cmd_eval(args) -> int:
     pred = gsdt.read(args.pred)
     gt = gsdt.read(args.gt)
     mask = gsdt.read(args.mask)
-    if pred.shape != gt.shape or mask.shape != gt.shape:
-        raise ValueError(
-            f"shape mismatch: pred {pred.shape}, gt {gt.shape}, mask {mask.shape}"
-        )
-    ious = per_class_iou(pred, gt, mask.astype(bool))
+    ious = per_class_iou(pred, gt, mask)
     print(f"{'class':<12} {'IoU':>8}")
     for name, iou in zip(CLASS_NAMES, ious):
         if np.isnan(iou):

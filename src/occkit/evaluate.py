@@ -40,8 +40,10 @@ def confusion_matrix(
         m = np.asarray(mask)
         if m.shape != p.shape:
             raise ValueError(f"mask shape {m.shape} != label shape {p.shape}")
-        p = p[m.astype(bool)]
-        g = g[m.astype(bool)]
+        if m.dtype != bool and not ((m == 0) | (m == 1)).all():
+            raise ValueError(f"mask of dtype {m.dtype} must hold only 0 and 1")
+        m = m.astype(bool)
+        p, g = p[m], g[m]
     joint = g.astype(np.int64) * N_CLASSES + p.astype(np.int64)
     counts = np.bincount(joint.ravel(), minlength=N_CLASSES * N_CLASSES)
     return counts.reshape(N_CLASSES, N_CLASSES)

@@ -451,12 +451,19 @@ def load_scene(scene_dir: str) -> SceneBundle:
             lines = f.read().split("\n")
     except UnicodeDecodeError as e:
         raise ValueError(f"scene manifest {path} is not UTF-8 text: {e}") from None
+    known = {key for key, _, _ in _MANIFEST}
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        key, _, value = line.partition("=")
-        manifest[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"scene manifest {path}: line {line!r} has no '='")
+        if key not in known:
+            raise ValueError(f"scene manifest {path}: unknown key {key!r}")
+        if key in manifest:
+            raise ValueError(f"scene manifest {path}: key {key!r} is repeated")
+        manifest[key] = value
 
     grid_fields, fields = {}, {}
     for key, field, parse in _MANIFEST:

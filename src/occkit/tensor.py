@@ -1,17 +1,20 @@
 """Dense tensor primitives: one convolution (``conv``, of any rank), softmax
-and exact 2x transpose-conv upsampling (``upsample2x``, 2D or 3D by the
-input's rank).
+and exact 2x transpose-conv upsampling (``upsample2x``, 2D or 3D by its
+weight's rank).
 
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
 for high-precision oracle runs. Weights must already be in the input's dtype:
 no operation casts them, and a mismatch is an error. ``conv`` and
-``upsample2x`` are where weight shapes are checked: each checks the rank,
-channels and bias of the weight it reads (``upsample2x`` its 2-extents too)
-and raises ValueError before it writes any output, so the weight containers
-of the other modules hold their tensors unchecked. Every operation is
-deterministic for fixed inputs (single-threaded accumulation order, no
-unordered reductions).
+``upsample2x`` check their operands by one rule, ``_check_operands``: the
+weight's trailing axes give the rank, at least 1; the input has that rank
+plus a channel axis of the weight's input channels and is float32 or
+float64; the weight and the (C_out,) bias, if any, are in its dtype. Each
+adds its own extent rule (``as_axes`` for ``conv``, all 2 for
+``upsample2x``) and raises ValueError before it writes any output, so
+neither the weight containers of the other modules nor the callers of the
+two repeat these checks. Every operation is deterministic for fixed inputs
+(single-threaded accumulation order, no unordered reductions).
 
 ``conv`` reads its rank and kernel extents from its weight, which needs a
 spatial axis, and takes only ``dilation`` and ``stride`` besides, each an
@@ -41,11 +44,12 @@ zero-filled accumulator or a strided add, in fewer passes.
 
 A tap's right operand is a view where its slab is contiguous in the
 padded input: the column range ``[off, off + cols)`` of that input
-flattened to (C_in, columns), ``off`` being the flat index of the slab's
+flattened to (channels, columns), ``off`` being the flat index of the slab's
 first read. Otherwise the tap is copied into a patch. One-row slabs of
 kz=1 convs, pointwise convs (run as one flat axis) and window convs read
-views. A conv with more than 256 input channels runs as one slab, and with
-unit stride it is a window conv: its accumulator rows span the padded
+views. A strided conv, or one with more than 256 input channels, runs as
+one slab, since tiling either changed low bits, and with unit stride the
+latter is a window conv: its accumulator rows span the padded
 trailing extents, so that every tap's slab is contiguous. The pad gains
 one more zero row high on the first axis, where the last tap's range ends,
 and the final add reads only the columns inside the output. OpenBLAS's
@@ -54,6 +58,12 @@ lies before the last multiple of 8, and its small-matrix kernel does not.
 So a conv is a window conv only when its GEMM is over ``SMALL_GEMM_MACS``
 and both its output's and its accumulator's column counts are multiples
 of 8.
+
+A conv with more than 256 input channels pads them with zeros to a multiple
+of 32 in its one ``np.pad``, and its tap matrices gain zero columns to
+match: OpenBLAS cuts any other GEMM depth past its K block (385 in float64,
+449 in float32) at points that follow the thread count. The pad keeps the
+unpadded one-thread bytes, except at a depth one past a multiple of 32.
 """
 
 from __future__ import annotations
@@ -69,18 +79,27 @@ F64 = np.dtype(np.float64)
 FLOAT_DTYPES = (F32, F64)
 
 
-def _check_float_dtype(arr: np.ndarray, name: str) -> None:
-    if arr.dtype not in FLOAT_DTYPES:
-        raise ValueError(f"{name} must be float32 or float64, got {arr.dtype}")
-
-
-def _check_bias(bias: np.ndarray | None, c_out: int, dtype: np.dtype) -> None:
-    if bias is None:
-        return
-    if bias.shape != (c_out,):
+def _check_operands(x, weight, bias, c_in: int, c_out: int) -> int:
+    """The operand rules ``conv`` and ``upsample2x`` share (see the module
+    docstring); returns the rank, which the weight's trailing axes give."""
+    rank = weight.ndim - 2
+    if rank < 1:
+        raise ValueError(f"conv weight has no spatial axis: shape {weight.shape}")
+    if x.ndim != rank + 1:
+        raise ValueError(f"input must have rank {rank + 1}, got {x.ndim}")
+    if x.dtype not in FLOAT_DTYPES:
+        raise ValueError(f"input must be float32 or float64, got {x.dtype}")
+    if weight.dtype != x.dtype:
+        raise ValueError(f"weight dtype {weight.dtype} != input dtype {x.dtype}")
+    if c_in != x.shape[0]:
+        raise ValueError(
+            f"channel mismatch: input has {x.shape[0]}, weight expects {c_in}"
+        )
+    if bias is not None and bias.shape != (c_out,):
         raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
-    if bias.dtype != dtype:
-        raise ValueError(f"bias dtype {bias.dtype} != input dtype {dtype}")
+    if bias is not None and bias.dtype != x.dtype:
+        raise ValueError(f"bias dtype {bias.dtype} != input dtype {x.dtype}")
+    return rank
 
 
 def as_axes(value, rank: int, name: str) -> tuple[int, ...]:
@@ -147,9 +166,10 @@ def conv(
     """Direct cross-correlation over the trailing spatial axes of ``x``.
 
     x: (C_in, *spatial); weight: (C_out, C_in, *kernel), whose trailing
-    axes give the rank (at least 1, else a ValueError; a 4D weight makes a
-    2D conv) and kernel extents; ``dilation`` and ``stride`` are an int or
-    one int per axis, each at least 1. No kernel flip.
+    axes give the rank (a 4D weight makes a 2D conv) and kernel extents;
+    ``dilation`` and ``stride`` are an int or one int per axis, each at
+    least 1. Operands that break ``_check_operands`` raise ValueError. No
+    kernel flip.
     Zero padding is centred per axis, (e-1)//2 low and e//2 high for an
     effective extent e (an even extent's extra zero goes high), and is made
     by one ``np.pad`` copy of the input, only when some effective extent is
@@ -157,40 +177,19 @@ def conv(
     stride reduce to shifted slices of the padded input.
 
     The output is worked through in slabs of ``slab_rows`` rows of its first
-    spatial axis, sized so that each tap's GEMM stays under OpenBLAS's
-    small-matrix cutoff. For each slab the first tap's GEMM writes the
-    slab's accumulator, every later tap's is added to it, and one add of
-    the bias (or of 0.0) writes the slab out; the slab-sized buffers are
-    allocated once. That is the bytes of a zero-filled accumulator with the
-    bias added last, -0.0 products included, in fewer passes: a single-tap
-    conv (every 1x1 conv) makes one GEMM and one add per slab. A tap is
-    read as a view, a column range of the flattened padded input, when its
-    slab is contiguous there, and is copied into a patch otherwise. A
-    pointwise conv is flattened to one axis first, so its slabs are cut by
-    columns. Slab boundaries fall on multiples of 16 columns, which keeps
-    the result byte-identical to one GEMM per tap over the whole output; a
-    one-output-channel weight runs as a GEMM of two rows, the second zero.
-    A strided conv, or one with more than 256 input channels, runs as one
-    slab, since tiling either changed low bits; with unit stride the latter
-    can be a window conv (see the module docstring), whose taps are views.
+    spatial axis, a pointwise conv's flattened to one axis first; the
+    slab-sized buffers are allocated once. Each slab's first tap's GEMM
+    writes its accumulator, every later tap's is added to it, and one add
+    of the bias (or of 0.0) writes the slab out, so a 1x1 conv makes one
+    GEMM and one add per slab. How each tap is read, which convs run as one
+    slab, and the GEMM shapes that keep the bytes fixed are set out in the
+    module docstring.
     """
-    rank = weight.ndim - 2
-    if rank < 1:
-        raise ValueError(f"conv weight has no spatial axis: shape {weight.shape}")
-    if x.ndim != rank + 1:
-        raise ValueError(f"input must have rank {rank + 1}, got {x.ndim}")
+    c_out, c_in = weight.shape[:2]
+    rank = _check_operands(x, weight, bias, c_in, c_out)
     kernel = as_axes(weight.shape[2:], rank, "kernel extents")
     dilation = as_axes(dilation, rank, "dilation")
     stride = as_axes(stride, rank, "stride")
-    _check_float_dtype(x, "input")
-    if weight.dtype != x.dtype:
-        raise ValueError(f"weight dtype {weight.dtype} != input dtype {x.dtype}")
-    c_out, c_in = weight.shape[:2]
-    if c_in != x.shape[0]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[0]}, weight expects {c_in}"
-        )
-    _check_bias(bias, c_out, x.dtype)
     if min(x.shape[1:]) < 1:
         raise ValueError(f"input extents must be >= 1, got {x.shape[1:]}")
 
@@ -204,9 +203,12 @@ def conv(
     # GEMM rows: a one-output-channel weight gains a zero second row, so
     # that no tap is a vector-matrix product.
     c_rows = max(c_out, 2)
+    # GEMM depth: more than 256 input channels round up to a multiple of 32,
+    # with zero input channels and weight columns (see the module docstring).
+    k = c_in if c_in <= 256 else -(-c_in // 32) * 32
     s0 = stride[0]
-    if all(s == 1 for s in stride) and c_in <= 256:
-        rows = slab_rows(n_rows, row, c_rows * c_in)
+    if all(s == 1 for s in stride) and k <= 256:
+        rows = slab_rows(n_rows, row, c_rows * k)
     else:
         rows = n_rows
 
@@ -215,26 +217,25 @@ def conv(
     # window conv, the output's otherwise.
     grid = tuple(n + e - 1 for n, e in zip(out_sp[1:], eff[1:]))
     window = (
-        c_in > 256
+        k > 256
         and stride == (1,) * rank
-        and c_rows * c_in * n_rows * row > SMALL_GEMM_MACS
+        and c_rows * k * n_rows * row > SMALL_GEMM_MACS
         and n_rows * row % 8 == n_rows * prod(grid) % 8 == 0
     )
     if not window:
         grid = out_sp[1:]
     pitch = prod(grid)
-    pad = [(0, 0)] + [((e - 1) // 2, e // 2) for e in eff]
+    pad = [(0, k - c_in)] + [((e - 1) // 2, e // 2) for e in eff]
     # A window conv's last tap reads past the padded input's last row, into
     # one more row of zeros.
     pad[1] = (pad[1][0], pad[1][1] + window)
-    xp = np.pad(x, pad) if max(eff) > 1 else x
-    # The column stride of each spatial axis in xp flattened to (C_in, columns).
+    xp = np.pad(x, pad) if max(eff) > 1 or k > c_in else x
+    # The column stride of each spatial axis in xp flattened to (k, columns).
     steps = [prod(xp.shape[a + 2 :]) for a in range(rank)]
 
-    # (taps, C_rows, C_in): each tap's weight is one contiguous matrix.
-    w_taps = np.empty((prod(kernel), c_rows, c_in), dtype=x.dtype)
-    w_taps[:, :c_out] = np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0)
-    w_taps[:, c_out:] = 0
+    # (taps, C_rows, k): each tap's weight is one contiguous matrix.
+    w_taps = np.zeros((prod(kernel), c_rows, k), dtype=x.dtype)
+    w_taps[:, :c_out, :c_in] = np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0)
     out = np.empty((c_out,) + out_sp, dtype=x.dtype)
     # Per tap, in np.ndindex order and as read for the first slab: its first
     # padded input row, its slices of the other axes and the flat column
@@ -253,8 +254,8 @@ def conv(
     # holds. The flattening copies only an unpadded, non-contiguous input.
     span = 1 + sum((n - 1) * s * p for n, s, p in zip((rows,) + grid, stride, steps))
     view = span == rows * pitch
-    flat = xp.reshape(c_in, -1) if view else None
-    patch_buf = None if view else np.empty(c_in * rows * pitch, dtype=x.dtype)
+    flat = xp.reshape(k, -1) if view else None
+    patch_buf = None if view else np.empty(k * rows * pitch, dtype=x.dtype)
     tmp_buf = np.empty(c_rows * rows * pitch, dtype=x.dtype)
     acc_buf = np.empty(c_rows * rows * pitch, dtype=x.dtype)
     # The first tap's GEMM starts the accumulator in place of a zero fill.
@@ -268,10 +269,10 @@ def conv(
     for r0 in range(0, n_rows, rows):
         n = min(rows, n_rows - r0)
         cols = n * pitch
-        split = gemm_split(cols, c_rows * c_in, x.dtype)
+        split = gemm_split(cols, c_rows * k, x.dtype)
         if not view:
-            patch = patch_buf[: c_in * cols].reshape(c_in, cols)
-            patch_nd = patch.reshape((c_in, n) + grid)
+            patch = patch_buf[: k * cols].reshape(k, cols)
+            patch_nd = patch.reshape((k, n) + grid)
         tmp = tmp_buf[: c_rows * cols].reshape(c_rows, cols)
         acc = acc_buf[: c_rows * cols].reshape(c_rows, cols)
         r = s0 * r0  # padded rows between each tap's first read and this slab's
@@ -311,7 +312,8 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
 def upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-2, kernel-2 transpose convolution: doubles every spatial extent
     of (C_in, *spatial) exactly. weight layout (C_in, C_out, 2, ..., 2), one
-    2 per spatial axis of ``x``; bias (C_out,), in the input's dtype.
+    2 per spatial axis of ``x``; bias (C_out,); operands as
+    ``_check_operands`` requires.
 
     Stride equals kernel, so output blocks never overlap: each input cell
     expands into an independent 2^rank block. Each block offset is one GEMM
@@ -319,25 +321,16 @@ def upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarra
     and one strided copy writes the buffer into that offset's view of the
     output.
     """
-    rank = x.ndim - 1
-    if weight.ndim != rank + 2:
-        raise ValueError(f"weight must have rank {rank + 2}, got {weight.ndim}")
-    if weight.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"channel mismatch: input has {x.shape[0]}, weight expects {weight.shape[0]}"
-        )
-    if tuple(weight.shape[2:]) != (2,) * rank:
+    c_in, c_out = weight.shape[:2]
+    rank = _check_operands(x, weight, bias, c_in, c_out)
+    if weight.shape[2:] != (2,) * rank:
         raise ValueError(f"kernel extents must all be 2, got {weight.shape[2:]}")
-    if weight.dtype != x.dtype:
-        raise ValueError(f"weight dtype {weight.dtype} != input dtype {x.dtype}")
-    c_out = weight.shape[1]
-    _check_bias(bias, c_out, x.dtype)
     sp = x.shape[1:]
-    x2 = x.reshape(x.shape[0], -1)
+    x2 = x.reshape(c_in, -1)
     w_blocks = np.ascontiguousarray(np.moveaxis(weight, 1, -1))  # (C_in, 2.., C_out)
     out = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=x.dtype)
     y = np.empty((c_out, x2.shape[1]), dtype=x.dtype)
-    split = gemm_split(x2.shape[1], c_out * x.shape[0], x.dtype)
+    split = gemm_split(x2.shape[1], c_out * c_in, x.dtype)
     for block in np.ndindex(*(2,) * rank):
         w = w_blocks[(slice(None),) + block].T
         np.matmul(w, x2[:, :split], out=y[:, :split])

@@ -113,18 +113,22 @@ def conv_untiled(xp, weight, bias, dilation, stride):
     kernel = weight.shape[2:]
     out_sp = _unpadded_extents(xp, kernel, dilation, stride)
     n_out = prod(out_sp)
-    # (taps, C_rows, C_in): each tap's weight is one contiguous matrix, as
+    # as in ``conv``, more than 256 input channels run as a GEMM depth of
+    # the next multiple of 32, the extra channels and weight columns zero
+    k = c_in if c_in <= 256 else -(-c_in // 32) * 32
+    xp = np.pad(xp, [(0, k - c_in)] + [(0, 0)] * len(kernel))
+    # (taps, C_rows, k): each tap's weight is one contiguous matrix, as
     # ``conv`` passes it to BLAS, and one output channel's gains a zero
     # second row, as in ``conv``
     c_rows = max(c_out, 2)
-    w_taps = np.zeros((prod(kernel), c_rows, c_in), dtype=xp.dtype)
-    w_taps[:, :c_out] = np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0)
+    w_taps = np.zeros((prod(kernel), c_rows, k), dtype=xp.dtype)
+    w_taps[:, :c_out, :c_in] = np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0)
     acc = np.zeros((c_rows, n_out), dtype=xp.dtype)
-    patch = np.empty((c_in, n_out), dtype=xp.dtype)
+    patch = np.empty((k, n_out), dtype=xp.dtype)
     tmp = np.empty((c_rows, n_out), dtype=xp.dtype)
-    patch_nd = patch.reshape((c_in,) + out_sp)
+    patch_nd = patch.reshape((k,) + out_sp)
     # as in ``conv``, a float64 GEMM's last columns may run on their own
-    split = gemm_split(n_out, c_rows * c_in, xp.dtype)
+    split = gemm_split(n_out, c_rows * k, xp.dtype)
     for tap_idx, tap in enumerate(np.ndindex(*kernel)):
         sl = tuple(
             slice(t * d, t * d + s * (o - 1) + 1, s)

@@ -329,6 +329,12 @@ class TestWarpBev:
         with pytest.raises(ValueError, match="extents"):
             warp_bev(np.zeros((1, 8, 8)), identity_pose(), identity_pose(), bev_grid())
 
+    @pytest.mark.parametrize("shape", [(32, 32), (1, 32, 32, 2)], ids=["2d", "4d"])
+    def test_rejects_wrong_rank(self, shape):
+        """The extent check rejects every map that is not (C, X, Y)."""
+        with pytest.raises(ValueError, match="do not match grid"):
+            warp_bev(np.zeros(shape), identity_pose(), identity_pose(), bev_grid())
+
 
 # The half grids and BEV widths of a desk run, a wide run (perfbench's
 # 200x200x16 grid) and acceptance check 9's run, with each run's scene poses.

@@ -79,6 +79,12 @@ class TestPredictHeight:
         h = predict_height(np.ones((2, 3, 3)), w)
         np.testing.assert_allclose(h, 0.125)
 
+    def test_rejects_wrong_rank(self):
+        """The height conv rejects a 4D map."""
+        w = BVLWeights.seeded(0, "lift", 2, 2, 4)
+        with pytest.raises(ValueError, match="input must have rank 3, got 4"):
+            predict_height(np.zeros((2, 3, 3, 3), dtype=np.float32), w)
+
 
 class TestBevToVoxelLift:
     def test_uniform_height_spreads_evenly(self):
@@ -178,8 +184,9 @@ class TestBevToVoxelLift:
         )
 
     def test_rejects_wrong_rank(self):
+        """The context conv rejects a 4D map before anything is lifted."""
         w = BVLWeights.seeded(0, "lift", 2, 2, 4)
-        with pytest.raises(ValueError, match="3D"):
+        with pytest.raises(ValueError, match="input must have rank 3, got 4"):
             bev_to_voxel_lift(np.zeros((2, 3, 3, 3), dtype=np.float32), w)
 
 
@@ -226,7 +233,7 @@ class TestFuseAndUpsample:
         "weight, bias, match",
         [
             ((2, 2, 3, 3, 3), (2,), "kernel extents must all be 2"),
-            ((2, 2, 2, 2), (2,), "weight must have rank 5"),
+            ((2, 2, 2, 2), (2,), "input must have rank 3, got 4"),
             ((2, 2, 2, 2, 2), (3,), "bias must have shape"),
         ],
         ids=["extents", "rank", "bias"],
@@ -237,4 +244,11 @@ class TestFuseAndUpsample:
         w = UpsampleWeights(np.zeros(weight), np.zeros(bias))
         v = np.zeros((2, 4, 4, 2))
         with pytest.raises(ValueError, match=match):
+            fuse_and_upsample(v, v, w)
+
+    def test_rejects_3d_volumes(self):
+        """``upsample2x`` rejects volumes of the wrong rank."""
+        w = UpsampleWeights.seeded(4, channels=2)
+        v = np.zeros((2, 4, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="input must have rank 4, got 3"):
             fuse_and_upsample(v, v, w)

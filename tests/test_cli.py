@@ -399,8 +399,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "focal_line,message",
         [("", "missing key 'focal'"),
-         ("focal = abc\n", "key 'focal' has malformed value 'abc'")],
-        ids=["missing-key", "malformed-value"],
+         ("focal = abc\n", "key 'focal' has malformed value 'abc'"),
+         ("n_fames = 3\n", "unknown key 'n_fames'"),
+         ("seed = 99\n", "key 'seed' is repeated"),
+         ("garbage line\n", "line 'garbage line' has no '='")],
+        ids=["missing-key", "malformed-value", "unknown-key", "repeated-key", "no-equals"],
     )
     def test_bad_manifest_reports_error(
         self, config_path, scene_dir, capsys, focal_line, message
@@ -553,6 +556,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: shape mismatch: pred (4, 5), gt (4, 4)")
         assert err.count("\n") == 1
+
+    def test_fractional_mask_fails(self, tmp_path, capsys):
+        """A mask is read as written: a 0.5 is an error, not a visible voxel."""
+        labels = np.zeros((4, 4), dtype=np.uint8)
+        mask = np.ones((4, 4), dtype=np.float32)
+        mask[0, 0] = 0.5
+        for name, arr in (("gt", labels), ("pred", labels), ("mask", mask)):
+            gsdt.write(str(tmp_path / f"{name}.gsdt"), arr)
+        rc = main(
+            ["eval", "--pred", str(tmp_path / "pred.gsdt"),
+             "--gt", str(tmp_path / "gt.gsdt"), "--mask", str(tmp_path / "mask.gsdt")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: mask of dtype float32 must hold only 0 and 1\n"
 
 
 class TestSchedule:

@@ -68,6 +68,21 @@ class TestConfusionMatrix:
         assert cm[1, 1] == 1
         assert cm[3, 1] == 1
 
+    @pytest.mark.parametrize("bad", [0.5, np.nan, 2.0], ids=["half", "nan", "two"])
+    def test_rejects_mask_values_other_than_0_and_1(self, bad):
+        labels = np.zeros(3, dtype=np.uint8)
+        mask = np.array([1.0, 0.0, bad])
+        with pytest.raises(ValueError, match="mask of dtype float64 must hold only 0 and 1"):
+            confusion_matrix(labels, labels, mask)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, bool])
+    def test_accepts_0_1_masks(self, dtype):
+        gt = np.array([1, 2, 3], dtype=np.uint8)
+        pred = np.array([1, 1, 1], dtype=np.uint8)
+        mask = np.array([1, 0, 1], dtype=dtype)
+        want = confusion_matrix(pred, gt, np.array([True, False, True]))
+        np.testing.assert_array_equal(confusion_matrix(pred, gt, mask), want)
+
     def test_rejects_float_labels(self):
         with pytest.raises(ValueError, match="integer"):
             confusion_matrix(np.zeros(4), np.zeros(4, dtype=np.uint8))

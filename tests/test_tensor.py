@@ -488,6 +488,7 @@ WINDOW_CONVS = {
     "3d-3x3x1": ((300, 8, 7, 8), (32, 300, 3, 3, 1), True, 1, 1, np.float32),
     "2d-float64-no-bias": ((300, 24, 9), (32, 300, 3, 3), False, 1, 1, np.float64),
     "2d-one-output-channel": ((300, 48, 40), (1, 300, 3, 3), True, 1, 1, np.float32),
+    "2d-k-block": ((504, 48, 48), (24, 504, 3, 3), True, 1, 1, np.float32),
 }
 
 # Convs with more than 256 input channels that copy each tap into a patch
@@ -586,6 +587,33 @@ class TestWindowRead:
         x, w, b, dilation, stride = _conv_case(*WINDOW_CONVS["desk-fusion"])
         _, peak = traced_peak(conv, x, w, b)
         assert peak <= 1.75 * x.nbytes, f"{peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize(
+        "c_in,depth", [(256, 256), (257, 288), (452, 480), (504, 512), (512, 512)]
+    )
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3)], ids=["pointwise", "3x3"])
+    def test_gemm_depth_past_256_is_a_multiple_of_32(
+        self, monkeypatch, c_in, depth, kernel
+    ):
+        """Past 256 input channels every GEMM runs on the next multiple of
+        32, the extra input channels and weight columns zero, which leaves
+        the sums unchanged."""
+        x, w, b, dilation, stride = _conv_case(
+            (c_in, 6, 5), (4, c_in) + kernel, True, 1, 1, np.float64
+        )
+        depths, matmul = [], np.matmul
+
+        def spy(a, patch, out=None):
+            depths.append((a.shape[1], patch.shape[0]))
+            return matmul(a, patch, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = conv(x, w, b, dilation, stride)
+        monkeypatch.undo()
+        assert depths and set(depths) == {(depth, depth)}
+        np.testing.assert_allclose(
+            got, conv_nd_loops(x, w, b, dilation, stride), rtol=1e-12, atol=1e-12
+        )
 
 
 # Every single-tap conv of a desk, wide and check-9 run (input, weight), as
@@ -815,6 +843,12 @@ class TestUpsample2x:
                 x, np.zeros((1, 1, 3, 3, 3), dtype=np.float32), np.zeros(1, np.float32)
             )
 
+    def test_rejects_integer_input(self):
+        x = np.zeros((2, 4, 4), dtype=np.int64)
+        w = np.zeros((2, 3, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="input must be float32 or float64, got int64"):
+            upsample2x(x, w, np.zeros(3, dtype=np.int64))
+
     def test_rejects_bias_of_other_dtype(self):
         x = np.zeros((2, 4, 4), dtype=np.float32)
         w = np.zeros((2, 3, 2, 2), dtype=np.float32)
@@ -941,6 +975,9 @@ BATCH_CONVS = {
     "one-output-channel": WINDOW_CONVS["2d-one-output-channel"],
     "stride": EDGE_CONVS["2d-stride-2"],
     "dilation": EDGE_CONVS["3d-dilated"],
+    # input channels past OpenBLAS's K block and off a multiple of 32
+    "window-k-block": WINDOW_CONVS["2d-k-block"],
+    "pointwise-k-block": ((452, 48, 48), (24, 452, 1, 1), True, 1, 1, np.float32),
 }
 BATCH_RANDOM_CONVS, BATCH_YAWS, BATCH_LIFTS = 12, (0.1, 0.7, 2.0, -2.9), 3
 # 1,100 cells: a float64 upsample GEMM over the cutoff, off a multiple of 8
