@@ -1,25 +1,23 @@
 """Plain-text pipeline configuration.
 
-Files use ``[section]`` / ``key = value`` syntax with ``#`` comments. Each
-key is one row of ``_KEYS`` and has a default, so an empty file is a valid
+Files are in ``keyfile``'s ``[section]`` / ``key = value`` format. Each key
+is one row of ``_KEYS`` and has a default, so an empty file is a valid
 desk-scale configuration; unknown sections or keys are errors, as are values
-that break cross-module shape constraints.
+that break cross-module shape constraints. The [grid], [depth] max and
+[scene] rows are ``scene.SCENE_KEYS``'s, so a scene manifest holds only
+config keys, and read as a config gives the scene's spec.
 """
 
 from __future__ import annotations
 
-import configparser
-import math
 from dataclasses import dataclass, replace
 
+from . import keyfile
+from .keyfile import ConfigError, integer, number
 from .reparam import check_fit, default_branch_extents
-from .scene import SceneSpec
+from .scene import SCENE_KEYS, SceneSpec
 from .tensor import effective_extents
 from .view import GridSpec
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -106,19 +104,11 @@ class PipelineConfig:
         return default_branch_extents(self.kernel)
 
     def scene_spec(self) -> SceneSpec:
+        rows = SCENE_KEYS["scene"].items()
         return SceneSpec(
-            seed=self.scene_seed,
             grid=self.grid,
-            n_frames=self.scene_frames,
-            n_boxes=self.scene_boxes,
-            n_cameras=self.scene_cameras,
-            image_size=self.scene_image,
-            feature_size=self.scene_features,
-            focal=self.scene_focal,
             d_max=self.d_max,
-            march_step=self.scene_march_step,
-            speed=self.scene_speed,
-            yaw_rate=self.scene_yaw_rate,
+            **{field: getattr(self, f"scene_{key}") for key, (field, _) in rows},
         )
 
 
@@ -127,40 +117,6 @@ def default_config() -> PipelineConfig:
     two cameras, and a 16-frame temporal window."""
     grid = GridSpec((-19.2, -19.2, -1.0), (19.2, 19.2, 2.2), (96, 96, 8))
     return PipelineConfig(grid=grid)
-
-
-def _finite(kind, values) -> bool:
-    return kind is not float or all(math.isfinite(v) for v in values)
-
-
-def _scalar(kind, noun: str):
-    def parse(value: str, where: str):
-        try:
-            out = kind(value)
-        except ValueError:
-            raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
-        if not _finite(kind, [out]):
-            raise ConfigError(f"{where} must be finite, got {value!r}")
-        return out
-    return parse
-
-
-def _vector(kind, n: int, noun: str):
-    def parse(value: str, where: str):
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != n:
-            raise ConfigError(f"{where} needs {n} comma-separated values, got {value!r}")
-        try:
-            out = tuple(kind(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"{where} has a {noun} entry: {value!r}") from None
-        if not _finite(kind, out):
-            raise ConfigError(f"{where} has a non-finite entry: {value!r}")
-        return out
-    return parse
-
-
-_int, _float = _scalar(int, "an integer"), _scalar(float, "a number")
 
 
 def _parse_triple(text: str, where: str) -> tuple[int, int, int]:
@@ -189,79 +145,38 @@ def _parse_branches(value: str, where: str):
         elif "x" in dil_s:
             dil = _parse_triple(dil_s.strip(), f"{where}: branch dilation")
         else:
-            d = _int(dil_s.strip(), f"{where}: branch dilation")
+            d = integer(dil_s.strip(), f"{where}: branch dilation")
             dil = (d, d, d)
         branches.append((ext, dil))
     return tuple(branches)
 
 
-# Each config key once, as {section: {key: (field, parser(value, where))}};
-# [grid] fields are GridSpec's, all others PipelineConfig's.
+# Each config key once, as a ``keyfile`` table: [grid] fields are
+# GridSpec's, all others PipelineConfig's. The scene manifest's keys are
+# config keys too: [grid] and [depth] max as ``SCENE_KEYS`` has them, and
+# each [scene] key k sets the field scene_k.
 _KEYS = {
-    "grid": {
-        "start": ("start", _vector(float, 3, "non-numeric")),
-        "end": ("end", _vector(float, 3, "non-numeric")),
-        "counts": ("counts", _vector(int, 3, "non-integer")),
-    },
-    "depth": {
-        "bins": ("depth_bins", _int),
-        "min": ("d_min", _float),
-        "max": ("d_max", _float),
-    },
-    "temporal": {"queue": ("queue_len", _int)},
-    "channels": {"base": ("channels", _int), "refined": ("refined_channels", _int)},
+    "grid": SCENE_KEYS["grid"],
+    "depth": {"bins": ("depth_bins", integer), "min": ("d_min", number), **SCENE_KEYS["depth"]},
+    "temporal": {"queue": ("queue_len", integer)},
+    "channels": {"base": ("channels", integer), "refined": ("refined_channels", integer)},
     "reparam": {
         "kernel": ("kernel", _parse_triple),
         "branches": ("branches", _parse_branches),
     },
     "pipeline": {
-        "seed": ("seed", _int),
+        "seed": ("seed", integer),
         "depth_provider": ("depth_provider", lambda value, _: value),
     },
-    "scene": {
-        "seed": ("scene_seed", _int),
-        "frames": ("scene_frames", _int),
-        "boxes": ("scene_boxes", _int),
-        "cameras": ("scene_cameras", _int),
-        "image": ("scene_image", _vector(int, 2, "non-integer")),
-        "features": ("scene_features", _vector(int, 2, "non-integer")),
-        "focal": ("scene_focal", _float),
-        "march_step": ("scene_march_step", _float),
-        "speed": ("scene_speed", _float),
-        "yaw_rate": ("scene_yaw_rate", _float),
-    },
+    "scene": {key: (f"scene_{key}", parse) for key, (_, parse) in SCENE_KEYS["scene"].items()},
 }
 
 
 def parse_config(path: str) -> PipelineConfig:
     """Load and validate a configuration file; unknown keys are errors."""
-    cp = configparser.ConfigParser(
-        interpolation=None, delimiters=("=",), comment_prefixes=("#",)
-    )
-    cp.optionxform = str
-    try:
-        with open(path, encoding="utf-8") as f:
-            cp.read_file(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from None
-    except configparser.Error as e:
-        raise ConfigError(f"malformed config file {path}: {e}") from None
-
-    for section in cp.sections():
-        if section not in _KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    grid_fields, fields = {}, {}
-    for section, rows in _KEYS.items():
-        for key, (field, parse) in rows.items():
-            if cp.has_option(section, key):
-                out = grid_fields if section == "grid" else fields
-                out[field] = parse(cp[section][key], f"[{section}] {key}")
+    values = keyfile.read(path, "config file", _KEYS)
+    grid_fields = values.pop("grid")
+    fields = {field: v for section in values.values() for field, v in section.items()}
     try:
         grid = replace(default_config().grid, **grid_fields)
     except ValueError as e:

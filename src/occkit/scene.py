@@ -5,6 +5,9 @@ vehicle driving through it, and a ring of pinhole cameras on the ego. Per
 frame we rasterize the boxes into an ego-centric class grid, ray-march every
 camera ray to its first occupied voxel for depth, and record which voxels
 any ray passed through as the visibility mask.
+
+A saved scene's spec is its manifest, a config file of the ``SCENE_KEYS``
+rows ([grid], [depth] max and [scene]), which the config's key table shares.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from itertools import product
 
 import numpy as np
 
-from . import gsdt
+from . import gsdt, keyfile
 from .bev import EgoPose
 from .evaluate import EMPTY_CLASS, N_CLASSES
+from .keyfile import integer, number, vector
 from .tensor import rng_named
 from .view import CameraParams, GridSpec
 
@@ -368,39 +372,28 @@ def gen_scene(spec: SceneSpec) -> SceneBundle:
     return SceneBundle(occupancy, visible, depth, pose_mats, spec)
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
-
-
-# Each manifest key once, in file order, as (key, field, parser); the grid_
-# keys hold GridSpec fields, all others SceneSpec's.
-_MANIFEST = (
-    ("seed", "seed", int),
-    ("grid_start", "start", _floats),
-    ("grid_end", "end", _floats),
-    ("grid_counts", "counts", _ints),
-    ("n_frames", "n_frames", int),
-    ("n_boxes", "n_boxes", int),
-    ("n_cameras", "n_cameras", int),
-    ("image_size", "image_size", _ints),
-    ("feature_size", "feature_size", _ints),
-    ("focal", "focal", float),
-    ("d_max", "d_max", float),
-    ("march_step", "march_step", float),
-    ("speed", "speed", float),
-    ("yaw_rate", "yaw_rate", float),
-)
-
-
-def _manifest_text(value) -> str:
-    """Floats as ``repr``, which reads back exactly; tuples comma-joined."""
-    if isinstance(value, tuple):
-        return ",".join(_manifest_text(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
+# Each manifest key once, as a ``keyfile`` table: [grid] fields are
+# GridSpec's, all others SceneSpec's.
+SCENE_KEYS = {
+    "grid": {
+        "start": ("start", vector(float, 3, "non-numeric")),
+        "end": ("end", vector(float, 3, "non-numeric")),
+        "counts": ("counts", vector(int, 3, "non-integer")),
+    },
+    "depth": {"max": ("d_max", number)},
+    "scene": {
+        "seed": ("seed", integer),
+        "frames": ("n_frames", integer),
+        "boxes": ("n_boxes", integer),
+        "cameras": ("n_cameras", integer),
+        "image": ("image_size", vector(int, 2, "non-integer")),
+        "features": ("feature_size", vector(int, 2, "non-integer")),
+        "focal": ("focal", number),
+        "march_step": ("march_step", number),
+        "speed": ("speed", number),
+        "yaw_rate": ("yaw_rate", number),
+    },
+}
 
 
 def save_scene(bundle: SceneBundle, out_dir: str) -> None:
@@ -411,9 +404,7 @@ def save_scene(bundle: SceneBundle, out_dir: str) -> None:
     gsdt.write(os.path.join(out_dir, "poses.gsdt"), bundle.poses)
     s = bundle.spec
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
-        for key, field, _ in _MANIFEST:
-            value = getattr(s.grid if key.startswith("grid_") else s, field)
-            f.write(f"{key} = {_manifest_text(value)}\n")
+        keyfile.write(f, SCENE_KEYS, {"grid": s.grid, "depth": s, "scene": s})
 
 
 # Each scene tensor's file stem, dtype, a test that its values are out of
@@ -445,46 +436,10 @@ def _read_tensor(scene_dir: str, stem: str, dtype, bad, domain: str) -> np.ndarr
 
 def load_scene(scene_dir: str) -> SceneBundle:
     path = os.path.join(scene_dir, "manifest.txt")
-    manifest = {}
+    values = keyfile.read(path, "scene manifest", SCENE_KEYS, required=True)
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"scene manifest {path} is not UTF-8 text: {e}") from None
-    known = {key for key, _, _ in _MANIFEST}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        key, eq, value = (part.strip() for part in line.partition("="))
-        if not eq:
-            raise ValueError(f"scene manifest {path}: line {line!r} has no '='")
-        if key not in known:
-            raise ValueError(f"scene manifest {path}: unknown key {key!r}")
-        if key in manifest:
-            raise ValueError(f"scene manifest {path}: key {key!r} is repeated")
-        manifest[key] = value
-
-    grid_fields, fields = {}, {}
-    for key, field, parse in _MANIFEST:
-        if key not in manifest:
-            raise ValueError(f"scene manifest {path} missing key {key!r}")
-        try:
-            value = parse(manifest[key])
-        except ValueError:
-            raise ValueError(
-                f"scene manifest {path}: key {key!r} has malformed value "
-                f"{manifest[key]!r}"
-            ) from None
-        if not np.isfinite(value).all():
-            raise ValueError(
-                f"scene manifest {path}: key {key!r} must be finite, got "
-                f"{manifest[key]!r}"
-            )
-        (grid_fields if key.startswith("grid_") else fields)[field] = value
-    try:
-        grid = GridSpec(**grid_fields)
-        spec = SceneSpec(grid=grid, **fields)
+        grid = GridSpec(**values["grid"])
+        spec = SceneSpec(grid=grid, **values["depth"], **values["scene"])
     except ValueError as e:
         raise ValueError(f"scene manifest {path}: {e}") from None
     occupancy, visible, depth, poses = (_read_tensor(scene_dir, *t) for t in _TENSORS)

@@ -59,9 +59,10 @@ So a conv is a window conv only when its GEMM is over ``SMALL_GEMM_MACS``
 and both its output's and its accumulator's column counts are multiples
 of 8.
 
-A conv with more than 256 input channels pads them with zeros to a multiple
-of 32 in its one ``np.pad``, and its tap matrices gain zero columns to
-match: OpenBLAS cuts any other GEMM depth past its K block (385 in float64,
+More than 256 input channels are padded with zeros to the GEMM depth
+``gemm_depth``, the next multiple of 32, and the weight matrices gain zero
+columns to match, in ``conv`` (in its one ``np.pad``) and ``upsample2x``
+alike: OpenBLAS cuts any other GEMM depth past its K block (385 in float64,
 449 in float32) at points that follow the thread count. The pad keeps the
 unpadded one-thread bytes, except at a depth one past a multiple of 32.
 """
@@ -145,6 +146,13 @@ def slab_rows(n_rows: int, row: int, macs: int) -> int:
     return min(n_rows, max(1, SMALL_GEMM_MACS // (macs * row * step)) * step)
 
 
+def gemm_depth(c_in: int) -> int:
+    """The GEMM depth (K) for ``c_in`` input channels: past 256, the next
+    multiple of 32, which ``conv`` and ``upsample2x`` reach with zero
+    channels (see the module docstring)."""
+    return c_in if c_in <= 256 else -(-c_in // 32) * 32
+
+
 def gemm_split(cols: int, macs: int, dtype: np.dtype) -> int:
     """How many leading columns of a GEMM over ``cols`` columns of ``macs``
     multiply-adds each run as one GEMM; the rest run as a second, small
@@ -203,9 +211,7 @@ def conv(
     # GEMM rows: a one-output-channel weight gains a zero second row, so
     # that no tap is a vector-matrix product.
     c_rows = max(c_out, 2)
-    # GEMM depth: more than 256 input channels round up to a multiple of 32,
-    # with zero input channels and weight columns (see the module docstring).
-    k = c_in if c_in <= 256 else -(-c_in // 32) * 32
+    k = gemm_depth(c_in)
     s0 = stride[0]
     if all(s == 1 for s in stride) and k <= 256:
         rows = slab_rows(n_rows, row, c_rows * k)
@@ -317,20 +323,25 @@ def upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarra
 
     Stride equals kernel, so output blocks never overlap: each input cell
     expands into an independent 2^rank block. Each block offset is one GEMM
-    over C_in into a contiguous buffer, the bias is added there in place,
-    and one strided copy writes the buffer into that offset's view of the
-    output.
+    over ``gemm_depth(C_in)`` into a contiguous buffer, the bias is added
+    there in place, and one strided copy writes the buffer into that
+    offset's view of the output.
     """
     c_in, c_out = weight.shape[:2]
     rank = _check_operands(x, weight, bias, c_in, c_out)
     if weight.shape[2:] != (2,) * rank:
         raise ValueError(f"kernel extents must all be 2, got {weight.shape[2:]}")
     sp = x.shape[1:]
+    k = gemm_depth(c_in)
     x2 = x.reshape(c_in, -1)
-    w_blocks = np.ascontiguousarray(np.moveaxis(weight, 1, -1))  # (C_in, 2.., C_out)
+    w_blocks = np.moveaxis(weight, 1, -1)  # (C_in, 2.., C_out)
+    if k > c_in:
+        x2 = np.pad(x2, ((0, k - c_in), (0, 0)))
+        w_blocks = np.pad(w_blocks, [(0, k - c_in)] + [(0, 0)] * (rank + 1))
+    w_blocks = np.ascontiguousarray(w_blocks)
     out = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=x.dtype)
     y = np.empty((c_out, x2.shape[1]), dtype=x.dtype)
-    split = gemm_split(x2.shape[1], c_out * c_in, x.dtype)
+    split = gemm_split(x2.shape[1], c_out * k, x.dtype)
     for block in np.ndindex(*(2,) * rank):
         w = w_blocks[(slice(None),) + block].T
         np.matmul(w, x2[:, :split], out=y[:, :split])

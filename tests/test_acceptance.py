@@ -6,8 +6,8 @@ Each test prints one verdict line of the form
 
 so a plain ``pytest tests/test_acceptance.py -v -s`` doubles as the release
 report. The latency comparison (check 2) times the full 100x100x8 volume at
-32 channels over 20 runs per form and takes a few minutes on one core; all
-other checks finish in seconds.
+32 channels over 20 runs per form and takes about 15 s at one BLAS thread;
+all other checks finish in seconds.
 """
 
 import dataclasses

@@ -163,6 +163,15 @@ class TestConfigErrors:
         assert err.count("\n") == 1
 
 
+def test_default_section_is_unknown(tmp_path, capsys):
+    """A [DEFAULT] section is an unknown section, not defaults that every
+    section would share or that no section would read."""
+    p = tmp_path / "bad.cfg"
+    p.write_text("[DEFAULT]\nqueue = 3\n")
+    assert main(["equiv", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+
+
 class TestUnmergeableBranches:
     """A kernel and branch set that cannot merge is a config error naming
     ``[reparam] branches``, before any command does work or prints."""
@@ -297,7 +306,7 @@ class TestNonFinite:
             f.write(text)
         err = self.assert_run_fails(config_path, scene_dir, capsys)
         assert err.endswith(
-            f"scene manifest {manifest}: key 'focal' must be finite, got 'nan'\n"
+            f"scene manifest {manifest}: [scene] focal must be finite, got 'nan'\n"
         )
 
     def test_pose_file(self, config_path, scene_dir, capsys):
@@ -397,31 +406,54 @@ class TestRun:
 
 
     @pytest.mark.parametrize(
-        "focal_line,message",
-        [("", "missing key 'focal'"),
-         ("focal = abc\n", "key 'focal' has malformed value 'abc'"),
-         ("n_fames = 3\n", "unknown key 'n_fames'"),
-         ("seed = 99\n", "key 'seed' is repeated"),
-         ("garbage line\n", "line 'garbage line' has no '='")],
-        ids=["missing-key", "malformed-value", "unknown-key", "repeated-key", "no-equals"],
+        "edit,message",
+        [(lambda t: t.replace("focal = 8.0\n", ""), "missing key 'focal' in section [scene]"),
+         (lambda t: t.replace("focal = 8.0", "focal = abc"),
+          "[scene] focal must be a number, got 'abc'"),
+         (lambda t: t.replace("focal = 8.0", "n_fames = 3"),
+          "unknown key 'n_fames' in section [scene]"),
+         (lambda t: t.replace("focal = 8.0", "seed = 99"),
+          "option 'seed' in section 'scene' already exists"),
+         (lambda t: t.replace("focal = 8.0", "garbage line"), "'garbage line"),
+         (lambda t: OLD_FORMAT_MANIFEST, "File contains no section headers"),
+         (lambda t: t + "\n[temporal]\nqueue = 3\n", "unknown config section [temporal]"),
+         (lambda t: t.replace("[depth]\nmax = 12.0\n", ""),
+          "missing key 'max' in section [depth]")],
+        ids=["missing-key", "malformed-value", "unknown-key", "repeated-key", "no-equals",
+             "old-format", "config-section", "no-depth-section"],
     )
-    def test_bad_manifest_reports_error(
-        self, config_path, scene_dir, capsys, focal_line, message
-    ):
+    def test_bad_manifest_reports_error(self, config_path, scene_dir, capsys, edit, message):
         manifest = f"{scene_dir}/manifest.txt"
         with open(manifest) as f:
-            lines = [focal_line if ln.startswith("focal") else ln for ln in f]
+            text = edit(f.read())
         with open(manifest, "w") as f:
-            f.writelines(lines)
+            f.write(text)
         rc = main(
             ["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.0"]
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: scene manifest")
-        assert "manifest.txt" in err
+        assert err.startswith(f"error: scene manifest {manifest}: ")
         assert message in err
         assert err.count("\n") == 1
+
+
+# The tiny scene's manifest as written before manifests became config files.
+OLD_FORMAT_MANIFEST = """seed = 7
+grid_start = -8.0,-8.0,-1.0
+grid_end = 8.0,8.0,1.0
+grid_counts = 32,32,4
+n_frames = 2
+n_boxes = 2
+n_cameras = 1
+image_size = 8,16
+feature_size = 4,8
+focal = 8.0
+d_max = 12.0
+march_step = 0.1
+speed = 0.5
+yaw_rate = 0.0
+"""
 
 
 class TestAbsurdPose:
@@ -466,11 +498,13 @@ class TestManifestFields:
         "key,value,message",
         [
             ("focal", "-8.0", "scene focal -8.0 does not match config 8.0"),
-            ("image_size", "0,0", "scene image_size (0, 0) does not match config (8, 16)"),
-            ("image_size", "8,16,3",
-             "scene image_size (8, 16, 3) does not match config (8, 16)"),
-            ("grid_counts", "32,32",
-             "scene manifest {manifest}: grid start/end/counts must each have 3 entries"),
+            ("image", "0, 0", "scene image_size (0, 0) does not match config (8, 16)"),
+            ("image", "8, 16, 3",
+             "scene manifest {manifest}: [scene] image needs 2 comma-separated values, "
+             "got '8, 16, 3'"),
+            ("counts", "32, 32",
+             "scene manifest {manifest}: [grid] counts needs 3 comma-separated values, "
+             "got '32, 32'"),
         ],
         ids=["focal-negative", "image-zero", "image-three-entries", "grid-two-counts"],
     )

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from occkit import scene
 from occkit.bev import EgoPose
-from occkit.config import default_config
+from occkit.config import default_config, parse_config
 from occkit.evaluate import EMPTY_CLASS
 from occkit.scene import (
     BoxObstacle,
@@ -494,30 +494,9 @@ class TestSaveLoad:
         out = tmp_path / "scene"
         save_scene(bundle, str(out))
         manifest = (out / "manifest.txt").read_text()
-        (out / "manifest.txt").write_text(manifest.replace("n_frames = 1", "n_frames = 3"))
+        (out / "manifest.txt").write_text(manifest.replace("frames = 1", "frames = 3"))
         with pytest.raises(ValueError, match="manifest"):
             load_scene(str(out))
-
-
-def manifest_fstrings(s: SceneSpec) -> str:
-    """The manifest writer before the key table, kept as the oracle."""
-    lines = [
-        f"seed = {s.seed}",
-        f"grid_start = {s.grid.start[0]!r},{s.grid.start[1]!r},{s.grid.start[2]!r}",
-        f"grid_end = {s.grid.end[0]!r},{s.grid.end[1]!r},{s.grid.end[2]!r}",
-        f"grid_counts = {s.grid.counts[0]},{s.grid.counts[1]},{s.grid.counts[2]}",
-        f"n_frames = {s.n_frames}",
-        f"n_boxes = {s.n_boxes}",
-        f"n_cameras = {s.n_cameras}",
-        f"image_size = {s.image_size[0]},{s.image_size[1]}",
-        f"feature_size = {s.feature_size[0]},{s.feature_size[1]}",
-        f"focal = {s.focal!r}",
-        f"d_max = {s.d_max!r}",
-        f"march_step = {s.march_step!r}",
-        f"speed = {s.speed!r}",
-        f"yaw_rate = {s.yaw_rate!r}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 DESK = default_config()
@@ -543,14 +522,16 @@ MANIFEST_SPECS = {
 
 
 @pytest.mark.parametrize("spec", MANIFEST_SPECS.values(), ids=MANIFEST_SPECS)
-def test_manifest_matches_fstring_writer(tmp_path, spec):
-    """The key-table writer's manifest is byte-equal to the f-string one."""
-    empty = np.zeros((1, 1, 1, 1), dtype=np.uint8)
-    bundle = SceneBundle(
-        empty, empty, np.zeros((1, 1, 1, 1), np.float32), np.eye(4)[None], spec
-    )
-    save_scene(bundle, str(tmp_path))
-    assert (tmp_path / "manifest.txt").read_bytes() == manifest_fstrings(spec).encode()
+def test_manifest_round_trips_and_is_a_config(tmp_path, spec):
+    """``load_scene`` gives back the saved spec exactly, and the manifest
+    read as a config gives the same spec."""
+    t, (nx, ny, nz), (h_f, w_f) = spec.n_frames, spec.grid.counts, spec.feature_size
+    grids = np.zeros((t, nx, ny, nz), dtype=np.uint8)
+    depth = np.full((t, spec.n_cameras, h_f, w_f), -1.0, dtype=np.float32)
+    save_scene(SceneBundle(grids, grids, depth, np.tile(np.eye(4), (t, 1, 1)), spec),
+               str(tmp_path))
+    assert load_scene(str(tmp_path)).spec == spec
+    assert parse_config(str(tmp_path / "manifest.txt")).scene_spec() == spec
 
 
 def march_stepwise(occ, grid, cams, d_max, step):

@@ -982,12 +982,14 @@ BATCH_CONVS = {
 BATCH_RANDOM_CONVS, BATCH_YAWS, BATCH_LIFTS = 12, (0.1, 0.7, 2.0, -2.9), 3
 # 1,100 cells: a float64 upsample GEMM over the cutoff, off a multiple of 8
 BATCH_UPSAMPLE = (32, 10, 10, 11)
+# upsample input channels past OpenBLAS's K block and off a multiple of 32
+BATCH_K_UPSAMPLES = ((452, np.float32), (392, np.float64))
 
 
 def thread_batch():
     """Seeded outputs, each as (label, array): the ``BATCH_CONVS`` in both
-    dtypes, random convs, upsamples, yawed warps and lifts through one
-    plan."""
+    dtypes, random convs, upsamples, yawed warps, lifts through one plan
+    and the ``BATCH_K_UPSAMPLES``."""
     outs = []
     for name, (x_shape, w_shape, bias, dilation, stride, _) in BATCH_CONVS.items():
         for dtype in (np.float32, np.float64):
@@ -1022,6 +1024,11 @@ def thread_batch():
         features = rng.standard_normal((6, 16, 8, 22)).astype(np.float32)
         probs = softmax(rng.standard_normal((6, 32, 8, 22)), axis=1).astype(np.float32)
         outs.append((f"lift-{i}", lift_splat(features, DepthDistribution(probs), plan)))
+    for c_in, dtype in BATCH_K_UPSAMPLES:
+        x = rng.standard_normal((c_in, 24, 24, 4)).astype(dtype)
+        w = rng.standard_normal((c_in, 24, 2, 2, 2)).astype(dtype)
+        b = rng.standard_normal(24).astype(dtype)
+        outs.append((f"upsample-k{c_in}-{np.dtype(dtype)}", upsample2x(x, w, b)))
     return outs
 
 
@@ -1038,12 +1045,13 @@ for label, out in test_tensor.thread_batch():
 def test_seeded_batch_independent_of_blas_threads():
     """Every output of ``thread_batch`` has the same bytes with one and two
     BLAS threads: convs on every read path, strided, dilated and with one
-    output channel, in both dtypes; random convs; upsamples; yawed warps;
-    and lifts through one ``LiftPlan``."""
+    output channel, in both dtypes; random convs; upsamples, also past the
+    K block; yawed warps; and lifts through one ``LiftPlan``."""
     outs = _at_one_and_two_threads(_BATCH_CHILD, str(Path(__file__).resolve().parent))
     lines = outs[0].splitlines()
     assert len(lines) == (
         2 * len(BATCH_CONVS) + BATCH_RANDOM_CONVS + 2 + len(BATCH_YAWS) + BATCH_LIFTS
+        + len(BATCH_K_UPSAMPLES)
     )
     assert outs[0] == outs[1]
 
