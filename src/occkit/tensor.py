@@ -13,8 +13,9 @@ float64; the weight and the (C_out,) bias, if any, are in its dtype. Each
 adds its own extent rule (``as_axes`` for ``conv``, all 2 for
 ``upsample2x``) and raises ValueError before it writes any output, so
 neither the weight containers of the other modules nor the callers of the
-two repeat these checks. Every operation is deterministic for fixed inputs
-(single-threaded accumulation order, no unordered reductions).
+two repeat these checks. Every operation is deterministic for fixed inputs:
+no reduction is unordered, and the GEMM rules below keep each product's
+bytes at any BLAS thread count.
 
 ``conv`` reads its rank and kernel extents from its weight, which needs a
 spatial axis, and takes only ``dilation`` and ``stride`` besides, each an
@@ -31,16 +32,11 @@ multiply-adds, where OpenBLAS runs its faster small-matrix kernel, and the
 working buffers stay in cache. Each output element still sums its taps in
 the same order. Every slab but the last spans a multiple of 16 columns (see
 ``slab_rows``), which keeps the logits byte-identical to running each GEMM
-over the whole output at once. A weight with one output channel gains a
-zero second row, so that every tap is a GEMM: a BLAS vector-matrix product
-rounds by column count, operand layout and thread count. In float64, a GEMM
-over the cutoff runs its columns past the last multiple of 8 as a GEMM of
-their own (``gemm_split``), in ``conv`` and ``upsample2x`` alike: OpenBLAS
-rounds them by how its threads split the columns. A conv starts
-each slab's accumulator with its first tap's GEMM and adds the bias (or
-0.0) on the way into the output, and ``upsample2x`` adds its bias to each
-contiguous block GEMM before one strided copy per block: the bytes of a
-zero-filled accumulator or a strided add, in fewer passes.
+over the whole output at once. A conv starts each slab's accumulator with
+its first tap's GEMM and adds the bias (or 0.0) on the way into the output,
+and ``upsample2x`` adds its bias to each contiguous block GEMM before one
+strided copy per block: the bytes of a zero-filled accumulator or a strided
+add, in fewer passes.
 
 A tap's right operand is a view where its slab is contiguous in the
 padded input: the column range ``[off, off + cols)`` of that input
@@ -59,12 +55,24 @@ So a conv is a window conv only when its GEMM is over ``SMALL_GEMM_MACS``
 and both its output's and its accumulator's column counts are multiples
 of 8.
 
-More than 256 input channels are padded with zeros to the GEMM depth
-``gemm_depth``, the next multiple of 32, and the weight matrices gain zero
-columns to match, in ``conv`` (in its one ``np.pad``) and ``upsample2x``
-alike: OpenBLAS cuts any other GEMM depth past its K block (385 in float64,
-449 in float32) at points that follow the thread count. The pad keeps the
-unpadded one-thread bytes, except at a depth one past a multiple of 32.
+The GEMM rules: ``conv``'s tap loop and ``upsample2x``'s block loop run
+every product through ``_gemm``, at the rows and depth ``gemm_shape``
+gives, and three rules keep its bytes fixed at any OpenBLAS thread count.
+A weight with one output channel gains a zero second row, so that every
+product is a GEMM: a BLAS vector-matrix product rounds by column count,
+operand layout and thread count. More than 256 input channels are padded
+with zeros to the next multiple of 32, and the weight gains zero columns to
+match: OpenBLAS cuts any other depth past its K block (385 in float64, 449
+in float32) at points that follow the thread count. The pad keeps the
+unpadded one-thread bytes, except at a depth one past a multiple of 32. A
+float64 GEMM over ``SMALL_GEMM_MACS`` runs its columns past the last
+multiple of 8 as a second GEMM, since OpenBLAS rounds them by how its
+threads split the columns; where that would leave one column, the second
+GEMM takes the last 9, since a one-column product is a BLAS matrix-vector
+product. Each kernel lays out its own weight: ``conv`` one contiguous
+matrix per tap, ``upsample2x`` a (depth, 2.., rows) array whose blocks it
+reads as transposed views, since a contiguous copy rounds some columns
+differently.
 """
 
 from __future__ import annotations
@@ -146,22 +154,25 @@ def slab_rows(n_rows: int, row: int, macs: int) -> int:
     return min(n_rows, max(1, SMALL_GEMM_MACS // (macs * row * step)) * step)
 
 
-def gemm_depth(c_in: int) -> int:
-    """The GEMM depth (K) for ``c_in`` input channels: past 256, the next
-    multiple of 32, which ``conv`` and ``upsample2x`` reach with zero
-    channels (see the module docstring)."""
-    return c_in if c_in <= 256 else -(-c_in // 32) * 32
+def gemm_shape(c_out: int, c_in: int) -> tuple[int, int]:
+    """The (rows, depth) of a GEMM from ``c_in`` to ``c_out`` channels: at
+    least two rows, and past 256 the next multiple of 32 as its depth, the
+    extra rows and depth zero (see the module docstring)."""
+    return max(c_out, 2), c_in if c_in <= 256 else -(-c_in // 32) * 32
 
 
-def gemm_split(cols: int, macs: int, dtype: np.dtype) -> int:
-    """How many leading columns of a GEMM over ``cols`` columns of ``macs``
-    multiply-adds each run as one GEMM; the rest run as a second, small
-    one. In float64 over ``SMALL_GEMM_MACS``, OpenBLAS's regular kernel
-    rounds the columns past the last multiple of 8 by how its threads split
-    the columns, so those columns get a GEMM of their own."""
-    if dtype == F64 and cols * macs > SMALL_GEMM_MACS:
-        return cols - cols % 8
-    return cols
+def _gemm(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """``out = w @ x``. A float64 GEMM over ``SMALL_GEMM_MACS`` runs its
+    columns past the last multiple of 8, or its last 9 where that would be
+    one column, as a second GEMM (see the module docstring)."""
+    cols = x.shape[1]
+    tail = cols % 8 + 8 * (cols % 8 == 1)
+    if 0 < tail < cols and out.dtype == F64 and w.size * cols > SMALL_GEMM_MACS:
+        split = cols - tail
+        np.matmul(w, x[:, :split], out=out[:, :split])
+        np.matmul(w, x[:, split:], out=out[:, split:])
+    else:
+        np.matmul(w, x, out=out)
 
 
 def conv(
@@ -190,8 +201,7 @@ def conv(
     writes its accumulator, every later tap's is added to it, and one add
     of the bias (or of 0.0) writes the slab out, so a 1x1 conv makes one
     GEMM and one add per slab. How each tap is read, which convs run as one
-    slab, and the GEMM shapes that keep the bytes fixed are set out in the
-    module docstring.
+    slab, and the GEMM rules are set out in the module docstring.
     """
     c_out, c_in = weight.shape[:2]
     rank = _check_operands(x, weight, bias, c_in, c_out)
@@ -208,10 +218,7 @@ def conv(
         kernel = dilation = stride = (1,)
         rank, out_sp = 1, (prod(out_sp),)
     n_rows, row = out_sp[0], prod(out_sp[1:])
-    # GEMM rows: a one-output-channel weight gains a zero second row, so
-    # that no tap is a vector-matrix product.
-    c_rows = max(c_out, 2)
-    k = gemm_depth(c_in)
+    c_rows, k = gemm_shape(c_out, c_in)
     s0 = stride[0]
     if all(s == 1 for s in stride) and k <= 256:
         rows = slab_rows(n_rows, row, c_rows * k)
@@ -275,7 +282,6 @@ def conv(
     for r0 in range(0, n_rows, rows):
         n = min(rows, n_rows - r0)
         cols = n * pitch
-        split = gemm_split(cols, c_rows * k, x.dtype)
         if not view:
             patch = patch_buf[: k * cols].reshape(k, cols)
             patch_nd = patch.reshape((k, n) + grid)
@@ -289,12 +295,7 @@ def conv(
             else:
                 rows_in = slice(first + r, first + r + s0 * (n - 1) + 1, s0)
                 np.copyto(patch_nd, xp[(slice(None), rows_in) + inner])
-            dst = tmp if tap_idx else acc
-            if split == cols:
-                np.matmul(w_taps[tap_idx], patch, out=dst)
-            else:
-                np.matmul(w_taps[tap_idx], patch[:, :split], out=dst[:, :split])
-                np.matmul(w_taps[tap_idx], patch[:, split:], out=dst[:, split:])
+            _gemm(w_taps[tap_idx], patch, tmp if tap_idx else acc)
             if tap_idx:
                 acc += tmp
         np.add(
@@ -322,34 +323,30 @@ def upsample2x(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarra
     ``_check_operands`` requires.
 
     Stride equals kernel, so output blocks never overlap: each input cell
-    expands into an independent 2^rank block. Each block offset is one GEMM
-    over ``gemm_depth(C_in)`` into a contiguous buffer, the bias is added
-    there in place, and one strided copy writes the buffer into that
-    offset's view of the output.
+    expands into an independent 2^rank block. Each block offset is one
+    ``_gemm`` into a contiguous buffer (the GEMM rules are in the module
+    docstring), the bias is added to its output rows in place, and one
+    strided copy writes them into that offset's view of the output.
     """
     c_in, c_out = weight.shape[:2]
     rank = _check_operands(x, weight, bias, c_in, c_out)
     if weight.shape[2:] != (2,) * rank:
         raise ValueError(f"kernel extents must all be 2, got {weight.shape[2:]}")
     sp = x.shape[1:]
-    k = gemm_depth(c_in)
+    rows, k = gemm_shape(c_out, c_in)
     x2 = x.reshape(c_in, -1)
-    w_blocks = np.moveaxis(weight, 1, -1)  # (C_in, 2.., C_out)
     if k > c_in:
         x2 = np.pad(x2, ((0, k - c_in), (0, 0)))
-        w_blocks = np.pad(w_blocks, [(0, k - c_in)] + [(0, 0)] * (rank + 1))
-    w_blocks = np.ascontiguousarray(w_blocks)
+    # (k, 2.., rows): each block's weight is read as a transposed view.
+    w_blocks = np.zeros((k,) + (2,) * rank + (rows,), dtype=x.dtype)
+    w_blocks[:c_in, ..., :c_out] = np.moveaxis(weight, 1, -1)
     out = np.empty((c_out,) + tuple(2 * n for n in sp), dtype=x.dtype)
-    y = np.empty((c_out, x2.shape[1]), dtype=x.dtype)
-    split = gemm_split(x2.shape[1], c_out * k, x.dtype)
+    y = np.empty((rows, x2.shape[1]), dtype=x.dtype)
+    y_out = y[:c_out].reshape((c_out,) + sp)  # a view of y's output rows
     for block in np.ndindex(*(2,) * rank):
-        w = w_blocks[(slice(None),) + block].T
-        np.matmul(w, x2[:, :split], out=y[:, :split])
-        np.matmul(w, x2[:, split:], out=y[:, split:])
-        y += bias[:, None]
-        out[(slice(None),) + tuple(slice(o, None, 2) for o in block)] = y.reshape(
-            (c_out,) + sp
-        )
+        _gemm(w_blocks[(slice(None),) + block].T, x2, y)
+        y[:c_out] += bias[:, None]
+        out[(slice(None),) + tuple(slice(o, None, 2) for o in block)] = y_out
     return out
 
 

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: a dtype cast for weight dataclasses,
 the identity ego pose, scenes with boxes placed by hand, the voxel of a
 point, convolution oracles that run on an input the caller has already
-padded, and a call's peak traced memory."""
+padded, the float64 column split of their GEMMs, and a call's peak traced
+memory."""
 
 import tracemalloc
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -12,7 +13,7 @@ import numpy as np
 
 from occkit.bev import EgoPose
 from occkit.scene import BoxObstacle, SceneSpec
-from occkit.tensor import gemm_split
+from occkit.tensor import SMALL_GEMM_MACS
 
 
 def cast(weights, dtype):
@@ -71,6 +72,19 @@ def traced_peak(fn, *args, **kw):
         if not was_tracing:
             tracemalloc.stop()
     return result, peak
+
+
+def gemm_split(cols, macs, dtype):
+    """How many leading columns of a GEMM over ``cols`` columns of ``macs``
+    multiply-adds each run as one GEMM; the rest run as a second. In
+    float64 over ``SMALL_GEMM_MACS``, OpenBLAS's regular kernel rounds the
+    columns past the last multiple of 8 by how its threads split the
+    columns, so those columns get a GEMM of their own, and at least two of
+    them, since a one-column product is a BLAS matrix-vector product."""
+    if np.dtype(dtype) != np.float64 or cols * macs <= SMALL_GEMM_MACS:
+        return cols
+    tail = cols % 8 if cols % 8 != 1 else 9
+    return cols - tail if tail < cols else cols
 
 
 def centred_pad(x, kernel, dilation):

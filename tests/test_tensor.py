@@ -16,7 +16,7 @@ from occkit.tensor import (
     SMALL_GEMM_MACS,
     conv,
     effective_extents,
-    gemm_split,
+    gemm_shape,
     rng_named,
     slab_rows,
     softmax,
@@ -24,7 +24,7 @@ from occkit.tensor import (
     upsample2x,
 )
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
-from support import cast, centred_pad, conv_loops, conv_untiled, traced_peak
+from support import cast, centred_pad, conv_loops, conv_untiled, gemm_split, traced_peak
 
 
 def conv_nd_loops(x, weight, bias, dilation, stride):
@@ -501,6 +501,8 @@ COPIED_WIDE_CONVS = {
     "2d-under-cutoff": ((300, 12, 12), (16, 300, 3, 3), True, 1, 1, np.float32),
     "2d-columns-off-8": ((300, 2, 102), (32, 300, 3, 3), True, 1, 1, np.float64),
     "2d-window-off-8": ((300, 2, 100), (64, 300, 3, 3), True, 1, 1, np.float64),
+    # 153 columns: the float64 second GEMM takes the last 9, not one
+    "2d-columns-one-past-8": ((300, 3, 51), (32, 300, 3, 3), True, 1, 1, np.float64),
 }
 
 
@@ -899,6 +901,59 @@ class TestUpsample2x:
             _signed_zero_matmul(monkeypatch)
         got = upsample2x(x, w, b)
         assert got.tobytes() == upsample2x_strided_add(x, w, b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in", [1, 3, 8, 32, 64, 300])
+    @pytest.mark.parametrize("c_out", [1, 2, 24])
+    def test_x_slabs_match_the_whole(self, c_out, c_in, dtype):
+        """Each x-slab's upsample has the bytes of the whole upsample's
+        matching rows, as ``run_pipeline``'s tail needs, whatever the
+        slab's column count: a one-channel weight runs as a GEMM of two
+        rows, and no float64 GEMM leaves one column to a product of its
+        own. Past OpenBLAS's K block a slab's bytes may differ, as a tiled
+        conv's would."""
+        rng = np.random.default_rng(100 * c_in + c_out)
+        x = rng.standard_normal((c_in, 16, 37, 5)).astype(dtype)
+        w = rng.standard_normal((c_in, c_out, 2, 2, 2)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        whole = upsample2x(x, w, b)
+        for cut in (3, 7, 13):
+            for lo, hi in ((0, cut), (cut, 16)):
+                got = upsample2x(x[:, lo:hi], w, b)
+                assert got.tobytes() == whole[:, 2 * lo : 2 * hi].tobytes(), (lo, hi)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c_in,depth", [(256, 256), (257, 288), (452, 480)])
+@pytest.mark.parametrize("c_out", [1, 4])
+@pytest.mark.parametrize("kernel", ["conv", "upsample2x"])
+def test_every_product_has_the_gemm_shape(monkeypatch, kernel, c_out, c_in, depth, dtype):
+    """Every product ``conv`` and ``upsample2x`` run has the rows and
+    depth of ``gemm_shape``: at least two rows and, past 256 input
+    channels, the next multiple of 32 as its depth, the extra rows and
+    depth zero, which leaves the sums unchanged."""
+    rng = np.random.default_rng(c_in + c_out)
+    x = rng.standard_normal((c_in, 6, 5, 2)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    if kernel == "conv":
+        w = rng.standard_normal((c_out, c_in, 3, 3, 1)).astype(dtype)
+        run, want = conv, lambda: conv_nd_untiled(x, w, b, (1, 1, 1), (1, 1, 1))
+    else:
+        w = rng.standard_normal((c_in, c_out, 2, 2, 2)).astype(dtype)
+        run, want = upsample2x, lambda: upsample2x_interleaved(x, w, b, 3)
+    shapes, matmul = [], np.matmul
+
+    def spy(a, right, out=None):
+        shapes.append((a.shape, right.shape[0]))
+        return matmul(a, right, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    got = run(x, w, b)
+    monkeypatch.undo()
+    assert gemm_shape(c_out, c_in) == (max(c_out, 2), depth)
+    assert shapes and set(shapes) == {((max(c_out, 2), depth), depth)}
+    tol = 1e-4 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(got, want(), rtol=tol, atol=tol)
 
 
 # One conv in a fresh interpreter: OpenBLAS reads its thread count once,
