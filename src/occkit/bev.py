@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import FLOAT_DTYPES, conv, rng_named, uniform_init, upsample2x
+from .tensor import FLOAT_DTYPES, conv, conv_init, rng_named, uniform_init, upsample2x
 from .view import GridSpec
 
 
@@ -210,13 +210,10 @@ class FusionWeights:
 
     @classmethod
     def seeded(cls, seed: int, channels: int, frames: int):
-        c_in = channels * frames
         rng = rng_named(seed, "temporal_fusion")
         return cls(
-            uniform_init(rng, (channels, c_in, 3, 3), fan_in=c_in * 9),
-            uniform_init(rng, (channels,), fan_in=c_in * 9),
-            uniform_init(rng, (channels, channels, 3, 3), fan_in=channels * 9),
-            uniform_init(rng, (channels,), fan_in=channels * 9),
+            *conv_init(rng, channels, frames * channels, (3, 3)),
+            *conv_init(rng, channels, channels, (3, 3)),
         )
 
 
@@ -282,27 +279,13 @@ class SemanticEncoderWeights:
     def seeded(cls, seed: int, channels: int, out_channels: int):
         rng = rng_named(seed, "semantic_encoder_2d")
         c, co = channels, out_channels
-
-        def conv_w(c_out, c_in, k):
-            return uniform_init(rng, (c_out, c_in, k, k), fan_in=c_in * k * k)
-
-        def bias(c_out, c_in, k):
-            return uniform_init(rng, (c_out,), fan_in=c_in * k * k)
-
         up1_w = uniform_init(rng, (c, c, 2, 2), fan_in=c)
         up1_b = uniform_init(rng, (c,), fan_in=c)
         up2_w = uniform_init(rng, (c, co, 2, 2), fan_in=c)
         up2_b = uniform_init(rng, (co,), fan_in=c)
-        skip_w = skip_b = None
-        if co != c:
-            skip_w = conv_w(co, c, 1)
-            skip_b = bias(co, c, 1)
-        return cls(
-            conv_w(c, c, 3), bias(c, c, 3),
-            conv_w(c, c, 3), bias(c, c, 3),
-            conv_w(c, c, 3), bias(c, c, 3),
-            up1_w, up1_b, up2_w, up2_b, skip_w, skip_b,
-        )
+        skip = conv_init(rng, co, c, (1, 1)) if co != c else (None, None)
+        down1, down2, mid = (conv_init(rng, c, c, (3, 3)) for _ in range(3))
+        return cls(*down1, *down2, *mid, up1_w, up1_b, up2_w, up2_b, *skip)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:

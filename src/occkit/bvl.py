@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import conv, rng_named, softmax, uniform_init, upsample2x
+from .tensor import conv, conv_init, rng_named, softmax, uniform_init, upsample2x
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,8 @@ class BVLWeights:
     def seeded(cls, seed: int, name: str, c_in: int, c_out: int, n_heights: int):
         rng = rng_named(seed, name)
         return cls(
-            uniform_init(rng, (c_out, c_in, 1, 1), fan_in=c_in),
-            uniform_init(rng, (c_out,), fan_in=c_in),
-            uniform_init(rng, (n_heights, c_in, 1, 1), fan_in=c_in),
-            uniform_init(rng, (n_heights,), fan_in=c_in),
+            *conv_init(rng, c_out, c_in, (1, 1)),
+            *conv_init(rng, n_heights, c_in, (1, 1)),
         )
 
 

@@ -219,9 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("schedule", help="dump the depth-mixup curve as CSV")
-    p.add_argument("--r", type=float, default=5.0, help="sigmoid steepness")
-    p.add_argument("--tmax", type=int, default=1000, help="total iterations")
-    p.add_argument("--nalpha", type=float, default=5.0, help="half range of x")
+    p.add_argument(
+        "--r", type=float, default=MixupSchedule.steepness, help="sigmoid steepness"
+    )
+    p.add_argument(
+        "--tmax", type=int, default=MixupSchedule.total_iters, help="total iterations"
+    )
+    p.add_argument(
+        "--nalpha", type=float, default=MixupSchedule.half_range, help="half range of x"
+    )
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(fn=_cmd_schedule)
     return parser

@@ -46,7 +46,7 @@ from .reparam import (
 )
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
-from .tensor import conv, rng_named, slab_rows, softmax, uniform_init
+from .tensor import conv, conv_init, rng_named, slab_rows, softmax
 from .view import DepthDistribution, LiftPlan, bin_centers, lift_splat, sparsity_ratio
 
 
@@ -71,10 +71,8 @@ class StubDepthWeights:
     def seeded(cls, seed: int, channels: int, n_bins: int):
         rng = rng_named(seed, "stub_depth_head")
         return cls(
-            uniform_init(rng, (channels, channels, 3, 3), fan_in=channels * 9),
-            uniform_init(rng, (channels,), fan_in=channels * 9),
-            uniform_init(rng, (n_bins, channels, 1, 1), fan_in=channels),
-            uniform_init(rng, (n_bins,), fan_in=channels),
+            *conv_init(rng, channels, channels, (3, 3)),
+            *conv_init(rng, n_bins, channels, (1, 1)),
         )
 
 
@@ -107,8 +105,7 @@ def build_weights(config: PipelineConfig) -> PipelineWeights:
     )
     merged = merge_branches(list(branches), config.kernel)
     rng = rng_named(seed, "classifier_head")
-    head_w = uniform_init(rng, (N_CLASSES, cr, 1, 1, 1), fan_in=cr)
-    head_b = uniform_init(rng, (N_CLASSES,), fan_in=cr)
+    head_w, head_b = conv_init(rng, N_CLASSES, cr, (1, 1, 1))
     return PipelineWeights(
         fusion=FusionWeights.seeded(seed, c, config.queue_len + 1),
         encoder=SemanticEncoderWeights.seeded(seed, c, cr),

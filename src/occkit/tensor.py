@@ -1,6 +1,6 @@
-"""Dense tensor primitives: one convolution (``conv``, of any rank), softmax
-and exact 2x transpose-conv upsampling (``upsample2x``, 2D or 3D by its
-weight's rank).
+"""Dense tensor primitives: one convolution (``conv``, of any rank), softmax,
+exact 2x transpose-conv upsampling (``upsample2x``, 2D or 3D by its
+weight's rank) and the one conv weight init rule (``conv_init``).
 
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
@@ -365,8 +365,20 @@ def rng_named(seed: int, name: str) -> np.random.Generator:
 def uniform_init(
     rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=F32
 ) -> np.ndarray:
-    """Uniform weights in +-1/sqrt(fan_in), the usual conv init range."""
+    """Uniform weights in +-1/sqrt(fan_in); ``conv_init`` draws a conv's."""
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
     bound = 1.0 / sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def conv_init(
+    rng: np.random.Generator, c_out: int, c_in: int, kernel: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A conv's float32 (C_out, C_in, *kernel) weight, then its (C_out,) bias,
+    at fan-in C_in * prod(kernel). Two draws keep their own ``uniform_init``
+    lines: a 2x upsample's (C_in, C_out, 2..) weight has fan-in C_in alone,
+    and ``reparam.random_branch_set`` draws batch-norm statistics, not a bias."""
+    fan_in = c_in * prod(kernel)
+    weight = uniform_init(rng, (c_out, c_in) + tuple(kernel), fan_in)
+    return weight, uniform_init(rng, (c_out,), fan_in)

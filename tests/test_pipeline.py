@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 from collections import deque
 from math import prod
 
@@ -23,7 +24,7 @@ from occkit.pipeline import (
 from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
-from occkit.tensor import conv, slab_rows, softmax
+from occkit.tensor import conv, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
 from support import PlacedSceneSpec, cast, traced_peak
 from test_acceptance import GATE_CONFIG
@@ -308,16 +309,26 @@ class TestFusionWindow:
 class TestSlabbedTail:
     """run_pipeline upsamples and classifies the summed volume one half-res
     x-slab at a time; ``fuse_every_frame`` runs that tail on the whole
-    volume, ``conv(fuse_and_upsample(v_g, v_s), head)``."""
+    volume, ``conv(fuse_and_upsample(v_g, v_s), head)``.
+
+    At 452 refined channels the tail upsample's GEMM depth is past OpenBLAS's
+    K block, where an upsample of slabs cut at arbitrary rows can differ from
+    the whole one; ``slab_rows`` cuts 4-row slabs of 240 columns there. That
+    case runs in float64, as ``test_float32_logits_match_float64_oracle``
+    does. Each case's slabs are the rows ``slab_rows`` gives its half grid."""
 
     @pytest.mark.parametrize("reparam_mode", ["deploy", "train"])
     @pytest.mark.parametrize(
-        "counts, channels, several",
-        [((32, 32, 4), 4, False), ((32, 32, 24), 32, True)],
-        ids=["one-slab", "short-last-slab"],
+        "counts, channels, dtype, rows",
+        [
+            ((32, 32, 4), 4, np.float32, [16]),
+            ((32, 32, 24), 32, np.float32, [5, 5, 5, 1]),
+            ((32, 40, 6), 452, np.float64, [4, 4, 4, 4]),
+        ],
+        ids=["one-slab", "short-last-slab", "past-k-block-float64"],
     )
     def test_matches_unslabbed_tail(
-        self, monkeypatch, counts, channels, several, reparam_mode
+        self, monkeypatch, counts, channels, dtype, rows, reparam_mode
     ):
         slabs = []
 
@@ -325,22 +336,23 @@ class TestSlabbedTail:
             slabs.append(v_g.shape[1])
             return fuse_and_upsample(v_g, v_s, weights)
 
+        features = frame_features
+        for module in (occkit.pipeline, sys.modules[__name__]):
+            monkeypatch.setattr(
+                module, "frame_features", lambda c, t: features(c, t).astype(dtype)
+            )
         monkeypatch.setattr(occkit.pipeline, "fuse_and_upsample", counted)
         config = small_config(
             grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), counts),
             refined_channels=channels,
         )
         scene = gen_scene(config.scene_spec())
-        weights = build_weights(config)
+        weights = cast(build_weights(config), dtype)
         logits, report = run_pipeline(config, scene, 0.5, reparam_mode, weights)
         expected = fuse_every_frame(config, scene, 0.5, reparam_mode, weights)
-        assert logits.dtype == expected.dtype
+        assert logits.dtype == expected.dtype == dtype
         assert logits.tobytes() == expected.tobytes()
-
-        nx, ny, nz = config.half_grid().counts
-        rows = slab_rows(nx, ny * nz, channels * channels)
-        assert slabs == [rows] * (nx // rows) + ([nx % rows] if nx % rows else [])
-        assert (len(slabs) > 1 and slabs[-1] < rows) == several
+        assert slabs == rows
         assert {"fuse_upsample", "classifier"} <= report.timings.keys()
 
 
@@ -537,3 +549,33 @@ class TestBuildWeights:
         a = build_weights(small_config(seed=0))
         b = build_weights(small_config(seed=1))
         assert np.abs(a.head_w - b.head_w).max() > 0
+
+    def test_weight_bytes_are_pinned(self):
+        """Every array's name, shape, dtype and bytes, at a refined width
+        that differs from the base width, so the encoder draws its skip
+        projection. A reordered or resized draw moves this hash."""
+        weights = build_weights(
+            small_config(channels=4, refined_channels=6, depth_provider="stub")
+        )
+        digest = hashlib.sha256()
+        for name, array in _arrays(weights, "weights"):
+            digest.update(f"{name} {array.shape} {array.dtype}\n".encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == WEIGHT_BYTES_SHA256
+
+
+# sha256 of ``test_weight_bytes_are_pinned``'s weights.
+WEIGHT_BYTES_SHA256 = "2e780c5f41838be59f680b244e88533eb3af83b6dfc839324d68a9f9a524fec4"
+
+
+def _arrays(obj, name):
+    """(name, array) for each array in a weights dataclass, in field order,
+    recursing into nested dataclasses and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield name, obj
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from _arrays(item, f"{name}[{i}]")
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name), f"{name}.{field.name}")

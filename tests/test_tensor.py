@@ -15,6 +15,7 @@ from occkit.scene import camera_ring
 from occkit.tensor import (
     SMALL_GEMM_MACS,
     conv,
+    conv_init,
     effective_extents,
     gemm_shape,
     rng_named,
@@ -1131,6 +1132,16 @@ class TestRng:
         w = uniform_init(rng_named(0, "w"), (64, 64), fan_in=16)
         assert w.dtype == np.float32
         assert np.max(np.abs(w)) <= 0.25
+
+    def test_conv_init_draws_weight_then_bias(self):
+        """One stream, weight first, both at fan-in C_in * taps = 16."""
+        w, b = conv_init(rng_named(0, "c"), 3, 4, (2, 2))
+        rng = rng_named(0, "c")
+        expected_w = uniform_init(rng, (3, 4, 2, 2), fan_in=16)
+        expected_b = uniform_init(rng, (3,), fan_in=16)
+        assert w.dtype == b.dtype == np.float32
+        assert w.tobytes() == expected_w.tobytes() and w.shape == expected_w.shape
+        assert b.tobytes() == expected_b.tobytes() and b.shape == (3,)
 
 
 class TestCast:
