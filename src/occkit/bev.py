@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import FLOAT_DTYPES, conv, conv_init, rng_named, uniform_init, upsample2x
+from .tensor import FLOAT_DTYPES, Conv, conv, conv_init, rng_named, upsample2x, upsample_init
 from .view import GridSpec
 
 
@@ -36,7 +36,8 @@ class EgoPose:
             raise ValueError("rotation must be 3x3")
         if not (np.isfinite(r).all() and np.isfinite(t).all()):
             raise ValueError("pose rotation and translation must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6:
+        # bound the entries first, so that r.T @ r cannot overflow
+        if np.abs(r).max() > 1 + 1e-6 or np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6:
             raise ValueError("rotation is not orthonormal")
         e_z = np.array([0.0, 0.0, 1.0])
         if (np.abs(r[2] - e_z).max() > 1e-6 or np.abs(r[:, 2] - e_z).max() > 1e-6
@@ -195,25 +196,23 @@ class FusionWeights:
     """Two linear 2D convs mixing stacked history down to C channels:
     ``seeded`` builds 3x3 kernels, (C, frames * C) then (C, C)."""
 
-    mix1_w: np.ndarray
-    mix1_b: np.ndarray
-    mix2_w: np.ndarray
-    mix2_b: np.ndarray
+    mix1: Conv
+    mix2: Conv
 
     @property
     def n_channels(self) -> int:
-        return self.mix2_w.shape[0]
+        return self.mix2.weight.shape[0]
 
     @property
     def n_frames(self) -> int:
-        return self.mix1_w.shape[1] // self.mix2_w.shape[0]
+        return self.mix1.weight.shape[1] // self.n_channels
 
     @classmethod
     def seeded(cls, seed: int, channels: int, frames: int):
         rng = rng_named(seed, "temporal_fusion")
         return cls(
-            *conv_init(rng, channels, frames * channels, (3, 3)),
-            *conv_init(rng, channels, channels, (3, 3)),
+            conv_init(rng, channels, frames * channels, (3, 3)),
+            conv_init(rng, channels, channels, (3, 3)),
         )
 
 
@@ -249,8 +248,7 @@ def temporal_fuse(
     for slot, (bev, pose) in enumerate(history, start=1):
         stack[slot * n_ch : (slot + 1) * n_ch] = warp_bev(bev, pose, pose_now, grid)
 
-    h = conv(stack, weights.mix1_w, weights.mix1_b)
-    return conv(h, weights.mix2_w, weights.mix2_b)
+    return conv(conv(stack, *weights.mix1), *weights.mix2)
 
 
 @dataclass(frozen=True)
@@ -262,30 +260,22 @@ class SemanticEncoderWeights:
     projection when the output width differs from the input width.
     """
 
-    down1_w: np.ndarray
-    down1_b: np.ndarray
-    down2_w: np.ndarray
-    down2_b: np.ndarray
-    mid_w: np.ndarray
-    mid_b: np.ndarray
-    up1_w: np.ndarray
-    up1_b: np.ndarray
-    up2_w: np.ndarray
-    up2_b: np.ndarray
-    skip_w: np.ndarray | None = None
-    skip_b: np.ndarray | None = None
+    down1: Conv
+    down2: Conv
+    mid: Conv
+    up1: Conv
+    up2: Conv
+    skip: Conv | None = None
 
     @classmethod
     def seeded(cls, seed: int, channels: int, out_channels: int):
         rng = rng_named(seed, "semantic_encoder_2d")
         c, co = channels, out_channels
-        up1_w = uniform_init(rng, (c, c, 2, 2), fan_in=c)
-        up1_b = uniform_init(rng, (c,), fan_in=c)
-        up2_w = uniform_init(rng, (c, co, 2, 2), fan_in=c)
-        up2_b = uniform_init(rng, (co,), fan_in=c)
-        skip = conv_init(rng, co, c, (1, 1)) if co != c else (None, None)
+        up1 = upsample_init(rng, c, c, 2)
+        up2 = upsample_init(rng, c, co, 2)
+        skip = conv_init(rng, co, c, (1, 1)) if co != c else None
         down1, down2, mid = (conv_init(rng, c, c, (3, 3)) for _ in range(3))
-        return cls(*down1, *down2, *mid, up1_w, up1_b, up2_w, up2_b, *skip)
+        return cls(down1, down2, mid, up1, up2, skip)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -307,12 +297,12 @@ def semantic_encoder_2d(b_t: np.ndarray, weights: SemanticEncoderWeights) -> np.
         raise ValueError(f"BEV extents must be divisible by 4, got ({nx}, {ny})")
 
     w = weights
-    d1 = _relu(conv(b_t, w.down1_w, w.down1_b, stride=2))  # (C, X/2, Y/2)
-    d2 = _relu(conv(d1, w.down2_w, w.down2_b, stride=2))  # (C, X/4, Y/4)
-    m = _relu(conv(d2, w.mid_w, w.mid_b) + d2)
-    u1 = _relu(upsample2x(m, w.up1_w, w.up1_b) + d1)  # (C, X/2, Y/2)
-    u0 = upsample2x(u1, w.up2_w, w.up2_b)  # (C', X, Y)
-    skip = b_t if w.skip_w is None else conv(b_t, w.skip_w, w.skip_b)
+    d1 = _relu(conv(b_t, *w.down1, stride=2))  # (C, X/2, Y/2)
+    d2 = _relu(conv(d1, *w.down2, stride=2))  # (C, X/4, Y/4)
+    m = _relu(conv(d2, *w.mid) + d2)
+    u1 = _relu(upsample2x(m, *w.up1) + d1)  # (C, X/2, Y/2)
+    u0 = upsample2x(u1, *w.up2)  # (C', X, Y)
+    skip = b_t if w.skip is None else conv(b_t, *w.skip)
     if skip.shape != u0.shape:
         raise ValueError(f"residual {skip.shape} does not match decoder output {u0.shape}")
     return u0 + skip

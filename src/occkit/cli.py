@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import gsdt
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .evaluate import CLASS_NAMES, EMPTY_CLASS, argmax_decode, miou, per_class_iou
 from .pipeline import PipelineStageError, run_pipeline
 from .reparam import forward_deploy, forward_train, merge_branches, random_branch_set
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, ValueError, PipelineStageError) as e:
+    except (OSError, ValueError, PipelineStageError) as e:
         message = str(e)
     except MemoryError as e:  # e.g. a march_step so small its samples cannot fit
         message = f"out of memory: {str(e) or 'allocation failed'}"

@@ -34,19 +34,13 @@ from .bev import (
     semantic_encoder_2d,
     temporal_fuse,
 )
-from .bvl import BVLWeights, UpsampleWeights, bev_to_voxel_lift, fuse_and_upsample
+from .bvl import BVLWeights, bev_to_voxel_lift, fuse_and_upsample
 from .config import PipelineConfig
 from .evaluate import N_CLASSES
-from .reparam import (
-    MergedKernel,
-    forward_deploy,
-    forward_train,
-    merge_branches,
-    random_branch_set,
-)
+from .reparam import forward_deploy, forward_train, merge_branches, random_branch_set
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
-from .tensor import conv, conv_init, rng_named, slab_rows, softmax
+from .tensor import Conv, conv, conv_init, rng_named, slab_rows, softmax, upsample_init
 from .view import DepthDistribution, LiftPlan, bin_centers, lift_splat, sparsity_ratio
 
 
@@ -62,17 +56,15 @@ class PipelineStageError(RuntimeError):
 class StubDepthWeights:
     """Tiny depth head: 3x3 conv + relu, then 1x1 conv to bin logits."""
 
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
+    conv1: Conv
+    conv2: Conv
 
     @classmethod
     def seeded(cls, seed: int, channels: int, n_bins: int):
         rng = rng_named(seed, "stub_depth_head")
         return cls(
-            *conv_init(rng, channels, channels, (3, 3)),
-            *conv_init(rng, n_bins, channels, (1, 1)),
+            conv_init(rng, channels, channels, (3, 3)),
+            conv_init(rng, n_bins, channels, (1, 1)),
         )
 
 
@@ -85,10 +77,9 @@ class PipelineWeights:
     bvl_semantic: BVLWeights
     bvl_geometric: BVLWeights
     branches: tuple
-    merged: MergedKernel
-    upsample: UpsampleWeights
-    head_w: np.ndarray
-    head_b: np.ndarray
+    merged: Conv
+    upsample: Conv
+    head: Conv
     stub: StubDepthWeights
 
 
@@ -103,9 +94,8 @@ def build_weights(config: PipelineConfig) -> PipelineWeights:
             extents=config.branch_extents(),
         )
     )
-    merged = merge_branches(list(branches), config.kernel)
-    rng = rng_named(seed, "classifier_head")
-    head_w, head_b = conv_init(rng, N_CLASSES, cr, (1, 1, 1))
+    merged = merge_branches(branches, config.kernel)
+    head = conv_init(rng_named(seed, "classifier_head"), N_CLASSES, cr, (1, 1, 1))
     return PipelineWeights(
         fusion=FusionWeights.seeded(seed, c, config.queue_len + 1),
         encoder=SemanticEncoderWeights.seeded(seed, c, cr),
@@ -113,9 +103,8 @@ def build_weights(config: PipelineConfig) -> PipelineWeights:
         bvl_geometric=BVLWeights.seeded(seed, "bvl_geometric", c, cr, nz_half),
         branches=branches,
         merged=merged,
-        upsample=UpsampleWeights.seeded(seed, cr),
-        head_w=head_w,
-        head_b=head_b,
+        upsample=upsample_init(rng_named(seed, "voxel_upsample"), cr, cr, 3),
+        head=head,
         stub=StubDepthWeights.seeded(seed, c, config.depth_bins),
     )
 
@@ -147,8 +136,8 @@ def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
     gain a camera axis of extent 1, so no camera reads another's pixels, and
     ``slab_rows`` cuts the 3x3 conv's slabs at whole cameras."""
     x = np.ascontiguousarray(np.moveaxis(features, 1, 0))
-    h = np.maximum(conv(x, stub.conv1_w[:, :, None], stub.conv1_b), 0)
-    logits = conv(h, stub.conv2_w[:, :, None], stub.conv2_b)
+    h = np.maximum(conv(x, stub.conv1.weight[:, :, None], stub.conv1.bias), 0)
+    logits = conv(h, stub.conv2.weight[:, :, None], stub.conv2.bias)
     return np.ascontiguousarray(np.moveaxis(softmax(logits, axis=0), 0, 1))
 
 
@@ -275,7 +264,7 @@ def run_pipeline(
     if reparam_mode == "deploy":
         v_g = staged("large_kernel_conv", forward_deploy, v_g0, weights.merged)
     else:
-        v_g = staged("large_kernel_conv", forward_train, v_g0, list(weights.branches))
+        v_g = staged("large_kernel_conv", forward_train, v_g0, weights.branches)
     del v_g0
     b_s = staged("semantic_encoder", semantic_encoder_2d, b_t, weights.encoder)
     del b_t
@@ -290,9 +279,7 @@ def run_pipeline(
             "fuse_upsample", fuse_and_upsample,
             v_g[:, a:end], v_s[:, a:end], weights.upsample,
         )
-        logits[:, 2 * a : 2 * end] = staged(
-            "classifier", conv, v_gs, weights.head_w, weights.head_b
-        )
+        logits[:, 2 * a : 2 * end] = staged("classifier", conv, v_gs, *weights.head)
 
     total = time.perf_counter() - t_start
     return logits, PipelineReport(timings=timings, total=total, lift_sparsity=lift_sparsity)

@@ -18,11 +18,12 @@ preserves spatial extents.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import as_axes, conv, effective_extents, rng_named, uniform_init
+from .tensor import Conv, as_axes, conv, effective_extents, rng_named, uniform_init
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,6 @@ class ConvBranchSpec:
         return effective_extents(self.kernel, self.dilation)
 
 
-@dataclass(frozen=True)
-class MergedKernel:
-    """Deploy form: one large kernel (C_out, C_in, K_X, K_Y, K_Z) plus bias."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-
 def dilate_to_sparse(weight: np.ndarray, dilation: tuple[int, int, int]) -> np.ndarray:
     """Expand a dilated kernel into its non-dilated sparse equivalent by
     inserting (r - 1) zeros between taps on each of the trailing three axes.
@@ -98,13 +91,11 @@ def dilate_to_sparse(weight: np.ndarray, dilation: tuple[int, int, int]) -> np.n
     return out
 
 
-def fuse_bn(weight: np.ndarray, bn: BatchNormParams) -> tuple[np.ndarray, np.ndarray]:
+def fuse_bn(weight: np.ndarray, bn: BatchNormParams) -> Conv:
     """Fold batch norm into the convolution: scale the kernel per output
-    channel by gamma/std and return the matching bias."""
+    channel by gamma/std and return it with the matching bias."""
     scale = bn.gamma / bn.std
-    fused_w = weight * scale[:, None, None, None, None]
-    fused_b = bn.beta - bn.mean * scale
-    return fused_w, fused_b
+    return Conv(weight * scale[:, None, None, None, None], bn.beta - bn.mean * scale)
 
 
 def check_fit(eff: tuple[int, ...], target: tuple[int, ...]) -> None:
@@ -123,9 +114,10 @@ def check_fit(eff: tuple[int, ...], target: tuple[int, ...]) -> None:
 
 
 def merge_branches(
-    branches: list[ConvBranchSpec], target_extents: tuple[int, int, int]
-) -> MergedKernel:
-    """Collapse parallel conv+BN branches into one large-kernel conv.
+    branches: Sequence[ConvBranchSpec], target_extents: tuple[int, int, int]
+) -> Conv:
+    """Collapse parallel conv+BN branches into the deploy form: one
+    large-kernel conv, weight (C_out, C_in, K_X, K_Y, K_Z) plus bias.
 
     Each branch kernel is dilated to sparse form, BN-folded, zero-padded
     centered to ``target_extents``, and summed; biases sum directly.
@@ -152,7 +144,7 @@ def merge_branches(
         )
         weight[region] += fused_w
         bias += fused_b
-    return MergedKernel(weight=weight, bias=bias)
+    return Conv(weight, bias)
 
 
 def apply_bn(y: np.ndarray, bn: BatchNormParams) -> np.ndarray:
@@ -165,7 +157,7 @@ def apply_bn(y: np.ndarray, bn: BatchNormParams) -> np.ndarray:
     return y
 
 
-def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
+def forward_train(x: np.ndarray, branches: Sequence[ConvBranchSpec]) -> np.ndarray:
     """Train-form forward: sum of per-branch conv + batch norm outputs.
 
     Each branch's output is added into the running sum and freed before
@@ -182,9 +174,9 @@ def forward_train(x: np.ndarray, branches: list[ConvBranchSpec]) -> np.ndarray:
     return out
 
 
-def forward_deploy(x: np.ndarray, merged: MergedKernel) -> np.ndarray:
+def forward_deploy(x: np.ndarray, merged: Conv) -> np.ndarray:
     """Deploy-form forward: one large-kernel conv."""
-    return conv(x, merged.weight, merged.bias)
+    return conv(x, *merged)
 
 
 def default_branch_extents(

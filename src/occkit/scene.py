@@ -111,7 +111,7 @@ class SceneSpec:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.n_boxes < 0:
             raise ValueError(f"n_boxes must be >= 0, got {self.n_boxes}")
-        if self.march_step <= 0 or self.d_max <= 0:
+        if not self.march_step > 0 or not self.d_max > 0:
             raise ValueError("march_step and d_max must be positive")
 
     def cameras(self) -> list[CameraParams]:

@@ -1,6 +1,8 @@
 """Dense tensor primitives: one convolution (``conv``, of any rank), softmax,
 exact 2x transpose-conv upsampling (``upsample2x``, 2D or 3D by its
-weight's rank) and the one conv weight init rule (``conv_init``).
+weight's rank), and ``Conv``, the (weight, bias) value of one learned layer,
+with its two init rules: ``conv_init`` for a conv and ``upsample_init`` for
+a 2x upsample.
 
 All operations are pure functions on numpy arrays in channel-first, row-major
 layout. Float tensors are float32 by default; float64 is supported everywhere
@@ -80,6 +82,7 @@ from __future__ import annotations
 import hashlib
 from itertools import product
 from math import gcd, prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -362,10 +365,20 @@ def rng_named(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
+class Conv(NamedTuple):
+    """One learned layer: its weight and its (C_out,) bias. A call site
+    passes ``*layer`` to ``conv`` or ``upsample2x``."""
+
+    weight: np.ndarray
+    bias: np.ndarray
+
+
 def uniform_init(
     rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=F32
 ) -> np.ndarray:
-    """Uniform weights in +-1/sqrt(fan_in); ``conv_init`` draws a conv's."""
+    """Uniform weights in +-1/sqrt(fan_in): ``conv_init`` and ``upsample_init``
+    draw a layer's, and ``reparam.random_branch_set`` a branch's, which is
+    followed by batch-norm statistics, not a bias."""
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
     bound = 1.0 / sqrt(fan_in)
@@ -374,11 +387,16 @@ def uniform_init(
 
 def conv_init(
     rng: np.random.Generator, c_out: int, c_in: int, kernel: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Conv:
     """A conv's float32 (C_out, C_in, *kernel) weight, then its (C_out,) bias,
-    at fan-in C_in * prod(kernel). Two draws keep their own ``uniform_init``
-    lines: a 2x upsample's (C_in, C_out, 2..) weight has fan-in C_in alone,
-    and ``reparam.random_branch_set`` draws batch-norm statistics, not a bias."""
+    at fan-in C_in * prod(kernel)."""
     fan_in = c_in * prod(kernel)
     weight = uniform_init(rng, (c_out, c_in) + tuple(kernel), fan_in)
-    return weight, uniform_init(rng, (c_out,), fan_in)
+    return Conv(weight, uniform_init(rng, (c_out,), fan_in))
+
+
+def upsample_init(rng: np.random.Generator, c_in: int, c_out: int, rank: int) -> Conv:
+    """A 2x upsample's float32 (C_in, C_out, 2, ..., 2) weight, ``rank`` 2s,
+    then its (C_out,) bias, both at fan-in C_in."""
+    weight = uniform_init(rng, (c_in, c_out) + (2,) * rank, c_in)
+    return Conv(weight, uniform_init(rng, (c_out,), c_in))

@@ -32,7 +32,7 @@ class GridSpec:
         object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
         if len(self.start) != 3 or len(self.end) != 3 or len(self.counts) != 3:
             raise ValueError("grid start/end/counts must each have 3 entries")
-        if any(e <= s for s, e in zip(self.start, self.end)):
+        if not all(e > s for s, e in zip(self.start, self.end)):
             raise ValueError(f"grid end must exceed start, got {self.start}..{self.end}")
         if any(c < 1 for c in self.counts):
             raise ValueError(f"voxel counts must be >= 1, got {self.counts}")

@@ -18,13 +18,15 @@ from occkit.tensor import SMALL_GEMM_MACS
 
 def cast(weights, dtype):
     """``weights`` with every array in ``dtype``: an array, or a dataclass
-    rebuilt field by field or a tuple item by item, recursing into nested
-    ones. ``None`` and scalars pass through; arrays already in ``dtype`` are
-    reused, not copied."""
+    rebuilt field by field or a tuple item by item, a named tuple such as
+    ``Conv`` keeping its type, recursing into nested ones. ``None`` and
+    scalars pass through; arrays already in ``dtype`` are reused, not
+    copied."""
     if isinstance(weights, np.ndarray):
         return weights.astype(dtype, copy=False)
     if isinstance(weights, tuple):
-        return tuple(cast(w, dtype) for w in weights)
+        items = (cast(w, dtype) for w in weights)
+        return weights._make(items) if hasattr(weights, "_make") else tuple(items)
     if is_dataclass(weights):
         return replace(weights, **{
             f.name: cast(getattr(weights, f.name), dtype) for f in fields(weights)

@@ -224,7 +224,7 @@ def test_04_height_lift_partition_of_unity():
         weights = BVLWeights.seeded(trial, "acc_bvl", 32, 32, 8)
         vol = bev_to_voxel_lift(b, weights)
         w = cast(weights, b.dtype)
-        ctx = conv(b, w.context_w, w.context_b)
+        ctx = conv(b, *w.context)
         scale = max(float(np.abs(ctx).max()), 1e-12)
         worst = max(worst, float(np.abs(vol.sum(axis=3) - ctx).max()) / scale)
     ok = worst <= 1e-5

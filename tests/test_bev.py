@@ -17,7 +17,7 @@ from occkit.bev import (
     warp_bev,
 )
 from occkit.config import default_config
-from occkit.tensor import conv
+from occkit.tensor import Conv, conv
 from occkit.view import GridSpec
 from support import cast, identity_pose
 
@@ -119,8 +119,13 @@ class TestEgoPose:
         np.testing.assert_allclose(q.translation, p.translation)
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            EgoPose(np.eye(3) * 1.5, np.zeros(3))
+        """An entry too large to square is rejected too, before ``r.T @ r``
+        could overflow with a warning."""
+        huge = np.eye(3)
+        huge[0, 1] = -2.68e154
+        for r in (np.eye(3) * 1.5, huge):
+            with pytest.raises(ValueError, match="orthonormal"):
+                EgoPose(r, np.zeros(3))
 
     @pytest.mark.parametrize(
         "rotation",
@@ -475,7 +480,7 @@ def averaging_weights(channels, frames):
         w2[c, c, 1, 1] = 1.0
         for f in range(frames):
             w1[c, f * channels + c, 1, 1] = 1.0 / frames
-    return FusionWeights(w1, np.zeros(channels), w2, np.zeros(channels))
+    return FusionWeights(Conv(w1, np.zeros(channels)), Conv(w2, np.zeros(channels)))
 
 
 def slot_reader(channels, frames, slot):
@@ -485,7 +490,7 @@ def slot_reader(channels, frames, slot):
     for c in range(channels):
         w1[c, slot * channels + c, 1, 1] = 1.0
         w2[c, c, 1, 1] = 1.0
-    return FusionWeights(w1, np.zeros(channels), w2, np.zeros(channels))
+    return FusionWeights(Conv(w1, np.zeros(channels)), Conv(w2, np.zeros(channels)))
 
 
 class TestTemporalFuse:
@@ -497,7 +502,7 @@ class TestTemporalFuse:
         w2 = rng.standard_normal((channels, channels, 3, 3))
         b1 = rng.standard_normal(channels)
         b2 = rng.standard_normal(channels)
-        weights = FusionWeights(w1, b1, w2, b2)
+        weights = FusionWeights(Conv(w1, b1), Conv(w2, b2))
 
         grid = bev_grid(n=8)
         b = rng.standard_normal((channels, 8, 8))
@@ -590,7 +595,7 @@ class TestTemporalFuse:
         w1[0, 1, 1, 1] = 1.0  # read only the (warped) history slot
         w2 = np.zeros((1, 1, 3, 3))
         w2[0, 0, 1, 1] = 1.0
-        weights = FusionWeights(w1, np.zeros(1), w2, np.zeros(1))
+        weights = FusionWeights(Conv(w1, np.zeros(1)), Conv(w2, np.zeros(1)))
 
         grid = bev_grid()
         hist = np.zeros((1, 32, 32))
@@ -636,7 +641,8 @@ class TestTemporalFuse:
         """The fusion convs reject the weights they read: each must be 2D,
         and mix2 must take mix1's output channels."""
         weights = FusionWeights(
-            np.zeros(mix1_w), np.zeros(mix1_w[0]), np.zeros(mix2_w), np.zeros(mix2_w[0])
+            Conv(np.zeros(mix1_w), np.zeros(mix1_w[0])),
+            Conv(np.zeros(mix2_w), np.zeros(mix2_w[0])),
         )
         b = np.zeros((2, 8, 8))
         with pytest.raises(ValueError, match=match):
@@ -652,14 +658,9 @@ class TestSemanticEncoder:
 
     def test_zero_input_zero_biases(self):
         weights = SemanticEncoderWeights.seeded(1, channels=3, out_channels=5)
-        zeroed = dataclasses.replace(
-            weights,
-            down1_b=np.zeros(3),
-            down2_b=np.zeros(3),
-            mid_b=np.zeros(3),
-            up1_b=np.zeros(3),
-            up2_b=np.zeros(5),
-            skip_b=np.zeros(5),
+        layers = [getattr(weights, f.name) for f in dataclasses.fields(weights)]
+        zeroed = SemanticEncoderWeights(
+            *(layer._replace(bias=np.zeros_like(layer.bias)) for layer in layers)
         )
         out = semantic_encoder_2d(np.zeros((3, 16, 16)), cast(zeroed, np.float64))
         assert not out.any()
@@ -668,9 +669,9 @@ class TestSemanticEncoder:
         c = 3
         z3 = np.zeros((c, c, 3, 3))
         zb = np.zeros(c)
+        z2 = np.zeros((c, c, 2, 2))
         weights = SemanticEncoderWeights(
-            z3, zb, z3, zb, z3, zb,
-            np.zeros((c, c, 2, 2)), zb, np.zeros((c, c, 2, 2)), zb,
+            Conv(z3, zb), Conv(z3, zb), Conv(z3, zb), Conv(z2, zb), Conv(z2, zb)
         )
         rng = np.random.default_rng(10)
         b = rng.standard_normal((c, 12, 12))
@@ -681,14 +682,14 @@ class TestSemanticEncoder:
         """With no 1x1 projection the residual is the input itself, so the
         widths must agree; a width of 1 must not broadcast."""
         weights = dataclasses.replace(
-            SemanticEncoderWeights.seeded(5, c_in, c_out), skip_w=None, skip_b=None
+            SemanticEncoderWeights.seeded(5, c_in, c_out), skip=None
         )
         with pytest.raises(ValueError, match="residual"):
             semantic_encoder_2d(np.ones((c_in, 8, 8), dtype=np.float32), weights)
 
     def test_seeded_skip_only_when_widths_differ(self):
-        assert SemanticEncoderWeights.seeded(2, 4, 4).skip_w is None
-        assert SemanticEncoderWeights.seeded(2, 4, 6).skip_w is not None
+        assert SemanticEncoderWeights.seeded(2, 4, 4).skip is None
+        assert SemanticEncoderWeights.seeded(2, 4, 6).skip is not None
 
     def test_rejects_indivisible_extents(self):
         weights = SemanticEncoderWeights.seeded(3, 2, 2)
@@ -698,5 +699,5 @@ class TestSemanticEncoder:
     def test_deterministic_for_seed(self):
         a = SemanticEncoderWeights.seeded(4, 2, 3)
         b = SemanticEncoderWeights.seeded(4, 2, 3)
-        np.testing.assert_array_equal(a.down1_w, b.down1_w)
-        np.testing.assert_array_equal(a.up2_w, b.up2_w)
+        np.testing.assert_array_equal(a.down1.weight, b.down1.weight)
+        np.testing.assert_array_equal(a.up2.weight, b.up2.weight)

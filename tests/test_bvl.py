@@ -5,35 +5,43 @@ from hypothesis import strategies as st
 
 from occkit.bvl import (
     BVLWeights,
-    UpsampleWeights,
     bev_to_voxel_lift,
     fuse_and_upsample,
     predict_height,
 )
-from occkit.tensor import conv, upsample2x
+from occkit.tensor import Conv, conv, rng_named, upsample2x, upsample_init
 from support import cast
 
 
 def context_map(b, weights):
     w = cast(weights, b.dtype)
-    return conv(b, w.context_w, w.context_b)
+    return conv(b, *w.context)
+
+
+def seeded_upsample(seed, channels):
+    """The pipeline's voxel upsample, drawn for ``seed`` at one width."""
+    return upsample_init(rng_named(seed, "voxel_upsample"), channels, channels, 3)
 
 
 class TestBVLWeights:
     def test_seeded_shapes(self):
         w = BVLWeights.seeded(0, "lift", c_in=4, c_out=6, n_heights=8)
-        assert w.context_w.shape == (6, 4, 1, 1)
-        assert w.height_w.shape == (8, 4, 1, 1)
+        assert w.context.weight.shape == (6, 4, 1, 1)
+        assert w.height.weight.shape == (8, 4, 1, 1)
 
     def test_three_by_three_context_lifts(self):
         """A 3x3 context conv keeps the map's extents, since ``conv`` pads
         centred, and the lifted volume's height-sum is still that conv."""
         rng = np.random.default_rng(12)
         w = BVLWeights(
-            rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
-            rng.standard_normal(3).astype(np.float32),
-            rng.standard_normal((8, 2, 1, 1)).astype(np.float32),
-            rng.standard_normal(8).astype(np.float32),
+            Conv(
+                rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
+                rng.standard_normal(3).astype(np.float32),
+            ),
+            Conv(
+                rng.standard_normal((8, 2, 1, 1)).astype(np.float32),
+                rng.standard_normal(8).astype(np.float32),
+            ),
         )
         b = rng.standard_normal((2, 7, 5)).astype(np.float32)
         vol = bev_to_voxel_lift(b, w)
@@ -55,8 +63,8 @@ class TestBVLWeights:
         """The convs that read the weights reject them: each must be 2D and
         take the BEV map's channels."""
         w = BVLWeights(
-            np.zeros(context_w), np.zeros(context_w[0]),
-            np.zeros(height_w), np.zeros(height_w[0]),
+            Conv(np.zeros(context_w), np.zeros(context_w[0])),
+            Conv(np.zeros(height_w), np.zeros(height_w[0])),
         )
         with pytest.raises(ValueError, match=match):
             bev_to_voxel_lift(np.zeros((2, 3, 3)), w)
@@ -74,7 +82,8 @@ class TestPredictHeight:
 
     def test_zero_height_weights_give_uniform(self):
         w = BVLWeights(
-            np.zeros((2, 2, 1, 1)), np.zeros(2), np.zeros((8, 2, 1, 1)), np.zeros(8)
+            Conv(np.zeros((2, 2, 1, 1)), np.zeros(2)),
+            Conv(np.zeros((8, 2, 1, 1)), np.zeros(8)),
         )
         h = predict_height(np.ones((2, 3, 3)), w)
         np.testing.assert_allclose(h, 0.125)
@@ -92,7 +101,7 @@ class TestBevToVoxelLift:
         rng = np.random.default_rng(1)
         ctx_w = rng.standard_normal((3, 2, 1, 1))
         ctx_b = rng.standard_normal(3)
-        w = BVLWeights(ctx_w, ctx_b, np.zeros((8, 2, 1, 1)), np.zeros(8))
+        w = BVLWeights(Conv(ctx_w, ctx_b), Conv(np.zeros((8, 2, 1, 1)), np.zeros(8)))
         b = rng.standard_normal((2, 4, 5))
         out = bev_to_voxel_lift(b, w)
         assert out.shape == (3, 4, 5, 8)
@@ -119,10 +128,14 @@ class TestBevToVoxelLift:
         rng = np.random.default_rng(seed)
         w = cast(
             BVLWeights(
-                scale * rng.standard_normal((c_out, c_in, 1, 1)),
-                scale * rng.standard_normal(c_out),
-                scale * rng.standard_normal((n_heights, c_in, 1, 1)),
-                scale * rng.standard_normal(n_heights),
+                Conv(
+                    scale * rng.standard_normal((c_out, c_in, 1, 1)),
+                    scale * rng.standard_normal(c_out),
+                ),
+                Conv(
+                    scale * rng.standard_normal((n_heights, c_in, 1, 1)),
+                    scale * rng.standard_normal(n_heights),
+                ),
             ),
             dtype,
         )
@@ -139,7 +152,7 @@ class TestBevToVoxelLift:
         ctx_w = rng.standard_normal((2, 2, 1, 1))
         height_b = np.full(8, -1000.0)
         height_b[5] = 1000.0
-        w = BVLWeights(ctx_w, np.zeros(2), np.zeros((8, 2, 1, 1)), height_b)
+        w = BVLWeights(Conv(ctx_w, np.zeros(2)), Conv(np.zeros((8, 2, 1, 1)), height_b))
         b = rng.standard_normal((2, 3, 3))
         out = bev_to_voxel_lift(b, w)
         np.testing.assert_allclose(out[:, :, :, 5], context_map(b, w), atol=1e-12)
@@ -176,7 +189,7 @@ class TestBevToVoxelLift:
         rng = np.random.default_rng(5)
         base = cast(BVLWeights.seeded(11, "lift", c_in=2, c_out=2, n_heights=4), np.float64)
         doubled = BVLWeights(
-            2 * base.context_w, 2 * base.context_b, base.height_w, base.height_b
+            Conv(2 * base.context.weight, 2 * base.context.bias), base.height
         )
         b = rng.standard_normal((2, 4, 4))
         np.testing.assert_allclose(
@@ -192,28 +205,28 @@ class TestBevToVoxelLift:
 
 class TestFuseAndUpsample:
     def test_shape_doubles(self):
-        w = UpsampleWeights.seeded(0, channels=2)
+        w = seeded_upsample(0, channels=2)
         v = np.zeros((2, 10, 10, 4), dtype=np.float32)
         out = fuse_and_upsample(v, v, w)
         assert out.shape == (2, 20, 20, 8)
 
     def test_desk_scale_extents(self):
-        w = UpsampleWeights.seeded(1, channels=1)
+        w = seeded_upsample(1, channels=1)
         v = np.ones((1, 100, 100, 8), dtype=np.float32)
         out = fuse_and_upsample(v, np.zeros_like(v), w)
         assert out.shape == (1, 200, 200, 16)
 
     def test_zero_semantic_passes_geometric(self):
         rng = np.random.default_rng(6)
-        w = UpsampleWeights.seeded(2, channels=3)
+        w = seeded_upsample(2, channels=3)
         v_g = rng.standard_normal((3, 6, 6, 4)).astype(np.float32)
         out = fuse_and_upsample(v_g, np.zeros_like(v_g), w)
-        want = upsample2x(v_g, w.weight, w.bias)
+        want = upsample2x(v_g, *w)
         np.testing.assert_array_equal(out, want)
 
     def test_commutative(self):
         rng = np.random.default_rng(7)
-        w = UpsampleWeights.seeded(3, channels=2)
+        w = seeded_upsample(3, channels=2)
         v_g = rng.standard_normal((2, 4, 4, 2)).astype(np.float32)
         v_s = rng.standard_normal((2, 4, 4, 2)).astype(np.float32)
         np.testing.assert_array_equal(
@@ -221,7 +234,7 @@ class TestFuseAndUpsample:
         )
 
     def test_rejects_shape_mismatch(self):
-        w = UpsampleWeights.seeded(4, channels=2)
+        w = seeded_upsample(4, channels=2)
         with pytest.raises(ValueError, match="differ"):
             fuse_and_upsample(
                 np.zeros((2, 4, 4, 2), dtype=np.float32),
@@ -241,14 +254,14 @@ class TestFuseAndUpsample:
     def test_rejects_bad_weight_shape(self, weight, bias, match):
         """``upsample2x`` rejects the weight it reads: rank, 2-extents and
         bias."""
-        w = UpsampleWeights(np.zeros(weight), np.zeros(bias))
+        w = Conv(np.zeros(weight), np.zeros(bias))
         v = np.zeros((2, 4, 4, 2))
         with pytest.raises(ValueError, match=match):
             fuse_and_upsample(v, v, w)
 
     def test_rejects_3d_volumes(self):
         """``upsample2x`` rejects volumes of the wrong rank."""
-        w = UpsampleWeights.seeded(4, channels=2)
+        w = seeded_upsample(4, channels=2)
         v = np.zeros((2, 4, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="input must have rank 4, got 3"):
             fuse_and_upsample(v, v, w)

@@ -356,6 +356,20 @@ class TestPoseRotation:
         err = capsys.readouterr().err
         assert err == f"error: scene poses {path}: frame 0 must be a rotation about z\n"
 
+    def test_rejects_huge_entry_in_one_line(self, config_path, scene_dir, capsys):
+        """A finite entry too large to square ends in the one ``error:``
+        line and exit 1, with no overflow warning next to it."""
+        path = f"{scene_dir}/poses.gsdt"
+        poses = gsdt.read(path)
+        poses[1, 0, 1] = -2.68e154
+        gsdt.write(path, poses)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1 and not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err == f"error: scene poses {path}: frame 1 must be a rotation about z\n"
+
 
 class TestRun:
     def test_run_writes_tensors(self, tmp_path, config_path, scene_dir, capsys):

@@ -89,11 +89,9 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
     if reparam_mode == "deploy":
         v_g = forward_deploy(v_g0, weights.merged)
     else:
-        v_g = forward_train(v_g0, list(weights.branches))
+        v_g = forward_train(v_g0, weights.branches)
     v_gs = fuse_and_upsample(v_g, v_s, weights.upsample)
-    return conv(
-        v_gs, weights.head_w.astype(v_gs.dtype), weights.head_b.astype(v_gs.dtype)
-    )
+    return conv(v_gs, *cast(weights.head, v_gs.dtype))
 
 
 @pytest.fixture(scope="module")
@@ -500,8 +498,7 @@ class TestStubDepth:
         features = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
         expected = np.stack([
             softmax(
-                conv(np.maximum(conv(f, stub.conv1_w, stub.conv1_b), 0),
-                     stub.conv2_w, stub.conv2_b),
+                conv(np.maximum(conv(f, *stub.conv1), 0), *stub.conv2),
                 axis=0,
             )
             for f in features
@@ -540,15 +537,15 @@ class TestBuildWeights:
         config = small_config(channels=4, refined_channels=6)
         weights = build_weights(config)
         assert weights.fusion.n_channels == 4
-        assert weights.encoder.up2_w.shape[1] == 6
-        assert weights.bvl_geometric.context_w.shape[:2] == (6, 4)
-        assert weights.bvl_semantic.context_w.shape[:2] == (6, 6)
-        assert weights.head_w.shape == (18, 6, 1, 1, 1)
+        assert weights.encoder.up2.weight.shape[1] == 6
+        assert weights.bvl_geometric.context.weight.shape[:2] == (6, 4)
+        assert weights.bvl_semantic.context.weight.shape[:2] == (6, 6)
+        assert weights.head.weight.shape == (18, 6, 1, 1, 1)
 
     def test_seed_changes_weights(self):
         a = build_weights(small_config(seed=0))
         b = build_weights(small_config(seed=1))
-        assert np.abs(a.head_w - b.head_w).max() > 0
+        assert np.abs(a.head.weight - b.head.weight).max() > 0
 
     def test_weight_bytes_are_pinned(self):
         """Every array's name, shape, dtype and bytes, at a refined width
@@ -565,7 +562,7 @@ class TestBuildWeights:
 
 
 # sha256 of ``test_weight_bytes_are_pinned``'s weights.
-WEIGHT_BYTES_SHA256 = "2e780c5f41838be59f680b244e88533eb3af83b6dfc839324d68a9f9a524fec4"
+WEIGHT_BYTES_SHA256 = "9b9379cdd2c1931f28b6004d8e0765025ea88d1217bcc685b73b39e4b5b53c98"
 
 
 def _arrays(obj, name):

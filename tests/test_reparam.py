@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from occkit.reparam import (
     BatchNormParams,
     ConvBranchSpec,
-    MergedKernel,
     apply_bn,
     default_branch_extents,
     dilate_to_sparse,
@@ -16,7 +15,7 @@ from occkit.reparam import (
     merge_branches,
     random_branch_set,
 )
-from occkit.tensor import conv, effective_extents
+from occkit.tensor import Conv, conv, effective_extents
 from support import cast, conv_untiled
 
 
@@ -385,12 +384,12 @@ class TestValidation:
     def test_merged_rejects_bias_shape(self):
         """The deploy conv rejects a bias that does not match the merged
         kernel's output channels."""
-        merged = MergedKernel(np.zeros((2, 2, 3, 3, 1)), np.zeros(3))
+        merged = Conv(np.zeros((2, 2, 3, 3, 1)), np.zeros(3))
         with pytest.raises(ValueError, match=r"bias must have shape \(2,\)"):
             forward_deploy(np.zeros((2, 4, 4, 2)), merged)
 
     def test_merged_rejects_non_3d_weight(self):
-        merged = MergedKernel(np.zeros((2, 2, 3, 3)), np.zeros(2))
+        merged = Conv(np.zeros((2, 2, 3, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="input must have rank 3"):
             forward_deploy(np.zeros((2, 4, 4, 2)), merged)
 

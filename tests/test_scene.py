@@ -168,8 +168,9 @@ class TestSceneSpec:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="n_frames"):
             SceneSpec(seed=0, grid=ALIGNED_GRID, n_frames=0)
-        with pytest.raises(ValueError, match="positive"):
-            SceneSpec(seed=0, grid=ALIGNED_GRID, n_frames=1, march_step=0.0)
+        for bad in (dict(march_step=0.0), dict(march_step=np.nan), dict(d_max=np.nan)):
+            with pytest.raises(ValueError, match="positive"):
+                SceneSpec(seed=0, grid=ALIGNED_GRID, n_frames=1, **bad)
 
 
 class TestEmptyScene:

@@ -14,6 +14,7 @@ from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
 from occkit.scene import camera_ring
 from occkit.tensor import (
     SMALL_GEMM_MACS,
+    Conv,
     conv,
     conv_init,
     effective_extents,
@@ -23,6 +24,7 @@ from occkit.tensor import (
     softmax,
     uniform_init,
     upsample2x,
+    upsample_init,
 )
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
 from support import cast, centred_pad, conv_loops, conv_untiled, gemm_split, traced_peak
@@ -504,6 +506,8 @@ COPIED_WIDE_CONVS = {
     "2d-window-off-8": ((300, 2, 100), (64, 300, 3, 3), True, 1, 1, np.float64),
     # 153 columns: the float64 second GEMM takes the last 9, not one
     "2d-columns-one-past-8": ((300, 3, 51), (32, 300, 3, 3), True, 1, 1, np.float64),
+    # over the cutoff only at the padded depth: 52 x 320 x 63 MACs, not 289
+    "2d-padded-depth-split": ((289, 7, 9), (52, 289, 3, 3), True, 1, 1, np.float64),
 }
 
 
@@ -533,7 +537,7 @@ class TestWindowRead:
         w = case[1]
         cols = prod(got.shape[1:])
         # a float64 GEMM's columns past the last multiple of 8 run on their own
-        split = gemm_split(cols, w.shape[0] * w.shape[1], w.dtype)
+        split = gemm_split(cols, prod(gemm_shape(*w.shape[:2])), w.dtype)
         parts = [(split, None), (cols - split, None)] if split < cols else [(cols, None)]
         assert gemms == parts * prod(w.shape[2:])
         assert got.tobytes() == conv_nd_untiled(*case).tobytes()
@@ -565,10 +569,12 @@ class TestWindowRead:
             c_out = data.draw(st.integers(1 if least == 2 else least, least + 8))
         else:
             # at most 1,000 outputs keep even two output channels' GEMM
-            # under the cutoff, so no conv drawn here reads windows
+            # under the cutoff, so no conv drawn here reads windows or
+            # splits its columns
             sp = data.draw(st.tuples(*[st.integers(1, 12 if rank == 2 else 10)] * rank))
             stride = data.draw(st.tuples(*[st.integers(1, 2)] * rank))
-            macs = c_in * prod(sp)  # per output channel at unit stride
+            # per output channel at unit stride, at the GEMM's padded depth
+            macs = gemm_shape(c_out=1, c_in=c_in)[1] * prod(sp)
             c_out = data.draw(st.integers(1, max(2, min(16, SMALL_GEMM_MACS // macs))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         x = rng.standard_normal((c_in,) + sp).astype(dtype)
@@ -1143,8 +1149,28 @@ class TestRng:
         assert w.tobytes() == expected_w.tobytes() and w.shape == expected_w.shape
         assert b.tobytes() == expected_b.tobytes() and b.shape == (3,)
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_upsample_init_draws_weight_then_bias(self, rank):
+        """One stream, the (C_in, C_out, 2..) weight first, both at fan-in
+        C_in = 4 alone."""
+        layer = upsample_init(rng_named(0, "u"), 4, 3, rank)
+        rng = rng_named(0, "u")
+        expected_w = uniform_init(rng, (4, 3) + (2,) * rank, fan_in=4)
+        expected_b = uniform_init(rng, (3,), fan_in=4)
+        assert isinstance(layer, Conv)
+        w, b = layer
+        assert w.dtype == b.dtype == np.float32
+        assert w.tobytes() == expected_w.tobytes() and w.shape == expected_w.shape
+        assert b.tobytes() == expected_b.tobytes() and b.shape == (3,)
+
 
 class TestCast:
+    def test_named_tuple_keeps_type(self):
+        layer = conv_init(rng_named(0, "c"), 3, 4, (1, 1))
+        wide = cast(layer, np.float64)
+        assert isinstance(wide, Conv)
+        assert wide.weight.dtype == wide.bias.dtype == np.float64
+
     def test_nested_dataclass(self):
         rng = np.random.default_rng(0)
         branch = ConvBranchSpec(

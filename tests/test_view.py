@@ -139,8 +139,11 @@ class TestGridSpec:
         np.testing.assert_allclose(g.centers(0), [0.5, 1.5, 2.5, 3.5])
 
     def test_rejects_inverted_range(self):
+        for end in ((1, -1, 1), (1, np.nan, 1)):
+            with pytest.raises(ValueError, match="exceed"):
+                GridSpec((0, 0, 0), end, (2, 2, 2))
         with pytest.raises(ValueError, match="exceed"):
-            GridSpec((0, 0, 0), (1, -1, 1), (2, 2, 2))
+            GridSpec((0, np.nan, 0), (1, 1, 1), (2, 2, 2))
 
     @settings(max_examples=30, deadline=None)
     @given(
