@@ -54,9 +54,12 @@ class EgoPose:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "EgoPose":
+        """The pose of a 4x4 matrix, whose last row must be (0, 0, 0, 1)."""
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError("pose matrix must be 4x4")
+        if (m[3] != (0.0, 0.0, 0.0, 1.0)).any():
+            raise ValueError(f"pose matrix last row must be (0, 0, 0, 1), got {m[3].tolist()}")
         return cls(m[:3, :3], m[:3, 3])
 
     def matrix(self) -> np.ndarray:

@@ -35,7 +35,7 @@ _BENCH_EXTENTS = (100, 100, 8)
 def _cmd_gen_scene(args) -> int:
     config = parse_config(args.config)
     t0 = time.perf_counter()
-    bundle = gen_scene(config.scene_spec())
+    bundle = gen_scene(config.scene)
     gen_s = time.perf_counter() - t0
     save_scene(bundle, args.out)
     occupied = (bundle.occupancy[0] != EMPTY_CLASS).mean()
@@ -86,7 +86,7 @@ def _conv_forms(config, seed: int, extents: tuple, dtype, name: str):
 def _cmd_equiv(args) -> int:
     config = parse_config(args.config)
     extents = tuple(
-        min(h, cap) for h, cap in zip(config.half_grid().counts, _EQUIV_EXTENTS)
+        min(h, cap) for h, cap in zip(config.scene.grid.downsample(2).counts, _EQUIV_EXTENTS)
     )
     channels = config.refined_channels
     tolerances = {np.float32: 1e-4, np.float64: 1e-10}

@@ -4,8 +4,8 @@ Files are in ``keyfile``'s ``[section]`` / ``key = value`` format. Each key
 is one row of ``_KEYS`` and has a default, so an empty file is a valid
 desk-scale configuration; unknown sections or keys are errors, as are values
 that break cross-module shape constraints. The [grid], [depth] max and
-[scene] rows are ``scene.SCENE_KEYS``'s, so a scene manifest holds only
-config keys, and read as a config gives the scene's spec.
+[scene] rows are ``scene.SCENE_KEYS``'s: ``scene.build_spec`` builds them
+into the config's one ``SceneSpec``, as it does a scene manifest's.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ from dataclasses import dataclass, replace
 from . import keyfile
 from .keyfile import ConfigError, integer, number
 from .reparam import check_fit, default_branch_extents
-from .scene import SCENE_KEYS, SceneSpec
+from .scene import SCENE_KEYS, SceneSpec, build_spec
 from .tensor import effective_extents
 from .view import GridSpec
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    grid: GridSpec
+    scene: SceneSpec
     depth_bins: int = 16
     d_min: float = 1.0
-    d_max: float = SceneSpec.d_max
     queue_len: int = 15
     channels: int = 32
     refined_channels: int = 32
@@ -33,32 +32,17 @@ class PipelineConfig:
     branches: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] | None = None
     seed: int = 0
     depth_provider: str = "gt"
-    scene_seed: int = 7
-    scene_frames: int = 16
-    scene_boxes: int = SceneSpec.n_boxes
-    scene_cameras: int = SceneSpec.n_cameras
-    scene_image: tuple[int, int] = SceneSpec.image_size
-    scene_features: tuple[int, int] = SceneSpec.feature_size
-    scene_focal: float = SceneSpec.focal
-    scene_march_step: float = SceneSpec.march_step
-    scene_speed: float = SceneSpec.speed
-    scene_yaw_rate: float = SceneSpec.yaw_rate
 
     def __post_init__(self):
+        """The config's own keys and the rules across keys; ``scene`` checks its own."""
         branch_entries = [n for ext, dil in self.branches or () for n in ext + dil]
         for key, value, low in (
             ("[depth] bins", self.depth_bins, 1),
             ("[temporal] queue", self.queue_len, 1),
             ("[channels] base", self.channels, 1),
             ("[channels] refined", self.refined_channels, 1),
-            ("[scene] frames", self.scene_frames, 1),
             ("[pipeline] seed", self.seed, 0),
-            ("[scene] seed", self.scene_seed, 0),
             ("[reparam] kernel entries", min(self.kernel), 1),
-            ("[scene] image entries", min(self.scene_image), 1),
-            ("[scene] features entries", min(self.scene_features), 1),
-            ("[scene] cameras", self.scene_cameras, 1),
-            ("[scene] boxes", self.scene_boxes, 0),
             ("[reparam] branches entries", min(branch_entries, default=1), 1),
         ):
             if value < low:
@@ -70,17 +54,12 @@ class PipelineConfig:
                 check_fit(effective_extents(ext, dil), self.kernel)
             except ValueError as e:
                 raise ConfigError(f"[reparam] branches: {e}") from None
-        for key, value in (
-            ("[scene] focal", self.scene_focal),
-            ("[scene] march_step", self.scene_march_step),
-        ):
-            if not value > 0:
-                raise ConfigError(f"{key} must be > 0, got {value}")
-        if not self.d_max > self.d_min > 0:
+        d_max = self.scene.d_max
+        if not d_max > self.d_min > 0:
             raise ConfigError(
-                f"[depth] min and max: need 0 < depth min < max, got {self.d_min}, {self.d_max}"
+                f"[depth] min and max: need 0 < depth min < max, got {self.d_min}, {d_max}"
             )
-        nx, ny, nz = self.grid.counts
+        nx, ny, nz = self.scene.grid.counts
         # BEV work runs at half resolution and the 2D encoder downsamples
         # twice more, so the horizontal counts must be divisible by 8 and the
         # height count by 2.
@@ -95,28 +74,24 @@ class PipelineConfig:
                 f"[pipeline] depth_provider must be 'gt' or 'stub', got {self.depth_provider!r}"
             )
 
-    def half_grid(self) -> GridSpec:
-        return self.grid.downsample(2)
-
     def branch_extents(self):
         if self.branches is not None:
             return list(self.branches)
         return default_branch_extents(self.kernel)
 
-    def scene_spec(self) -> SceneSpec:
-        rows = SCENE_KEYS["scene"].items()
-        return SceneSpec(
-            grid=self.grid,
-            d_max=self.d_max,
-            **{field: getattr(self, f"scene_{key}") for key, (field, _) in rows},
-        )
+    # Three perfbench reads of the scene; the program reads ``scene`` itself.
+    grid = property(lambda self: self.scene.grid)  # perfbench/workloads.py
+    scene_frames = property(lambda self: self.scene.n_frames)  # perfbench/run.py
+
+    def scene_spec(self) -> SceneSpec:  # perfbench/workloads.py
+        return self.scene
 
 
 def default_config() -> PipelineConfig:
     """Desk-scale defaults: a 38.4m x 38.4m x 3.2m grid of 0.4m voxels,
     two cameras, and a 16-frame temporal window."""
     grid = GridSpec((-19.2, -19.2, -1.0), (19.2, 19.2, 2.2), (96, 96, 8))
-    return PipelineConfig(grid=grid)
+    return PipelineConfig(scene=SceneSpec(seed=7, grid=grid, n_frames=16))
 
 
 def _parse_triple(text: str, where: str) -> tuple[int, int, int]:
@@ -151,10 +126,9 @@ def _parse_branches(value: str, where: str):
     return tuple(branches)
 
 
-# Each config key once, as a ``keyfile`` table: [grid] fields are
-# GridSpec's, all others PipelineConfig's. The scene manifest's keys are
-# config keys too: [grid] and [depth] max as ``SCENE_KEYS`` has them, and
-# each [scene] key k sets the field scene_k.
+# Each config key once, as a ``keyfile`` table: the ``SCENE_KEYS`` rows
+# ([grid], [depth] max and [scene]) set the fields of the config's
+# ``SceneSpec``, all others PipelineConfig's.
 _KEYS = {
     "grid": SCENE_KEYS["grid"],
     "depth": {"bins": ("depth_bins", integer), "min": ("d_min", number), **SCENE_KEYS["depth"]},
@@ -168,20 +142,13 @@ _KEYS = {
         "seed": ("seed", integer),
         "depth_provider": ("depth_provider", lambda value, _: value),
     },
-    "scene": {key: (f"scene_{key}", parse) for key, (_, parse) in SCENE_KEYS["scene"].items()},
+    "scene": SCENE_KEYS["scene"],
 }
 
 
 def parse_config(path: str) -> PipelineConfig:
     """Load and validate a configuration file; unknown keys are errors."""
     values = keyfile.read(path, "config file", _KEYS)
-    grid_fields = values.pop("grid")
+    scene = build_spec(values, default_config().scene)
     fields = {field: v for section in values.values() for field, v in section.items()}
-    try:
-        grid = replace(default_config().grid, **grid_fields)
-    except ValueError as e:
-        raise ConfigError(f"invalid [grid]: {e}") from None
-    try:
-        return replace(default_config(), grid=grid, **fields)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from None
+    return replace(default_config(), scene=scene, **fields)

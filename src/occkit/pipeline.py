@@ -87,7 +87,7 @@ def build_weights(config: PipelineConfig) -> PipelineWeights:
     seed = config.seed
     c = config.channels
     cr = config.refined_channels
-    nz_half = config.half_grid().counts[2]
+    nz_half = config.scene.grid.downsample(2).counts[2]
     branches = tuple(
         random_branch_set(
             seed, c_in=cr, c_out=cr, target=config.kernel,
@@ -121,9 +121,9 @@ class PipelineReport:
 def frame_features(config: PipelineConfig, frame: int) -> np.ndarray:
     """Seeded stand-in for the image backbone: per-camera float32 noise
     features."""
-    h_f, w_f = config.scene_features
-    out = np.empty((config.scene_cameras, config.channels, h_f, w_f), dtype=np.float32)
-    for ci in range(config.scene_cameras):
+    h_f, w_f = config.scene.feature_size
+    out = np.empty((config.scene.n_cameras, config.channels, h_f, w_f), dtype=np.float32)
+    for ci in range(config.scene.n_cameras):
         rng = rng_named(config.seed, f"features/frame{frame:03d}/cam{ci}")
         out[ci] = rng.standard_normal((config.channels, h_f, w_f))
     return out
@@ -143,9 +143,8 @@ def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
 
 def _check_scene(config: PipelineConfig, scene: SceneBundle) -> None:
     """The scene must have the grid and camera rig the config's lift assumes."""
-    want = config.scene_spec()
     for field in ("grid", "n_cameras", "image_size", "feature_size", "focal"):
-        got, expected = getattr(scene.spec, field), getattr(want, field)
+        got, expected = getattr(scene.spec, field), getattr(config.scene, field)
         if got != expected:
             raise ValueError(f"scene {field} {got} does not match config {expected}")
 
@@ -210,7 +209,7 @@ def run_pipeline(
             f"queue {config.queue_len} needs {config.queue_len + 1}"
         )
 
-    half = config.half_grid()
+    half = config.scene.grid.downsample(2)
     timings: dict = {}
 
     def staged(stage, fn, *args, **kw):
@@ -233,7 +232,7 @@ def run_pipeline(
         features = frame_features(config, t)
         gt_oh, valid = staged(
             "depth", gt_depth_from_points,
-            scene.depth[t], config.d_min, config.d_max, config.depth_bins,
+            scene.depth[t], config.d_min, config.scene.d_max, config.depth_bins,
         )
         if config.depth_provider == "stub":
             pred = staged("depth", _stub_depth, features, weights.stub)
@@ -244,7 +243,7 @@ def run_pipeline(
         return v, staged("height_collapse", collapse_height, v)
 
     t_start = time.perf_counter()
-    centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
+    centers = bin_centers(config.d_min, config.scene.d_max, config.depth_bins)
     plan = staged("lift", LiftPlan.build, scene.cameras(), centers, half)
     last = scene.n_frames - 1
     history = [

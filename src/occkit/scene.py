@@ -6,14 +6,15 @@ frame we rasterize the boxes into an ego-centric class grid, ray-march every
 camera ray to its first occupied voxel for depth, and record which voxels
 any ray passed through as the visibility mask.
 
-A saved scene's spec is its manifest, a config file of the ``SCENE_KEYS``
-rows ([grid], [depth] max and [scene]), which the config's key table shares.
+A scene's spec is the ``SCENE_KEYS`` rows ([grid], [depth] max, [scene]) of
+a saved scene's manifest or of a config; ``build_spec`` builds it from either,
+and ``GridSpec`` and ``SceneSpec`` check each value once, naming its key.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import gsdt, keyfile
 from .bev import EgoPose
 from .evaluate import EMPTY_CLASS, N_CLASSES
-from .keyfile import integer, number, vector
+from .keyfile import ConfigError, integer, number, vector
 from .tensor import rng_named
 from .view import CameraParams, GridSpec
 
@@ -66,8 +67,6 @@ def camera_ring(
     Camera frames are optical (x right, y down, z forward); camera 0 looks
     straight ahead.
     """
-    if n_cameras < 1:
-        raise ValueError(f"need at least one camera, got {n_cameras}")
     h_i, w_i = image_size
     k = np.array(
         [
@@ -91,7 +90,8 @@ def camera_ring(
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Everything needed to generate a scene deterministically."""
+    """Everything needed to generate a scene deterministically. A value out
+    of range is a ConfigError naming its config and manifest key."""
 
     seed: int
     grid: GridSpec
@@ -107,12 +107,23 @@ class SceneSpec:
     yaw_rate: float = 0.0
 
     def __post_init__(self):
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.n_boxes < 0:
-            raise ValueError(f"n_boxes must be >= 0, got {self.n_boxes}")
-        if not self.march_step > 0 or not self.d_max > 0:
-            raise ValueError("march_step and d_max must be positive")
+        for key, value, low in (
+            ("[scene] seed", self.seed, 0),
+            ("[scene] frames", self.n_frames, 1),
+            ("[scene] boxes", self.n_boxes, 0),
+            ("[scene] cameras", self.n_cameras, 1),
+            ("[scene] image entries", min(self.image_size), 1),
+            ("[scene] features entries", min(self.feature_size), 1),
+        ):
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
+        for key, value in (
+            ("[scene] focal", self.focal),
+            ("[scene] march_step", self.march_step),
+            ("[depth] max", self.d_max),
+        ):
+            if not value > 0:
+                raise ConfigError(f"{key} must be > 0, got {value}")
 
     def cameras(self) -> list[CameraParams]:
         return camera_ring(
@@ -396,6 +407,22 @@ SCENE_KEYS = {
 }
 
 
+def build_spec(values: dict, base: SceneSpec | None = None) -> SceneSpec:
+    """The spec of the ``SCENE_KEYS`` fields that ``values``, a
+    ``keyfile.read`` result, gives up: a manifest's sets every field, a
+    config's keeps ``base``'s where it lacks a key. A grid that ``GridSpec``
+    rejects is a ConfigError naming [grid]."""
+    grid, fields = values.pop("grid"), values.pop("scene")
+    for field, _ in SCENE_KEYS["depth"].values():  # a config's [depth] has other keys
+        if field in values["depth"]:
+            fields[field] = values["depth"].pop(field)
+    try:
+        grid = replace(base.grid, **grid) if base else GridSpec(**grid)
+    except ValueError as e:
+        raise ConfigError(f"invalid [grid]: {e}") from None
+    return replace(base, grid=grid, **fields) if base else SceneSpec(grid=grid, **fields)
+
+
 def save_scene(bundle: SceneBundle, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     gsdt.write(os.path.join(out_dir, "occupancy.gsdt"), bundle.occupancy)
@@ -438,13 +465,12 @@ def load_scene(scene_dir: str) -> SceneBundle:
     path = os.path.join(scene_dir, "manifest.txt")
     values = keyfile.read(path, "scene manifest", SCENE_KEYS, required=True)
     try:
-        grid = GridSpec(**values["grid"])
-        spec = SceneSpec(grid=grid, **values["depth"], **values["scene"])
+        spec = build_spec(values)
     except ValueError as e:
         raise ValueError(f"scene manifest {path}: {e}") from None
     occupancy, visible, depth, poses = (_read_tensor(scene_dir, *t) for t in _TENSORS)
     poses_path = os.path.join(scene_dir, "poses.gsdt")
-    expected = (spec.n_frames,) + grid.counts
+    expected = (spec.n_frames,) + spec.grid.counts
     if occupancy.shape != expected or visible.shape != expected:
         raise ValueError(
             f"scene grids have shape {occupancy.shape}, manifest says {expected}"
@@ -454,12 +480,11 @@ def load_scene(scene_dir: str) -> SceneBundle:
     if poses.shape != (spec.n_frames, 4, 4):
         raise ValueError(f"scene poses shape {poses.shape} does not match manifest")
     for t, m in enumerate(poses):
+        where = f"scene poses {poses_path}: frame {t}"
         if not np.isfinite(m).all():
-            raise ValueError(f"scene poses {poses_path}: frame {t} must be finite")
+            raise ValueError(f"{where} must be finite")
         try:
             EgoPose.from_matrix(m)
-        except ValueError:
-            raise ValueError(
-                f"scene poses {poses_path}: frame {t} must be a rotation about z"
-            ) from None
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
     return SceneBundle(occupancy, visible, depth, poses, spec)

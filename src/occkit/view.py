@@ -34,6 +34,8 @@ class GridSpec:
             raise ValueError("grid start/end/counts must each have 3 entries")
         if not all(e > s for s, e in zip(self.start, self.end)):
             raise ValueError(f"grid end must exceed start, got {self.start}..{self.end}")
+        if not np.isfinite(self.start + self.end).all():
+            raise ValueError(f"grid start and end must be finite, got {self.start}..{self.end}")
         if any(c < 1 for c in self.counts):
             raise ValueError(f"voxel counts must be >= 1, got {self.counts}")
 

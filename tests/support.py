@@ -1,8 +1,8 @@
 """Helpers shared by the test modules: a dtype cast for weight dataclasses,
-the identity ego pose, scenes with boxes placed by hand, the voxel of a
-point, convolution oracles that run on an input the caller has already
-padded, the float64 column split of their GEMMs, and a call's peak traced
-memory."""
+a config with other scene fields, the identity ego pose, scenes with boxes
+placed by hand, the voxel of a point, convolution oracles that run on an
+input the caller has already padded, the float64 column split of their
+GEMMs, and a call's peak traced memory."""
 
 import tracemalloc
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -32,6 +32,11 @@ def cast(weights, dtype):
             f.name: cast(getattr(weights, f.name), dtype) for f in fields(weights)
         })
     return weights
+
+
+def with_scene(config, **fields):
+    """``config`` with ``fields`` of its ``SceneSpec`` replaced."""
+    return replace(config, scene=replace(config.scene, **fields))
 
 
 def identity_pose() -> EgoPose:

@@ -192,7 +192,7 @@ def _lift_enumerated(feats, depth, cams, grid):
 
 
 def test_03_lift_matches_enumeration_oracle():
-    grid = default_config().half_grid()
+    grid = default_config().scene.grid.downsample(2)
     worst_rel = 0.0
     worst_mass = 0.0
     for trial in range(10):
@@ -329,13 +329,15 @@ def test_07_scoring_reference_values():
 
 def test_08_default_scene_lift_sparsity():
     cfg = default_config()
-    scene = gen_scene(cfg.scene_spec())
-    frame = cfg.scene_frames - 1
+    spec = cfg.scene
+    scene = gen_scene(spec)
+    frame = spec.n_frames - 1
     feats = frame_features(cfg, frame)
-    one_hot, _ = gt_depth_from_points(scene.depth[frame], cfg.d_min, cfg.d_max, cfg.depth_bins)
+    one_hot, _ = gt_depth_from_points(scene.depth[frame], cfg.d_min, spec.d_max, cfg.depth_bins)
     depth = DepthDistribution(one_hot)
-    centers = bin_centers(cfg.d_min, cfg.d_max, cfg.depth_bins)
-    lifted = lift_splat(feats, depth, LiftPlan.build(scene.cameras(), centers, cfg.half_grid()))
+    centers = bin_centers(cfg.d_min, spec.d_max, cfg.depth_bins)
+    half = spec.grid.downsample(2)
+    lifted = lift_splat(feats, depth, LiftPlan.build(scene.cameras(), centers, half))
     ratio = sparsity_ratio(lifted)
     ok = ratio > 0.35
     detail = f"zero fraction {ratio:.3f} > 0.35"

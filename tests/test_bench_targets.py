@@ -1,9 +1,11 @@
 """The traced benchmark finds the functions it wraps by module and attribute
 name; every one of them must still exist, and every conv it traces must land
-in a named layer."""
+in a named layer. Its workloads read a config's scene through three
+accessors, which must still give the config's scene."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import occkit.tensor
 from occkit.config import parse_config
 from occkit.scene import gen_scene
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # A tiny run that reaches every conv layer, the stub depth head included.
 STUB_CONFIG = """
@@ -50,11 +52,17 @@ focal = 8.0
 """
 
 
+def _load(name):
+    """perfbench's module ``name``, loaded by path; it is registered in
+    ``sys.modules`` before it runs, as ``dataclass`` needs."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("spans")
 
 
 def _targets():
@@ -64,6 +72,26 @@ def _targets():
 @pytest.mark.parametrize("module,attr", _targets(), ids=lambda v: v)
 def test_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+WORKLOADS = _load("workloads").WORKLOADS
+# Each perfbench workload's grid counts and frame count at seed 7.
+WORKLOAD_SCENES = {"desk_deploy": ((96, 96, 8), 16), "wide_train": ((200, 200, 16), 8)}
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_workload_config_reads(tmp_path, name):
+    """perfbench's workloads read the config's scene through
+    ``scene_spec()``, ``grid`` and ``scene_frames``: each gives the scene
+    of the workload's config."""
+    path = tmp_path / "config.ini"
+    path.write_text(WORKLOADS[name].config_for(7))
+    config = parse_config(str(path))
+    counts, frames = WORKLOAD_SCENES[name]
+    assert config.scene_spec() is config.scene
+    assert config.scene.seed == 7
+    assert config.grid.counts == config.scene.grid.counts == counts
+    assert config.scene_frames == config.scene.n_frames == frames
 
 
 def test_traced_conv_name_is_conv():
@@ -80,7 +108,7 @@ def test_every_conv_span_lands_in_a_layer(tmp_path, mode):
     path = tmp_path / "stub.cfg"
     path.write_text(STUB_CONFIG)
     config = parse_config(str(path))
-    scene = gen_scene(config.scene_spec())
+    scene = gen_scene(config.scene)
     tracer = spans.Tracer()
     with tracer.active("call"):
         occkit.pipeline.run_pipeline(config, scene, 0.5, mode)
@@ -101,13 +129,13 @@ def test_lift_spans_keep_their_counts(tmp_path):
     path = tmp_path / "stub.cfg"
     path.write_text(STUB_CONFIG)
     config = parse_config(str(path))
-    scene = gen_scene(config.scene_spec())
+    scene = gen_scene(config.scene)
     tracer = spans.Tracer()
     with tracer.active("call"):
         occkit.pipeline.run_pipeline(config, scene, 0.5, "deploy")
-    lifts = min(config.scene_frames, config.queue_len + 1)
-    per_call = config.scene_cameras * config.depth_bins * config.scene_features[0] \
-        * config.scene_features[1]
+    spec = config.scene
+    lifts = min(spec.n_frames, config.queue_len + 1)
+    per_call = spec.n_cameras * config.depth_bins * spec.feature_size[0] * spec.feature_size[1]
     points = [s["counts"]["points"] for s in tracer.spans if s["name"] == "view.lift_splat"]
     assert points == [per_call] * lifts
     (totals,) = tracer.root_totals()
@@ -122,7 +150,7 @@ def test_fusion_span_is_used_once(tmp_path):
     path = tmp_path / "stub.cfg"
     path.write_text(STUB_CONFIG)
     config = parse_config(str(path))
-    scene = gen_scene(config.scene_spec())
+    scene = gen_scene(config.scene)
     tracer = spans.Tracer()
     with tracer.active("call"):
         occkit.pipeline.run_pipeline(config, scene, 0.5, "deploy")

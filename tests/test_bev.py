@@ -112,6 +112,13 @@ class TestEgoPose:
         np.testing.assert_allclose(p.inverse().matrix() @ p.matrix(), np.eye(4), atol=1e-12)
         np.testing.assert_allclose(p.matrix() @ p.inverse().matrix(), np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("row", [(5.0, 5.0, 5.0, 5.0), (0.0, 0.0, 0.0, 2.0)])
+    def test_from_matrix_rejects_last_row(self, row):
+        m = EgoPose.from_yaw(0.3, (1.0, 2.0, 0.0)).matrix()
+        m[3] = row
+        with pytest.raises(ValueError, match=r"last row must be \(0, 0, 0, 1\), got "):
+            EgoPose.from_matrix(m)
+
     def test_matrix_round_trip(self):
         p = EgoPose.from_yaw(-1.2, (0.5, 0.25, 0.0))
         q = EgoPose.from_matrix(p.matrix())
@@ -344,11 +351,11 @@ class TestWarpBev:
 # The half grids and BEV widths of a desk run, a wide run (perfbench's
 # 200x200x16 grid) and acceptance check 9's run, with each run's scene poses.
 WARP_RUNS = {
-    "desk": (32, default_config().grid, {}),
+    "desk": (32, default_config().scene.grid, {}),
     "wide": (32, GridSpec((-40, -40, -1), (40, 40, 2.2), (200, 200, 16)),
-             dict(scene_frames=8, scene_boxes=24)),
+             dict(n_frames=8, n_boxes=24)),
     "check9": (8, GridSpec((-9.6, -9.6, -1), (9.6, 9.6, 1), (48, 48, 4)),
-               dict(scene_frames=4, scene_boxes=4, scene_speed=0.5)),
+               dict(n_frames=4, n_boxes=4, speed=0.5)),
 }
 
 
@@ -406,9 +413,9 @@ class TestWarpFlatGather:
     @pytest.mark.parametrize("name", list(WARP_RUNS))
     def test_matches_four_gathers_at_run_shapes(self, name):
         channels, grid, scene = WARP_RUNS[name]
-        config = dataclasses.replace(default_config(), grid=grid, **scene)
-        half = config.half_grid()
-        poses = config.scene_spec().poses()
+        spec = dataclasses.replace(default_config().scene, grid=grid, **scene)
+        half = grid.downsample(2)
+        poses = spec.poses()
         poses.append(EgoPose.from_yaw(0.35, (1.7, -2.3, 0.0)))
         rng = np.random.default_rng(13)
         b = rng.standard_normal((channels,) + half.counts[:2]).astype(np.float32)

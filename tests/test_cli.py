@@ -354,7 +354,9 @@ class TestPoseRotation:
         rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: scene poses {path}: frame 0 must be a rotation about z\n"
+        assert err == (
+            f"error: scene poses {path}: frame 0: rotation is not a proper rotation about z\n"
+        )
 
     def test_rejects_huge_entry_in_one_line(self, config_path, scene_dir, capsys):
         """A finite entry too large to square ends in the one ``error:``
@@ -368,7 +370,22 @@ class TestPoseRotation:
             rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
         assert rc == 1 and not caught, [str(w.message) for w in caught]
         err = capsys.readouterr().err
-        assert err == f"error: scene poses {path}: frame 1 must be a rotation about z\n"
+        assert err == f"error: scene poses {path}: frame 1: rotation is not orthonormal\n"
+
+    def test_rejects_last_row_not_0001(self, config_path, scene_dir, capsys):
+        """The last row of a pose matrix is (0, 0, 0, 1); any other is an
+        error, though the pose reads only the top three rows."""
+        path = f"{scene_dir}/poses.gsdt"
+        poses = gsdt.read(path)
+        poses[1, 3] = 5.0
+        gsdt.write(path, poses)
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: scene poses {path}: frame 1: pose matrix last row must be "
+            "(0, 0, 0, 1), got [5.0, 5.0, 5.0, 5.0]\n"
+        )
 
 
 class TestRun:
@@ -432,9 +449,17 @@ class TestRun:
          (lambda t: OLD_FORMAT_MANIFEST, "File contains no section headers"),
          (lambda t: t + "\n[temporal]\nqueue = 3\n", "unknown config section [temporal]"),
          (lambda t: t.replace("[depth]\nmax = 12.0\n", ""),
-          "missing key 'max' in section [depth]")],
+          "missing key 'max' in section [depth]"),
+         (lambda t: t.replace("cameras = 1", "cameras = 0"),
+          "[scene] cameras must be >= 1, got 0"),
+         (lambda t: t.replace("features = 4, 8", "features = 0, 8"),
+          "[scene] features entries must be >= 1, got 0"),
+         (lambda t: t.replace("focal = 8.0", "focal = -8.0"),
+          "[scene] focal must be > 0, got -8.0"),
+         (lambda t: t.replace("seed = 7", "seed = -3"), "[scene] seed must be >= 0, got -3")],
         ids=["missing-key", "malformed-value", "unknown-key", "repeated-key", "no-equals",
-             "old-format", "config-section", "no-depth-section"],
+             "old-format", "config-section", "no-depth-section", "cameras-zero",
+             "features-zero", "focal-negative", "seed-negative"],
     )
     def test_bad_manifest_reports_error(self, config_path, scene_dir, capsys, edit, message):
         manifest = f"{scene_dir}/manifest.txt"
@@ -505,14 +530,17 @@ class TestStageErrors:
 
 
 class TestManifestFields:
-    """A manifest value the config does not share, or one that builds no
-    grid, ends in one ``error:`` line naming the field or the manifest."""
+    """A manifest value the config does not share, or one out of range or
+    that builds no grid, ends in one ``error:`` line naming the field or the
+    manifest."""
 
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("focal", "-8.0", "scene focal -8.0 does not match config 8.0"),
-            ("image", "0, 0", "scene image_size (0, 0) does not match config (8, 16)"),
+            ("focal", "-8.0", "scene manifest {manifest}: [scene] focal must be > 0, got -8.0"),
+            ("image", "0, 0",
+             "scene manifest {manifest}: [scene] image entries must be >= 1, got 0"),
+            ("focal", "9.0", "scene focal 9.0 does not match config 8.0"),
             ("image", "8, 16, 3",
              "scene manifest {manifest}: [scene] image needs 2 comma-separated values, "
              "got '8, 16, 3'"),
@@ -520,7 +548,8 @@ class TestManifestFields:
              "scene manifest {manifest}: [grid] counts needs 3 comma-separated values, "
              "got '32, 32'"),
         ],
-        ids=["focal-negative", "image-zero", "image-three-entries", "grid-two-counts"],
+        ids=["focal-negative", "image-zero", "focal-other", "image-three-entries",
+             "grid-two-counts"],
     )
     def test_run_reports_field(self, config_path, scene_dir, capsys, key, value, message):
         manifest = f"{scene_dir}/manifest.txt"
@@ -785,7 +814,8 @@ def _no_larger_than_tiny(config_path):
         c = parse_config(config_path)
     except ValueError:
         return True
-    sizes = (c.grid.counts, (c.scene_frames,), c.scene_image, c.scene_features)
+    s = c.scene
+    sizes = (s.grid.counts, (s.n_frames,), s.image_size, s.feature_size)
     limits = ((32, 32, 4), (2,), (8, 16), (4, 8))
     return all(a <= b for size, limit in zip(sizes, limits) for a, b in zip(size, limit))
 

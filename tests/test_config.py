@@ -18,8 +18,8 @@ def write_config(tmp_path, text):
 class TestDefaults:
     def test_default_grid(self):
         cfg = default_config()
-        assert cfg.grid.counts == (96, 96, 8)
-        assert cfg.grid.start == (-19.2, -19.2, -1.0)
+        assert cfg.scene.grid.counts == (96, 96, 8)
+        assert cfg.scene.grid.start == (-19.2, -19.2, -1.0)
         assert cfg.depth_bins == 16
         assert cfg.queue_len == 15
         assert cfg.kernel == (11, 11, 1)
@@ -30,7 +30,7 @@ class TestDefaults:
         assert cfg == default_config()
 
     def test_half_grid(self):
-        half = default_config().half_grid()
+        half = default_config().scene.grid.downsample(2)
         assert half.counts == (48, 48, 4)
 
     def test_default_branch_extents(self):
@@ -39,17 +39,20 @@ class TestDefaults:
         assert len(exts) == 3
 
     def test_scene_spec_inherits_depth_range(self):
+        """perfbench reads the scene through ``scene_spec()``, ``grid`` and
+        ``scene_frames``; each gives the config's one ``SceneSpec``."""
         cfg = default_config()
         spec = cfg.scene_spec()
-        assert spec.d_max == cfg.d_max
-        assert spec.grid == cfg.grid
-        assert spec.n_frames == cfg.scene_frames
+        assert spec is cfg.scene
+        assert spec.d_max == 25.0
+        assert cfg.grid is spec.grid
+        assert cfg.scene_frames == spec.n_frames == 16
 
     def test_scene_defaults_are_scene_specs(self):
         """Past its seed, frame count and grid, the default scene is
         ``SceneSpec``'s own default one."""
         cfg = default_config()
-        assert cfg.scene_spec() == SceneSpec(seed=7, grid=cfg.grid, n_frames=16)
+        assert cfg.scene == SceneSpec(seed=7, grid=cfg.scene.grid, n_frames=16)
 
 
 class TestParsing:
@@ -98,10 +101,8 @@ yaw_rate = 0.01
 """,
             )
         )
-        assert cfg.grid == GridSpec((-8, -8, -1), (8, 8, 1), (32, 32, 4))
         assert cfg.depth_bins == 8
         assert cfg.d_min == 0.5
-        assert cfg.d_max == 12.0
         assert cfg.queue_len == 3
         assert cfg.channels == 8
         assert cfg.refined_channels == 16
@@ -109,21 +110,25 @@ yaw_rate = 0.01
         assert cfg.branches == (((7, 7, 1), (1, 1, 1)), ((3, 3, 1), (2, 2, 2)))
         assert cfg.seed == 42
         assert cfg.depth_provider == "stub"
-        assert cfg.scene_seed == 9
-        assert cfg.scene_frames == 4
-        assert cfg.scene_boxes == 5
-        assert cfg.scene_cameras == 1
-        assert cfg.scene_image == (64, 128)
-        assert cfg.scene_features == (8, 16)
-        assert cfg.scene_focal == 64.0
-        assert cfg.scene_march_step == 0.05
-        assert cfg.scene_speed == 0.5
-        assert cfg.scene_yaw_rate == 0.01
+        assert cfg.scene == SceneSpec(
+            seed=9,
+            grid=GridSpec((-8, -8, -1), (8, 8, 1), (32, 32, 4)),
+            n_frames=4,
+            n_boxes=5,
+            n_cameras=1,
+            image_size=(64, 128),
+            feature_size=(8, 16),
+            focal=64.0,
+            d_max=12.0,
+            march_step=0.05,
+            speed=0.5,
+            yaw_rate=0.01,
+        )
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "[temporal]\nqueue = 2\n"))
         assert cfg.queue_len == 2
-        assert cfg.grid == default_config().grid
+        assert cfg.scene == default_config().scene
         assert cfg.depth_bins == 16
 
     def test_branch_dilation_shorthand(self, tmp_path):
@@ -215,43 +220,46 @@ class TestValidation:
     def grid(self, counts=(32, 32, 4)):
         return GridSpec((-8, -8, -1), (8, 8, 1), counts)
 
+    def scene(self, **fields):
+        return SceneSpec(**{"seed": 7, "grid": self.grid(), "n_frames": 16, **fields})
+
     def test_rejects_indivisible_horizontal_counts(self):
         with pytest.raises(ConfigError, match="divisible by 8"):
-            PipelineConfig(grid=self.grid((30, 32, 4)))
+            PipelineConfig(self.scene(grid=self.grid((30, 32, 4))))
 
     def test_rejects_odd_height_count(self):
         with pytest.raises(ConfigError, match="even"):
-            PipelineConfig(grid=self.grid((32, 32, 5)))
+            PipelineConfig(self.scene(grid=self.grid((32, 32, 5))))
 
     def test_rejects_bad_depth_range(self):
         with pytest.raises(ConfigError, match="depth min"):
-            PipelineConfig(grid=self.grid(), d_min=5.0, d_max=1.0)
+            PipelineConfig(self.scene(d_max=1.0), d_min=5.0)
 
     def test_rejects_bad_provider(self):
         with pytest.raises(ConfigError, match="depth_provider"):
-            PipelineConfig(grid=self.grid(), depth_provider="oracle")
+            PipelineConfig(self.scene(), depth_provider="oracle")
 
     def test_rejects_bad_queue(self):
         with pytest.raises(ConfigError, match="queue"):
-            PipelineConfig(grid=self.grid(), queue_len=0)
+            PipelineConfig(self.scene(), queue_len=0)
 
     def test_rejects_bad_channels(self):
         with pytest.raises(ConfigError, match="channel"):
-            PipelineConfig(grid=self.grid(), channels=0)
+            PipelineConfig(self.scene(), channels=0)
 
     @pytest.mark.parametrize(
         "field,value,key",
         [
-            ("scene_features", (0, 44), "[scene] features"),
-            ("scene_image", (256, 0), "[scene] image"),
+            pytest.param("scene.feature_size", (0, 44), "[scene] features", id="features"),
+            pytest.param("scene.image_size", (256, 0), "[scene] image", id="image"),
             ("seed", -1, "[pipeline] seed"),
-            ("scene_seed", -1, "[scene] seed"),
+            pytest.param("scene.seed", -1, "[scene] seed", id="scene-seed"),
             ("kernel", (0, 0, 0), "[reparam] kernel"),
-            pytest.param("scene_cameras", 0, "[scene] cameras", id="cameras"),
-            pytest.param("scene_boxes", -1, "[scene] boxes", id="boxes"),
-            pytest.param("scene_focal", 0.0, "[scene] focal", id="focal"),
-            pytest.param("scene_focal", float("nan"), "[scene] focal", id="focal-nan"),
-            pytest.param("scene_march_step", 0.0, "[scene] march_step", id="march-step"),
+            pytest.param("scene.n_cameras", 0, "[scene] cameras", id="cameras"),
+            pytest.param("scene.n_boxes", -1, "[scene] boxes", id="boxes"),
+            pytest.param("scene.focal", 0.0, "[scene] focal", id="focal"),
+            pytest.param("scene.focal", float("nan"), "[scene] focal", id="focal-nan"),
+            pytest.param("scene.march_step", 0.0, "[scene] march_step", id="march-step"),
             pytest.param(
                 "branches", (((3, 3, 1), (1, 1, 1)), ((0, 0, 0), (1, 1, 1))),
                 "[reparam] branches", id="branch-extent",
@@ -264,29 +272,35 @@ class TestValidation:
             pytest.param("queue_len", 0, "[temporal] queue", id="queue"),
             pytest.param("channels", 0, "[channels] base", id="channels-base"),
             pytest.param("refined_channels", 0, "[channels] refined", id="channels-refined"),
-            pytest.param("scene_frames", 0, "[scene] frames", id="frames"),
+            pytest.param("scene.n_frames", 0, "[scene] frames", id="frames"),
             pytest.param("d_min", 30.0, "[depth] min and max", id="depth-range"),
             pytest.param(
-                "grid", GridSpec((-8, -8, -1), (8, 8, 1), (30, 32, 4)), "[grid] counts",
+                "scene.grid", GridSpec((-8, -8, -1), (8, 8, 1), (30, 32, 4)), "[grid] counts",
                 id="grid-horizontal",
             ),
             pytest.param(
-                "grid", GridSpec((-8, -8, -1), (8, 8, 1), (32, 32, 5)), "[grid] counts",
+                "scene.grid", GridSpec((-8, -8, -1), (8, 8, 1), (32, 32, 5)), "[grid] counts",
                 id="grid-height",
             ),
             pytest.param("depth_provider", "oracle", "[pipeline] depth_provider", id="provider"),
         ],
     )
     def test_rejects_out_of_range_value(self, field, value, key):
+        """A ``scene.`` field is the config's SceneSpec's, which checks its
+        own keys; the config checks its other fields and the rules across
+        keys."""
+        scene_field = field.removeprefix("scene.")
         with pytest.raises(ConfigError, match=re.escape(key)):
-            PipelineConfig(**{"grid": self.grid(), field: value})
+            if scene_field != field:
+                PipelineConfig(self.scene(**{scene_field: value}))
+            else:
+                PipelineConfig(self.scene(), **{field: value})
 
     def test_accepts_smallest_valid_values(self):
-        PipelineConfig(
-            grid=self.grid(), seed=0, scene_seed=0, kernel=(1, 1, 1),
-            scene_image=(1, 1), scene_features=(1, 1), scene_cameras=1,
-            scene_boxes=0, branches=(((1, 1, 1), (1, 1, 1)),),
+        scene = self.scene(
+            seed=0, image_size=(1, 1), feature_size=(1, 1), n_cameras=1, n_boxes=0
         )
+        PipelineConfig(scene, seed=0, kernel=(1, 1, 1), branches=(((1, 1, 1), (1, 1, 1)),))
 
     def test_config_error_via_parse(self, tmp_path):
         p = tmp_path / "bad.cfg"

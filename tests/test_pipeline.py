@@ -22,11 +22,11 @@ from occkit.pipeline import (
     run_pipeline,
 )
 from occkit.reparam import forward_deploy, forward_train
-from occkit.scene import BoxObstacle, gen_scene
+from occkit.scene import BoxObstacle, SceneSpec, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
-from support import PlacedSceneSpec, cast, traced_peak
+from support import PlacedSceneSpec, cast, traced_peak, with_scene
 from test_acceptance import GATE_CONFIG
 
 STAGES = (
@@ -42,24 +42,30 @@ STAGES = (
 )
 
 
-def small_config(**overrides):
-    kw = dict(
+def small_config(scene=None, **overrides):
+    """The tiny config with ``overrides`` of its fields and ``scene``, a
+    dict, of its ``SceneSpec``'s."""
+    spec = SceneSpec(
+        seed=7,
         grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), (32, 32, 4)),
+        n_frames=2,
+        n_boxes=2,
+        n_cameras=1,
+        image_size=(8, 16),
+        feature_size=(4, 8),
+        focal=8.0,
+        d_max=12.0,
+        speed=0.5,
+    )
+    kw = dict(
+        scene=dataclasses.replace(spec, **(scene or {})),
         depth_bins=4,
         d_min=0.5,
-        d_max=12.0,
         queue_len=2,
         channels=4,
         refined_channels=4,
         kernel=(3, 3, 1),
         branches=(((3, 3, 1), (1, 1, 1)), ((1, 1, 1), (1, 1, 1))),
-        scene_frames=2,
-        scene_boxes=2,
-        scene_cameras=1,
-        scene_image=(8, 16),
-        scene_features=(4, 8),
-        scene_focal=8.0,
-        scene_speed=0.5,
     )
     kw.update(overrides)
     return PipelineConfig(**kw)
@@ -69,17 +75,17 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
     """Reference forward pass: encode and fuse every scene frame, keeping the
     last ``queue_len`` raw maps newest first, then run the heads on the last
     fused map."""
-    half = config.half_grid()
+    half = config.scene.grid.downsample(2)
     cams = scene.cameras()
     history = deque(maxlen=config.queue_len)
     for t in range(scene.n_frames):
         features = frame_features(config, t)
         gt_oh, valid = gt_depth_from_points(
-            scene.depth[t], config.d_min, config.d_max, config.depth_bins
+            scene.depth[t], config.d_min, config.scene.d_max, config.depth_bins
         )
         pred = _stub_depth(features, weights.stub) if config.depth_provider == "stub" else gt_oh
         mixed = mix_depth(pred, gt_oh, alpha, valid)
-        centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
+        centers = bin_centers(config.d_min, config.scene.d_max, config.depth_bins)
         plan = LiftPlan.build(cams, centers, half)
         b = collapse_height(lift_splat(features, DepthDistribution(mixed), plan))
         b_t = temporal_fuse(b, history, scene.pose(t), weights.fusion, half)
@@ -97,14 +103,14 @@ def fuse_every_frame(config, scene, alpha, reparam_mode, weights):
 @pytest.fixture(scope="module")
 def small_setup():
     config = small_config()
-    return config, gen_scene(config.scene_spec())
+    return config, gen_scene(config.scene)
 
 
 class TestRunPipeline:
     def test_logits_shape_and_dtype(self, small_setup):
         config, scene = small_setup
         logits, _ = run_pipeline(config, scene, alpha=0.0)
-        assert logits.shape == (18,) + config.grid.counts
+        assert logits.shape == (18,) + config.scene.grid.counts
         assert logits.dtype == np.float32
         assert np.isfinite(logits).all()
 
@@ -142,7 +148,7 @@ class TestRunPipeline:
         # blend weight reaches the lifted volume
         config = small_config(depth_provider="stub")
         spec = PlacedSceneSpec(
-            **vars(config.scene_spec()),
+            **vars(config.scene),
             boxes=(BoxObstacle((5.0, 0.0, 0.0), (2.0, 3.0, 2.0), cls=4),),
         )
         scene = gen_scene(spec)
@@ -171,12 +177,12 @@ class TestRunPipeline:
         # other voxel counts, and a start 1e-4 m off on x, which numpy's
         # default relative tolerance would take for the same grid at 19.2 m
         for config_grid, scene_grid in (
-            (config.grid, GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), (16, 16, 4))),
+            (config.scene.grid, GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), (16, 16, 4))),
             (wide, dataclasses.replace(wide, start=(-19.2001, -19.2, -1.0))),
         ):
-            scene = gen_scene(small_config(grid=scene_grid).scene_spec())
+            scene = gen_scene(small_config(dict(grid=scene_grid)).scene)
             with pytest.raises(ValueError, match="grid"):
-                run_pipeline(small_config(grid=config_grid), scene, alpha=0.0)
+                run_pipeline(small_config(dict(grid=config_grid)), scene, alpha=0.0)
 
     def test_rejects_weights_for_other_window(self, monkeypatch, small_setup):
         """Weights built for another ``queue_len`` fail before any stage."""
@@ -200,11 +206,13 @@ class TestRunPipeline:
     def test_full_resolution_grid(self):
         # full-scale output contract on a single frame
         config = small_config(
-            grid=GridSpec((-20.0, -20.0, -2.0), (20.0, 20.0, 1.2), (200, 200, 16)),
+            dict(
+                grid=GridSpec((-20.0, -20.0, -2.0), (20.0, 20.0, 1.2), (200, 200, 16)),
+                n_frames=1,
+            ),
             queue_len=1,
-            scene_frames=1,
         )
-        scene = gen_scene(config.scene_spec())
+        scene = gen_scene(config.scene)
         logits, report = run_pipeline(config, scene, alpha=0.0)
         assert logits.shape == (18, 200, 200, 16)
         assert 0.0 < report.lift_sparsity < 1.0
@@ -215,15 +223,15 @@ class TestFusionWindow:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(queue_len=2, scene_frames=2),
-            dict(queue_len=1, scene_frames=4),
-            dict(queue_len=2, scene_frames=4, depth_provider="stub"),
+            dict(queue_len=2, scene=dict(n_frames=2)),
+            dict(queue_len=1, scene=dict(n_frames=4)),
+            dict(queue_len=2, scene=dict(n_frames=4), depth_provider="stub"),
         ],
         ids=["window-covers-scene", "window-shorter", "window-shorter-stub"],
     )
     def test_matches_fusing_every_frame(self, overrides, reparam_mode):
         config = small_config(**overrides)
-        scene = gen_scene(config.scene_spec())
+        scene = gen_scene(config.scene)
         weights = build_weights(config)
         logits, _ = run_pipeline(config, scene, 0.5, reparam_mode, weights)
         expected = fuse_every_frame(config, scene, 0.5, reparam_mode, weights)
@@ -249,8 +257,8 @@ class TestFusionWindow:
             monkeypatch.setattr(
                 occkit.pipeline, name, counted(name, getattr(occkit.pipeline, name))
             )
-        config = small_config(queue_len=queue_len, scene_frames=n_frames)
-        run_pipeline(config, gen_scene(config.scene_spec()), alpha=0.0)
+        config = small_config(dict(n_frames=n_frames), queue_len=queue_len)
+        run_pipeline(config, gen_scene(config.scene), alpha=0.0)
         assert calls["temporal_fuse"] == 1
         assert calls["lift_splat"] == min(n_frames, queue_len + 1)
 
@@ -273,11 +281,11 @@ class TestFusionWindow:
                 occkit.pipeline, name, counted(name, getattr(occkit.pipeline, name))
             )
         config = small_config(
-            scene_cameras=n_cameras, scene_frames=4, depth_provider=depth_provider
+            dict(n_cameras=n_cameras, n_frames=4), depth_provider=depth_provider
         )
-        run_pipeline(config, gen_scene(config.scene_spec()), alpha=0.5)
+        run_pipeline(config, gen_scene(config.scene), alpha=0.5)
         frames = config.queue_len + 1
-        h, w = config.scene_features
+        h, w = config.scene.feature_size
         assert shapes["gt_depth_from_points"] == [(n_cameras, h, w)] * frames
         assert shapes["mix_depth"] == [(n_cameras, config.depth_bins, h, w)] * frames
 
@@ -286,8 +294,8 @@ class TestFusionWindow:
         """One lift plan per run_pipeline call: a desk call unprojects its
         2 cameras once, not once per encoded frame (16 frames, 32 calls),
         and a second call builds its own plan."""
-        config = default_config() if desk else small_config(scene_cameras=2, scene_frames=3)
-        scene = gen_scene(config.scene_spec())
+        config = default_config() if desk else small_config(dict(n_cameras=2, n_frames=3))
+        scene = gen_scene(config.scene)
         weights = build_weights(config)
         calls = []
         original = occkit.view.frustum_points
@@ -298,9 +306,9 @@ class TestFusionWindow:
 
         monkeypatch.setattr(occkit.view, "frustum_points", counted)
         first, _ = run_pipeline(config, scene, 0.5, "deploy", weights)
-        assert len(calls) == config.scene_cameras == 2
+        assert len(calls) == config.scene.n_cameras == 2
         second, _ = run_pipeline(config, scene, 0.5, "deploy", weights)
-        assert len(calls) == 2 * config.scene_cameras
+        assert len(calls) == 2 * config.scene.n_cameras
         assert first.tobytes() == second.tobytes()
 
 
@@ -341,10 +349,10 @@ class TestSlabbedTail:
             )
         monkeypatch.setattr(occkit.pipeline, "fuse_and_upsample", counted)
         config = small_config(
-            grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), counts),
+            dict(grid=GridSpec((-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), counts)),
             refined_channels=channels,
         )
-        scene = gen_scene(config.scene_spec())
+        scene = gen_scene(config.scene)
         weights = cast(build_weights(config), dtype)
         logits, report = run_pipeline(config, scene, 0.5, reparam_mode, weights)
         expected = fuse_every_frame(config, scene, 0.5, reparam_mode, weights)
@@ -357,13 +365,11 @@ class TestSlabbedTail:
 def _wide_config(_):
     """perfbench's ``wide_train`` config at scene seed 7: an 80 m grid whose
     half grid is 32x100x100x8, stub depth, queue 3, 8 frames, 24 boxes."""
-    return dataclasses.replace(
-        default_config(),
+    return with_scene(
+        dataclasses.replace(default_config(), queue_len=3, depth_provider="stub"),
         grid=GridSpec((-40.0, -40.0, -1.0), (40.0, 40.0, 2.2), (200, 200, 16)),
-        queue_len=3,
-        depth_provider="stub",
-        scene_frames=8,
-        scene_boxes=24,
+        n_frames=8,
+        n_boxes=24,
     )
 
 
@@ -398,7 +404,7 @@ def reference_run(tmp_path_factory):
     def get(name):
         if name not in built:
             config = REFERENCE_CONFIGS[name](tmp_path_factory.mktemp(name))
-            built[name] = config, gen_scene(config.scene_spec()), build_weights(config)
+            built[name] = config, gen_scene(config.scene), build_weights(config)
         return built[name]
 
     return get
@@ -433,7 +439,8 @@ def test_wide_train_call_memory(reference_run):
     large-kernel conv, and the decode makes no copy of the logits."""
     config, scene, weights = reference_run("wide")
     logits, peak = _call_peak(config, scene, weights, "train")
-    volume = config.refined_channels * prod(config.half_grid().counts) * logits.itemsize
+    half = config.scene.grid.downsample(2)
+    volume = config.refined_channels * prod(half.counts) * logits.itemsize
     bound = logits.nbytes + 2.5 * volume
     assert peak <= bound, f"traced peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
 
@@ -444,7 +451,7 @@ def test_desk_deploy_call_memory(reference_run):
     padded copy and the history maps, but no third copy of the stack."""
     config, scene, weights = reference_run("desk")
     logits, peak = _call_peak(config, scene, weights, "deploy")
-    nx, ny, _ = config.half_grid().counts
+    nx, ny, _ = config.scene.grid.downsample(2).counts
     stack = (config.queue_len + 1) * config.channels * nx * ny * logits.itemsize
     bound = 4 * stack
     assert peak <= bound, f"traced peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
@@ -468,8 +475,8 @@ def test_float32_logits_match_float64_oracle(monkeypatch, mode, depth_provider):
     moves them on purpose (a new scene renderer, a reordered sum, another
     off-map fill) must pass this check, which says the new float32 logits
     are still this network's."""
-    config = small_config(depth_provider=depth_provider, scene_cameras=2, scene_frames=4)
-    scene = gen_scene(config.scene_spec())
+    config = small_config(dict(n_cameras=2, n_frames=4), depth_provider=depth_provider)
+    scene = gen_scene(config.scene)
     weights = build_weights(config)
     features = occkit.pipeline.frame_features
     logits = {}
@@ -521,7 +528,7 @@ class TestFrameFeatures:
         assert np.abs(frame_features(config, 0) - frame_features(config, 1)).max() > 0
 
     def test_cameras_decorrelated(self):
-        config = small_config(scene_cameras=2)
+        config = small_config(dict(n_cameras=2))
         f = frame_features(config, 0)
         assert np.abs(f[0] - f[1]).max() > 0
 

@@ -95,8 +95,9 @@ class TestCameraRing:
         np.testing.assert_allclose(cam.rotation @ [0, 1, 0], [0, 0, -1], atol=1e-12)
 
     def test_rejects_no_cameras(self):
-        with pytest.raises(ValueError, match="camera"):
-            camera_ring(0, (16, 16), (8, 8), focal=16.0)
+        """A ring of no cameras is rejected where its spec is built."""
+        with pytest.raises(ValueError, match=r"^\[scene\] cameras must be >= 1, got 0$"):
+            SceneSpec(seed=0, grid=ALIGNED_GRID, n_frames=1, n_cameras=0)
 
 
 @st.composite
@@ -166,10 +167,14 @@ class TestSceneSpec:
             assert (b.hi <= np.array(grid.end) + 1e-9).all()
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="n_frames"):
+        with pytest.raises(ValueError, match=r"^\[scene\] frames must be >= 1, got 0$"):
             SceneSpec(seed=0, grid=ALIGNED_GRID, n_frames=0)
-        for bad in (dict(march_step=0.0), dict(march_step=np.nan), dict(d_max=np.nan)):
-            with pytest.raises(ValueError, match="positive"):
+        for bad, key in (
+            (dict(march_step=0.0), r"\[scene\] march_step"),
+            (dict(march_step=np.nan), r"\[scene\] march_step"),
+            (dict(d_max=np.nan), r"\[depth\] max"),
+        ):
+            with pytest.raises(ValueError, match=f"^{key} must be > 0, got "):
                 SceneSpec(seed=0, grid=ALIGNED_GRID, n_frames=1, **bad)
 
 
@@ -500,24 +505,22 @@ class TestSaveLoad:
             load_scene(str(out))
 
 
-DESK = default_config()
+DESK = default_config().scene
 MANIFEST_SPECS = {
-    "desk": DESK.scene_spec(),
+    "desk": DESK,
     # perfbench's wide workload
     "wide": replace(
         DESK, grid=GridSpec((-40, -40, -1), (40, 40, 2.2), (200, 200, 16)),
-        queue_len=3, depth_provider="stub", scene_frames=8, scene_boxes=24,
-    ).scene_spec(),
+        n_frames=8, n_boxes=24,
+    ),
     # acceptance check 9's gate config
     "check9": replace(
         DESK, grid=GridSpec((-9.6, -9.6, -1.0), (9.6, 9.6, 1.0), (48, 48, 4)),
-        depth_bins=8, queue_len=3, channels=8, refined_channels=8, scene_frames=4,
-        scene_boxes=4, scene_image=(64, 176), scene_features=(8, 22),
-        scene_focal=88.0, scene_speed=0.5,
-    ).scene_spec(),
+        n_frames=4, n_boxes=4, image_size=(64, 176), feature_size=(8, 22),
+        focal=88.0, speed=0.5,
+    ),
     "odd-floats": replace(
-        DESK.scene_spec(), focal=352.0000001, speed=0.1 + 0.2, yaw_rate=-0.05,
-        march_step=1e-3,
+        DESK, focal=352.0000001, speed=0.1 + 0.2, yaw_rate=-0.05, march_step=1e-3,
     ),
 }
 
@@ -532,7 +535,7 @@ def test_manifest_round_trips_and_is_a_config(tmp_path, spec):
     save_scene(SceneBundle(grids, grids, depth, np.tile(np.eye(4), (t, 1, 1)), spec),
                str(tmp_path))
     assert load_scene(str(tmp_path)).spec == spec
-    assert parse_config(str(tmp_path / "manifest.txt")).scene_spec() == spec
+    assert parse_config(str(tmp_path / "manifest.txt")).scene == spec
 
 
 def march_stepwise(occ, grid, cams, d_max, step):

@@ -19,7 +19,7 @@ from occkit.view import (
     lift_splat,
     sparsity_ratio,
 )
-from support import voxel_index
+from support import voxel_index, with_scene
 
 
 def image_to_feature(cam, u_img, v_img):
@@ -144,6 +144,17 @@ class TestGridSpec:
                 GridSpec((0, 0, 0), end, (2, 2, 2))
         with pytest.raises(ValueError, match="exceed"):
             GridSpec((0, np.nan, 0), (1, 1, 1), (2, 2, 2))
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [((-8, -8, -1), (8, np.inf, 1)), ((-np.inf, -8, -1), (8, 8, 1))],
+        ids=["end", "start"],
+    )
+    def test_rejects_infinite_range(self, start, end):
+        """An infinite start or end is an error naming the grid, not an
+        infinite voxel size that fails later in the scene's box draw."""
+        with pytest.raises(ValueError, match=r"^grid start and end must be finite, got "):
+            GridSpec(start, end, (8, 8, 2))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -485,16 +496,16 @@ class TestLiftSplat:
 # The lift inputs of a desk run (default config), a wide run (perfbench's
 # 200x200x16 grid) and acceptance check 9's run.
 RUN_CONFIGS = {
-    "desk": {},
-    "wide": dict(grid=GridSpec((-40, -40, -1), (40, 40, 2.2), (200, 200, 16))),
-    "check9": dict(
-        grid=GridSpec((-9.6, -9.6, -1), (9.6, 9.6, 1), (48, 48, 4)),
-        depth_bins=8,
-        channels=8,
-        refined_channels=8,
-        scene_image=(64, 176),
-        scene_features=(8, 22),
-        scene_focal=88.0,
+    "desk": ({}, {}),
+    "wide": ({}, dict(grid=GridSpec((-40, -40, -1), (40, 40, 2.2), (200, 200, 16)))),
+    "check9": (
+        dict(depth_bins=8, channels=8, refined_channels=8),
+        dict(
+            grid=GridSpec((-9.6, -9.6, -1), (9.6, 9.6, 1), (48, 48, 4)),
+            image_size=(64, 176),
+            feature_size=(8, 22),
+            focal=88.0,
+        ),
     ),
 }
 
@@ -502,19 +513,21 @@ RUN_CONFIGS = {
 def run_lift_inputs(name, depth_provider):
     """(features, depth, bin centres, cams, half grid) of one frame of a run's lift:
     one-hot depth from random hits (30% missing), or the stub depth head."""
-    config = dataclasses.replace(default_config(), **RUN_CONFIGS[name])
-    cams = config.scene_spec().cameras()
-    features = frame_features(config, config.scene_frames - 1)
+    fields, scene = RUN_CONFIGS[name]
+    config = with_scene(dataclasses.replace(default_config(), **fields), **scene)
+    spec = config.scene
+    cams = spec.cameras()
+    features = frame_features(config, spec.n_frames - 1)
     if depth_provider == "stub":
         stub = StubDepthWeights.seeded(config.seed, config.channels, config.depth_bins)
         probs = _stub_depth(features, stub)
     else:
         rng = np.random.default_rng(0)
-        hits = rng.uniform(0.0, config.d_max + 5.0, (len(cams),) + config.scene_features)
+        hits = rng.uniform(0.0, spec.d_max + 5.0, (len(cams),) + spec.feature_size)
         hits[rng.random(hits.shape) < 0.3] = -1.0
-        probs = gt_depth_from_points(hits, config.d_min, config.d_max, config.depth_bins)[0]
-    centers = bin_centers(config.d_min, config.d_max, config.depth_bins)
-    return features, DepthDistribution(probs), centers, cams, config.half_grid()
+        probs = gt_depth_from_points(hits, config.d_min, spec.d_max, config.depth_bins)[0]
+    centers = bin_centers(config.d_min, spec.d_max, config.depth_bins)
+    return features, DepthDistribution(probs), centers, cams, spec.grid.downsample(2)
 
 
 @st.composite
