@@ -52,13 +52,14 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
     scene = load_scene(args.scene)
-    logits, report = run_pipeline(config, scene, args.alpha, reparam_mode=args.mode)
+    t0 = time.perf_counter()
+    logits, records = run_pipeline(config, scene, args.alpha, reparam_mode=args.mode)
+    total = time.perf_counter() - t0
     print(f"logits shape: {logits.shape}  dtype: {logits.dtype}")
-    print(f"lifted-volume zero fraction (final frame): {report.lift_sparsity:.4f}")
-    print("stage timings (s):")
-    for stage, seconds in report.timings.items():
-        print(f"  {stage:<18} {seconds:9.4f}")
-    print(f"  {'total':<18} {report.total:9.4f}")
+    print("stage timings (calls, s, last output shape and dtype):")
+    for r in records:
+        print(f"  {r.name:<18} {r.calls:5d} {r.seconds:9.4f}  {r.shape} {r.dtype}")
+    print(f"  {'total':<24} {total:9.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         pred = argmax_decode(logits)

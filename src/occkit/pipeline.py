@@ -15,15 +15,15 @@ semantic path (2D encoder then height lifting); the two volumes are summed,
 upsampled to full resolution, and classified, one half-resolution x-slab at
 a time.
 
-Each half-resolution volume and BEV map is freed after its last read, so
-only the two volumes that are summed are alive next to the logits in the
-tail.
+Every step runs as a named stage, and a call returns one ``StageRecord`` per
+stage; a stage whose output holds a NaN or an Inf fails, naming itself.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +41,11 @@ from .reparam import forward_deploy, forward_train, merge_branches, random_branc
 from .scene import SceneBundle
 from .schedule import gt_depth_from_points, mix_depth
 from .tensor import Conv, conv, conv_init, rng_named, slab_rows, softmax, upsample_init
-from .view import DepthDistribution, LiftPlan, bin_centers, lift_splat, sparsity_ratio
+from .view import DepthDistribution, LiftPlan, bin_centers, lift_splat
 
 
 class PipelineStageError(RuntimeError):
-    """A stage failed; ``stage`` names it."""
+    """A stage failed or output a NaN or an Inf; ``stage`` names it."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {str(cause) or type(cause).__name__}")
@@ -109,13 +109,14 @@ def build_weights(config: PipelineConfig) -> PipelineWeights:
     )
 
 
-@dataclass
-class PipelineReport:
-    """Wall-clock seconds per stage plus the lifted volume's zero fraction."""
+class StageRecord(NamedTuple):
+    """A stage's calls, summed seconds, and last array output's shape and dtype."""
 
-    timings: dict
-    total: float
-    lift_sparsity: float
+    name: str
+    calls: int
+    seconds: float
+    shape: tuple
+    dtype: np.dtype
 
 
 def frame_features(config: PipelineConfig, frame: int) -> np.ndarray:
@@ -139,6 +140,14 @@ def _stub_depth(features: np.ndarray, stub: StubDepthWeights) -> np.ndarray:
     h = np.maximum(conv(x, stub.conv1.weight[:, :, None], stub.conv1.bias), 0)
     logits = conv(h, stub.conv2.weight[:, :, None], stub.conv2.bias)
     return np.ascontiguousarray(np.moveaxis(softmax(logits, axis=0), 0, 1))
+
+
+def check_finite(out: np.ndarray) -> None:
+    """Raise on a NaN or an Inf in ``out``; a non-finite sum may be mere overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = 0 if np.isfinite(out.sum()) else np.count_nonzero(~np.isfinite(out))
+    if n:
+        raise FloatingPointError(f"{n} non-finite values in its {out.shape} {out.dtype} output")
 
 
 def _check_scene(config: PipelineConfig, scene: SceneBundle) -> None:
@@ -165,35 +174,34 @@ def run_pipeline(
     fused with its warped history and classified. Weights whose fusion
     window is not ``queue_len + 1`` frames are rejected before any stage
     runs. The lift geometry does not change between frames, so one
-    ``LiftPlan`` is built per call, timed under "lift", and every frame's
-    lift reads it.
+    ``LiftPlan`` is built per call under "lift", and every frame's lift
+    reads it.
 
     The stages then run in this order: "temporal_fuse", the geometric
     "bvl", "large_kernel_conv", "semantic_encoder" and the semantic "bvl",
-    then the tail. Each volume is released after its last read: the last
-    frame's lifted volume once its zero fraction is taken, and the
-    geometric lift once the large-kernel conv returns. So is each BEV map:
-    the history and the last frame's map once ``temporal_fuse`` returns,
-    the fused map once the semantic encoder returns, and the encoder's map
-    once its lift returns. The semantic path
-    runs after that conv, so its volume never coexists with the conv's
-    padded input and branch outputs. Only the two summed volumes, ``v_g``
-    and ``v_s``, are alive in the tail next to the logits.
+    then the tail. Each volume is released after its last read: each
+    frame's lifted volume once it is collapsed, and the geometric lift once
+    the large-kernel conv returns. So is each BEV map: the history and the
+    last frame's map once ``temporal_fuse`` returns, the fused map once the
+    semantic encoder returns, and the encoder's map once its lift returns.
+    The semantic path runs after that conv, so its volume never coexists
+    with the conv's padded input and branch outputs. Only the two summed
+    volumes, ``v_g`` and ``v_s``, are alive in the tail next to the logits.
 
     The tail runs slab by slab along x: for each slab of ``slab_rows``
     half-resolution rows, ``fuse_and_upsample`` sums and upsamples the two
     volumes and the 1x1x1 head classifies the result into its rows of the
     preallocated logits. Both act on each x-slab alone, so the logits are
     those of the whole-volume tail, and the full-resolution feature volume
-    never exists whole. The "fuse_upsample" and "classifier" timings sum
-    over the slabs.
+    never exists whole. The "fuse_upsample" and "classifier" records count
+    and time every slab.
 
-    Returns (logits, report): logits are (18, X, Y, Z) at the full grid
-    resolution, the report carries per-stage wall-clock timings in the order
-    the stages first ran (their sum is bounded by the total) and the zero
-    fraction of the final frame's lifted volume. ``reparam_mode`` selects
-    the multi-branch ("train") or merged single-kernel ("deploy") form of
-    the large 3D convolution; the two agree to within accumulated float32
+    Returns (logits, records): logits are (18, X, Y, Z) at the full grid
+    resolution, records one ``StageRecord`` per stage in the order the
+    stages first ran (the depth binning and ``LiftPlan.build`` return no
+    array, so they are only timed). ``reparam_mode`` selects the
+    multi-branch ("train") or merged single-kernel ("deploy") form of the
+    large 3D convolution; the two agree to within accumulated float32
     rounding.
     """
     if reparam_mode not in ("train", "deploy"):
@@ -210,26 +218,30 @@ def run_pipeline(
         )
 
     half = config.scene.grid.downsample(2)
-    timings: dict = {}
+    records: dict = {}
 
-    def staged(stage, fn, *args, **kw):
+    def staged(stage, fn, *args):
         t0 = time.perf_counter()
         try:
-            result = fn(*args, **kw)
+            out = fn(*args)
+            if isinstance(out, np.ndarray):
+                check_finite(out)
         except Exception as e:
             raise PipelineStageError(stage, e) from e
-        timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0)
-        return result
+        _, calls, seconds, *last = records.get(stage, (stage, 0, 0.0, (), None))
+        last = (out.shape, out.dtype) if isinstance(out, np.ndarray) else last
+        records[stage] = StageRecord(stage, calls + 1, seconds + time.perf_counter() - t0, *last)
+        return out
 
     def encode(t):
-        """Depth, lift and height collapse of frame t: (voxels, BEV map).
+        """Features, depth, lift and height collapse of frame t: its BEV map.
 
         The depth stage works on the frame's whole camera rig at once: one
         ground-truth binning of its (N_c, H, W) depths, in which the scene's
         -1 (no hit) counts as missing, and one blend of the rig's
         (N_c, D, H, W) stacks.
         """
-        features = frame_features(config, t)
+        features = staged("features", frame_features, config, t)
         gt_oh, valid = staged(
             "depth", gt_depth_from_points,
             scene.depth[t], config.d_min, config.scene.d_max, config.depth_bins,
@@ -240,22 +252,17 @@ def run_pipeline(
             pred = gt_oh
         mixed = staged("depth", mix_depth, pred, gt_oh, alpha, valid)
         v = staged("lift", lift_splat, features, DepthDistribution(mixed), plan)
-        return v, staged("height_collapse", collapse_height, v)
+        return staged("height_collapse", collapse_height, v)
 
-    t_start = time.perf_counter()
     centers = bin_centers(config.d_min, config.scene.d_max, config.depth_bins)
     plan = staged("lift", LiftPlan.build, scene.cameras(), centers, half)
     last = scene.n_frames - 1
     history = [
-        (encode(t)[1], scene.pose(t)) for t in range(max(0, last - config.queue_len), last)
+        (encode(t), scene.pose(t)) for t in range(max(0, last - config.queue_len), last)
     ][::-1]
-    v, b = encode(last)
-    lift_sparsity = sparsity_ratio(v)
-    del v
+    b = encode(last)
     b_t = staged(
-        "temporal_fuse",
-        temporal_fuse,
-        b, history, scene.pose(last), weights.fusion, half,
+        "temporal_fuse", temporal_fuse, b, history, scene.pose(last), weights.fusion, half
     )
     del history, b
 
@@ -279,6 +286,4 @@ def run_pipeline(
             v_g[:, a:end], v_s[:, a:end], weights.upsample,
         )
         logits[:, 2 * a : 2 * end] = staged("classifier", conv, v_gs, *weights.head)
-
-    total = time.perf_counter() - t_start
-    return logits, PipelineReport(timings=timings, total=total, lift_sparsity=lift_sparsity)
+    return logits, tuple(records.values())

@@ -257,10 +257,3 @@ def lift_splat(
             acc += np.bincount(voxel, weights=w[c], minlength=n_vox)
         out[c] = acc
     return out.reshape((n_ch,) + plan.grid.counts)
-
-
-def sparsity_ratio(v: np.ndarray) -> float:
-    """Fraction of exactly-zero entries."""
-    if v.size == 0:
-        raise ValueError("empty tensor has no sparsity ratio")
-    return float(v.size - np.count_nonzero(v)) / v.size

@@ -42,7 +42,6 @@ from occkit.view import (
     LiftPlan,
     bin_centers,
     lift_splat,
-    sparsity_ratio,
 )
 from support import cast, identity_pose
 
@@ -325,6 +324,11 @@ def test_07_scoring_reference_values():
 
 # ---------------------------------------------------------------------------
 # 8. the default scene's lifted volume is mostly empty
+
+
+def sparsity_ratio(v: np.ndarray) -> float:
+    """Fraction of exactly-zero entries."""
+    return float(v.size - np.count_nonzero(v)) / v.size
 
 
 def test_08_default_scene_lift_sparsity():

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import occkit.pipeline
 from occkit import gsdt
 from occkit.cli import main
 from occkit.config import parse_config
+from occkit.pipeline import run_pipeline
+from occkit.scene import load_scene
 
 TINY_CONFIG = """
 [grid]
@@ -427,6 +430,44 @@ class TestRun:
         )
         assert rc == 0
         assert "logits shape" in capsys.readouterr().out
+
+    def test_prints_one_line_per_stage(self, config_path, scene_dir, capsys):
+        """After its header, one line per stage record (name, calls,
+        seconds, last output shape and dtype), then the total; no
+        zero-fraction line."""
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "zero fraction" not in text
+        _, records = run_pipeline(parse_config(config_path), load_scene(scene_dir), 0.5)
+        lines = text.splitlines()
+        body = lines[lines.index("stage timings (calls, s, last output shape and dtype):") + 1 :]
+        assert len(body) == len(records) + 1
+        for line, r in zip(body, records):
+            shape = re.escape(str(r.shape))
+            assert re.fullmatch(rf"  {r.name} +{r.calls} +\d+\.\d{{4}}  {shape} float32", line)
+        assert re.fullmatch(r"  total +\d+\.\d{4}", body[-1])
+
+    def test_non_finite_stage_output_reports_error(
+        self, monkeypatch, config_path, scene_dir, capsys
+    ):
+        """A NaN weight makes the fusion output NaN: one error line naming
+        the stage, exit 1."""
+        build = occkit.pipeline.build_weights
+
+        def poisoned(config):
+            weights = build(config)
+            weights.fusion.mix1.weight.flat[0] = np.nan
+            return weights
+
+        monkeypatch.setattr(occkit.pipeline, "build_weights", poisoned)
+        rc = main(["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"])
+        assert rc == 1
+        assert re.fullmatch(
+            r"error: stage 'temporal_fuse' failed: \d+ non-finite values in its "
+            r"\(4, 16, 16\) float32 output\n",
+            capsys.readouterr().err,
+        )
 
     def test_bad_alpha_reports_error(self, config_path, scene_dir, capsys):
         rc = main(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import sys
+import time
 from collections import deque
 from math import prod
 
@@ -18,25 +19,28 @@ from occkit.pipeline import (
     StubDepthWeights,
     _stub_depth,
     build_weights,
+    check_finite,
     frame_features,
     run_pipeline,
 )
 from occkit.reparam import forward_deploy, forward_train
 from occkit.scene import BoxObstacle, SceneSpec, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
-from occkit.tensor import conv, softmax
+from occkit.tensor import conv, slab_rows, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
 from support import PlacedSceneSpec, cast, traced_peak, with_scene
 from test_acceptance import GATE_CONFIG
 
+# in the order they first run
 STAGES = (
-    "depth",
     "lift",
+    "features",
+    "depth",
     "height_collapse",
     "temporal_fuse",
-    "semantic_encoder",
     "bvl",
     "large_kernel_conv",
+    "semantic_encoder",
     "fuse_upsample",
     "classifier",
 )
@@ -129,11 +133,12 @@ class TestRunPipeline:
 
     def test_report_contents(self, small_setup):
         config, scene = small_setup
-        _, report = run_pipeline(config, scene, alpha=0.5)
-        assert set(report.timings) == set(STAGES)
-        assert all(t >= 0.0 for t in report.timings.values())
-        assert sum(report.timings.values()) <= report.total
-        assert 0.0 <= report.lift_sparsity <= 1.0
+        t0 = time.perf_counter()
+        _, records = run_pipeline(config, scene, alpha=0.5)
+        elapsed = time.perf_counter() - t0
+        assert tuple(r.name for r in records) == STAGES
+        assert all(r.calls >= 1 and r.seconds >= 0.0 for r in records)
+        assert sum(r.seconds for r in records) <= elapsed
 
     def test_alpha_is_identity_for_gt_provider(self, small_setup):
         # with ground-truth depth the prediction equals the target, so the
@@ -213,9 +218,116 @@ class TestRunPipeline:
             queue_len=1,
         )
         scene = gen_scene(config.scene)
-        logits, report = run_pipeline(config, scene, alpha=0.0)
+        logits, records = run_pipeline(config, scene, alpha=0.0)
         assert logits.shape == (18, 200, 200, 16)
-        assert 0.0 < report.lift_sparsity < 1.0
+        lift = {r.name: r for r in records}["lift"]
+        assert lift.calls == 2  # the plan, then the one frame
+        assert lift.shape == (config.channels, 100, 100, 8)
+        assert lift.dtype == np.float32
+
+
+class TestStageRecords:
+    # the function each stage's last array output comes from
+    OUTPUTS = {
+        "frame_features": "features",
+        "mix_depth": "depth",
+        "lift_splat": "lift",
+        "collapse_height": "height_collapse",
+        "temporal_fuse": "temporal_fuse",
+        "bev_to_voxel_lift": "bvl",
+        "forward_deploy": "large_kernel_conv",
+        "forward_train": "large_kernel_conv",
+        "semantic_encoder_2d": "semantic_encoder",
+        "fuse_and_upsample": "fuse_upsample",
+        "conv": "classifier",
+    }
+
+    @pytest.mark.parametrize("reparam_mode", ["deploy", "train"])
+    @pytest.mark.parametrize("depth_provider", ["gt", "stub"])
+    @pytest.mark.parametrize("n_frames", [2, 5])
+    def test_records_match_stage_outputs(
+        self, monkeypatch, n_frames, depth_provider, reparam_mode
+    ):
+        """One record per stage in first-run order, whose calls count its
+        staged calls and whose shape and dtype are its last output's."""
+        last = {}
+
+        def kept(name, fn):
+            def wrapper(*args):
+                last[self.OUTPUTS[name]] = out = fn(*args)
+                return out
+
+            return wrapper
+
+        for name in self.OUTPUTS:
+            monkeypatch.setattr(
+                occkit.pipeline, name, kept(name, getattr(occkit.pipeline, name))
+            )
+        config = small_config(
+            dict(n_frames=n_frames, n_cameras=2, grid=GridSpec(
+                (-8.0, -8.0, -1.0), (8.0, 8.0, 1.0), (32, 32, 24)
+            )),
+            depth_provider=depth_provider,
+            refined_channels=32,
+        )
+        logits, records = run_pipeline(config, gen_scene(config.scene), 0.5, reparam_mode)
+        assert tuple(r.name for r in records) == STAGES
+        for r in records:
+            assert (r.shape, r.dtype) == (last[r.name].shape, last[r.name].dtype), r.name
+        frames = min(n_frames, config.queue_len + 1)
+        hx, hy, hz = config.scene.grid.downsample(2).counts
+        rows = slab_rows(hx, hy * hz, config.refined_channels**2)
+        slabs = len(range(0, hx, rows))
+        assert slabs > 1
+        calls = {r.name: r.calls for r in records}
+        assert calls == {
+            "lift": frames + 1,
+            "features": frames,
+            "depth": (3 if depth_provider == "stub" else 2) * frames,
+            "height_collapse": frames,
+            "temporal_fuse": 1,
+            "bvl": 2,
+            "large_kernel_conv": 1,
+            "semantic_encoder": 1,
+            "fuse_upsample": slabs,
+            "classifier": slabs,
+        }
+        shapes = {r.name: r.shape for r in records}
+        a = (slabs - 1) * rows
+        assert shapes["classifier"] == logits[:, 2 * a :].shape
+        assert shapes["large_kernel_conv"] == (config.refined_channels, hx, hy, hz)
+
+
+class TestFiniteGuard:
+    @pytest.mark.parametrize(
+        "layer, stage",
+        [(lambda w: w.fusion.mix1.weight, "temporal_fuse"),
+         (lambda w: w.merged.weight, "large_kernel_conv")],
+        ids=["fusion", "merged"],
+    )
+    def test_poisoned_weight_names_stage(self, small_setup, layer, stage):
+        config, scene = small_setup
+        weights = build_weights(config)
+        layer(weights).flat[0] = np.nan
+        with pytest.raises(
+            PipelineStageError,
+            match=rf"^stage '{stage}' failed: \d+ non-finite values in its \(4, 16, 16(, 2)?\) "
+            "float32 output$",
+        ) as err:
+            run_pipeline(config, scene, 0.5, "deploy", weights)
+        assert err.value.stage == stage
+
+    def test_overflowing_sum_of_finite_values_passes(self):
+        x = np.full((4, 3), 3e38, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert np.isinf(x.sum())
+        check_finite(x)
+        x[1, 2] = np.nan
+        x[3, 0] = -np.inf
+        with pytest.raises(
+            FloatingPointError, match=r"^2 non-finite values in its \(4, 3\) float32 output$"
+        ):
+            check_finite(x)
 
 
 class TestFusionWindow:
@@ -354,12 +466,13 @@ class TestSlabbedTail:
         )
         scene = gen_scene(config.scene)
         weights = cast(build_weights(config), dtype)
-        logits, report = run_pipeline(config, scene, 0.5, reparam_mode, weights)
+        logits, records = run_pipeline(config, scene, 0.5, reparam_mode, weights)
         expected = fuse_every_frame(config, scene, 0.5, reparam_mode, weights)
         assert logits.dtype == expected.dtype == dtype
         assert logits.tobytes() == expected.tobytes()
         assert slabs == rows
-        assert {"fuse_upsample", "classifier"} <= report.timings.keys()
+        calls = {r.name: r.calls for r in records}
+        assert calls["fuse_upsample"] == calls["classifier"] == len(rows)
 
 
 def _wide_config(_):

@@ -17,7 +17,6 @@ from occkit.view import (
     bin_centers,
     frustum_points,
     lift_splat,
-    sparsity_ratio,
 )
 from support import voxel_index, with_scene
 
@@ -677,19 +676,3 @@ class TestLiftPlan:
         for _ in range(3):
             lift_splat(np.ones((2, 3, 4, 8)), depth, plan)
         assert calls == cams
-
-
-class TestSparsityRatio:
-    def test_zero_tensor(self):
-        assert sparsity_ratio(np.zeros((3, 3))) == 1.0
-
-    def test_ones_tensor(self):
-        assert sparsity_ratio(np.ones((3, 3))) == 0.0
-
-    def test_half(self):
-        v = np.array([0.0, 1.0, 0.0, 2.0])
-        assert sparsity_ratio(v) == 0.5
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            sparsity_ratio(np.zeros((0,)))
