@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import gsdt
+from . import gsdt, tensor
 from .config import parse_config
 from .evaluate import CLASS_NAMES, EMPTY_CLASS, argmax_decode, miou, per_class_iou
 from .pipeline import PipelineStageError, run_pipeline
@@ -30,6 +30,7 @@ from .tensor import rng_named
 # benchmark volume is fixed so timing numbers are comparable across configs
 _EQUIV_EXTENTS = (16, 16, 8)
 _BENCH_EXTENTS = (100, 100, 8)
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _cmd_gen_scene(args) -> int:
@@ -121,6 +122,20 @@ def _median_times(fn, runs: int) -> tuple[float, float]:
     return statistics.median(times), min(times)
 
 
+def _runtime() -> str:
+    """numpy's version, its BLAS, the BLAS thread settings and conv's worker
+    count, for the ``bench`` header."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = {}
+    threads = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _THREAD_VARS)
+    return (
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+        f"{threads}, conv workers {tensor.WORKERS}"
+    )
+
+
 def _cmd_bench(args) -> int:
     config = parse_config(args.config)
     runs = args.runs
@@ -132,7 +147,7 @@ def _cmd_bench(args) -> int:
     print(
         f"large-kernel conv benchmark: kernel {config.kernel}, "
         f"{len(branches)} branches, C={config.refined_channels}, input {_BENCH_EXTENTS}, "
-        f"{runs} runs"
+        f"{runs} runs; {_runtime()}"
     )
     train_med, train_min = _median_times(lambda: forward_train(x, branches), runs)
     deploy_med, deploy_min = _median_times(lambda: forward_deploy(x, merged), runs)

@@ -16,8 +16,9 @@ adds its own extent rule (``as_axes`` for ``conv``, all 2 for
 ``upsample2x``) and raises ValueError before it writes any output, so
 neither the weight containers of the other modules nor the callers of the
 two repeat these checks. Every operation is deterministic for fixed inputs:
-no reduction is unordered, and the GEMM rules below keep each product's
-bytes at any BLAS thread count.
+no reduction is unordered, the GEMM rules below keep each product's bytes
+at any BLAS thread count, and ``conv``'s bytes do not follow its worker
+count.
 
 ``conv`` reads its rank and kernel extents from its weight, which needs a
 spatial axis, and takes only ``dilation`` and ``stride`` besides, each an
@@ -40,10 +41,34 @@ and ``upsample2x`` adds its bias to each contiguous block GEMM before one
 strided copy per block: the bytes of a zero-filled accumulator or a strided
 add, in fewer passes.
 
+A conv's slabs run on ``WORKERS`` threads, one per CPU the process may use,
+so a CPU affinity mask (``taskset -c 0``) sets the count: the calling thread
+and ``WORKERS - 1`` threads of a pool started on first use. Each worker
+claims the next slab from one shared iterator, under a lock, as it frees
+up, so a CPU that a neighbouring process holds delays at most one slab. The
+calling thread allocates every worker's buffers (copied taps, GEMM outputs
+and accumulator) before any worker starts, so that no pool thread
+allocates: glibc gives each thread that does its own malloc arena, whose
+freed memory the main heap cannot reuse. Only a conv of several slabs and
+over ``THREAD_MACS`` multiply-adds uses the pool; for smaller ones the
+hand-off costs more than the second CPU gains. The worker count cannot move
+a byte: each slab runs the same taps in the same order, into output rows no
+other slab writes, whichever thread claims it.
+
+Within a slab, consecutive taps whose reads start a fixed column step apart
+form a run, and each run is one stacked ``_gemm``. numpy runs a stack as one
+BLAS call per GEMM, each with the bytes it has alone, but a worker leaves
+the interpreter lock once per run instead of once per tap, which is what
+lets two workers overlap. A run's GEMM outputs and copied taps hold at most
+``RUN_ELEMS`` elements (or one tap's, if more), so that they stay in a
+core's cache; its products are added to the accumulator one by one, in tap
+order.
+
 A tap's right operand is a view where its slab is contiguous in the
 padded input: the column range ``[off, off + cols)`` of that input
 flattened to (channels, columns), ``off`` being the flat index of the slab's
-first read. Otherwise the tap is copied into a patch. One-row slabs of
+first read, and a run's taps are one strided (taps, channels, columns) view
+of it. Otherwise each tap is copied into a patch. One-row slabs of
 kz=1 convs, pointwise convs (run as one flat axis) and window convs read
 views. A strided conv, or one with more than 256 input channels, runs as
 one slab, since tiling either changed low bits, and with unit stride the
@@ -57,7 +82,7 @@ So a conv is a window conv only when its GEMM is over ``SMALL_GEMM_MACS``
 and both its output's and its accumulator's column counts are multiples
 of 8.
 
-The GEMM rules: ``conv``'s tap loop and ``upsample2x``'s block loop run
+The GEMM rules: ``conv``'s runs of taps and ``upsample2x``'s block loop run
 every product through ``_gemm``, at the rows and depth ``gemm_shape``
 gives, and three rules keep its bytes fixed at any OpenBLAS thread count.
 A weight with one output channel gains a zero second row, so that every
@@ -80,11 +105,16 @@ differently.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import cache
 from itertools import product
 from math import gcd, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -140,6 +170,53 @@ def effective_extents(kernel, dilation) -> tuple[int, ...]:
 # about 70 GFLOP/s up to N = 976 and at about 50 from N = 1024 up.
 SMALL_GEMM_MACS = 1_000_000
 
+# Threads that run a conv's slabs: one per CPU this process may use, so a
+# CPU affinity mask (``taskset``) sets it where the OS has them. The calling
+# thread is one of them.
+if hasattr(os, "sched_getaffinity"):
+    WORKERS = len(os.sched_getaffinity(0))
+else:  # macOS and Windows
+    WORKERS = os.cpu_count() or 1
+# Multiply-adds past which a conv of several slabs spreads them over the
+# workers. Waking a pool thread has a fixed cost, and the threads take turns
+# at the interpreter between runs of GEMMs. On a 2-CPU host (medians of 15
+# alternating calls), two workers ran convs of 4M-92M multiply-adds
+# 0.88-1.07x as fast as one, and convs of 368M-9.9G 1.41-1.57x.
+THREAD_MACS = 256 * SMALL_GEMM_MACS
+# Elements of GEMM output and copied taps that one run of taps may fill,
+# 1 MB in float32: on that host, runs of twice that ran the desk run's
+# large-kernel conv 13% slower on one worker, and runs of half that ran the
+# wide run's 9% slower on two.
+RUN_ELEMS = 1 << 18
+
+
+@cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """``threads`` threads that run slabs beside the caller, started on first
+    use."""
+    return ThreadPoolExecutor(threads, thread_name_prefix="occkit-conv")
+
+
+# A forked child has none of its parent's threads: it starts a pool of its own.
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _on_workers(fn, buffers: list) -> None:
+    """Run ``fn(*buffers[0])`` on the calling thread and ``fn(*b)`` for each
+    later ``b`` on a pool thread, and return once all have returned. An
+    error in any of them is raised here, after every call has ended, so
+    the pool is idle again."""
+    if len(buffers) == 1:
+        return fn(*buffers[0])
+    futures = [_pool(WORKERS - 1).submit(fn, *b) for b in buffers[1:]]
+    try:
+        fn(*buffers[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
 
 def slab_rows(n_rows: int, row: int, macs: int) -> int:
     """Rows per slab when ``n_rows`` rows of ``row`` columns each go through
@@ -165,15 +242,18 @@ def gemm_shape(c_out: int, c_in: int) -> tuple[int, int]:
 
 
 def _gemm(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """``out = w @ x``. A float64 GEMM over ``SMALL_GEMM_MACS`` runs its
-    columns past the last multiple of 8, or its last 9 where that would be
-    one column, as a second GEMM (see the module docstring)."""
-    cols = x.shape[1]
+    """``out = w @ x``, one GEMM or a stack of them, which numpy runs as one
+    BLAS call per GEMM, each with the bytes it has alone. A float64 GEMM over
+    ``SMALL_GEMM_MACS`` runs its columns past the last multiple of 8, or its
+    last 9 where that would be one column, as a second GEMM (see the module
+    docstring)."""
+    cols = x.shape[-1]
     tail = cols % 8 + 8 * (cols % 8 == 1)
-    if 0 < tail < cols and out.dtype == F64 and w.size * cols > SMALL_GEMM_MACS:
+    macs = w.shape[-2] * w.shape[-1] * cols
+    if 0 < tail < cols and out.dtype == F64 and macs > SMALL_GEMM_MACS:
         split = cols - tail
-        np.matmul(w, x[:, :split], out=out[:, :split])
-        np.matmul(w, x[:, split:], out=out[:, split:])
+        np.matmul(w, x[..., :split], out=out[..., :split])
+        np.matmul(w, x[..., split:], out=out[..., split:])
     else:
         np.matmul(w, x, out=out)
 
@@ -199,8 +279,9 @@ def conv(
     stride reduce to shifted slices of the padded input.
 
     The output is worked through in slabs of ``slab_rows`` rows of its first
-    spatial axis, a pointwise conv's flattened to one axis first; the
-    slab-sized buffers are allocated once. Each slab's first tap's GEMM
+    spatial axis, a pointwise conv's flattened to one axis first, by the
+    workers the module docstring describes; each worker's slab-sized
+    buffers are allocated once, by the caller. Each slab's first tap's GEMM
     writes its accumulator, every later tap's is added to it, and one add
     of the bias (or of 0.0) writes the slab out, so a 1x1 conv makes one
     GEMM and one add per slab. How each tap is read, which convs run as one
@@ -271,9 +352,6 @@ def conv(
     span = 1 + sum((n - 1) * s * p for n, s, p in zip((rows,) + grid, stride, steps))
     view = span == rows * pitch
     flat = xp.reshape(k, -1) if view else None
-    patch_buf = None if view else np.empty(k * rows * pitch, dtype=x.dtype)
-    tmp_buf = np.empty(c_rows * rows * pitch, dtype=x.dtype)
-    acc_buf = np.empty(c_rows * rows * pitch, dtype=x.dtype)
     # The first tap's GEMM starts the accumulator in place of a zero fill.
     # Its sums then differ from +0.0-started ones only by being -0.0 where
     # those are +0.0, and adding b + 0.0 (or 0.0 without a bias) turns each
@@ -281,29 +359,77 @@ def conv(
     shift = 0.0 if bias is None else (bias + 0.0).reshape((c_out,) + (1,) * rank)
     # The accumulator's rows and columns that are the output's.
     inside = (slice(c_out), slice(None)) + tuple(map(slice, out_sp[1:]))
-
-    for r0 in range(0, n_rows, rows):
-        n = min(rows, n_rows - r0)
-        cols = n * pitch
-        if not view:
-            patch = patch_buf[: k * cols].reshape(k, cols)
-            patch_nd = patch.reshape((k, n) + grid)
-        tmp = tmp_buf[: c_rows * cols].reshape(c_rows, cols)
-        acc = acc_buf[: c_rows * cols].reshape(c_rows, cols)
-        r = s0 * r0  # padded rows between each tap's first read and this slab's
-        for tap_idx, (first, inner, off) in enumerate(taps):
-            if view:
-                begin = off + r * steps[0]
-                patch = flat[:, begin : begin + cols]
-            else:
-                rows_in = slice(first + r, first + r + s0 * (n - 1) + 1, s0)
-                np.copyto(patch_nd, xp[(slice(None), rows_in) + inner])
-            _gemm(w_taps[tap_idx], patch, tmp if tap_idx else acc)
-            if tap_idx:
-                acc += tmp
-        np.add(
-            acc.reshape((c_rows, n) + grid)[inside], shift, out=out[:, r0 : r0 + n]
+    slabs = range(0, n_rows, rows)
+    work = c_rows * k * len(taps) * n_rows * row
+    workers = min(WORKERS, len(slabs)) if work > THREAD_MACS else 1
+    # Runs of consecutive taps whose reads start a fixed column step apart,
+    # as (first tap, taps, step): one stacked _gemm each. A run's GEMM
+    # outputs and copied taps hold at most RUN_ELEMS elements.
+    cap = max(1, RUN_ELEMS // ((c_rows + (0 if view else k)) * rows * pitch))
+    runs = []
+    for t, (_, _, off) in enumerate(taps):
+        t0, g, step = runs[-1] if runs else (0, cap, 0)
+        if g < cap and (g == 1 or off - taps[t - 1][2] == step):
+            runs[-1] = (t0, g + 1, off - taps[t - 1][2])
+        else:
+            runs.append((t, 1, 0))
+    longest = max(g for _, g, _ in runs)
+    # A view run's reads, for every slab at once: a (taps, k, columns) view
+    # of the flattened input from its first tap's first read on, each tap's
+    # `step` columns after the one before.
+    reads = []
+    for t0, g, step in runs:
+        read = flat[None, :, taps[t0][2] :] if view else None
+        if view and g > 1:
+            col = flat.strides[1]
+            shape = (g, k, read.shape[2] - (g - 1) * step)
+            read = as_strided(read[0], shape, (step * col, flat.strides[0], col))
+        reads.append(read)
+    # Per worker, all from this thread: room for the copies of a run's taps,
+    # and for the accumulator followed by a run's GEMM outputs.
+    buffers = [
+        (
+            None if view else np.empty(longest * k * rows * pitch, dtype=x.dtype),
+            np.empty((longest + 1) * c_rows * rows * pitch, dtype=x.dtype),
         )
+        for _ in range(workers)
+    ]
+    # Each worker claims the next slab's first row under the lock.
+    starts, claim = iter(slabs), threading.Lock()
+
+    def run_slabs(patch_buf, gemm_buf):
+        while True:
+            with claim:
+                r0 = next(starts, None)
+            if r0 is None:
+                return
+            n = min(rows, n_rows - r0)
+            cols = n * pitch
+            if not view:
+                patches = patch_buf[: longest * k * cols].reshape(longest, k, cols)
+                patches_nd = patches.reshape((longest, k, n) + grid)
+            gemms = gemm_buf[: (longest + 1) * c_rows * cols].reshape(-1, c_rows, cols)
+            acc = gemms[0]
+            r = s0 * r0  # padded rows between each tap's first read and this slab's
+            for (t0, g, _), run_reads in zip(runs, reads):
+                if view:
+                    patch = run_reads[:, :, r * steps[0] : r * steps[0] + cols]
+                else:
+                    for i, (first, inner, _) in enumerate(taps[t0 : t0 + g]):
+                        rows_in = slice(first + r, first + r + s0 * (n - 1) + 1, s0)
+                        np.copyto(patches_nd[i], xp[(slice(None), rows_in) + inner])
+                    patch = patches[:g]
+                # The first tap's GEMM writes the accumulator; every later
+                # tap's is added to it, in tap order.
+                lo = 1 if t0 else 0
+                _gemm(w_taps[t0 : t0 + g], patch, gemms[lo : lo + g])
+                for tmp in gemms[1 : lo + g]:
+                    acc += tmp
+            np.add(
+                acc.reshape((c_rows, n) + grid)[inside], shift, out=out[:, r0 : r0 + n]
+            )
+
+    _on_workers(run_slabs, buffers)
     return out.reshape(out_shape)
 
 

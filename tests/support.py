@@ -2,15 +2,18 @@
 a config with other scene fields, the identity ego pose, scenes with boxes
 placed by hand, the voxel of a point, convolution oracles that run on an
 input the caller has already padded, the float64 column split of their
-GEMMs, and a call's peak traced memory."""
+GEMMs, a call's peak traced memory, and convs on a set worker count."""
 
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import product
 from math import prod
 
 import numpy as np
+import pytest
 
+from occkit import tensor
 from occkit.bev import EgoPose
 from occkit.scene import BoxObstacle, SceneSpec
 from occkit.tensor import SMALL_GEMM_MACS
@@ -79,6 +82,16 @@ def traced_peak(fn, *args, **kw):
         if not was_tracing:
             tracemalloc.stop()
     return result, peak
+
+
+@contextmanager
+def conv_workers(n):
+    """``tensor.conv`` on ``n`` workers, which every conv of several slabs
+    then uses, however few multiply-adds it makes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "WORKERS", n)
+        mp.setattr(tensor, "THREAD_MACS", 0)
+        yield
 
 
 def gemm_split(cols, macs, dtype):

@@ -3,6 +3,7 @@ import io
 import re
 import shutil
 import tempfile
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,11 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import occkit.pipeline
+import occkit.tensor
 from occkit import gsdt
 from occkit.cli import main
 from occkit.config import parse_config
 from occkit.pipeline import run_pipeline
 from occkit.scene import load_scene
+from support import conv_workers
 
 TINY_CONFIG = """
 [grid]
@@ -569,6 +572,36 @@ class TestStageErrors:
         assert "'height_collapse'" in err
         assert (str(error) or type(error).__name__) in err
 
+    def test_conv_worker_error_names_stage(self, config_path, scene_dir, capsys,
+                                           monkeypatch):
+        """A GEMM that fails in a conv spread over two workers ends the run in
+        one error line that names the stage, whichever worker it failed on;
+        the next run succeeds."""
+        on_workers, gemm = occkit.tensor._on_workers, occkit.tensor._gemm
+        threaded = threading.Event()
+
+        def flagged(fn, buffers):
+            if len(buffers) > 1:
+                threaded.set()
+            on_workers(fn, buffers)
+
+        def failing(w, x, out):
+            if threaded.is_set():
+                raise RuntimeError("GEMM failed")
+            gemm(w, x, out)
+
+        args = ["run", "--config", config_path, "--scene", scene_dir, "--alpha", "0.5"]
+        with conv_workers(2):
+            # one output row per slab: the tiny config's convs run as several
+            monkeypatch.setattr(occkit.tensor, "slab_rows", lambda n_rows, row, macs: 1)
+            monkeypatch.setattr(occkit.tensor, "_on_workers", flagged)
+            monkeypatch.setattr(occkit.tensor, "_gemm", failing)
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err == "error: stage 'temporal_fuse' failed: GEMM failed\n"
+            monkeypatch.undo()
+            assert main(args) == 0
+
 
 class TestManifestFields:
     """A manifest value the config does not share, or one out of range or
@@ -639,6 +672,26 @@ class TestBench:
         assert rows == ["form", "multi-branch", "merged", "speedup"]
         for removed in ("lift_plan", "lift_splat", "gen_scene", "full pipeline"):
             assert removed not in out
+
+    def test_header_names_numpy_blas_threads_and_workers(
+        self, monkeypatch, config_path, capsys
+    ):
+        """The header line ends with numpy's version, its BLAS's name and
+        version, each BLAS thread variable (or ``unset``) and conv's worker
+        count."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        monkeypatch.setattr(occkit.tensor, "WORKERS", 3)
+        assert main(["bench", "--config", config_path, "--runs", "1"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert header.startswith("large-kernel conv benchmark: kernel (3, 3, 1), ")
+        assert header.endswith(
+            f"1 runs; numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, "
+            "OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=unset MKL_NUM_THREADS=1, "
+            "conv workers 3"
+        )
 
     def test_rejects_zero_runs(self, config_path, capsys):
         assert main(["bench", "--config", config_path, "--runs", "0"]) == 1

@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
 import sys
 import time
 from collections import deque
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from occkit.scene import BoxObstacle, SceneSpec, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv, slab_rows, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
-from support import PlacedSceneSpec, cast, traced_peak, with_scene
+from support import PlacedSceneSpec, cast, conv_workers, traced_peak, with_scene
 from test_acceptance import GATE_CONFIG
 
 # in the order they first run
@@ -527,10 +530,64 @@ def reference_run(tmp_path_factory):
     "name, mode, sha256", REFERENCE_LOGITS, ids=[f"{n}-{m}" for n, m, _ in REFERENCE_LOGITS]
 )
 def test_reference_logits_hashes(reference_run, name, mode, sha256):
+    """The pins hold on one conv worker and on two, on which every conv of
+    several slabs then runs. The worker counts are looped over, not
+    parametrized, so that each pin keeps one test id."""
     config, scene, weights = reference_run(name)
-    logits, _ = run_pipeline(config, scene, 0.5, mode, weights)
-    assert logits.dtype == np.float32
-    assert hashlib.sha256(logits.tobytes()).hexdigest() == sha256
+    for workers in (1, 2):
+        with conv_workers(workers):
+            logits, _ = run_pipeline(config, scene, 0.5, mode, weights)
+        assert logits.dtype == np.float32
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == sha256, workers
+
+
+# The desk and check-9 deploy logits' sha256 in a fresh interpreter, which
+# first restricts itself to one CPU if asked to: conv then reads one worker
+# from the affinity mask when it is imported.
+_PIN_CHILD = """
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+if sys.argv[2] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+import occkit.tensor
+from occkit.pipeline import run_pipeline
+from occkit.scene import gen_scene
+from test_pipeline import REFERENCE_CONFIGS
+print("workers", occkit.tensor.WORKERS)
+with tempfile.TemporaryDirectory() as tmp:
+    for name in ("desk", "check9"):
+        config = REFERENCE_CONFIGS[name](Path(tmp))
+        logits, _ = run_pipeline(config, gen_scene(config.scene), 0.5, "deploy")
+        print(name, hashlib.sha256(logits.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize(
+    "cpus, blas_threads",
+    [("all-cpus", "2"), ("one-cpu", "1")],
+    ids=["two-blas-threads", "one-worker"],
+)
+def test_deploy_pins_in_a_fresh_process(cpus, blas_threads):
+    """The desk and check-9 deploy pins hold in a fresh interpreter with two
+    OpenBLAS threads and as many conv workers as CPUs, and in one that runs
+    on one CPU, where conv has one worker."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
+    child = subprocess.run(
+        [sys.executable, "-c", _PIN_CHILD, str(Path(__file__).resolve().parent), cpus],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    pins = {n: sha for n, mode, sha in REFERENCE_LOGITS if mode == "deploy"}
+    assert lines[1:] == [f"desk {pins['desk']}", f"check9 {pins['check9']}"]
+    if cpus == "one-cpu":
+        assert lines[0] == "workers 1"
 
 
 def _call_peak(config, scene, weights, mode):

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from math import gcd, prod
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occkit import tensor
 from occkit.bev import EgoPose, warp_bev
 from occkit.reparam import BatchNormParams, ConvBranchSpec, dilate_to_sparse
 from occkit.scene import camera_ring
@@ -27,7 +30,15 @@ from occkit.tensor import (
     upsample_init,
 )
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
-from support import cast, centred_pad, conv_loops, conv_untiled, gemm_split, traced_peak
+from support import (
+    cast,
+    centred_pad,
+    conv_loops,
+    conv_untiled,
+    conv_workers,
+    gemm_split,
+    traced_peak,
+)
 
 
 def conv_nd_loops(x, weight, bias, dilation, stride):
@@ -316,6 +327,13 @@ def _tiled_and_untiled(*case):
     return conv(*case), conv_nd_untiled(*case)
 
 
+def _products(a, right):
+    """The GEMMs of one ``np.matmul`` call, as (left, right) pairs: each of
+    a stack's in turn, which numpy runs as one BLAS call apiece, or the
+    one."""
+    return list(zip(a, right)) if a.ndim == 3 else [(a, right)]
+
+
 def _gemms(monkeypatch, x, w, b, dilation, stride):
     """``conv``'s output, and for each GEMM it ran, its output columns and
     where its right operand was read as a view: "input" for ``x``, "padded"
@@ -327,14 +345,15 @@ def _gemms(monkeypatch, x, w, b, dilation, stride):
         padded.append(pad(*args, **kwargs))
         return padded[-1]
 
-    def spy(a, patch, out=None):
-        read = None
-        if np.may_share_memory(patch, x):
-            read = "input"
-        elif any(np.may_share_memory(patch, p) for p in padded):
-            read = "padded"
-        gemms.append((patch.shape[1], read))
-        return matmul(a, patch, out=out)
+    def spy(a, right, out=None):
+        for _, patch in _products(a, right):
+            read = None
+            if np.may_share_memory(patch, x):
+                read = "input"
+            elif any(np.may_share_memory(patch, p) for p in padded):
+                read = "padded"
+            gemms.append((patch.shape[1], read))
+        return matmul(a, right, out=out)
 
     monkeypatch.setattr(np, "pad", spy_pad)
     monkeypatch.setattr(np, "matmul", spy)
@@ -342,6 +361,37 @@ def _gemms(monkeypatch, x, w, b, dilation, stride):
         return conv(x, w, b, dilation, stride), gemms
     finally:
         monkeypatch.undo()
+
+
+def _slab_gemms(monkeypatch, case):
+    """``conv``'s output and the columns of each slab it ran, grouped by the
+    thread that ran them, in the order each thread ran them. Each thread
+    must run its slabs one at a time: every tap's GEMM in tap order, each
+    over the slab's columns."""
+    calls, matmul = [], np.matmul
+
+    def spy(a, right, out=None):
+        for w, patch in _products(a, right):
+            calls.append((threading.get_ident(), w.ctypes.data, w.nbytes, patch.shape[1]))
+        return matmul(a, right, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    try:
+        got = conv(*case)
+    finally:
+        monkeypatch.undo()
+    taps = prod(case[1].shape[2:])
+    w_taps = min(ptr for _, ptr, _, _ in calls)  # the first tap's weight
+    slabs = []
+    for thread in dict.fromkeys(t for t, _, _, _ in calls):
+        run = [(ptr, size, cols) for t, ptr, size, cols in calls if t == thread]
+        assert len(run) % taps == 0
+        for i in range(0, len(run), taps):
+            slab = run[i : i + taps]
+            assert [(ptr - w_taps) // size for ptr, size, _ in slab] == list(range(taps))
+            assert len({cols for _, _, cols in slab}) == 1
+            slabs.append(slab[0][2])
+    return got, slabs
 
 
 def _padded_row(trailing, kernel, dilation):
@@ -372,23 +422,60 @@ class TestSlabTiling:
 
     @pytest.mark.parametrize("case", list(EDGE_CONVS.values()), ids=list(EDGE_CONVS))
     def test_edge_convs_match_untiled(self, monkeypatch, case):
+        """On one worker the slabs run in order; on two each worker's slabs
+        may interleave with the other's, but each worker still runs a slab's
+        taps in order over the slab's columns, and the bytes do not move."""
         case = _conv_case(*case)
-        got, gemms = _gemms(monkeypatch, *case)
         want = conv_nd_untiled(*case)
         x, w, b, dilation, stride = case
-        out_rows, row = got.shape[1], prod(got.shape[2:])
+        out_rows, row = want.shape[1], prod(want.shape[2:])
         macs = w.shape[0] * w.shape[1]
         assert slab_rows(out_rows, row, macs) < out_rows
         one_slab = stride != (1,) * len(stride) or w.shape[1] > 256
         rows = out_rows if one_slab else slab_rows(out_rows, row, macs)
         if w.shape[1] > 256:  # a window read: rows span the padded extents
-            row = _padded_row(got.shape[2:], w.shape[3:], dilation[1:])
-        taps = prod(w.shape[2:])
-        assert [c for c, _ in gemms] == [
-            c for c in _slabs(out_rows, row, rows) for _ in range(taps)
-        ]
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+            row = _padded_row(want.shape[2:], w.shape[3:], dilation[1:])
+        for workers in (1, 2):
+            with conv_workers(workers):
+                got, slabs = _slab_gemms(monkeypatch, case)
+            if workers == 1:
+                assert slabs == _slabs(out_rows, row, rows)
+            assert sorted(slabs) == sorted(_slabs(out_rows, row, rows))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, run_elems, stacks",
+        [
+            ("3d-one-row-in-place", None, [3, 3, 3] * 20),
+            # room for two taps' GEMM outputs: any two taps' reads start a
+            # fixed step apart, so the nine run as 2 + 2 + 2 + 2 + 1
+            ("3d-one-row-in-place", 2 * 32 * 800, [2, 2, 2, 2, 1] * 20),
+            # copied taps: 37 rows in slabs of 15, 15 and 7
+            ("3d-short-last-slab", None, [3, 3, 3] * 3),
+        ],
+        ids=["views", "views-two-per-run", "copies"],
+    )
+    def test_taps_run_as_stacked_gemms(self, monkeypatch, name, run_elems, stacks):
+        """Each slab of a 3x3x1 conv runs each kernel row's taps, whose reads
+        start a fixed column step apart, as one stacked GEMM call, as far
+        as ``RUN_ELEMS`` allows, and every tap keeps the untiled oracle's
+        bytes."""
+        case = _conv_case(*EDGE_CONVS[name])
+        calls, matmul = [], np.matmul
+
+        def spy(a, right, out=None):
+            calls.append(len(_products(a, right)))
+            return matmul(a, right, out=out)
+
+        if run_elems:
+            monkeypatch.setattr(tensor, "RUN_ELEMS", run_elems)
+        monkeypatch.setattr(np, "matmul", spy)
+        with conv_workers(1):
+            got = conv(*case)
+        monkeypatch.undo()
+        assert calls == stacks
+        assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
     def test_columns_off_16_run_as_one_slab(self, monkeypatch):
         """OpenBLAS's small-matrix and regular kernels round the columns
@@ -536,10 +623,11 @@ class TestWindowRead:
         got, gemms = _gemms(monkeypatch, *case)
         w = case[1]
         cols = prod(got.shape[1:])
-        # a float64 GEMM's columns past the last multiple of 8 run on their own
+        # a float64 GEMM's columns past the last multiple of 8 run on their
+        # own, for a stack of taps after the stack's leading columns
         split = gemm_split(cols, prod(gemm_shape(*w.shape[:2])), w.dtype)
         parts = [(split, None), (cols - split, None)] if split < cols else [(cols, None)]
-        assert gemms == parts * prod(w.shape[2:])
+        assert sorted(gemms) == sorted(parts * prod(w.shape[2:]))
         assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
     @settings(max_examples=25, deadline=None)
@@ -612,9 +700,9 @@ class TestWindowRead:
         )
         depths, matmul = [], np.matmul
 
-        def spy(a, patch, out=None):
-            depths.append((a.shape[1], patch.shape[0]))
-            return matmul(a, patch, out=out)
+        def spy(a, right, out=None):
+            depths.extend((w.shape[1], patch.shape[0]) for w, patch in _products(a, right))
+            return matmul(a, right, out=out)
 
         monkeypatch.setattr(np, "matmul", spy)
         got = conv(x, w, b, dilation, stride)
@@ -951,7 +1039,7 @@ def test_every_product_has_the_gemm_shape(monkeypatch, kernel, c_out, c_in, dept
     shapes, matmul = [], np.matmul
 
     def spy(a, right, out=None):
-        shapes.append((a.shape, right.shape[0]))
+        shapes.extend((w.shape, patch.shape[0]) for w, patch in _products(a, right))
         return matmul(a, right, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -1116,6 +1204,160 @@ def test_seeded_batch_independent_of_blas_threads():
         + len(BATCH_K_UPSAMPLES)
     )
     assert outs[0] == outs[1]
+
+
+class TestWorkers:
+    """``conv`` hands its slabs to ``tensor.WORKERS`` threads. The worker
+    count moves no byte, and an error on any worker reaches the caller once
+    every worker has stopped."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_worker_count_moves_no_byte(self, data):
+        """Random convs give the same bytes on one worker and on two: convs
+        of several slabs, the last often short; window convs past 256 input
+        channels; float64 convs whose GEMMs split off their tail columns;
+        dilated and strided convs. Convs of one slab run on the calling
+        thread at any worker count."""
+        rank = data.draw(st.integers(1, 3), label="rank")
+        if data.draw(st.sampled_from((False, False, True)), label="past 256 channels"):
+            c_in, cols = data.draw(st.integers(257, 320)), 600
+        else:
+            c_in, cols = data.draw(st.integers(16, 48)), 8000
+        c_out = data.draw(st.one_of(st.integers(16, 40), st.integers(1, 15)))
+        # The trailing extents, then a first extent within the column budget:
+        # any, or a multiple of the slab step near the budget, which gives
+        # several slabs wherever the GEMM is over the cutoff.
+        trailing = data.draw(st.tuples(*[st.integers(1, 24)] * (rank - 1)))
+        row = prod(trailing)
+        step = 16 // gcd(row, 16)
+        most = max(1, cols // (row * step))
+        n0 = data.draw(st.one_of(
+            st.integers(1, max(1, cols // row)),
+            st.integers(max(1, most // 2), most).map(lambda m: m * step),
+        ))
+        sp = (n0,) + trailing
+        kernel = data.draw(st.tuples(*[st.integers(1, 3)] * rank))
+        dilation = data.draw(st.tuples(*[st.integers(1, 2)] * rank))
+        stride = data.draw(st.one_of(
+            st.just((1,) * rank), st.tuples(*[st.integers(1, 2)] * rank)
+        ))
+        dtype = data.draw(st.sampled_from((np.float32, np.float64)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.standard_normal((c_in,) + sp).astype(dtype)
+        w = rng.standard_normal((c_out, c_in) + kernel).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype) if data.draw(st.booleans()) else None
+        outs = []
+        for workers in (1, 2):
+            with conv_workers(workers):
+                outs.append(conv(x, w, b, dilation, stride))
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_more_workers_than_cpus_run_each_slab_once(self, monkeypatch):
+        """Six workers, with the interpreter switching threads every
+        microsecond, run each slab once, every one of its taps' GEMMs, and
+        give the bytes of one worker."""
+        case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])  # 20 slabs, 9 taps
+        with conv_workers(1):
+            want = conv(*case)
+        gemm, calls, outs = tensor._gemm, [], []
+
+        def counted(w, x, out):
+            calls.extend([threading.get_ident()] * len(w))  # a stack of tap GEMMs
+            gemm(w, x, out)
+
+        def convs():
+            with conv_workers(6):
+                outs.extend(conv(*case) for _ in range(5))
+
+        monkeypatch.setattr(tensor, "_gemm", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=convs)
+            runner.start()
+            runner.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(calls) == 5 * 20 * 9
+        assert [out.tobytes() for out in outs] == [want.tobytes()] * 5
+
+    def test_forked_child_starts_its_own_pool(self):
+        """A child forked after the pool started has none of its threads;
+        its convs start a pool of their own instead of waiting on those."""
+        case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
+        with conv_workers(2):
+            want = conv(*case)  # starts this process's pool
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if conv(*case).tobytes() == want.tobytes() else 1)
+        for _ in range(600):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's conv did not return within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_pool_thread_error_reaches_the_caller(self, monkeypatch):
+        """A GEMM that fails on a pool thread raises in the caller, and the
+        next conv on two workers gives the bytes of one worker."""
+        case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
+        with conv_workers(1):
+            want = conv(*case)
+        gemm, caller, pool_failed = tensor._gemm, threading.get_ident(), threading.Event()
+
+        def failing(w, x, out):
+            if threading.get_ident() == caller:
+                pool_failed.wait(30)  # a pool thread claims a slab meanwhile
+            else:
+                pool_failed.set()
+                raise RuntimeError("pool GEMM failed")
+            gemm(w, x, out)
+
+        with conv_workers(2):
+            monkeypatch.setattr(tensor, "_gemm", failing)
+            with pytest.raises(RuntimeError, match="pool GEMM failed"):
+                conv(*case)
+            monkeypatch.undo()
+            assert pool_failed.is_set()
+            assert conv(*case).tobytes() == want.tobytes()
+
+    def test_calling_thread_error_waits_for_the_pool(self, monkeypatch):
+        """A GEMM that fails on the calling thread raises only once the pool
+        threads have run their last GEMM of that conv, and the next conv on
+        two workers gives the bytes of one worker."""
+        case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
+        with conv_workers(1):
+            want = conv(*case)
+        gemm, caller, pool_started = tensor._gemm, threading.get_ident(), threading.Event()
+        pool = {"running": 0, "done": 0}
+
+        def failing(w, x, out):
+            if threading.get_ident() == caller:
+                pool_started.wait(30)
+                raise RuntimeError("caller GEMM failed")
+            pool_started.set()
+            pool["running"] += 1
+            gemm(w, x, out)
+            time.sleep(0.001)  # still at work when the caller fails
+            pool["running"] -= 1
+            pool["done"] += 1
+
+        with conv_workers(2):
+            monkeypatch.setattr(tensor, "_gemm", failing)
+            with pytest.raises(RuntimeError, match="caller GEMM failed"):
+                conv(*case)
+            monkeypatch.undo()
+            done = pool["done"]
+            assert pool["running"] == 0 and done > 0
+            time.sleep(0.05)
+            assert pool["done"] == done
+            assert conv(*case).tobytes() == want.tobytes()
 
 
 class TestRng:
