@@ -254,6 +254,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (`occ schedule | head -1`). Point
+        # its fd at devnull so that the flush at exit fails no second time,
+        # as the note on SIGPIPE in Python's `signal` docs does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError, PipelineStageError) as e:
         message = str(e)
     except MemoryError as e:  # e.g. a march_step so small its samples cannot fit

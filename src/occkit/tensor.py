@@ -43,17 +43,21 @@ add, in fewer passes.
 
 A conv's slabs run on ``WORKERS`` threads, one per CPU the process may use,
 so a CPU affinity mask (``taskset -c 0``) sets the count: the calling thread
-and ``WORKERS - 1`` threads of a pool started on first use. Each worker
-claims the next slab from one shared iterator, under a lock, as it frees
-up, so a CPU that a neighbouring process holds delays at most one slab. The
-calling thread allocates every worker's buffers (copied taps, GEMM outputs
-and accumulator) before any worker starts, so that no pool thread
-allocates: glibc gives each thread that does its own malloc arena, whose
-freed memory the main heap cannot reuse. Only a conv of several slabs and
-over ``THREAD_MACS`` multiply-adds uses the pool; for smaller ones the
-hand-off costs more than the second CPU gains. The worker count cannot move
-a byte: each slab runs the same taps in the same order, into output rows no
-other slab writes, whichever thread claims it.
+and ``WORKERS - 1`` threads that the conv starts and joins itself, so no
+thread outlives the call, an error included, and a forked child holds no
+stale one. Starting and joining a thread costs about 70 us, 45 us more
+than handing slabs to a thread kept between calls, while a conv over
+``THREAD_MACS`` multiply-adds runs for 7 ms or more at 70 GFLOP/s. Each
+worker claims the next slab from one shared iterator, under a lock, as it
+frees up, so a CPU that a neighbouring process holds delays at most one
+slab. The calling thread allocates every worker's buffers (copied taps,
+GEMM outputs and accumulator) before any worker starts, so that no other
+thread allocates: glibc gives each thread that does its own malloc arena,
+whose freed memory the main heap cannot reuse. Only a conv of several
+slabs and over ``THREAD_MACS`` multiply-adds starts threads; for smaller
+ones the hand-off costs more than the second CPU gains. The worker count
+cannot move a byte: each slab runs the same taps in the same order, into
+output rows no other slab writes, whichever thread claims it.
 
 Within a slab, consecutive taps whose reads start a fixed column step apart
 form a run, and each run is one stacked ``_gemm``. numpy runs a stack as one
@@ -107,8 +111,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from functools import cache
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from math import gcd, prod, sqrt
 from typing import NamedTuple
@@ -178,7 +181,7 @@ if hasattr(os, "sched_getaffinity"):
 else:  # macOS and Windows
     WORKERS = os.cpu_count() or 1
 # Multiply-adds past which a conv of several slabs spreads them over the
-# workers. Waking a pool thread has a fixed cost, and the threads take turns
+# workers. Starting a thread has a fixed cost, and the threads take turns
 # at the interpreter between runs of GEMMs. On a 2-CPU host (medians of 15
 # alternating calls), two workers ran convs of 4M-92M multiply-adds
 # 0.88-1.07x as fast as one, and convs of 368M-9.9G 1.41-1.57x.
@@ -188,34 +191,6 @@ THREAD_MACS = 256 * SMALL_GEMM_MACS
 # large-kernel conv 13% slower on one worker, and runs of half that ran the
 # wide run's 9% slower on two.
 RUN_ELEMS = 1 << 18
-
-
-@cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """``threads`` threads that run slabs beside the caller, started on first
-    use."""
-    return ThreadPoolExecutor(threads, thread_name_prefix="occkit-conv")
-
-
-# A forked child has none of its parent's threads: it starts a pool of its own.
-if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _on_workers(fn, buffers: list) -> None:
-    """Run ``fn(*buffers[0])`` on the calling thread and ``fn(*b)`` for each
-    later ``b`` on a pool thread, and return once all have returned. An
-    error in any of them is raised here, after every call has ended, so
-    the pool is idle again."""
-    if len(buffers) == 1:
-        return fn(*buffers[0])
-    futures = [_pool(WORKERS - 1).submit(fn, *b) for b in buffers[1:]]
-    try:
-        fn(*buffers[0])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
 
 
 def slab_rows(n_rows: int, row: int, macs: int) -> int:
@@ -429,7 +404,16 @@ def conv(
                 acc.reshape((c_rows, n) + grid)[inside], shift, out=out[:, r0 : r0 + n]
             )
 
-    _on_workers(run_slabs, buffers)
+    if workers == 1:
+        run_slabs(*buffers[0])
+    else:
+        # Leaving the block waits for every thread, even when the calling
+        # thread's slabs raise; a started thread's error is raised after.
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="occkit-conv") as pool:
+            futures = [pool.submit(run_slabs, *b) for b in buffers[1:]]
+            run_slabs(*buffers[0])
+        for f in futures:
+            f.result()
     return out.reshape(out_shape)
 
 

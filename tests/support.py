@@ -2,8 +2,10 @@
 a config with other scene fields, the identity ego pose, scenes with boxes
 placed by hand, the voxel of a point, convolution oracles that run on an
 input the caller has already padded, the float64 column split of their
-GEMMs, a call's peak traced memory, and convs on a set worker count."""
+GEMMs, a call's peak traced memory, convs on a set worker count and the threads
+they started."""
 
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -92,6 +94,11 @@ def conv_workers(n):
         mp.setattr(tensor, "WORKERS", n)
         mp.setattr(tensor, "THREAD_MACS", 0)
         yield
+
+
+def conv_threads():
+    """Names of the live threads that a conv started."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("occkit-conv")]
 
 
 def gemm_split(cols, macs, dtype):

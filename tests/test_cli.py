@@ -1,7 +1,10 @@
 import hashlib
 import io
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -577,13 +580,12 @@ class TestStageErrors:
         """A GEMM that fails in a conv spread over two workers ends the run in
         one error line that names the stage, whichever worker it failed on;
         the next run succeeds."""
-        on_workers, gemm = occkit.tensor._on_workers, occkit.tensor._gemm
+        pool_type, gemm = occkit.tensor.ThreadPoolExecutor, occkit.tensor._gemm
         threaded = threading.Event()
 
-        def flagged(fn, buffers):
-            if len(buffers) > 1:
-                threaded.set()
-            on_workers(fn, buffers)
+        def flagged(*args, **kwargs):  # a conv starting its threads
+            threaded.set()
+            return pool_type(*args, **kwargs)
 
         def failing(w, x, out):
             if threaded.is_set():
@@ -594,7 +596,7 @@ class TestStageErrors:
         with conv_workers(2):
             # one output row per slab: the tiny config's convs run as several
             monkeypatch.setattr(occkit.tensor, "slab_rows", lambda n_rows, row, macs: 1)
-            monkeypatch.setattr(occkit.tensor, "_on_workers", flagged)
+            monkeypatch.setattr(occkit.tensor, "ThreadPoolExecutor", flagged)
             monkeypatch.setattr(occkit.tensor, "_gemm", failing)
             assert main(args) == 1
             err = capsys.readouterr().err
@@ -772,6 +774,30 @@ class TestSchedule:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ff4f04d03e30574e1b5157ae4e5adf923c7d5d63ed155d93e5b54326a32544f0"
         )
+
+    def test_unwritable_out_is_one_error(self, tmp_path, capsys):
+        """An ``--out`` that cannot be opened ends in one error line."""
+        out = str(tmp_path / "missing" / "curve.csv")
+        assert main(["schedule", "--tmax", "10", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_closed_pipe_ends_quietly(self):
+        """A reader that closes the pipe after one line ends the run with
+        exit status 1 and nothing on stderr: no ``error:`` line, and no
+        "Exception ignored" line from the flush at exit."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "occkit.cli", "schedule", "--tmax", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert child.stdout.readline() == b"iter,x,alpha\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert err == b""
+        assert child.returncode == 1
 
     def test_huge_tmax_is_one_error(self, capsys):
         """An iteration count past the float range ends in one error line."""

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import time
 from collections import deque
 from math import prod
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import occkit.pipeline
+import occkit.tensor
 import occkit.view
 from occkit.bev import collapse_height, semantic_encoder_2d, temporal_fuse
 from occkit.bvl import bev_to_voxel_lift, fuse_and_upsample
@@ -31,7 +33,14 @@ from occkit.scene import BoxObstacle, SceneSpec, gen_scene
 from occkit.schedule import gt_depth_from_points, mix_depth
 from occkit.tensor import conv, slab_rows, softmax
 from occkit.view import DepthDistribution, GridSpec, LiftPlan, bin_centers, lift_splat
-from support import PlacedSceneSpec, cast, conv_workers, traced_peak, with_scene
+from support import (
+    PlacedSceneSpec,
+    cast,
+    conv_threads,
+    conv_workers,
+    traced_peak,
+    with_scene,
+)
 from test_acceptance import GATE_CONFIG
 
 # in the order they first run
@@ -539,6 +548,23 @@ def test_reference_logits_hashes(reference_run, name, mode, sha256):
             logits, _ = run_pipeline(config, scene, 0.5, mode, weights)
         assert logits.dtype == np.float32
         assert hashlib.sha256(logits.tobytes()).hexdigest() == sha256, workers
+
+
+def test_no_conv_thread_outlives_a_run(reference_run, monkeypatch):
+    """A desk run on two conv workers runs GEMMs on threads its convs
+    started, and none of those threads is alive once it returns."""
+    config, scene, weights = reference_run("desk")
+    gemm, names = occkit.tensor._gemm, set()
+
+    def named(w, x, out):
+        names.add(threading.current_thread().name)
+        gemm(w, x, out)
+
+    monkeypatch.setattr(occkit.tensor, "_gemm", named)
+    with conv_workers(2):
+        run_pipeline(config, scene, 0.5, "deploy", weights)
+    assert any(name.startswith("occkit-conv") for name in names)
+    assert conv_threads() == []
 
 
 # The desk and check-9 deploy logits' sha256 in a fresh interpreter, which

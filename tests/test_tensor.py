@@ -34,6 +34,7 @@ from support import (
     cast,
     centred_pad,
     conv_loops,
+    conv_threads,
     conv_untiled,
     conv_workers,
     gemm_split,
@@ -1207,9 +1208,11 @@ def test_seeded_batch_independent_of_blas_threads():
 
 
 class TestWorkers:
-    """``conv`` hands its slabs to ``tensor.WORKERS`` threads. The worker
-    count moves no byte, and an error on any worker reaches the caller once
-    every worker has stopped."""
+    """``conv`` hands its slabs to ``tensor.WORKERS`` threads: the calling
+    thread and threads that the conv starts and joins before it returns.
+    The worker count moves no byte, an error on any worker reaches the
+    caller once every worker has stopped, and no thread outlives the
+    call."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -1284,11 +1287,11 @@ class TestWorkers:
         assert [out.tobytes() for out in outs] == [want.tobytes()] * 5
 
     def test_forked_child_starts_its_own_pool(self):
-        """A child forked after the pool started has none of its threads;
-        its convs start a pool of their own instead of waiting on those."""
+        """A child forked after a threaded conv gives that conv's bytes: its
+        conv starts threads of its own, as every threaded conv does."""
         case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
         with conv_workers(2):
-            want = conv(*case)  # starts this process's pool
+            want = conv(*case)
             pid = os.fork()
             if pid == 0:
                 os._exit(0 if conv(*case).tobytes() == want.tobytes() else 1)
@@ -1303,17 +1306,15 @@ class TestWorkers:
             pytest.fail("the forked child's conv did not return within 60 s")
         assert os.waitstatus_to_exitcode(status) == 0
 
-    def test_pool_thread_error_reaches_the_caller(self, monkeypatch):
-        """A GEMM that fails on a pool thread raises in the caller, and the
-        next conv on two workers gives the bytes of one worker."""
-        case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
-        with conv_workers(1):
-            want = conv(*case)
+    @staticmethod
+    def _fail_on_a_started_thread(monkeypatch, case):
+        """Run ``case`` on two workers with a GEMM that fails on the thread
+        the conv started, and check that the error reaches the caller."""
         gemm, caller, pool_failed = tensor._gemm, threading.get_ident(), threading.Event()
 
         def failing(w, x, out):
             if threading.get_ident() == caller:
-                pool_failed.wait(30)  # a pool thread claims a slab meanwhile
+                pool_failed.wait(30)  # the started thread claims a slab meanwhile
             else:
                 pool_failed.set()
                 raise RuntimeError("pool GEMM failed")
@@ -1324,13 +1325,36 @@ class TestWorkers:
             with pytest.raises(RuntimeError, match="pool GEMM failed"):
                 conv(*case)
             monkeypatch.undo()
-            assert pool_failed.is_set()
+        assert pool_failed.is_set()
+
+    def test_pool_thread_error_reaches_the_caller(self, monkeypatch):
+        """A GEMM that fails on a thread the conv started raises in the
+        caller, and the next conv on two workers gives the bytes of one
+        worker."""
+        case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
+        with conv_workers(1):
+            want = conv(*case)
+        self._fail_on_a_started_thread(monkeypatch, case)
+        with conv_workers(2):
             assert conv(*case).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("outcome", ["returns", "fails"])
+    def test_no_conv_thread_outlives_its_call(self, monkeypatch, outcome):
+        """No thread that a conv started is alive once the conv has returned
+        on six workers, or once an error on one of its threads has reached
+        the caller."""
+        case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
+        if outcome == "returns":
+            with conv_workers(6):
+                conv(*case)
+        else:
+            self._fail_on_a_started_thread(monkeypatch, case)
+        assert conv_threads() == []
+
     def test_calling_thread_error_waits_for_the_pool(self, monkeypatch):
-        """A GEMM that fails on the calling thread raises only once the pool
-        threads have run their last GEMM of that conv, and the next conv on
-        two workers gives the bytes of one worker."""
+        """A GEMM that fails on the calling thread raises only once the
+        threads the conv started have run their last GEMM of that conv, and
+        the next conv on two workers gives the bytes of one worker."""
         case = _conv_case(*EDGE_CONVS["3d-one-row-in-place"])
         with conv_workers(1):
             want = conv(*case)
