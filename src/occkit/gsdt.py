@@ -8,6 +8,7 @@ codes and truncated payloads.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -56,16 +57,14 @@ def loads(data: bytes) -> np.ndarray:
     if len(data) < ext_end:
         raise FormatError("truncated extents")
     shape = struct.unpack(f"<{rank}Q", data[7:ext_end])
-    count = 1
-    for n in shape:
-        count *= n
+    count = math.prod(shape)
     expected = ext_end + count * dtype.itemsize
     if len(data) != expected:
         raise FormatError(
             f"payload length mismatch: have {len(data) - ext_end} bytes, "
             f"need {count * dtype.itemsize}"
         )
-    arr = np.frombuffer(data[ext_end:], dtype=dtype).reshape(shape)
+    arr = np.frombuffer(data, dtype, count, offset=ext_end).reshape(shape)
     # native byte order, writable copy
     return arr.astype(dtype.newbyteorder("="), copy=True)
 

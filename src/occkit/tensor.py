@@ -68,23 +68,24 @@ lets two workers overlap. A run's GEMM outputs and copied taps hold at most
 core's cache; its products are added to the accumulator one by one, in tap
 order.
 
-A tap's right operand is a view where its slab is contiguous in the
-padded input: the column range ``[off, off + cols)`` of that input
-flattened to (channels, columns), ``off`` being the flat index of the slab's
-first read, and a run's taps are one strided (taps, channels, columns) view
-of it. Otherwise each tap is copied into a patch. One-row slabs of
-kz=1 convs, pointwise convs (run as one flat axis) and window convs read
-views. A strided conv, or one with more than 256 input channels, runs as
-one slab, since tiling either changed low bits, and with unit stride the
-latter is a window conv: its accumulator rows span the padded
-trailing extents, so that every tap's slab is contiguous. The pad gains
-one more zero row high on the first axis, where the last tap's range ends,
-and the final add reads only the columns inside the output. OpenBLAS's
-regular GEMM kernel gives a column the same bytes at any column count if it
-lies before the last multiple of 8, and its small-matrix kernel does not.
-So a conv is a window conv only when its GEMM is over ``SMALL_GEMM_MACS``
-and both its output's and its accumulator's column counts are multiples
-of 8.
+Each run reads its taps through one strided view of the padded input
+flattened to (channels, columns): (taps, channels, rows, *trailing), from
+its first tap's first read on, its taps a fixed column step apart and each
+output axis's reads the axis's stride times its column step apart. A slab
+reads its rows of that view in place, as (taps, channels, columns), where
+they are contiguous, and otherwise copies the whole run into a patch in one
+call. An unpadded, non-contiguous input is flattened by one copy. One-row
+slabs of kz=1 convs, pointwise convs (run as one flat axis) and window convs
+read in place. A strided conv, or one with more than 256 input channels,
+runs as one slab, since tiling either changed low bits, and with unit stride
+the latter is a window conv: its accumulator rows span the padded trailing
+extents, so that every tap's slab is contiguous. The pad gains one more zero
+row high on the first axis, where the last tap's range ends, and the final
+add reads only the columns inside the output. OpenBLAS's regular GEMM kernel
+gives a column the same bytes at any column count if it lies before the last
+multiple of 8, and its small-matrix kernel does not. So a conv is a window
+conv only when its GEMM is over ``SMALL_GEMM_MACS`` and both its output's
+and its accumulator's column counts are multiples of 8.
 
 The GEMM rules: ``conv``'s runs of taps and ``upsample2x``'s block loop run
 every product through ``_gemm``, at the rows and depth ``gemm_shape``
@@ -250,8 +251,8 @@ def conv(
     Zero padding is centred per axis, (e-1)//2 low and e//2 high for an
     effective extent e (an even extent's extra zero goes high), and is made
     by one ``np.pad`` copy of the input, only when some effective extent is
-    above 1. Accumulates one GEMM per kernel tap so arbitrary dilation and
-    stride reduce to shifted slices of the padded input.
+    above 1. Accumulates one GEMM per kernel tap, so arbitrary dilation and
+    stride reduce to strided views of the padded input.
 
     The output is worked through in slabs of ``slab_rows`` rows of its first
     spatial axis, a pointwise conv's flattened to one axis first, by the
@@ -259,8 +260,8 @@ def conv(
     buffers are allocated once, by the caller. Each slab's first tap's GEMM
     writes its accumulator, every later tap's is added to it, and one add
     of the bias (or of 0.0) writes the slab out, so a 1x1 conv makes one
-    GEMM and one add per slab. How each tap is read, which convs run as one
-    slab, and the GEMM rules are set out in the module docstring.
+    GEMM and one add per slab. How each run of taps is read, which convs
+    run as one slab, and the GEMM rules are set out in the module docstring.
     """
     c_out, c_in = weight.shape[:2]
     rank = _check_operands(x, weight, bias, c_in, c_out)
@@ -278,7 +279,6 @@ def conv(
         rank, out_sp = 1, (prod(out_sp),)
     n_rows, row = out_sp[0], prod(out_sp[1:])
     c_rows, k = gemm_shape(c_out, c_in)
-    s0 = stride[0]
     if all(s == 1 for s in stride) and k <= 256:
         rows = slab_rows(n_rows, row, c_rows * k)
     else:
@@ -309,24 +309,16 @@ def conv(
     w_taps = np.zeros((prod(kernel), c_rows, k), dtype=x.dtype)
     w_taps[:, :c_out, :c_in] = np.moveaxis(weight.reshape(c_out, c_in, -1), -1, 0)
     out = np.empty((c_out,) + out_sp, dtype=x.dtype)
-    # Per tap, in np.ndindex order and as read for the first slab: its first
-    # padded input row, its slices of the other axes and the flat column
-    # where its read starts, each a product of per-axis choices.
-    firsts = range(0, kernel[0] * dilation[0], dilation[0])
-    inners = product(*[
-        [slice(c, c + s * (n - 1) + 1, s) for c in range(0, k * d, d)]
-        for k, d, s, n in zip(kernel[1:], dilation[1:], stride[1:], out_sp[1:])
-    ])
+    # Per tap, in np.ndindex order: the flat column where its first read
+    # starts, a sum of per-axis offsets.
     offsets = [range(0, k * d * p, d * p) for k, d, p in zip(kernel, dilation, steps)]
-    taps = [
-        (f, i, sum(o)) for (f, i), o in zip(product(firsts, inners), product(*offsets))
-    ]
+    taps = [sum(o) for o in product(*offsets)]
     # Every tap's slab of `rows` rows by `grid` has the same strides, and is a
     # column range of the flattened xp when it spans as many columns as it
     # holds. The flattening copies only an unpadded, non-contiguous input.
     span = 1 + sum((n - 1) * s * p for n, s, p in zip((rows,) + grid, stride, steps))
     view = span == rows * pitch
-    flat = xp.reshape(k, -1) if view else None
+    flat = xp.reshape(k, -1)
     # The first tap's GEMM starts the accumulator in place of a zero fill.
     # Its sums then differ from +0.0-started ones only by being -0.0 where
     # those are +0.0, and adding b + 0.0 (or 0.0 without a bias) turns each
@@ -342,24 +334,27 @@ def conv(
     # outputs and copied taps hold at most RUN_ELEMS elements.
     cap = max(1, RUN_ELEMS // ((c_rows + (0 if view else k)) * rows * pitch))
     runs = []
-    for t, (_, _, off) in enumerate(taps):
+    for t, off in enumerate(taps):
         t0, g, step = runs[-1] if runs else (0, cap, 0)
-        if g < cap and (g == 1 or off - taps[t - 1][2] == step):
-            runs[-1] = (t0, g + 1, off - taps[t - 1][2])
+        if g < cap and (g == 1 or off - taps[t - 1] == step):
+            runs[-1] = (t0, g + 1, off - taps[t - 1])
         else:
             runs.append((t, 1, 0))
     longest = max(g for _, g, _ in runs)
-    # A view run's reads, for every slab at once: a (taps, k, columns) view
-    # of the flattened input from its first tap's first read on, each tap's
-    # `step` columns after the one before.
-    reads = []
-    for t0, g, step in runs:
-        read = flat[None, :, taps[t0][2] :] if view else None
-        if view and g > 1:
-            col = flat.strides[1]
-            shape = (g, k, read.shape[2] - (g - 1) * step)
-            read = as_strided(read[0], shape, (step * col, flat.strides[0], col))
-        reads.append(read)
+    # Each run's reads, for every slab at once: a (taps, k, n_rows, *grid)
+    # view of the flattened input from its first tap's first read on, each
+    # tap's `step` columns after the one before and each output axis's reads
+    # `stride` of that axis's steps apart.
+    col = flat.strides[1]
+    axes = [s * p * col for s, p in zip(stride, steps)]
+    reads = [
+        as_strided(
+            flat[:, taps[t0] :],
+            (g, k, n_rows) + grid,
+            (step * col, flat.strides[0], *axes),
+        )
+        for t0, g, step in runs
+    ]
     # Per worker, all from this thread: room for the copies of a run's taps,
     # and for the accumulator followed by a run's GEMM outputs.
     buffers = [
@@ -380,24 +375,18 @@ def conv(
                 return
             n = min(rows, n_rows - r0)
             cols = n * pitch
-            if not view:
-                patches = patch_buf[: longest * k * cols].reshape(longest, k, cols)
-                patches_nd = patches.reshape((longest, k, n) + grid)
             gemms = gemm_buf[: (longest + 1) * c_rows * cols].reshape(-1, c_rows, cols)
             acc = gemms[0]
-            r = s0 * r0  # padded rows between each tap's first read and this slab's
-            for (t0, g, _), run_reads in zip(runs, reads):
-                if view:
-                    patch = run_reads[:, :, r * steps[0] : r * steps[0] + cols]
-                else:
-                    for i, (first, inner, _) in enumerate(taps[t0 : t0 + g]):
-                        rows_in = slice(first + r, first + r + s0 * (n - 1) + 1, s0)
-                        np.copyto(patches_nd[i], xp[(slice(None), rows_in) + inner])
-                    patch = patches[:g]
+            for (t0, g, _), read in zip(runs, reads):
+                read = read[:, :, r0 : r0 + n]
+                if not view:
+                    patch = patch_buf[: read.size].reshape(read.shape)
+                    np.copyto(patch, read)
+                    read = patch
                 # The first tap's GEMM writes the accumulator; every later
                 # tap's is added to it, in tap order.
                 lo = 1 if t0 else 0
-                _gemm(w_taps[t0 : t0 + g], patch, gemms[lo : lo + g])
+                _gemm(w_taps[t0 : t0 + g], read.reshape(g, k, cols), gemms[lo : lo + g])
                 for tmp in gemms[1 : lo + g]:
                     acc += tmp
             np.add(

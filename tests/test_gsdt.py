@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from occkit import gsdt
+from support import traced_peak
 
 
 @pytest.mark.parametrize(
@@ -110,3 +111,21 @@ def test_rejects_truncated():
 def test_rejects_unsupported_dtype():
     with pytest.raises(gsdt.FormatError, match="no GSDT code"):
         gsdt.dumps(np.zeros(2, dtype=np.int32))
+
+
+def test_zero_extent_round_trip():
+    arr = np.zeros((2, 0, 3), dtype=np.float64)
+    out = gsdt.loads(gsdt.dumps(arr))
+    assert out.shape == (2, 0, 3) and out.dtype == np.float64
+
+
+def test_read_holds_the_file_and_one_copy(tmp_path):
+    """``read`` holds the file's bytes and one writable copy of the payload,
+    not a second copy of the bytes: its traced peak stays within 2.1 times
+    the payload."""
+    arr = np.random.default_rng(0).standard_normal((32, 100, 100, 8)).astype(np.float32)
+    path = tmp_path / "t.gsdt"
+    gsdt.write(path, arr)
+    out, peak = traced_peak(gsdt.read, path)
+    assert out.tobytes() == arr.tobytes()
+    assert peak <= 2.1 * arr.nbytes, f"{peak / arr.nbytes:.2f}x the payload"

@@ -446,36 +446,44 @@ class TestSlabTiling:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "name, run_elems, stacks",
+        "name, run_elems, stacks, copies",
         [
-            ("3d-one-row-in-place", None, [3, 3, 3] * 20),
+            ("3d-one-row-in-place", None, [3, 3, 3] * 20, 0),
             # room for two taps' GEMM outputs: any two taps' reads start a
             # fixed step apart, so the nine run as 2 + 2 + 2 + 2 + 1
-            ("3d-one-row-in-place", 2 * 32 * 800, [2, 2, 2, 2, 1] * 20),
-            # copied taps: 37 rows in slabs of 15, 15 and 7
-            ("3d-short-last-slab", None, [3, 3, 3] * 3),
+            ("3d-one-row-in-place", 2 * 32 * 800, [2, 2, 2, 2, 1] * 20, 0),
+            # copied taps: 37 rows in slabs of 15, 15 and 7, one copy per run
+            ("3d-short-last-slab", None, [3, 3, 3] * 3, 9),
         ],
         ids=["views", "views-two-per-run", "copies"],
     )
-    def test_taps_run_as_stacked_gemms(self, monkeypatch, name, run_elems, stacks):
+    def test_taps_run_as_stacked_gemms(
+        self, monkeypatch, name, run_elems, stacks, copies
+    ):
         """Each slab of a 3x3x1 conv runs each kernel row's taps, whose reads
         start a fixed column step apart, as one stacked GEMM call, as far
         as ``RUN_ELEMS`` allows, and every tap keeps the untiled oracle's
-        bytes."""
+        bytes. A slab that copies its taps copies each run in one call."""
         case = _conv_case(*EDGE_CONVS[name])
-        calls, matmul = [], np.matmul
+        calls, copied, matmul, copyto = [], [], np.matmul, np.copyto
 
         def spy(a, right, out=None):
             calls.append(len(_products(a, right)))
             return matmul(a, right, out=out)
 
+        def spy_copy(dst, src, **kwargs):
+            copied.append(dst.shape)
+            return copyto(dst, src, **kwargs)
+
         if run_elems:
             monkeypatch.setattr(tensor, "RUN_ELEMS", run_elems)
         monkeypatch.setattr(np, "matmul", spy)
+        monkeypatch.setattr(np, "copyto", spy_copy)
         with conv_workers(1):
             got = conv(*case)
         monkeypatch.undo()
         assert calls == stacks
+        assert [shape[0] for shape in copied] == [3] * copies
         assert got.tobytes() == conv_nd_untiled(*case).tobytes()
 
     def test_columns_off_16_run_as_one_slab(self, monkeypatch):
@@ -597,6 +605,35 @@ COPIED_WIDE_CONVS = {
     # over the cutoff only at the padded depth: 52 x 320 x 63 MACs, not 289
     "2d-padded-depth-split": ((289, 7, 9), (52, 289, 3, 3), True, 1, 1, np.float64),
 }
+
+
+# Every conv whose reads a spy test pins, by name.
+READ_CONVS = {
+    **{f"edge-{k}": v for k, v in EDGE_CONVS.items()},
+    **{f"window-{k}": v for k, v in WINDOW_CONVS.items()},
+    **{f"copied-wide-{k}": v for k, v in COPIED_WIDE_CONVS.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(READ_CONVS.values()), ids=list(READ_CONVS))
+def test_run_views_stay_inside_their_buffer(monkeypatch, case):
+    """Each run of taps reads through one ``as_strided`` view, which numpy
+    does not bounds-check, so each must lie within the bytes of the array
+    it views. A window conv's read past its end would reach only columns
+    the output drops, so no byte test would see it."""
+    byte_bounds, strided, views = np.lib.array_utils.byte_bounds, tensor.as_strided, []
+
+    def spy(arr, shape, strides):
+        view = strided(arr, shape, strides)
+        owner = arr if arr.base is None else arr.base
+        views.append((byte_bounds(view), byte_bounds(owner)))
+        return view
+
+    monkeypatch.setattr(tensor, "as_strided", spy)
+    conv(*_conv_case(*case))
+    assert views
+    for (lo, hi), (start, end) in views:
+        assert start <= lo and hi <= end
 
 
 class TestWindowRead:
@@ -1217,10 +1254,10 @@ class TestWorkers:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_worker_count_moves_no_byte(self, data):
-        """Random convs give the same bytes on one worker and on two: convs
-        of several slabs, the last often short; window convs past 256 input
-        channels; float64 convs whose GEMMs split off their tail columns;
-        dilated and strided convs. Convs of one slab run on the calling
+        """Random convs give the untiled oracle's bytes on one worker and on
+        two: convs of several slabs, the last often short; window convs past
+        256 input channels; float64 convs whose GEMMs split off their tail
+        columns; dilated and strided convs. Convs of one slab run on the calling
         thread at any worker count."""
         rank = data.draw(st.integers(1, 3), label="rank")
         if data.draw(st.sampled_from((False, False, True)), label="past 256 channels"):
@@ -1255,6 +1292,7 @@ class TestWorkers:
             with conv_workers(workers):
                 outs.append(conv(x, w, b, dilation, stride))
         assert outs[0].tobytes() == outs[1].tobytes()
+        assert outs[0].tobytes() == conv_nd_untiled(x, w, b, dilation, stride).tobytes()
 
     def test_more_workers_than_cpus_run_each_slab_once(self, monkeypatch):
         """Six workers, with the interpreter switching threads every
